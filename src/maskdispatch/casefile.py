@@ -47,6 +47,10 @@ def _get(obj, key, path, cls=None):
     return v
 
 
+def _optional_number(obj, key, path):
+    return None if obj.get(key) is None else _get(obj, key, path, float)
+
+
 def _segments(obj, path):
     segs = _get(obj, "segments", path, list)
     if not segs:
@@ -79,13 +83,11 @@ def case_to_system(doc: dict) -> MarketSystem:
     generators = []
     for i, g in enumerate(_get(doc, "generators", "$", list)):
         p = f"$.generators[{i}]"
-        ru = g.get("ramp_up")
-        rd = g.get("ramp_down")
         generators.append(Generator(
             name=_get(g, "name", p, str), owner=_get(g, "owner", p, str),
             bus=_get(g, "bus", p, str), segments=_segments(g, p),
-            ramp_up=None if ru is None else float(ru),
-            ramp_dn=None if rd is None else float(rd)))
+            ramp_up=_optional_number(g, "ramp_up", p),
+            ramp_dn=_optional_number(g, "ramp_down", p)))
     loads = []
     for i, d in enumerate(_get(doc, "loads", "$", list)):
         p = f"$.loads[{i}]"
@@ -93,13 +95,17 @@ def case_to_system(doc: dict) -> MarketSystem:
                           owner=_get(d, "owner", p, str),
                           bus=_get(d, "bus", p, str),
                           segments=_segments(d, p)))
+    hours = _get(meta, "T", "$.meta", float)
+    if not hours.is_integer():
+        raise CaseFileError(
+            f"field $.meta.T must be a whole number of hours, got {hours}")
     try:
         return MarketSystem(
             name=_get(meta, "name", "$.meta", str),
             buses=buses,
             reference_bus=_get(meta, "reference_bus", "$.meta", str),
             lines=lines, generators=generators, loads=loads,
-            horizon=int(_get(meta, "T", "$.meta", float)))
+            horizon=int(hours))
     except ValueError as exc:
         raise CaseFileError(str(exc)) from exc
 

@@ -7,8 +7,11 @@ Subcommands:
     gen      write a synthetic case file
     audit    per-entity inference audit of a masked round
 
-Exit codes: 0 solved to optimality, 1 input/usage error, 2 infeasible,
-3 unbounded.  MASKDISPATCH_SEED sets the default seed.
+Exit codes: 0 solved to optimality, 1 input/usage error (including an
+islanded network or an empty market), 2 infeasible, 3 unbounded, 4 round
+failed (numerical breakdown, key generation failure or protocol
+violation).  Every error is one ``error:`` line on stderr.
+MASKDISPATCH_SEED sets the default seed.
 
 The JSON report is versioned with a top-level ``"schema": 1`` field;
 all numbers carry six decimals and wall-clock measurements live in
@@ -26,16 +29,19 @@ import time
 import numpy as np
 
 from maskdispatch.casefile import CaseFileError, load_case, save_case
+from maskdispatch.lp import NumericalBreakdown
 from maskdispatch.market import (
-    ClearingFailed, InvalidCounts, build_ed_blocks, gen_synthetic,
+    ClearingFailed, EmptyMarket, InvalidCounts, IslandedNetwork,
+    build_ed_blocks, gen_synthetic,
 )
-from maskdispatch.masking import leakage_audit
-from maskdispatch.protocol import comm_cost, run_market_round
+from maskdispatch.masking import KeyGenerationFailed, leakage_audit
+from maskdispatch.protocol import ProtocolViolation, comm_cost, run_market_round
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_UNBOUNDED = 3
+EXIT_ROUND_FAILED = 4
 
 
 def _default_seed():
@@ -75,18 +81,15 @@ def _per_asset(entity, x):
     return out
 
 
+def _error(exc, code) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def cmd_solve(args) -> int:
-    try:
-        system = load_case(args.case)
-    except CaseFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    system = load_case(args.case)
     t0 = time.perf_counter()
-    try:
-        cleared, log = run_market_round(system, args.seed, mode=args.mode)
-    except ClearingFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE if exc.status == "infeasible" else EXIT_UNBOUNDED
+    cleared, log = run_market_round(system, args.seed, mode=args.mode)
     elapsed = time.perf_counter() - t0
 
     gens, loads = _dispatch_section(system, cleared)
@@ -118,34 +121,25 @@ def cmd_solve(args) -> int:
 
 def cmd_compare(args) -> int:
     if args.seeds < 1:
-        print("error: --seeds must be at least 1", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        system = load_case(args.case)
-    except CaseFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        t0 = time.perf_counter()
-        clear, _ = run_market_round(system, 0, mode="clear")
-        t_clear_ms = (time.perf_counter() - t0) * 1e3
+        return _error("--seeds must be at least 1", EXIT_INPUT)
+    system = load_case(args.case)
+    t0 = time.perf_counter()
+    clear, _ = run_market_round(system, 0, mode="clear")
+    t_clear_ms = (time.perf_counter() - t0) * 1e3
 
-        rows = ["seed,obj_clear,obj_masked,max_dispatch_diff,max_lmp_diff,"
-                "t_clear_ms,t_masked_ms,scalars_up,scalars_down"]
-        for seed in range(args.seeds):
-            t0 = time.perf_counter()
-            masked, log = run_market_round(system, seed, mode="masked")
-            t_masked_ms = (time.perf_counter() - t0) * 1e3
-            cost = comm_cost(log)
-            rows.append(",".join([
-                str(seed), f"{clear.objective:.6f}", f"{masked.objective:.6f}",
-                f"{clear.max_dispatch_diff(masked):.9f}",
-                f"{np.max(np.abs(clear.lmp - masked.lmp)):.9f}",
-                f"{t_clear_ms:.3f}", f"{t_masked_ms:.3f}",
-                str(cost.total_up_count), str(cost.total_down_count)]))
-    except ClearingFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE if exc.status == "infeasible" else EXIT_UNBOUNDED
+    rows = ["seed,obj_clear,obj_masked,max_dispatch_diff,max_lmp_diff,"
+            "t_clear_ms,t_masked_ms,scalars_up,scalars_down"]
+    for seed in range(args.seeds):
+        t0 = time.perf_counter()
+        masked, log = run_market_round(system, seed, mode="masked")
+        t_masked_ms = (time.perf_counter() - t0) * 1e3
+        cost = comm_cost(log)
+        rows.append(",".join([
+            str(seed), f"{clear.objective:.6f}", f"{masked.objective:.6f}",
+            f"{clear.max_dispatch_diff(masked):.9f}",
+            f"{np.max(np.abs(clear.lmp - masked.lmp)):.9f}",
+            f"{t_clear_ms:.3f}", f"{t_masked_ms:.3f}",
+            str(cost.total_up_count), str(cost.total_down_count)]))
 
     text = "\n".join(rows) + "\n"
     if args.out:
@@ -157,27 +151,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        system = gen_synthetic(args.buses, args.gencos, args.lses,
-                               args.entity_size, args.hours, args.seed)
-    except InvalidCounts as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    system = gen_synthetic(args.buses, args.gencos, args.lses,
+                           args.entity_size, args.hours, args.seed)
     save_case(system, args.out)
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
-    try:
-        system = load_case(args.case)
-    except CaseFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        cleared, log = run_market_round(system, args.seed, mode="masked")
-    except ClearingFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE if exc.status == "infeasible" else EXIT_UNBOUNDED
+    system = load_case(args.case)
+    cleared, log = run_market_round(system, args.seed, mode="masked")
 
     submissions = [m for m in log.messages if m.kind == "Submission"]
     published = {**cleared.gen_dispatch, **cleared.load_dispatch}
@@ -242,7 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CaseFileError, InvalidCounts, IslandedNetwork, EmptyMarket) as exc:
+        return _error(exc, EXIT_INPUT)
+    except ClearingFailed as exc:
+        return _error(exc, EXIT_INFEASIBLE if exc.status == "infeasible"
+                      else EXIT_UNBOUNDED)
+    except (NumericalBreakdown, KeyGenerationFailed, ProtocolViolation) as exc:
+        return _error(exc, EXIT_ROUND_FAILED)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Dense linear programming with primal and dual solutions.
+"""Linear programming on dense or sparse data, with primal and dual solutions.
 
 Problems are stated as
 

@@ -8,8 +8,13 @@ the duals of the nodal balance equalities.
 
 Layout conventions (used by everything downstream):
 
-* entity variable columns run hour-major: for each hour, for each asset
-  in system order, one column per bid segment;
+* `ed_layout` is the one source of the LP's block layout, keyed by
+  owner: each entity's dispatch columns in order, then the angle
+  columns (plus slack columns in the masked problem); each entity's
+  constraint rows, then the upper and lower line-limit rows, then the
+  nodal-balance rows.  The clear and masked assemblers both use it;
+* within an entity, variable columns run hour-major: for each hour, for
+  each asset in system order, one column per bid segment;
 * entity constraint rows: for each hour, per asset, all segment upper
   bounds then all segment lower bounds; ramp rows for hours >= 2 follow
   after every bound row;
@@ -20,13 +25,16 @@ Layout conventions (used by everything downstream):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from maskdispatch.lp import (
-    LpProblem, SolverConfig, solve_lp, DimensionMismatch, FREE,
+    LpProblem, SolverConfig, solve_lp, DimensionMismatch, NumericalBreakdown,
+    FREE,
 )
 
 
@@ -105,24 +113,37 @@ class MarketSystem:
             raise ValueError("duplicate bus ids")
         if self.reference_bus not in self.buses:
             raise ValueError(f"reference bus {self.reference_bus!r} not in bus list")
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, numbers.Integral):
+            raise ValueError(f"horizon must be a whole number of hours, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1 hour")
         bus_set = set(self.buses)
         for ln in self.lines:
+            what = f"line {ln.from_bus}-{ln.to_bus}"
             if ln.from_bus not in bus_set or ln.to_bus not in bus_set:
-                raise ValueError(f"line {ln.from_bus}-{ln.to_bus} references unknown bus")
+                raise ValueError(f"{what} references unknown bus")
+            _require_finite(what, reactance=ln.x, capacity=ln.capacity)
             if ln.x <= 0:
-                raise ValueError(f"line {ln.from_bus}-{ln.to_bus} reactance must be positive")
+                raise ValueError(f"{what} reactance must be positive")
             if ln.capacity <= 0:
-                raise ValueError(f"line {ln.from_bus}-{ln.to_bus} capacity must be positive")
+                raise ValueError(f"{what} capacity must be positive")
+        names = set()
         for asset in list(self.generators) + list(self.loads):
+            if asset.name in names:
+                raise ValueError(f"duplicate asset name {asset.name!r}")
+            names.add(asset.name)
             if asset.bus not in bus_set:
                 raise ValueError(f"asset {asset.name} placed at unknown bus {asset.bus!r}")
             if not asset.owner:
                 raise ValueError(f"asset {asset.name} has no owner")
             if not asset.segments:
                 raise ValueError(f"asset {asset.name} has no bid segments")
+            _require_finite(f"asset {asset.name}",
+                            ramp_up=getattr(asset, "ramp_up", None),
+                            ramp_dn=getattr(asset, "ramp_dn", None))
             for k, seg in enumerate(asset.segments):
+                _require_finite(f"asset {asset.name} segment {k}",
+                                price=seg.price, lo=seg.lo, hi=seg.hi)
                 if seg.lo > seg.hi:
                     raise ValueError(
                         f"asset {asset.name} segment {k}: lower bound {seg.lo} "
@@ -155,6 +176,12 @@ class MarketSystem:
     @property
     def n_lines(self):
         return len(self.lines)
+
+
+def _require_finite(what, **values):
+    for key, v in values.items():
+        if v is not None and not math.isfinite(v):
+            raise ValueError(f"{what}: {key} must be finite, got {v}")
 
 
 # ---------------------------------------------------------------------------
@@ -200,31 +227,25 @@ class GridBlocks:
     def n_iso(self):
         return self.incidence_lines.shape[1]
 
+    @property
+    def flow_rows(self):
+        """G*KL: maps angles to per-line-hour flows."""
+        return sp.diags(self.susceptance) @ self.incidence_lines
+
 
 @dataclass
-class EdBlocks:
+class EdBlocks(GridBlocks):
+    """The whole dispatch LP in block form: the network plus every entity."""
+
     system: MarketSystem
     gencos: list              # EntityBlocks per GENCO
     lses: list                # EntityBlocks per LSE
-    susceptance: np.ndarray   # 1/x per line-hour, the diagonal of G (T*L,)
-    incidence_lines: sp.csr_matrix  # KL: (T*L, n_iso) with +-1 entries
-    admittance: sp.csr_matrix       # B with reference column removed: (T*B, n_iso)
-    line_caps: np.ndarray           # (T*L,)
 
     def network_only(self) -> GridBlocks:
         return GridBlocks(susceptance=self.susceptance,
                           incidence_lines=self.incidence_lines,
                           admittance=self.admittance,
                           line_caps=self.line_caps)
-
-    @property
-    def n_iso(self):
-        return self.incidence_lines.shape[1]
-
-    @property
-    def flow_rows(self):
-        """G*KL: maps angles to per-line-hour flows."""
-        return sp.diags(self.susceptance) @ self.incidence_lines
 
     @property
     def T(self):
@@ -370,7 +391,7 @@ def build_ed_blocks(system: MarketSystem) -> EdBlocks:
                     admittance=admittance, line_caps=caps)
 
 
-# dense assembly above this many cells switches to scipy.sparse
+# placement above this many cells builds scipy.sparse instead of dense
 _DENSE_CELL_LIMIT = 2_000_000
 
 
@@ -381,201 +402,97 @@ class EdLpLayout:
     var_spans: dict
     row_spans: dict
     n_vars: int
-    n_in_rows: int
-    n_eq_rows: int
+    n_rows: int
+
+
+def ed_layout(parties, n_iso, TL, TB, slacks=False) -> EdLpLayout:
+    """The owner-keyed block layout shared by the clear and masked LPs.
+
+    Reads only public dimensions: each party's `owner`, column count `n`
+    and constraint-row count `m`, in column order.  Columns are every
+    party's dispatch, then the `n_iso` angles; with `slacks`, every
+    party's slack columns and the two line-slack groups follow.  Rows are
+    every party's constraints, the `TL` upper then `TL` lower line
+    limits, then the `TB` nodal balances.
+    """
+    var_spans, row_spans = {}, {}
+    col = row = 0
+    for p in parties:
+        var_spans[p.owner] = (col, col + p.n)
+        row_spans[p.owner] = (row, row + p.m)
+        col += p.n
+        row += p.m
+    var_spans["theta"] = (col, col + n_iso)
+    col += n_iso
+    if slacks:
+        for p in parties:
+            var_spans[f"slack:{p.owner}"] = (col, col + p.m)
+            col += p.m
+        var_spans["slack:line_hi"] = (col, col + TL)
+        var_spans["slack:line_lo"] = (col + TL, col + 2 * TL)
+        col += 2 * TL
+    row_spans["line_hi"] = (row, row + TL)
+    row_spans["line_lo"] = (row + TL, row + 2 * TL)
+    row_spans["balance"] = (row + 2 * TL, row + 2 * TL + TB)
+    return EdLpLayout(var_spans=var_spans, row_spans=row_spans,
+                      n_vars=col, n_rows=row + 2 * TL + TB)
+
+
+def place_blocks(pieces, shape):
+    """A matrix of `shape` holding each (row offset, column offset, block).
+
+    Blocks may be dense or sparse and must not overlap.  Up to
+    `_DENSE_CELL_LIMIT` cells the result is a dense array; above it, a
+    CSR matrix built from the blocks' concatenated COO triplets.
+    """
+    if shape[0] * shape[1] <= _DENSE_CELL_LIMIT:
+        out = np.zeros(shape)
+        for r, c, block in pieces:
+            if sp.issparse(block):
+                block = block.toarray()
+            out[r:r + block.shape[0], c:c + block.shape[1]] = block
+        return out
+    rows, cols, vals = [], [], []
+    for r, c, block in pieces:
+        coo = sp.coo_matrix(block)
+        rows.append(coo.row + r)
+        cols.append(coo.col + c)
+        vals.append(coo.data)
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=shape)
 
 
 def assemble_ed_lp(blocks: EdBlocks):
     """Build the dispatch LP from the block form.
 
     Returns (LpProblem, EdLpLayout).  Variables: entity dispatch
-    segments then angles, all sign-free (bounds are explicit rows).
+    segments then angles, all sign-free (bounds are explicit rows).  The
+    balance rows are the equalities, every other row an inequality.
     """
     entities = blocks.gencos + blocks.lses
-    n_iso = blocks.n_iso
-    n = sum(e.n for e in entities) + n_iso
-    TL = blocks.line_caps.size
-    TB = blocks.admittance.shape[0]
-    m_in = blocks.total_entity_rows + 2 * TL
-
-    var_spans = {}
-    off = 0
-    for e in entities:
-        var_spans[e.owner] = (off, off + e.n)
-        off += e.n
-    var_spans["theta"] = (off, off + n_iso)
-
-    row_spans = {}
-    roff = 0
-    for e in entities:
-        row_spans[e.owner] = (roff, roff + e.m)
-        roff += e.m
-    row_spans["line_hi"] = (roff, roff + TL)
-    row_spans["line_lo"] = (roff + TL, roff + 2 * TL)
-    row_spans["balance"] = (m_in, m_in + TB)
-
-    c = np.zeros(n)
-    for e in entities:
-        lo, hi = var_spans[e.owner]
-        c[lo:hi] = -e.cost if e.kind == "GENCO" else e.cost
-
-    dense = (m_in + TB) * n <= _DENSE_CELL_LIMIT
+    layout = ed_layout(entities, blocks.n_iso, blocks.line_caps.size,
+                       blocks.admittance.shape[0])
+    vs, rs = layout.var_spans, layout.row_spans
+    th, bal = vs["theta"][0], rs["balance"][0]
     flow = blocks.flow_rows
-    th_lo, th_hi = var_spans["theta"]
+    pieces = [(rs["line_hi"][0], th, flow), (rs["line_lo"][0], th, -flow),
+              (bal, th, -blocks.admittance)]
+    for e in entities:
+        pieces += [(rs[e.owner][0], vs[e.owner][0], e.A),
+                   (bal, vs[e.owner][0],
+                    e.incidence if e.kind == "GENCO" else -e.incidence)]
+    A = place_blocks(pieces, (layout.n_rows, layout.n_vars))
 
-    if dense:
-        A_in = np.zeros((m_in, n))
-        for e in entities:
-            (clo, chi), (rlo, rhi) = var_spans[e.owner], row_spans[e.owner]
-            A_in[rlo:rhi, clo:chi] = e.A
-        fd = flow.toarray()
-        A_in[row_spans["line_hi"][0]:row_spans["line_hi"][1], th_lo:th_hi] = fd
-        A_in[row_spans["line_lo"][0]:row_spans["line_lo"][1], th_lo:th_hi] = -fd
-
-        A_eq = np.zeros((TB, n))
-        for e in entities:
-            clo, chi = var_spans[e.owner]
-            inc = e.incidence.toarray()
-            A_eq[:, clo:chi] = inc if e.kind == "GENCO" else -inc
-        A_eq[:, th_lo:th_hi] = -blocks.admittance.toarray()
-    else:
-        rows = []
-        for e in entities:
-            clo, chi = var_spans[e.owner]
-            left = sp.csr_matrix((e.m, clo))
-            right = sp.csr_matrix((e.m, n - chi))
-            rows.append(sp.hstack([left, sp.csr_matrix(e.A), right], format="csr"))
-        pad = sp.csr_matrix((TL, th_lo))
-        rows.append(sp.hstack([pad, flow], format="csr"))
-        rows.append(sp.hstack([pad, -flow], format="csr"))
-        A_in = sp.vstack(rows, format="csr")
-
-        eq_parts = []
-        for e in entities:
-            eq_parts.append(e.incidence if e.kind == "GENCO" else -e.incidence)
-        eq_parts.append(-blocks.admittance)
-        A_eq = sp.hstack(eq_parts, format="csr")
-
-    b_in = np.concatenate([np.concatenate([e.rhs for e in entities]),
-                           blocks.line_caps, blocks.line_caps])
-    b_eq = np.zeros(TB)
-
-    problem = LpProblem(sense="max", c=c, A_eq=A_eq, b_eq=b_eq,
-                        A_in=A_in, b_in=b_in, sign_class=[FREE] * n)
-    layout = EdLpLayout(var_spans=var_spans, row_spans=row_spans,
-                        n_vars=n, n_in_rows=m_in, n_eq_rows=TB)
+    c = np.concatenate([-e.cost if e.kind == "GENCO" else e.cost
+                        for e in entities] + [np.zeros(blocks.n_iso)])
+    b_in = np.concatenate([e.rhs for e in entities]
+                          + [blocks.line_caps, blocks.line_caps])
+    problem = LpProblem(sense="max", c=c, A_eq=A[bal:],
+                        b_eq=np.zeros(layout.n_rows - bal),
+                        A_in=A[:bal], b_in=b_in,
+                        sign_class=[FREE] * layout.n_vars)
     return problem, layout
-
-
-def assemble_ed_lp_scalar(system: MarketSystem):
-    """Constraint-by-constraint assembly straight from the bid data.
-
-    Independent of the block path; used to cross-check it.  Variable
-    order matches `assemble_ed_lp`, row order may differ.
-    """
-    T, B, L = system.horizon, system.n_buses, system.n_lines
-    bus_idx = {b: i for i, b in enumerate(system.buses)}
-    ref = bus_idx[system.reference_bus]
-    ang_cols = {i: j for j, i in enumerate(i for i in range(B) if i != ref)}
-
-    cols = []      # (owner_kind, price) in column order
-    col_of = {}
-    for owner in system.gencos:
-        for t in range(T):
-            for u_i, u in enumerate(system.units_of(owner)):
-                for k in range(len(u.segments)):
-                    col_of[("G", owner, t, u.name, k)] = len(cols)
-                    cols.append(("G", u.segments[k].price))
-    for owner in system.lses:
-        for t in range(T):
-            for d_i, d in enumerate(system.loads_of(owner)):
-                for k in range(len(d.segments)):
-                    col_of[("D", owner, t, d.name, k)] = len(cols)
-                    cols.append(("D", d.segments[k].price))
-    theta0 = len(cols)
-    n = theta0 + T * (B - 1)
-
-    def theta_col(t, b_i):
-        return theta0 + t * (B - 1) + ang_cols[b_i]
-
-    c = np.zeros(n)
-    for j, (kind, price) in enumerate(cols):
-        c[j] = price if kind == "D" else -price
-
-    A_in_rows, b_in = [], []
-
-    def add_row(coeffs, rhs):
-        r = np.zeros(n)
-        for j, v in coeffs:
-            r[j] += v
-        A_in_rows.append(r)
-        b_in.append(rhs)
-
-    for owner in system.gencos:
-        for u in system.units_of(owner):
-            for t in range(T):
-                for k, seg in enumerate(u.segments):
-                    j = col_of[("G", owner, t, u.name, k)]
-                    add_row([(j, 1.0)], seg.hi)
-                    add_row([(j, -1.0)], -seg.lo)
-            for t in range(1, T):
-                ks = range(len(u.segments))
-                if u.ramp_up is not None:
-                    add_row([(col_of[("G", owner, t, u.name, k)], 1.0) for k in ks]
-                            + [(col_of[("G", owner, t - 1, u.name, k)], -1.0) for k in ks],
-                            u.ramp_up)
-                if u.ramp_dn is not None:
-                    add_row([(col_of[("G", owner, t, u.name, k)], -1.0) for k in ks]
-                            + [(col_of[("G", owner, t - 1, u.name, k)], 1.0) for k in ks],
-                            u.ramp_dn)
-    for owner in system.lses:
-        for d in system.loads_of(owner):
-            for t in range(T):
-                for k, seg in enumerate(d.segments):
-                    j = col_of[("D", owner, t, d.name, k)]
-                    add_row([(j, 1.0)], seg.hi)
-                    add_row([(j, -1.0)], -seg.lo)
-    for t in range(T):
-        for ln in system.lines:
-            a, b = bus_idx[ln.from_bus], bus_idx[ln.to_bus]
-            coeffs = []
-            if a != ref:
-                coeffs.append((theta_col(t, a), 1.0 / ln.x))
-            if b != ref:
-                coeffs.append((theta_col(t, b), -1.0 / ln.x))
-            add_row(coeffs, ln.capacity)
-            add_row([(j, -v) for j, v in coeffs], ln.capacity)
-
-    # nodal balance: generation minus load minus net flow out of the bus
-    A_eq_rows = [np.zeros(n) for _ in range(T * B)]
-    for owner in system.gencos:
-        for u in system.units_of(owner):
-            for t in range(T):
-                row = A_eq_rows[t * B + bus_idx[u.bus]]
-                for k in range(len(u.segments)):
-                    row[col_of[("G", owner, t, u.name, k)]] += 1.0
-    for owner in system.lses:
-        for d in system.loads_of(owner):
-            for t in range(T):
-                row = A_eq_rows[t * B + bus_idx[d.bus]]
-                for k in range(len(d.segments)):
-                    row[col_of[("D", owner, t, d.name, k)]] -= 1.0
-    for t in range(T):
-        for ln in system.lines:
-            a, b = bus_idx[ln.from_bus], bus_idx[ln.to_bus]
-            w = 1.0 / ln.x
-            ra, rb = A_eq_rows[t * B + a], A_eq_rows[t * B + b]
-            if a != ref:
-                ra[theta_col(t, a)] -= w
-                rb[theta_col(t, a)] += w
-            if b != ref:
-                ra[theta_col(t, b)] += w
-                rb[theta_col(t, b)] -= w
-
-    return LpProblem(sense="max", c=c,
-                     A_eq=np.array(A_eq_rows), b_eq=np.zeros(T * B),
-                     A_in=np.array(A_in_rows), b_in=np.array(b_in),
-                     sign_class=[FREE] * n)
 
 
 # ---------------------------------------------------------------------------
@@ -603,24 +520,27 @@ class ClearedMarket:
         return d
 
 
+def full_angles(system: MarketSystem, theta) -> np.ndarray:
+    """(T, B) bus angles from the reduced angle vector; the reference is 0."""
+    T, B = system.horizon, system.n_buses
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    if theta.size != T * (B - 1):
+        raise DimensionMismatch(
+            f"expected {T * (B - 1)} angles, got {theta.size}")
+    ref = system.buses.index(system.reference_bus)
+    full = np.zeros((T, B))
+    full[:, [i for i in range(B) if i != ref]] = theta.reshape(T, B - 1)
+    return full
+
+
 def line_flows(system: MarketSystem, angles) -> np.ndarray:
     """Per-line-hour flows (MW) from the reduced angle vector."""
-    T, B, L = system.horizon, system.n_buses, system.n_lines
-    angles = np.asarray(angles, dtype=float).reshape(-1)
-    if angles.size != T * (B - 1):
-        raise DimensionMismatch(
-            f"expected {T * (B - 1)} angles, got {angles.size}")
+    full = full_angles(system, angles)
     bus_idx = {b: i for i, b in enumerate(system.buses)}
-    ref = bus_idx[system.reference_bus]
-    full = np.zeros((T, B))
-    keep = [i for i in range(B) if i != ref]
-    full[:, keep] = angles.reshape(T, B - 1)
-    out = np.zeros(T * L)
-    for t in range(T):
-        for l_i, ln in enumerate(system.lines):
-            a, b = bus_idx[ln.from_bus], bus_idx[ln.to_bus]
-            out[t * L + l_i] = (full[t, a] - full[t, b]) / ln.x
-    return out
+    frm = [bus_idx[ln.from_bus] for ln in system.lines]
+    to = [bus_idx[ln.to_bus] for ln in system.lines]
+    x = np.array([ln.x for ln in system.lines], dtype=float)
+    return ((full[:, frm] - full[:, to]) / x).reshape(-1)
 
 
 def social_welfare(system: MarketSystem, gen_dispatch: dict, load_dispatch: dict) -> float:
@@ -652,7 +572,7 @@ def _diagnose_infeasibility(system) -> str:
         problem, _ = assemble_ed_lp(build_ed_blocks(relaxed))
         if solve_lp(problem).status == "optimal":
             return "line capacity limits"
-    except Exception:
+    except NumericalBreakdown:
         pass
     return "generator/load bound or ramp constraints"
 
@@ -672,29 +592,19 @@ def solve_clear(system: MarketSystem, config: SolverConfig = None) -> ClearedMar
 def extract_cleared(system, blocks, layout, x, balance_duals, objective,
                     comm_log=None) -> ClearedMarket:
     """Split an LP solution vector into a ClearedMarket along the layout."""
-    T, B, L = system.horizon, system.n_buses, system.n_lines
-    gen = {}
-    for e in blocks.gencos:
-        lo, hi = layout.var_spans[e.owner]
-        gen[e.owner] = np.asarray(x[lo:hi], dtype=float)
-    load = {}
-    for e in blocks.lses:
-        lo, hi = layout.var_spans[e.owner]
-        load[e.owner] = np.asarray(x[lo:hi], dtype=float)
-    lo, hi = layout.var_spans["theta"]
-    theta = np.asarray(x[lo:hi], dtype=float)
+    def part(key):
+        lo, hi = layout.var_spans[key]
+        return np.asarray(x[lo:hi], dtype=float)
 
-    bus_idx = {b: i for i, b in enumerate(system.buses)}
-    ref = bus_idx[system.reference_bus]
-    angles = np.zeros((T, B))
-    keep = [i for i in range(B) if i != ref]
-    angles[:, keep] = theta.reshape(T, B - 1)
-
-    flows = line_flows(system, theta).reshape(T, L)
+    theta = part("theta")
+    T, B = system.horizon, system.n_buses
     # balance duals price one extra MW of load; sign fixed by the max sense
     lmp = (-np.asarray(balance_duals, dtype=float)).reshape(T, B)
-    return ClearedMarket(objective=float(objective), gen_dispatch=gen,
-                         load_dispatch=load, angles=angles, flows=flows,
+    return ClearedMarket(objective=float(objective),
+                         gen_dispatch={e.owner: part(e.owner) for e in blocks.gencos},
+                         load_dispatch={e.owner: part(e.owner) for e in blocks.lses},
+                         angles=full_angles(system, theta),
+                         flows=line_flows(system, theta).reshape(T, system.n_lines),
                          lmp=lmp, comm_log=comm_log)
 
 

@@ -24,7 +24,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from maskdispatch.lp import LpProblem, DimensionMismatch, FREE, NONNEG
-from maskdispatch.market import EdBlocks
+from maskdispatch.market import EdBlocks, ed_layout, place_blocks
 
 
 class KeyGenerationFailed(RuntimeError):
@@ -465,7 +465,7 @@ def mask_iso(blocks, keys: IsoKeys, entity_incidences: dict,
     if np.any(keys.R_l1 <= 0) or np.any(keys.R_l2 <= 0):
         raise NonPositiveDiagonal("line slack coefficients")
     sparse_keys = sp.issparse(keys.X_b)
-    flow = sp.diags(blocks.susceptance) @ blocks.incidence_lines @ keys.Y_theta
+    flow = blocks.flow_rows @ keys.Y_theta
     bal_theta = keys.X_b @ (blocks.admittance @ keys.Y_theta)
     if not sparse_keys:
         flow = np.asarray(flow)
@@ -517,9 +517,10 @@ class TransformedLp:
 def build_transformed_ed(submissions) -> TransformedLp:
     """Assemble the masked dispatch LP from submissions alone.
 
-    The assembler sees only EncryptedSubmission fields; the block layout
-    (which is public) fixes variable order: entity dispatch columns,
-    angle columns, then entity slacks and the two line-slack groups.
+    The assembler sees only EncryptedSubmission fields.  `ed_layout`
+    places the blocks from their public dimensions alone, in the clear
+    LP's order plus slack columns: entity dispatch columns, angle
+    columns, then entity slacks and the two line-slack groups.
     """
     isos = [s for s in submissions if s.kind == "ISO"]
     gencos = [s for s in submissions if s.kind == "GENCO"]
@@ -544,123 +545,34 @@ def build_transformed_ed(submissions) -> TransformedLp:
            s.masked_incidence.shape != (TB, s.n):
             raise DimensionMismatch(f"submission of {s.owner} is inconsistent")
 
-    n_structural = sum(s.n for s in entities) + n_iso
-    n_slack = sum(s.m for s in entities) + 2 * TL
-    n = n_structural + n_slack
-    m = sum(s.m for s in entities) + 2 * TL + TB
-
-    var_spans = {}
-    off = 0
+    layout = ed_layout(entities, n_iso, TL, TB, slacks=True)
+    vs, rs = layout.var_spans, layout.row_spans
+    th, bal = vs["theta"][0], rs["balance"][0]
+    hi, lo = rs["line_hi"][0], rs["line_lo"][0]
+    pieces = [(hi, th, iso.line_flow_hi),
+              (hi, vs["slack:line_hi"][0], iso.line_slack_hi),
+              (lo, th, iso.line_flow_lo),
+              (lo, vs["slack:line_lo"][0], iso.line_slack_lo),
+              (bal, th, -iso.balance_theta)]
     for s in entities:
-        var_spans[s.owner] = (off, off + s.n)
-        off += s.n
-    var_spans["theta"] = (off, off + n_iso)
-    off += n_iso
-    for s in entities:
-        var_spans[f"slack:{s.owner}"] = (off, off + s.m)
-        off += s.m
-    var_spans["slack:line_hi"] = (off, off + TL)
-    var_spans["slack:line_lo"] = (off + TL, off + 2 * TL)
+        pieces += [(rs[s.owner][0], vs[s.owner][0], s.masked_constraints),
+                   (rs[s.owner][0], vs[f"slack:{s.owner}"][0], s.masked_slack),
+                   (bal, vs[s.owner][0], iso.balance_gen[s.owner]
+                    if s.kind == "GENCO" else -iso.balance_load[s.owner])]
+    A = place_blocks(pieces, (layout.n_rows, layout.n_vars))
 
-    row_spans = {}
-    roff = 0
-    for s in entities:
-        row_spans[s.owner] = (roff, roff + s.m)
-        roff += s.m
-    row_spans["line_hi"] = (roff, roff + TL)
-    row_spans["line_lo"] = (roff + TL, roff + 2 * TL)
-    row_spans["balance"] = (roff + 2 * TL, roff + 2 * TL + TB)
-
-    c = np.zeros(n)
-    for s in entities:
-        lo, hi = var_spans[s.owner]
-        c[lo:hi] = -s.masked_cost if s.kind == "GENCO" else s.masked_cost
-
-    b = np.zeros(m)
-    dense = m * n <= 2_000_000
-
-    def _place(A, rlo, clo, block):
-        if sp.issparse(block):
-            block = block.toarray()
-        A[rlo:rlo + block.shape[0], clo:clo + block.shape[1]] = block
-
-    if dense:
-        A = np.zeros((m, n))
-        for s in entities:
-            rlo = row_spans[s.owner][0]
-            _place(A, rlo, var_spans[s.owner][0], s.masked_constraints)
-            _place(A, rlo, var_spans[f"slack:{s.owner}"][0], s.masked_slack)
-            b[rlo:rlo + s.m] = s.masked_rhs
-        th = var_spans["theta"][0]
-        _place(A, row_spans["line_hi"][0], th, iso.line_flow_hi)
-        _place(A, row_spans["line_hi"][0], var_spans["slack:line_hi"][0],
-               iso.line_slack_hi)
-        _place(A, row_spans["line_lo"][0], th, iso.line_flow_lo)
-        _place(A, row_spans["line_lo"][0], var_spans["slack:line_lo"][0],
-               iso.line_slack_lo)
-        b[row_spans["line_hi"][0]:row_spans["line_hi"][1]] = iso.line_rhs_hi
-        b[row_spans["line_lo"][0]:row_spans["line_lo"][1]] = iso.line_rhs_lo
-        brlo = row_spans["balance"][0]
-        for s in gencos:
-            _place(A, brlo, var_spans[s.owner][0], iso.balance_gen[s.owner])
-        for s in lses:
-            _place(A, brlo, var_spans[s.owner][0], -iso.balance_load[s.owner])
-        _place(A, brlo, th, -iso.balance_theta)
-    else:
-        A = _sparse_assembly(entities, iso, var_spans, row_spans, m, n, b)
-
+    n_structural = vs["theta"][1]
+    n_slack = layout.n_vars - n_structural
+    c = np.concatenate([-s.masked_cost if s.kind == "GENCO" else s.masked_cost
+                        for s in entities] + [np.zeros(layout.n_vars - th)])
+    b = np.concatenate([s.masked_rhs for s in entities]
+                       + [iso.line_rhs_hi, iso.line_rhs_lo, np.zeros(TB)])
     sign = [FREE] * n_structural + [NONNEG] * n_slack
     problem = LpProblem(sense="max", c=c, A_eq=A, b_eq=b, A_in=None,
                         b_in=None, sign_class=sign)
-    return TransformedLp(problem=problem, var_spans=var_spans,
-                         row_spans=row_spans,
+    return TransformedLp(problem=problem, var_spans=vs, row_spans=rs,
                          owners=[s.owner for s in entities],
                          n_structural=n_structural, n_slack=n_slack)
-
-
-def _sparse_assembly(entities, iso, var_spans, row_spans, m, n, b):
-    """Row-block CSR assembly for problems too large to hold dense."""
-    parts = []
-
-    def block_row(pieces, n_rows):
-        # pieces: list of (col_offset, dense block); emit one csr strip
-        mats = []
-        pos = 0
-        for off, blk in sorted(pieces, key=lambda p: p[0]):
-            if off > pos:
-                mats.append(sp.csr_matrix((n_rows, off - pos)))
-            mats.append(sp.csr_matrix(blk))
-            pos = off + blk.shape[1]
-        if pos < n:
-            mats.append(sp.csr_matrix((n_rows, n - pos)))
-        return sp.hstack(mats, format="csr")
-
-    for s in entities:
-        rlo = row_spans[s.owner][0]
-        parts.append(block_row(
-            [(var_spans[s.owner][0], s.masked_constraints),
-             (var_spans[f"slack:{s.owner}"][0], s.masked_slack)], s.m))
-        b[rlo:rlo + s.m] = s.masked_rhs
-    th = var_spans["theta"][0]
-    TL = iso.line_rhs_hi.size
-    parts.append(block_row(
-        [(th, iso.line_flow_hi),
-         (var_spans["slack:line_hi"][0], iso.line_slack_hi)], TL))
-    parts.append(block_row(
-        [(th, iso.line_flow_lo),
-         (var_spans["slack:line_lo"][0], iso.line_slack_lo)], TL))
-    b[row_spans["line_hi"][0]:row_spans["line_hi"][1]] = iso.line_rhs_hi
-    b[row_spans["line_lo"][0]:row_spans["line_lo"][1]] = iso.line_rhs_lo
-
-    bal_pieces = []
-    for s in entities:
-        blk = iso.balance_gen[s.owner] if s.kind == "GENCO" \
-            else -iso.balance_load[s.owner]
-        bal_pieces.append((var_spans[s.owner][0], blk))
-    bal_pieces.append((th, -iso.balance_theta))
-    TB = iso.balance_theta.shape[0]
-    parts.append(block_row(bal_pieces, TB))
-    return sp.vstack(parts, format="csr")
 
 
 def recover_primal(keys: MaskKeys, solution, tlp: TransformedLp) -> dict:

@@ -11,7 +11,12 @@ Every exchanged value is logged.  Accounting is definitional: a scalar
 costs 8 bytes on the wire and each message carries a fixed 32-byte header;
 asset locations are treated as registry data in clear mode (not part of
 the per-round payload), while masked mode transmits each entity's full
-masked incidence block so that asset locations stay hidden.
+masked incidence block KP·Y to the clearing agent.  That block does not
+hide locations: its zero rows are the bus-hours where the entity has no
+asset, so its nonzero rows name the buses of its assets (on the shipped
+three-bus case GENCO1, GENCO2 and LSE1 map to rows 0, 1 and 2 for every
+seed).  Routing the incidences to the grid operator only is ROADMAP
+item 3.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 from maskdispatch.lp import SolverConfig, solve_lp
 from maskdispatch.market import (
     MarketSystem, EdBlocks, ClearedMarket, ClearingFailed,
-    build_ed_blocks, assemble_ed_lp, extract_cleared, line_flows,
+    build_ed_blocks, assemble_ed_lp, extract_cleared, full_angles, line_flows,
 )
 from maskdispatch import masking
 from maskdispatch.masking import (
@@ -326,16 +331,11 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
     lmp = iso.recover_lmp(sol.duals_eq[blo:bhi])
 
     T, B, L = system.horizon, system.n_buses, system.n_lines
-    bus_idx = {b: i for i, b in enumerate(system.buses)}
-    ref = bus_idx[system.reference_bus]
-    angles = np.zeros((T, B))
-    angles[:, [i for i in range(B) if i != ref]] = theta.reshape(T, B - 1)
-    flows = line_flows(system, theta).reshape(T, L)
-
     cleared = ClearedMarket(objective=float(sol.objective),
                             gen_dispatch=gen_dispatch,
                             load_dispatch=load_dispatch,
-                            angles=angles, flows=flows,
+                            angles=full_angles(system, theta),
+                            flows=line_flows(system, theta).reshape(T, L),
                             lmp=lmp.reshape(T, B), comm_log=log)
     return cleared, log
 

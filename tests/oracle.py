@@ -1,8 +1,12 @@
-"""Brute-force LP oracle: enumerate basic feasible points directly.
+"""Independent references for the solver and the LP assembly.
 
-Only usable on small problems (the candidate count is combinatorial);
-deliberately independent of the simplex code path, so it can certify
-solver results and optimum uniqueness.
+The brute-force LP oracle enumerates basic feasible points directly.
+It is only usable on small problems (the candidate count is
+combinatorial) and deliberately independent of the simplex code path, so
+it can certify solver results and optimum uniqueness.
+
+`assemble_ed_lp_scalar` builds the dispatch LP constraint by constraint
+from the bid data, independently of the block assembler it cross-checks.
 """
 
 from itertools import combinations
@@ -10,7 +14,8 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 
-from maskdispatch.lp import LpProblem, NONNEG
+from maskdispatch.lp import LpProblem, FREE, NONNEG
+from maskdispatch.market import MarketSystem
 
 
 def _dense(a):
@@ -75,3 +80,114 @@ def certify_unique_optimum(problem: LpProblem, tol=1e-6):
         if not any(np.max(np.abs(x - y)) <= 1e-7 for y in distinct):
             distinct.append(x)
     return len(distinct) == 1
+
+
+def assemble_ed_lp_scalar(system: MarketSystem):
+    """Constraint-by-constraint assembly straight from the bid data.
+
+    Independent of the block path; used to cross-check it.  Variable
+    order matches `assemble_ed_lp`, row order may differ.
+    """
+    T, B, L = system.horizon, system.n_buses, system.n_lines
+    bus_idx = {b: i for i, b in enumerate(system.buses)}
+    ref = bus_idx[system.reference_bus]
+    ang_cols = {i: j for j, i in enumerate(i for i in range(B) if i != ref)}
+
+    cols = []      # (owner_kind, price) in column order
+    col_of = {}
+    for owner in system.gencos:
+        for t in range(T):
+            for u_i, u in enumerate(system.units_of(owner)):
+                for k in range(len(u.segments)):
+                    col_of[("G", owner, t, u.name, k)] = len(cols)
+                    cols.append(("G", u.segments[k].price))
+    for owner in system.lses:
+        for t in range(T):
+            for d_i, d in enumerate(system.loads_of(owner)):
+                for k in range(len(d.segments)):
+                    col_of[("D", owner, t, d.name, k)] = len(cols)
+                    cols.append(("D", d.segments[k].price))
+    theta0 = len(cols)
+    n = theta0 + T * (B - 1)
+
+    def theta_col(t, b_i):
+        return theta0 + t * (B - 1) + ang_cols[b_i]
+
+    c = np.zeros(n)
+    for j, (kind, price) in enumerate(cols):
+        c[j] = price if kind == "D" else -price
+
+    A_in_rows, b_in = [], []
+
+    def add_row(coeffs, rhs):
+        r = np.zeros(n)
+        for j, v in coeffs:
+            r[j] += v
+        A_in_rows.append(r)
+        b_in.append(rhs)
+
+    for owner in system.gencos:
+        for u in system.units_of(owner):
+            for t in range(T):
+                for k, seg in enumerate(u.segments):
+                    j = col_of[("G", owner, t, u.name, k)]
+                    add_row([(j, 1.0)], seg.hi)
+                    add_row([(j, -1.0)], -seg.lo)
+            for t in range(1, T):
+                ks = range(len(u.segments))
+                if u.ramp_up is not None:
+                    add_row([(col_of[("G", owner, t, u.name, k)], 1.0) for k in ks]
+                            + [(col_of[("G", owner, t - 1, u.name, k)], -1.0) for k in ks],
+                            u.ramp_up)
+                if u.ramp_dn is not None:
+                    add_row([(col_of[("G", owner, t, u.name, k)], -1.0) for k in ks]
+                            + [(col_of[("G", owner, t - 1, u.name, k)], 1.0) for k in ks],
+                            u.ramp_dn)
+    for owner in system.lses:
+        for d in system.loads_of(owner):
+            for t in range(T):
+                for k, seg in enumerate(d.segments):
+                    j = col_of[("D", owner, t, d.name, k)]
+                    add_row([(j, 1.0)], seg.hi)
+                    add_row([(j, -1.0)], -seg.lo)
+    for t in range(T):
+        for ln in system.lines:
+            a, b = bus_idx[ln.from_bus], bus_idx[ln.to_bus]
+            coeffs = []
+            if a != ref:
+                coeffs.append((theta_col(t, a), 1.0 / ln.x))
+            if b != ref:
+                coeffs.append((theta_col(t, b), -1.0 / ln.x))
+            add_row(coeffs, ln.capacity)
+            add_row([(j, -v) for j, v in coeffs], ln.capacity)
+
+    # nodal balance: generation minus load minus net flow out of the bus
+    A_eq_rows = [np.zeros(n) for _ in range(T * B)]
+    for owner in system.gencos:
+        for u in system.units_of(owner):
+            for t in range(T):
+                row = A_eq_rows[t * B + bus_idx[u.bus]]
+                for k in range(len(u.segments)):
+                    row[col_of[("G", owner, t, u.name, k)]] += 1.0
+    for owner in system.lses:
+        for d in system.loads_of(owner):
+            for t in range(T):
+                row = A_eq_rows[t * B + bus_idx[d.bus]]
+                for k in range(len(d.segments)):
+                    row[col_of[("D", owner, t, d.name, k)]] -= 1.0
+    for t in range(T):
+        for ln in system.lines:
+            a, b = bus_idx[ln.from_bus], bus_idx[ln.to_bus]
+            w = 1.0 / ln.x
+            ra, rb = A_eq_rows[t * B + a], A_eq_rows[t * B + b]
+            if a != ref:
+                ra[theta_col(t, a)] -= w
+                rb[theta_col(t, a)] += w
+            if b != ref:
+                ra[theta_col(t, b)] += w
+                rb[theta_col(t, b)] -= w
+
+    return LpProblem(sense="max", c=c,
+                     A_eq=np.array(A_eq_rows), b_eq=np.zeros(T * B),
+                     A_in=np.array(A_in_rows), b_in=np.array(b_in),
+                     sign_class=[FREE] * n)

@@ -9,6 +9,10 @@ from maskdispatch.casefile import (
     CaseFileError, load_case, save_case, system_to_case, case_to_system,
 )
 from maskdispatch.market import gen_synthetic
+from maskdispatch import cli
+from maskdispatch.lp import NumericalBreakdown
+from maskdispatch.masking import KeyGenerationFailed
+from maskdispatch.protocol import ProtocolViolation
 
 THREEBUS = str(files("maskdispatch").joinpath("cases/threebus.case"))
 
@@ -155,3 +159,87 @@ def test_save_case_byte_stable(tmp_path):
     save_case(system, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert load_case(p1) == system
+
+
+def _threebus_doc():
+    return read_json(THREEBUS)
+
+
+def _set(path, value):
+    def change(doc):
+        *head, last = path
+        target = doc
+        for key in head:
+            target = target[key]
+        target[last] = value
+    return change
+
+
+def _duplicate_generator_name(doc):
+    doc["generators"][1]["name"] = doc["generators"][0]["name"]
+
+
+BAD_DOCUMENTS = {
+    "nan-price": _set(["generators", 0, "segments", 0, "price"], float("nan")),
+    "inf-min": _set(["loads", 0, "segments", 0, "min"], float("-inf")),
+    "nan-max": _set(["generators", 1, "segments", 1, "max"], float("nan")),
+    "inf-ramp-up": _set(["generators", 0, "ramp_up"], float("inf")),
+    "nan-ramp-down": _set(["generators", 0, "ramp_down"], float("nan")),
+    "text-ramp-up": _set(["generators", 0, "ramp_up"], "fast"),
+    "nan-reactance": _set(["lines", 0, "x"], float("nan")),
+    "inf-capacity": _set(["lines", 1, "capacity"], float("inf")),
+    "fractional-horizon": _set(["meta", "T"], 1.5),
+    "duplicate-asset-name": _duplicate_generator_name,
+}
+
+
+def _solve_exit(tmp_path, capsys, doc, mode="clear"):
+    case = tmp_path / "case.case"
+    case.write_text(json.dumps(doc))
+    code = main(["solve", str(case), "--mode", mode])
+    err = capsys.readouterr().err
+    return code, err
+
+
+def _assert_one_error_line(err):
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
+def test_bad_input_is_one_error_line(tmp_path, capsys, name):
+    doc = _threebus_doc()
+    BAD_DOCUMENTS[name](doc)
+    code, err = _solve_exit(tmp_path, capsys, doc)
+    assert code == 1
+    _assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("mode", ["clear", "masked"])
+def test_islanded_case_is_one_error_line(tmp_path, capsys, mode):
+    doc = _threebus_doc()
+    doc["lines"] = [ln for ln in doc["lines"] if "3" not in (ln["from"], ln["to"])]
+    code, err = _solve_exit(tmp_path, capsys, doc, mode)
+    assert code == 1
+    _assert_one_error_line(err)
+    assert "not connected" in err
+
+
+def test_empty_market_is_one_error_line(tmp_path, capsys):
+    doc = _threebus_doc()
+    doc["loads"] = []
+    code, err = _solve_exit(tmp_path, capsys, doc)
+    assert code == 1
+    _assert_one_error_line(err)
+
+
+
+@pytest.mark.parametrize("error", [NumericalBreakdown, KeyGenerationFailed,
+                                   ProtocolViolation])
+def test_failed_round_exits_4(monkeypatch, capsys, error):
+    def fail(*args, **kwargs):
+        raise error("round could not finish")
+    monkeypatch.setattr(cli, "run_market_round", fail)
+    assert main(["solve", THREEBUS, "--mode", "masked"]) == 4
+    _assert_one_error_line(capsys.readouterr().err)

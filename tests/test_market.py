@@ -4,11 +4,12 @@ import pytest
 from maskdispatch.lp import solve_lp, DimensionMismatch
 from maskdispatch.market import (
     MarketSystem, Line, Generator, Load, BidSegment,
-    build_ed_blocks, assemble_ed_lp, assemble_ed_lp_scalar,
+    build_ed_blocks, assemble_ed_lp,
     solve_clear, line_flows, social_welfare, gen_synthetic,
     regroup_entities, extract_cleared,
     IslandedNetwork, EmptyMarket, InvalidCounts, ClearingFailed,
 )
+from oracle import assemble_ed_lp_scalar
 
 
 def test_threebus_blocks_shape(threebus):
