@@ -20,8 +20,8 @@ from maskdispatch.masking import (
     MissingSubmission, SpanMismatch,
 )
 from maskdispatch.protocol import (
-    Message, CommLog, CostReport, TimingReport,
-    run_market_round, comm_cost, runtime_trial,
+    Message, CommLog, CostReport,
+    run_market_round, comm_cost,
     masked_submission_counts, clear_submission_counts,
     ProtocolViolation,
 )

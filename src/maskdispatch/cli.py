@@ -8,10 +8,10 @@ Subcommands:
     audit    per-entity inference audit of a masked round
 
 Exit codes: 0 solved to optimality, 1 input/usage error (including an
-islanded network or an empty market), 2 infeasible, 3 unbounded, 4 round
-failed (numerical breakdown, key generation failure or protocol
-violation).  Every error is one ``error:`` line on stderr.
-MASKDISPATCH_SEED sets the default seed.
+islanded network, an empty market or a seed that is not a non-negative
+integer), 2 infeasible, 4 round failed (numerical breakdown, key
+generation failure or protocol violation).  Every error is one
+``error:`` line on stderr.  MASKDISPATCH_SEED sets the default seed.
 
 The JSON report is versioned with a top-level ``"schema": 1`` field;
 all numbers carry six decimals and wall-clock measurements live in
@@ -40,15 +40,28 @@ from maskdispatch.protocol import ProtocolViolation, comm_cost, run_market_round
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
-EXIT_UNBOUNDED = 3
 EXIT_ROUND_FAILED = 4
 
 
-def _default_seed():
+class UsageError(Exception):
+    """The command line (or MASKDISPATCH_SEED) could not be parsed."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _seed(text):
     try:
-        return int(os.environ.get("MASKDISPATCH_SEED", "0"))
+        seed = int(text)
     except ValueError:
-        return 0
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer (from --seed or "
+            f"MASKDISPATCH_SEED), got {text!r}")
+    return seed
 
 
 def _r6(x):
@@ -186,7 +199,10 @@ def cmd_audit(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # a string default goes through `type` too, so MASKDISPATCH_SEED is
+    # checked like --seed whenever the flag is absent
+    default_seed = os.environ.get("MASKDISPATCH_SEED", "0")
+    parser = _Parser(
         prog="maskdispatch",
         description="Clear a DC dispatch market in the open or under "
                     "random-matrix masking.")
@@ -195,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one case")
     p.add_argument("case")
     p.add_argument("--mode", choices=["clear", "masked"], default="clear")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=default_seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)
 
@@ -211,26 +227,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lses", type=int, required=True)
     p.add_argument("--entity-size", type=int, default=1)
     p.add_argument("--hours", type=int, default=1)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=default_seed)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("audit", help="inference audit of a masked round")
     p.add_argument("case")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=default_seed)
     p.set_defaults(func=cmd_audit)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (CaseFileError, InvalidCounts, IslandedNetwork, EmptyMarket) as exc:
+    except (UsageError, CaseFileError, InvalidCounts, IslandedNetwork,
+            EmptyMarket) as exc:
         return _error(exc, EXIT_INPUT)
     except ClearingFailed as exc:
-        return _error(exc, EXIT_INFEASIBLE if exc.status == "infeasible"
-                      else EXIT_UNBOUNDED)
+        return _error(exc, EXIT_INFEASIBLE)
     except (NumericalBreakdown, KeyGenerationFailed, ProtocolViolation) as exc:
         return _error(exc, EXIT_ROUND_FAILED)
 

@@ -14,7 +14,7 @@ nonpositive.
 
 The default backend is a two-phase primal revised simplex (Bland's rule
 engaged after a run of degenerate pivots).  Problems whose size exceeds
-``SolverConfig.simplex_size_limit`` are routed to scipy's HiGHS solver,
+``_SIMPLEX_SIZE_LIMIT`` are routed to scipy's HiGHS solver,
 which accepts the same data (including scipy.sparse matrices) and is
 mapped onto the same dual convention.
 """
@@ -43,18 +43,19 @@ class NumericalBreakdown(RuntimeError):
     """The solver could not certify a reliable solution."""
 
 
+_FEAS_TOL = 1e-6
+_GAP_TOL = 1e-6
+_PIVOT_TOL = 1e-9
+_DUAL_TOL = 1e-9
+_DEGEN_THRESHOLD = 40         # consecutive degenerate pivots before Bland's rule
+_SIMPLEX_SIZE_LIMIT = 600     # rows + cols above which auto routes to highs
+
+
 @dataclass
 class SolverConfig:
-    feas_tol: float = 1e-6
-    gap_tol: float = 1e-6
-    pivot_tol: float = 1e-9
-    dual_tol: float = 1e-9
     max_iter: int = 200_000
-    degen_threshold: int = 40          # consecutive degenerate pivots before Bland's rule
     backend: str = "auto"              # auto | simplex | highs
-    simplex_size_limit: int = 600      # rows + cols above which auto routes to highs
     highs_method: str = "highs"        # or highs-ipm / highs-ds
-    validate: bool = True
 
 
 @dataclass
@@ -108,7 +109,7 @@ def _all_finite(a):
 
 @dataclass
 class LpProblem:
-    """Dense LP in objective/equality/inequality/sign-class form.
+    """LP in objective/equality/inequality/sign-class form.
 
     Matrices may be numpy arrays or scipy.sparse matrices; sparse input
     is only worthwhile for problems large enough to route to HiGHS.
@@ -121,7 +122,6 @@ class LpProblem:
     A_in: object = None
     b_in: np.ndarray = None
     sign_class: list = None
-    labels: list = None
 
     def __post_init__(self):
         self.c = _as_vector(self.c)
@@ -294,15 +294,15 @@ class _StandardForm:
 class _Simplex:
     """Revised primal simplex on min c'z, Az=b, z>=0 with a known basis."""
 
-    def __init__(self, A, b, c, config: SolverConfig):
+    def __init__(self, A, b, c, max_iter):
         self.A, self.b, self.c = A, b, c
-        self.cfg = config
+        self.max_iter = max_iter
         self.iterations = 0
 
     def _factor(self, basis):
         B = self.A[:, basis]
         lu, piv = scipy.linalg.lu_factor(B, check_finite=False)
-        if np.min(np.abs(np.diag(lu))) < self.cfg.pivot_tol:
+        if np.min(np.abs(np.diag(lu))) < _PIVOT_TOL:
             raise NumericalBreakdown("singular basis matrix")
         return lu, piv
 
@@ -313,7 +313,7 @@ class _Simplex:
         removed from `allowed` once they leave the basis.  Returns
         (status, x, y, basis) where status is OPTIMAL or UNBOUNDED.
         """
-        A, b, c, cfg = self.A, self.b, self.c, self.cfg
+        A, b, c, max_iter = self.A, self.b, self.c, self.max_iter
         m, n_total = A.shape
         basis = list(basis)
         in_basis = np.zeros(n_total, dtype=bool)
@@ -321,9 +321,9 @@ class _Simplex:
         degen_run = 0
 
         while True:
-            if self.iterations >= cfg.max_iter:
+            if self.iterations >= max_iter:
                 raise NumericalBreakdown(
-                    f"iteration limit {cfg.max_iter} exceeded")
+                    f"iteration limit {max_iter} exceeded")
             self.iterations += 1
 
             lu_piv = self._factor(basis)
@@ -332,20 +332,20 @@ class _Simplex:
 
             rc = c - y @ A
             rc[in_basis] = 0.0
-            cand = np.flatnonzero((rc < -cfg.dual_tol) & allowed)
+            cand = np.flatnonzero((rc < -_DUAL_TOL) & allowed)
             if cand.size == 0:
                 x = np.zeros(n_total)
                 x[basis] = xB
                 return OPTIMAL, x, y, basis
 
-            bland = degen_run >= cfg.degen_threshold
+            bland = degen_run >= _DEGEN_THRESHOLD
             if bland:
                 enter = int(cand[0])
             else:
                 enter = int(cand[np.argmin(rc[cand])])
 
             d = scipy.linalg.lu_solve(lu_piv, A[:, enter], check_finite=False)
-            pos = d > cfg.pivot_tol
+            pos = d > _PIVOT_TOL
             if not np.any(pos):
                 return UNBOUNDED, None, y, basis
 
@@ -375,22 +375,22 @@ def _solve_simplex(problem: LpProblem, config: SolverConfig) -> LpSolution:
 
     if m == 0:
         # no constraints at all: optimal iff no improving direction exists
-        if np.any(c < -config.dual_tol):
+        if np.any(c < -_DUAL_TOL):
             return LpSolution(status=UNBOUNDED, backend="simplex")
         x = std.recover_x(np.zeros(n))
-        return _finish(problem, config, x, np.zeros(0), np.zeros(0), 0, "simplex")
+        return _finish(problem, x, np.zeros(0), np.zeros(0), 0, "simplex")
 
     # phase 1: artificial basis
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    engine = _Simplex(A1, b, c1, config)
+    engine = _Simplex(A1, b, c1, config.max_iter)
     allowed = np.ones(n + m, dtype=bool)
     status, z, y, basis = engine.run(basis, allowed, bar_reentry_from=n)
     if status != OPTIMAL:
         raise NumericalBreakdown("phase-1 subproblem reported unbounded")
     phase1_obj = float(c1 @ z)
-    if phase1_obj > config.feas_tol * (1.0 + np.max(np.abs(b), initial=0.0)):
+    if phase1_obj > _FEAS_TOL * (1.0 + np.max(np.abs(b), initial=0.0)):
         return LpSolution(status=INFEASIBLE, backend="simplex",
                           iterations=engine.iterations)
 
@@ -406,7 +406,7 @@ def _solve_simplex(problem: LpProblem, config: SolverConfig) -> LpSolution:
             if j in basis:
                 continue
             d = scipy.linalg.lu_solve(lu_piv, A1[:, j], check_finite=False)
-            if abs(d[pos]) > config.pivot_tol:
+            if abs(d[pos]) > _PIVOT_TOL:
                 basis[pos] = j
                 row_ok = True
                 break
@@ -421,7 +421,7 @@ def _solve_simplex(problem: LpProblem, config: SolverConfig) -> LpSolution:
         kept_rows = keep
 
     # phase 2
-    engine2 = _Simplex(A, b, c, config)
+    engine2 = _Simplex(A, b, c, config.max_iter)
     engine2.iterations = engine.iterations
     allowed2 = np.ones(n, dtype=bool)
     status, z, y, basis = engine2.run(basis, allowed2)
@@ -431,8 +431,7 @@ def _solve_simplex(problem: LpProblem, config: SolverConfig) -> LpSolution:
 
     x = std.recover_x(z[:std.n_struct + std.n_slack])
     duals_eq, duals_in = std.recover_duals(y, kept_rows)
-    return _finish(problem, config, x, duals_eq, duals_in,
-                   engine2.iterations, "simplex")
+    return _finish(problem, x, duals_eq, duals_in, engine2.iterations, "simplex")
 
 
 def _solve_highs(problem: LpProblem, config: SolverConfig) -> LpSolution:
@@ -457,15 +456,15 @@ def _solve_highs(problem: LpProblem, config: SolverConfig) -> LpSolution:
     # linprog marginals are d(min objective)/d(rhs); flip to the declared sense
     duals_eq = sign * res.eqlin.marginals if A_eq is not None else np.zeros(0)
     duals_in = sign * res.ineqlin.marginals if A_in is not None else np.zeros(0)
-    return _finish(problem, config, res.x, duals_eq, duals_in,
+    return _finish(problem, res.x, duals_eq, duals_in,
                    int(getattr(res, "nit", 0)), "highs")
 
 
-def _finish(problem, config, x, duals_eq, duals_in, iterations, backend):
+def _finish(problem, x, duals_eq, duals_in, iterations, backend):
     x = np.asarray(x, dtype=float)
     obj = problem.objective_at(x)
 
-    report = check_point(problem, x, config.feas_tol)
+    report = check_point(problem, x, _FEAS_TOL)
     residual = max(report.max_equality_residual,
                    report.max_inequality_violation,
                    report.max_sign_violation)
@@ -483,16 +482,13 @@ def _finish(problem, config, x, duals_eq, duals_in, iterations, backend):
                      objective=obj, iterations=iterations, backend=backend,
                      gap=gap, max_primal_residual=residual,
                      max_cs_violation=cs)
-    if config.validate:
-        if residual > config.feas_tol * scale:
-            raise NumericalBreakdown(
-                f"primal residual {residual:.3e} exceeds tolerance")
-        if gap > config.gap_tol * scale:
-            raise NumericalBreakdown(
-                f"duality gap {gap:.3e} exceeds tolerance (objective {obj:.6g})")
-        if cs > config.gap_tol * scale:
-            raise NumericalBreakdown(
-                f"complementary slackness violation {cs:.3e}")
+    if residual > _FEAS_TOL * scale:
+        raise NumericalBreakdown(f"primal residual {residual:.3e} exceeds tolerance")
+    if gap > _GAP_TOL * scale:
+        raise NumericalBreakdown(
+            f"duality gap {gap:.3e} exceeds tolerance (objective {obj:.6g})")
+    if cs > _GAP_TOL * scale:
+        raise NumericalBreakdown(f"complementary slackness violation {cs:.3e}")
     SOLVE_STATS.record(gap / scale, residual, cs / scale)
     return sol
 
@@ -512,7 +508,7 @@ def solve_lp(problem: LpProblem, config: SolverConfig = None) -> LpSolution:
         size = problem.n_rows + problem.n_vars
         sparse_input = (scipy.sparse.issparse(problem.A_eq)
                         or scipy.sparse.issparse(problem.A_in))
-        backend = "highs" if (size > config.simplex_size_limit or sparse_input) \
+        backend = "highs" if (size > _SIMPLEX_SIZE_LIMIT or sparse_input) \
             else "simplex"
     if backend == "simplex":
         return _solve_simplex(problem, config)

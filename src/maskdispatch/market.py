@@ -51,7 +51,7 @@ class InvalidCounts(ValueError):
 
 
 class ClearingFailed(RuntimeError):
-    """The dispatch LP was infeasible or unbounded."""
+    """The dispatch LP was infeasible."""
 
     def __init__(self, status, family=None):
         self.status = status
@@ -250,11 +250,6 @@ class EdBlocks(GridBlocks):
     @property
     def T(self):
         return self.system.horizon
-
-    @property
-    def n_structural(self):
-        return (sum(g.n for g in self.gencos) + sum(d.n for d in self.lses)
-                + self.n_iso)
 
     @property
     def total_entity_rows(self):
@@ -509,7 +504,6 @@ class ClearedMarket:
     angles: np.ndarray       # (T, B) with the reference column fixed at 0
     flows: np.ndarray        # (T, L) MW
     lmp: np.ndarray          # (T, B) $/MWh
-    comm_log: object = None
 
     def max_dispatch_diff(self, other):
         d = 0.0
@@ -577,20 +571,37 @@ def _diagnose_infeasibility(system) -> str:
     return "generator/load bound or ramp constraints"
 
 
+def require_optimal(status, system=None):
+    """Raise unless an LP status is optimal.
+
+    The dispatch LP is bounded by construction (finite segment bounds,
+    angles fixed by a connected network, invertible masks), so only
+    "infeasible" is a market outcome: ClearingFailed, naming the
+    offending constraint family when `system` is given.  Any other
+    status is a solver failure: NumericalBreakdown.
+    """
+    if status == "optimal":
+        return
+    if status == "infeasible":
+        family = None if system is None else _diagnose_infeasibility(system)
+        raise ClearingFailed(status, family)
+    raise NumericalBreakdown(
+        f"LP solver reported {status} on a dispatch LP that is bounded "
+        f"by construction")
+
+
 def solve_clear(system: MarketSystem, config: SolverConfig = None) -> ClearedMarket:
     """Clear the market in the open: solve the dispatch LP on raw bids."""
     blocks = build_ed_blocks(system)
     problem, layout = assemble_ed_lp(blocks)
     sol = solve_lp(problem, config)
-    if sol.status != "optimal":
-        family = _diagnose_infeasibility(system) if sol.status == "infeasible" else None
-        raise ClearingFailed(sol.status, family)
+    require_optimal(sol.status, system)
     return extract_cleared(system, blocks, layout, sol.x, sol.duals_eq,
                            sol.objective)
 
 
-def extract_cleared(system, blocks, layout, x, balance_duals, objective,
-                    comm_log=None) -> ClearedMarket:
+def extract_cleared(system, blocks, layout, x, balance_duals,
+                    objective) -> ClearedMarket:
     """Split an LP solution vector into a ClearedMarket along the layout."""
     def part(key):
         lo, hi = layout.var_spans[key]
@@ -605,7 +616,7 @@ def extract_cleared(system, blocks, layout, x, balance_duals, objective,
                          load_dispatch={e.owner: part(e.owner) for e in blocks.lses},
                          angles=full_angles(system, theta),
                          flows=line_flows(system, theta).reshape(T, system.n_lines),
-                         lmp=lmp, comm_log=comm_log)
+                         lmp=lmp)
 
 
 # ---------------------------------------------------------------------------

@@ -47,16 +47,18 @@ class SpanMismatch(ValueError):
     """A solution slice does not match the owner's key dimensions."""
 
 
+_POSITIVE_RANGE = (0.01, 1.0)   # entries of Y, Y_theta, X_l1/X_l2, X_b
+_SIGNED_RANGE = (-1.0, 1.0)     # entries of entity X masks
+_DIAG_RANGE = (0.5, 2.0)        # slack coefficient diagonals
+# above this dimension the condition gate uses a LAPACK 1-norm estimate
+# instead of an exact SVD
+_EXACT_COND_DIM = 800
+
+
 @dataclass
 class MaskConfig:
     cond_max: float = 1e6
     max_retries: int = 50
-    positive_range: tuple = (0.01, 1.0)   # entries of Y, X_l1/X_l2, X_b
-    signed_range: tuple = (-1.0, 1.0)     # entries of entity X masks
-    diag_range: tuple = (0.5, 2.0)        # slack coefficient diagonals
-    # above this dimension the condition gate uses a LAPACK 1-norm
-    # estimate instead of an exact SVD
-    exact_cond_dim: int = 800
     # sample the column masks and the operator's row masks as per-hour
     # block diagonals instead of one full positive matrix over all
     # hours.  Identical to the default at a one-hour horizon, and all
@@ -88,7 +90,6 @@ class IsoKeys:
 
 @dataclass
 class MaskKeys:
-    seed: int
     entities: dict       # owner -> EntityKeys
     iso: IsoKeys
 
@@ -106,14 +107,14 @@ class MaskKeys:
                       X_l1=np.eye(TL), X_l2=np.eye(TL),
                       R_l1=np.ones(TL), R_l2=np.ones(TL),
                       X_b=np.eye(TB))
-        return cls(seed=-1, entities=ents, iso=iso)
+        return cls(entities=ents, iso=iso)
 
 
-def _condition(M, config):
+def _condition(M):
     n = M.shape[0]
     if n == 0:
         return 1.0
-    if n <= config.exact_cond_dim:
+    if n <= _EXACT_COND_DIM:
         return float(np.linalg.cond(M))
     lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
     if np.min(np.abs(np.diag(lu))) == 0.0:
@@ -129,7 +130,7 @@ def _sample_mask(rng, n, lo, hi, config, what):
         return np.zeros((0, 0))
     for _ in range(config.max_retries):
         M = rng.uniform(lo, hi, size=(n, n))
-        if _condition(M, config) <= config.cond_max:
+        if _condition(M) <= config.cond_max:
             return M
     raise KeyGenerationFailed(
         f"no acceptable {what} mask of size {n} in {config.max_retries} draws")
@@ -154,16 +155,14 @@ def entity_keys(rng, owner, kind, n, m, config: MaskConfig = None,
     """Draw one entity's private keys from its own random stream."""
     if config is None:
         config = MaskConfig()
-    plo, phi = config.positive_range
-    slo, shi = config.signed_range
-    dlo, dhi = config.diag_range
+    plo, phi = _POSITIVE_RANGE
     if config.hourly_block_masks and horizon > 1:
         Y = _sample_hourly_mask(rng, n, horizon, plo, phi, config,
                                 f"{owner} column")
     else:
         Y = _sample_mask(rng, n, plo, phi, config, f"{owner} column")
-    X = _sample_mask(rng, m, slo, shi, config, f"{owner} row")
-    R = rng.uniform(dlo, dhi, size=m)
+    X = _sample_mask(rng, m, *_SIGNED_RANGE, config, f"{owner} row")
+    R = rng.uniform(*_DIAG_RANGE, size=m)
     return EntityKeys(owner=owner, kind=kind, Y=Y, X=X, R=R)
 
 
@@ -172,8 +171,7 @@ def iso_keys(rng, n_iso, TL, TB, config: MaskConfig = None,
     """Draw the grid operator's private keys from its own random stream."""
     if config is None:
         config = MaskConfig()
-    plo, phi = config.positive_range
-    dlo, dhi = config.diag_range
+    plo, phi = _POSITIVE_RANGE
     if config.hourly_block_masks and horizon > 1:
         def draw(size, what):
             return _sample_hourly_mask(rng, size, horizon, plo, phi, config,
@@ -185,8 +183,8 @@ def iso_keys(rng, n_iso, TL, TB, config: MaskConfig = None,
         Y_theta=draw(n_iso, "angle column"),
         X_l1=draw(TL, "line row 1"),
         X_l2=draw(TL, "line row 2"),
-        R_l1=rng.uniform(dlo, dhi, size=TL),
-        R_l2=rng.uniform(dlo, dhi, size=TL),
+        R_l1=rng.uniform(*_DIAG_RANGE, size=TL),
+        R_l2=rng.uniform(*_DIAG_RANGE, size=TL),
         X_b=draw(TB, "balance row"),
     )
 
@@ -216,7 +214,7 @@ def gen_keys(blocks: EdBlocks, seed: int, config: MaskConfig = None) -> MaskKeys
     TB = blocks.admittance.shape[0]
     iso = iso_keys(np.random.default_rng(children[-1]),
                    blocks.n_iso, TL, TB, config, horizon=T)
-    return MaskKeys(seed=seed, entities=ent_keys, iso=iso)
+    return MaskKeys(entities=ent_keys, iso=iso)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +413,6 @@ class EncryptedSubmission:
                     out[f"{tag}:{owner}"] = v
         return out
 
-    def scalar_count(self):
-        # full blocks travel, structural zeros included
-        return int(sum(block_size(v) for v in self.payload_arrays().values()))
-
 
 def block_size(v):
     """Scalar count of a transmitted block: the full shape, not the nnz."""
@@ -435,15 +429,13 @@ def mask_entity(entity_blocks, keys: EntityKeys) -> EncryptedSubmission:
         raise DimensionMismatch(f"keys for {entity_blocks.owner} have wrong shape")
     if np.any(R <= 0):
         raise NonPositiveDiagonal(f"{entity_blocks.owner} slack coefficients")
-    inc = entity_blocks.incidence
-    inc_masked = (inc @ Y) if sp.issparse(inc) else inc @ Y
     return EncryptedSubmission(
         owner=entity_blocks.owner, kind=entity_blocks.kind,
         masked_cost=entity_blocks.cost @ Y,
         masked_constraints=X @ entity_blocks.A @ Y,
         masked_slack=X * R[None, :],
         masked_rhs=X @ entity_blocks.rhs,
-        masked_incidence=np.asarray(inc_masked),
+        masked_incidence=np.asarray(entity_blocks.incidence @ Y),
     )
 
 
@@ -509,7 +501,6 @@ class TransformedLp:
     problem: LpProblem
     var_spans: dict
     row_spans: dict
-    owners: list           # entity owners in column order
     n_structural: int
     n_slack: int
 
@@ -571,7 +562,6 @@ def build_transformed_ed(submissions) -> TransformedLp:
     problem = LpProblem(sense="max", c=c, A_eq=A, b_eq=b, A_in=None,
                         b_in=None, sign_class=sign)
     return TransformedLp(problem=problem, var_spans=vs, row_spans=rs,
-                         owners=[s.owner for s in entities],
                          n_structural=n_structural, n_slack=n_slack)
 
 

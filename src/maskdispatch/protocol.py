@@ -21,15 +21,15 @@ item 3.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from maskdispatch.lp import SolverConfig, solve_lp
 from maskdispatch.market import (
-    MarketSystem, EdBlocks, ClearedMarket, ClearingFailed,
+    MarketSystem, EdBlocks, ClearedMarket,
     build_ed_blocks, assemble_ed_lp, extract_cleared, full_angles, line_flows,
+    require_optimal,
 )
 from maskdispatch import masking
 from maskdispatch.masking import (
@@ -80,22 +80,6 @@ class CommLog:
         return [m for m in self.messages
                 if (sender is None or m.sender == sender)
                 and (receiver is None or m.receiver == receiver)]
-
-    @property
-    def to_agent_count(self):
-        return sum(m.scalar_count for m in self._select(receiver=AGENT))
-
-    @property
-    def to_agent_bytes(self):
-        return sum(m.byte_size for m in self._select(receiver=AGENT))
-
-    @property
-    def from_agent_count(self):
-        return sum(m.scalar_count for m in self._select(sender=AGENT))
-
-    @property
-    def from_agent_bytes(self):
-        return sum(m.byte_size for m in self._select(sender=AGENT))
 
     def party_share(self, party):
         """(scalar_count to agent, scalar_count from agent) for one party."""
@@ -272,8 +256,7 @@ def _run_clear(system, blocks, parties, iso, log, config):
 
     problem, layout = assemble_ed_lp(blocks)
     sol = solve_lp(problem, config)
-    if sol.status != "optimal":
-        raise ClearingFailed(sol.status)
+    require_optimal(sol.status, system)
 
     for p in parties:
         lo, hi = layout.var_spans[p.owner]
@@ -283,7 +266,7 @@ def _run_clear(system, blocks, parties, iso, log, config):
     log.add(Message.build(AGENT, ISO, SOLUTION_SLICE,
                           {"theta": sol.x[lo:hi], "lmp": -sol.duals_eq}))
     cleared = extract_cleared(system, blocks, layout, sol.x, sol.duals_eq,
-                              sol.objective, comm_log=log)
+                              sol.objective)
     return cleared, log
 
 
@@ -309,8 +292,7 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
         raise ProtocolViolation("transformed row count drifted from the original")
 
     sol = solve_lp(tlp.problem, config)
-    if sol.status != "optimal":
-        raise ClearingFailed(sol.status)
+    require_optimal(sol.status)
 
     gen_dispatch, load_dispatch = {}, {}
     for p in parties:
@@ -336,7 +318,7 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
                             load_dispatch=load_dispatch,
                             angles=full_angles(system, theta),
                             flows=line_flows(system, theta).reshape(T, L),
-                            lmp=lmp.reshape(T, B), comm_log=log)
+                            lmp=lmp.reshape(T, B))
     return cleared, log
 
 
@@ -454,53 +436,3 @@ def clear_submission_counts(system: MarketSystem) -> dict:
     return {"up": up, "down": down,
             "up_total": sum(up.values()), "down_total": sum(down.values())}
 
-
-@dataclass
-class TimingReport:
-    clear_seconds: float
-    rows: list              # (seed, masked_seconds)
-
-    @property
-    def masked_times(self):
-        return np.array([t for _, t in self.rows])
-
-    @property
-    def mean(self):
-        return float(np.mean(self.masked_times))
-
-    @property
-    def std(self):
-        return float(np.std(self.masked_times))
-
-    @property
-    def min(self):
-        return float(np.min(self.masked_times))
-
-    @property
-    def max(self):
-        return float(np.max(self.masked_times))
-
-    def to_csv(self):
-        lines = ["seed,masked_seconds,clear_seconds,ratio"]
-        for seed, t in self.rows:
-            ratio = t / self.clear_seconds if self.clear_seconds > 0 else float("nan")
-            lines.append(f"{seed},{t:.6f},{self.clear_seconds:.6f},{ratio:.3f}")
-        lines.append(f"# mean={self.mean:.6f} std={self.std:.6f} "
-                     f"min={self.min:.6f} max={self.max:.6f}")
-        return "\n".join(lines) + "\n"
-
-
-def runtime_trial(system: MarketSystem, seeds, config: SolverConfig = None) -> TimingReport:
-    """Wall-clock a clear baseline and one masked round per seed."""
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
-    t0 = time.perf_counter()
-    run_market_round(system, seeds[0], mode="clear", config=config)
-    t_clear = time.perf_counter() - t0
-    rows = []
-    for s in seeds:
-        t0 = time.perf_counter()
-        run_market_round(system, s, mode="masked", config=config)
-        rows.append((s, time.perf_counter() - t0))
-    return TimingReport(clear_seconds=t_clear, rows=rows)

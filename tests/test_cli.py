@@ -243,3 +243,42 @@ def test_failed_round_exits_4(monkeypatch, capsys, error):
     monkeypatch.setattr(cli, "run_market_round", fail)
     assert main(["solve", THREEBUS, "--mode", "masked"]) == 4
     _assert_one_error_line(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, env_seed", [
+    ([], None),
+    (["solve"], None),
+    (["compare", THREEBUS, "--seeds", "x"], None),
+    (["solve", THREEBUS, "--seed", "-1"], None),
+    (["solve", THREEBUS], "-5"),
+    (["solve", THREEBUS], "abc"),
+], ids=["no-command", "solve-without-case", "text-seed-count",
+        "negative-seed", "negative-env-seed", "text-env-seed"])
+def test_usage_errors_exit_1(monkeypatch, capsys, argv, env_seed):
+    if env_seed is None:
+        monkeypatch.delenv("MASKDISPATCH_SEED", raising=False)
+    else:
+        monkeypatch.setenv("MASKDISPATCH_SEED", env_seed)
+    assert main(argv) == 1
+    _assert_one_error_line(capsys.readouterr().err)
+
+
+def test_unbounded_masked_status_exits_4(tmp_path, capsys, monkeypatch):
+    # the bundled simplex misreports this badly scaled masked LP as
+    # unbounded; a dispatch LP is bounded, so that is a failed round
+    monkeypatch.delenv("MASKDISPATCH_SEED", raising=False)
+    doc = _threebus_doc()
+    _set(["generators", 1, "segments", 2, "price"], 1e8)(doc)
+    code, err = _solve_exit(tmp_path, capsys, doc, "masked")
+    assert code == 4
+    _assert_one_error_line(err)
+
+
+def test_infeasible_clear_solve_names_family(tmp_path, capsys):
+    doc = _threebus_doc()
+    for line in doc["lines"]:
+        line["capacity"] = 1.0
+    code, err = _solve_exit(tmp_path, capsys, doc)
+    assert code == 2
+    _assert_one_error_line(err)
+    assert "line capacity limits" in err

@@ -91,6 +91,33 @@ def test_impossible_conditioning_gate_fails():
                                                    max_retries=5))
 
 
+def _assert_hour_blocks_within(M, hours, lo, hi):
+    """Entries of the `hours` diagonal blocks lie in [lo, hi]; every other
+    entry is a structural zero."""
+    M = M.toarray() if sp.issparse(M) else np.asarray(M)
+    k = M.shape[0] // hours
+    on = np.kron(np.eye(hours, dtype=bool), np.ones((k, k), dtype=bool))
+    assert np.all((M[on] >= lo) & (M[on] <= hi))
+    assert np.all(M[~on] == 0.0)
+
+
+@pytest.mark.parametrize("hourly", [False, True])
+def test_key_draws_stay_in_documented_ranges(hourly):
+    T = 2
+    blocks = build_ed_blocks(gen_synthetic(4, 2, 2, 1, T, seed=9, segments=2))
+    hours = T if hourly else 1
+    for seed in range(3):
+        keys = gen_keys(blocks, seed, MaskConfig(hourly_block_masks=hourly))
+        iso = keys.iso
+        for M in [iso.Y_theta, iso.X_l1, iso.X_l2, iso.X_b] + [
+                ek.Y for ek in keys.entities.values()]:
+            _assert_hour_blocks_within(M, hours, 0.01, 1.0)
+        for ek in keys.entities.values():
+            _assert_hour_blocks_within(ek.X, 1, -1.0, 1.0)
+        for r in [iso.R_l1, iso.R_l2] + [ek.R for ek in keys.entities.values()]:
+            assert np.all((r >= 0.5) & (r <= 2.0))
+
+
 # ---------------------------------------------------------------------------
 # generic transforms
 # ---------------------------------------------------------------------------
