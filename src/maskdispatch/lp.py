@@ -14,9 +14,11 @@ nonpositive.
 
 The default backend is a two-phase primal revised simplex (Bland's rule
 engaged after a run of degenerate pivots).  Problems whose size exceeds
-``_SIMPLEX_SIZE_LIMIT`` are routed to scipy's HiGHS solver,
-which accepts the same data (including scipy.sparse matrices) and is
-mapped onto the same dual convention.
+``_SIMPLEX_SIZE_LIMIT``, or whose matrices are scipy.sparse, are routed
+to scipy's HiGHS solver, which accepts the same data and is mapped onto
+the same dual convention.  HiGHS presolves by default; the masked
+dispatch LP is solved without presolve, because its rows are dense
+combinations that presolve cannot reduce.
 """
 
 from __future__ import annotations
@@ -434,7 +436,8 @@ def _solve_simplex(problem: LpProblem, config: SolverConfig) -> LpSolution:
     return _finish(problem, x, duals_eq, duals_in, engine2.iterations, "simplex")
 
 
-def _solve_highs(problem: LpProblem, config: SolverConfig) -> LpSolution:
+def _solve_highs(problem: LpProblem, config: SolverConfig,
+                 presolve: bool) -> LpSolution:
     from scipy.optimize import linprog
 
     sign = -1.0 if problem.sense == "max" else 1.0
@@ -445,7 +448,8 @@ def _solve_highs(problem: LpProblem, config: SolverConfig) -> LpSolution:
     res = linprog(sign * problem.c,
                   A_ub=A_in, b_ub=problem.b_in if A_in is not None else None,
                   A_eq=A_eq, b_eq=problem.b_eq if A_eq is not None else None,
-                  bounds=bounds, method=config.highs_method)
+                  bounds=bounds, method=config.highs_method,
+                  options={"presolve": presolve, "maxiter": config.max_iter})
     if res.status == 2:
         return LpSolution(status=INFEASIBLE, backend="highs")
     if res.status == 3:
@@ -493,11 +497,16 @@ def _finish(problem, x, duals_eq, duals_in, iterations, backend):
     return sol
 
 
-def solve_lp(problem: LpProblem, config: SolverConfig = None) -> LpSolution:
+def solve_lp(problem: LpProblem, config: SolverConfig = None, *,
+             presolve: bool = True) -> LpSolution:
     """Solve an LpProblem, returning primal and dual solutions.
 
     Infeasible and unbounded problems are reported through
-    ``LpSolution.status``; numerical failure raises NumericalBreakdown.
+    ``LpSolution.status``; numerical failure, including hitting
+    ``config.max_iter``, raises NumericalBreakdown.  ``presolve=False``
+    skips HiGHS presolve, which only pays where the rows have sparse
+    structure to remove; the bundled simplex has no presolve and
+    ignores it.
     """
     if config is None:
         config = SolverConfig()
@@ -513,5 +522,5 @@ def solve_lp(problem: LpProblem, config: SolverConfig = None) -> LpSolution:
     if backend == "simplex":
         return _solve_simplex(problem, config)
     if backend == "highs":
-        return _solve_highs(problem, config)
+        return _solve_highs(problem, config, presolve)
     raise ValueError(f"unknown backend {config.backend!r}")

@@ -291,7 +291,8 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
     if tlp.problem.n_rows != expected_rows:
         raise ProtocolViolation("transformed row count drifted from the original")
 
-    sol = solve_lp(tlp.problem, config)
+    # masking leaves no singleton, doubleton or dependent row to presolve
+    sol = solve_lp(tlp.problem, config, presolve=False)
     require_optimal(sol.status)
 
     gen_dispatch, load_dispatch = {}, {}

@@ -136,11 +136,12 @@ def test_degenerate_problem_terminates():
     assert sol.objective == pytest.approx(ref, abs=1e-8)
 
 
-def test_iteration_limit_raises():
+@pytest.mark.parametrize("backend", ["auto", "highs"])
+def test_iteration_limit_raises(backend):
     rng = np.random.default_rng(5)
     p = _random_bounded_lp(rng, n=6, m_in=9)
     with pytest.raises(NumericalBreakdown):
-        solve_lp(p, SolverConfig(max_iter=2))
+        solve_lp(p, SolverConfig(max_iter=2, backend=backend))
 
 
 def test_check_point_self_consistency():

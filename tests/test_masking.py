@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from maskdispatch.lp import LpProblem, SolverConfig, solve_lp, DimensionMismatch
+from maskdispatch.lp import (
+    LpProblem, SolverConfig, solve_lp, check_point, DimensionMismatch,
+)
 from maskdispatch.market import build_ed_blocks, assemble_ed_lp, gen_synthetic
 from maskdispatch import masking
 from maskdispatch.masking import (
@@ -391,6 +394,12 @@ def test_constraint_count_conservation_random_systems():
             ref.objective, rel=1e-6, abs=1e-6)
 
 
+def _recovered_point(blocks, keys, sol, tlp):
+    rec = recover_primal(keys, sol, tlp)
+    return np.concatenate([rec[e.owner] for e in blocks.gencos + blocks.lses]
+                          + [rec["theta"]])
+
+
 def test_hourly_block_masks_preserve_equivalence():
     system = gen_synthetic(4, 2, 2, 1, 3, seed=11, segments=2)
     blocks = build_ed_blocks(system)
@@ -401,11 +410,38 @@ def test_hourly_block_masks_preserve_equivalence():
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
     sol = solve_lp(tlp.problem)
     assert sol.objective == pytest.approx(ref.objective, rel=1e-6)
-    rec = recover_primal(keys, sol, tlp)
-    from maskdispatch.lp import check_point
-    x = np.concatenate([rec[e.owner] for e in blocks.gencos + blocks.lses]
-                       + [rec["theta"]])
+    x = _recovered_point(blocks, keys, sol, tlp)
     assert check_point(assemble_ed_lp(blocks)[0], x, 1e-6).feasible
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(buses=st.integers(4, 14), seed=st.integers(0, 2**16),
+       T=st.sampled_from([1, 2]), backend=st.sampled_from(["auto", "highs"]))
+def test_masked_equals_clear_on_synthetic_markets(buses, seed, T, backend):
+    blocks = build_ed_blocks(gen_synthetic(buses, 3, 3, 1, T, seed=seed,
+                                           segments=2))
+    clear_problem = assemble_ed_lp(blocks)[0]
+    config = SolverConfig(backend=backend)
+    ref = solve_lp(clear_problem, config)
+    keys = gen_keys(blocks, seed)
+    tlp = build_transformed_ed(masked_submissions(blocks, keys))
+    sol = solve_lp(tlp.problem, config, presolve=False)
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-6)
+    x = _recovered_point(blocks, keys, sol, tlp)
+    assert check_point(clear_problem, x, 1e-6).feasible
+
+
+def test_presolve_does_not_change_masked_multi_hour_solve():
+    # masking leaves presolve nothing to remove, so skipping it (as the
+    # masked round does) must give the same solution bit for bit
+    blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
+    keys = gen_keys(blocks, 0, MaskConfig(hourly_block_masks=True))
+    tlp = build_transformed_ed(masked_submissions(blocks, keys))
+    config = SolverConfig(backend="highs")
+    with_presolve = solve_lp(tlp.problem, config, presolve=True)
+    without = solve_lp(tlp.problem, config, presolve=False)
+    np.testing.assert_array_equal(without.x, with_presolve.x)
+    np.testing.assert_array_equal(without.duals_eq, with_presolve.duals_eq)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from maskdispatch.lp import NumericalBreakdown
+from maskdispatch.lp import NumericalBreakdown, SolverConfig
 from maskdispatch.market import gen_synthetic, regroup_entities, build_ed_blocks
+from maskdispatch.masking import MaskConfig
 from maskdispatch.protocol import (
     AGENT, ISO, Message, CommLog, ProtocolViolation,
     run_market_round, comm_cost,
@@ -145,6 +146,21 @@ def test_synthetic_systems_clear_equals_masked():
         masked, _ = run_market_round(system, seed, mode="masked")
         assert masked.objective == pytest.approx(clear.objective,
                                                  rel=1e-6, abs=1e-6)
+
+
+def test_highs_multi_hour_masked_round_matches_clear():
+    # the masked LP of a multi-hour round with hourly masks, solved by
+    # HiGHS without presolve, as the large cases are
+    system = gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2)
+    config = SolverConfig(backend="highs")
+    mask_config = MaskConfig(hourly_block_masks=True)
+    clear, _ = run_market_round(system, 0, mode="clear", config=config)
+    for seed in range(3):
+        masked, _ = run_market_round(system, seed, mode="masked",
+                                     config=config, mask_config=mask_config)
+        assert masked.objective == pytest.approx(clear.objective, abs=1e-6)
+        assert clear.max_dispatch_diff(masked) <= 1e-6
+        np.testing.assert_allclose(masked.lmp, clear.lmp, atol=1e-6)
 
 
 def test_invalid_mode_rejected(threebus):
