@@ -8,6 +8,9 @@ operator does the same for line-limit rows and additionally masks the
 nodal-balance rows with a square positive matrix applied on the left.
 Solving the masked LP and mapping each solution slice back through the
 owner's keys reproduces the clear-market dispatch, angles, and prices.
+Before a HiGHS solve the clearing agent cancels every published slack
+block (``eliminate_slacks``), which shrinks the masked LP to the clear
+LP's layout without changing the solution slices or the balance duals.
 
 The module also provides the two generic single-sided transforms
 (column-wise and row-wise masking of an arbitrary partitioned LP) and a
@@ -53,6 +56,8 @@ _DIAG_RANGE = (0.5, 2.0)        # slack coefficient diagonals
 # above this dimension the condition gate uses a LAPACK 1-norm estimate
 # instead of an exact SVD
 _EXACT_COND_DIM = 800
+# right-hand-side columns per sparse solve when a slack block is cancelled
+_SOLVE_CHUNK = 512
 
 
 @dataclass
@@ -563,6 +568,89 @@ def build_transformed_ed(submissions) -> TransformedLp:
                         b_in=None, sign_class=sign)
     return TransformedLp(problem=problem, var_spans=vs, row_spans=rs,
                          n_structural=n_structural, n_slack=n_slack)
+
+
+def _dense_block(A, r0, r1, c0, c1):
+    """``A[r0:r1, c0:c1]`` as a dense array.  A CSR ``A`` is read through
+    its index arrays, which costs far less than scipy's slicing for the
+    many small entity blocks."""
+    if not sp.issparse(A):
+        return A[r0:r1, c0:c1]
+    lo, hi = A.indptr[r0], A.indptr[r1]
+    rows = np.repeat(np.arange(r1 - r0), np.diff(A.indptr[r0:r1 + 1]))
+    cols = A.indices[lo:hi]
+    keep = (cols >= c0) & (cols < c1)
+    out = np.zeros((r1 - r0, c1 - c0))
+    out[rows[keep], cols[keep] - c0] = A.data[lo:hi][keep]
+    return out
+
+
+def _cancel_slack(S, C, b):
+    """(S⁻¹C, S⁻¹b) for one owner's slack block S, constraint block C and
+    right-hand side b.
+
+    A sparse S (the operator's hourly line keys) is factorised with
+    SuperLU, whose solve takes a dense right-hand side, so C is solved in
+    column chunks; a dense S is solved densely.
+    """
+    if sp.issparse(S):
+        from scipy.sparse.linalg import splu
+
+        lu = splu(S.tocsc())
+        C = C.tocsc()
+        parts = [sp.csr_matrix(lu.solve(C[:, j:j + _SOLVE_CHUNK].toarray()))
+                 for j in range(0, C.shape[1], _SOLVE_CHUNK)]
+        return sp.hstack(parts, format="csr"), lu.solve(b)
+    out = np.linalg.solve(S, np.column_stack([C, b]))
+    return out[:, :-1], out[:, -1]
+
+
+def eliminate_slacks(tlp: TransformedLp) -> LpProblem:
+    """The masked LP with every owner's slack block cancelled.
+
+    Each owner's row block (an entity's constraints, or one group of line
+    limits) reads ``C z + S s = b`` with ``s >= 0``, where ``C = X·E·Y``,
+    ``S = X·diag(R)`` and ``b = X·M`` are what the owner published for
+    its constraint matrix ``E`` and bounds ``M``.  Multiplying it on the
+    left by ``S⁻¹`` gives ``R⁻¹E·Y z + s = R⁻¹M``, that is
+    ``R⁻¹E·Y z <= R⁻¹M``, and the slack columns drop out.  The result is an LP in the clear layout
+    (``ed_layout(slacks=False)``): the same columns as the structural part
+    of ``tlp.problem``, the same rows in the same order, all variables
+    free, and the masked balance rows, unchanged, as its only equalities.
+    In exact arithmetic its entity and angle slices and its balance duals
+    equal those of ``tlp.problem``, so recovery is unchanged.
+
+    Only published data is read, so the clearing agent can compute this
+    itself; it learns nothing it could not already derive.  This is the
+    row-mask cancellation of ROADMAP item 3(a).  It relies on each
+    owner's slack block being invertible (a condition-gated ``X`` times
+    a positive diagonal); a mitigation of item 3(a) that changes that
+    must revisit it.
+    """
+    A, b = tlp.problem.A_eq, tlp.problem.b_eq
+    vs, rs = tlp.var_spans, tlp.row_spans
+    n = tlp.n_structural
+    bal = rs["balance"][0]
+    pieces = [(bal, 0, A[bal:, :n])]
+    b_in = np.zeros(bal)
+    for owner, (r0, r1) in rs.items():
+        if owner == "balance" or r0 == r1:
+            continue
+        s0, s1 = vs[f"slack:{owner}"]
+        if owner in ("line_hi", "line_lo"):
+            # the operator's blocks stay sparse when its keys are hourly
+            c0, c1 = vs["theta"]
+            S, C = A[r0:r1, s0:s1], A[r0:r1, c0:c1]
+        else:
+            c0, c1 = vs[owner]
+            S = _dense_block(A, r0, r1, s0, s1)
+            C = _dense_block(A, r0, r1, c0, c1)
+        C, b_in[r0:r1] = _cancel_slack(S, C, b[r0:r1])
+        pieces.append((r0, c0, C))
+    A = place_blocks(pieces, (tlp.problem.n_rows, n))
+    return LpProblem(sense=tlp.problem.sense, c=tlp.problem.c[:n],
+                     A_eq=A[bal:], b_eq=b[bal:], A_in=A[:bal], b_in=b_in,
+                     sign_class=[FREE] * n)
 
 
 def recover_primal(keys: MaskKeys, solution, tlp: TransformedLp) -> dict:

@@ -21,11 +21,12 @@ item 3.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from maskdispatch.lp import SolverConfig, solve_lp
+from maskdispatch.lp import SolverConfig, choose_backend, solve_lp
 from maskdispatch.market import (
     MarketSystem, EdBlocks, ClearedMarket,
     build_ed_blocks, assemble_ed_lp, extract_cleared, full_angles, line_flows,
@@ -291,9 +292,23 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
     if tlp.problem.n_rows != expected_rows:
         raise ProtocolViolation("transformed row count drifted from the original")
 
-    # masking leaves no singleton, doubleton or dependent row to presolve
-    sol = solve_lp(tlp.problem, config, presolve=False)
+    if config is None:
+        config = SolverConfig()
+    # no presolve: masking leaves it no singleton, doubleton or dependent
+    # row to remove, and on the slack-cancelled LP it costs more than it saves
+    if choose_backend(tlp.problem, config) == "highs":
+        # the agent cancels each owner's published slack block, leaving an
+        # LP in the clear layout whose only equalities are the balance rows;
+        # it stays on HiGHS however small that LP is
+        sol = solve_lp(masking.eliminate_slacks(tlp),
+                       dataclasses.replace(config, backend="highs"),
+                       presolve=False)
+        balance_rows = slice(None)
+    else:
+        sol = solve_lp(tlp.problem, config, presolve=False)
+        balance_rows = slice(*tlp.row_spans["balance"])
     require_optimal(sol.status)
+    balance_duals = sol.duals_eq[balance_rows]
 
     gen_dispatch, load_dispatch = {}, {}
     for p in parties:
@@ -306,12 +321,11 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
         (gen_dispatch if p.kind == "GENCO" else load_dispatch)[p.owner] = recovered
 
     tlo, thi = tlp.var_spans["theta"]
-    blo, bhi = tlp.row_spans["balance"]
     log.add(Message.build(AGENT, ISO, SOLUTION_SLICE,
                           {"masked_theta": sol.x[tlo:thi],
-                           "masked_balance_duals": sol.duals_eq[blo:bhi]}))
+                           "masked_balance_duals": balance_duals}))
     theta = iso.recover_angles(sol.x[tlo:thi])
-    lmp = iso.recover_lmp(sol.duals_eq[blo:bhi])
+    lmp = iso.recover_lmp(balance_duals)
 
     T, B, L = system.horizon, system.n_buses, system.n_lines
     cleared = ClearedMarket(objective=float(sol.objective),

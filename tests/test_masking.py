@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 from maskdispatch.lp import (
     LpProblem, SolverConfig, solve_lp, check_point, DimensionMismatch,
 )
-from maskdispatch.market import build_ed_blocks, assemble_ed_lp, gen_synthetic
+from maskdispatch.market import (
+    BidSegment, Generator, Load, MarketSystem,
+    build_ed_blocks, assemble_ed_lp, gen_synthetic,
+)
 from maskdispatch import masking
 from maskdispatch.masking import (
     MaskConfig, MaskKeys, EncryptedSubmission,
@@ -442,6 +445,76 @@ def test_presolve_does_not_change_masked_multi_hour_solve():
     without = solve_lp(tlp.problem, config, presolve=False)
     np.testing.assert_array_equal(without.x, with_presolve.x)
     np.testing.assert_array_equal(without.duals_eq, with_presolve.duals_eq)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_eliminated_slacks_reproduce_masked_solve(seed):
+    # cancelling each owner's slack block leaves an LP of the clear LP's
+    # size whose recovered dispatch, angles and prices are the masked LP's
+    blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
+    clear_problem = assemble_ed_lp(blocks)[0]
+    keys = gen_keys(blocks, seed, MaskConfig(hourly_block_masks=True))
+    tlp = build_transformed_ed(masked_submissions(blocks, keys))
+    eliminated = masking.eliminate_slacks(tlp)
+    assert (eliminated.n_vars, eliminated.n_rows) == \
+        (clear_problem.n_vars, clear_problem.n_rows)
+    assert eliminated.A_eq.shape[0] == clear_problem.A_eq.shape[0]
+
+    config = SolverConfig(backend="highs")
+    full = solve_lp(tlp.problem, config, presolve=False)
+    short = solve_lp(eliminated, config, presolve=False)
+    want = recover_primal(keys, full, tlp)
+    got = recover_primal(keys, short, tlp)
+    for owner in want:
+        np.testing.assert_allclose(got[owner], want[owner], atol=1e-6)
+    blo, bhi = tlp.row_spans["balance"]
+    np.testing.assert_allclose(recover_lmp(keys.iso.X_b, short.duals_eq),
+                               recover_lmp(keys.iso.X_b, full.duals_eq[blo:bhi]),
+                               atol=1e-6)
+
+
+def test_eliminated_slacks_skip_empty_line_groups():
+    # one bus, no lines: both line-limit groups are empty
+    system = MarketSystem(
+        name="one", buses=["1"], reference_bus="1", lines=[],
+        generators=[Generator("G", "GENCO1", "1", [BidSegment(5.0, 0.0, 10.0)])],
+        loads=[Load("L", "LSE1", "1", [BidSegment(9.0, 0.0, 8.0)])], horizon=2)
+    blocks = build_ed_blocks(system)
+    keys = gen_keys(blocks, 1)
+    tlp = build_transformed_ed(masked_submissions(blocks, keys))
+    sol = solve_lp(masking.eliminate_slacks(tlp), SolverConfig(backend="highs"))
+    assert sol.objective == pytest.approx(64.0)
+    rec = recover_primal(keys, sol, tlp)
+    np.testing.assert_allclose(rec["GENCO1"], [8.0, 8.0], atol=1e-6)
+
+
+def test_sparse_slack_cancellation_matches_dense():
+    # hourly line keys give a block-diagonal slack block, factorised
+    # sparsely and solved in column chunks
+    rng = np.random.default_rng(5)
+    S = sp.block_diag([rng.uniform(0.01, 1.0, (6, 6)) for _ in range(4)],
+                      format="csr")
+    C = sp.random(24, 2 * masking._SOLVE_CHUNK + 7, density=0.2,
+                  random_state=6, format="csr")
+    b = rng.normal(size=24)
+    got_C, got_b = masking._cancel_slack(S, C, b)
+    assert sp.issparse(got_C)
+    np.testing.assert_allclose(got_C.toarray(),
+                               np.linalg.solve(S.toarray(), C.toarray()),
+                               atol=1e-9)
+    np.testing.assert_allclose(got_b, np.linalg.solve(S.toarray(), b),
+                               atol=1e-9)
+
+
+def test_dense_block_reads_csr_like_slicing():
+    A = sp.random(12, 15, density=0.3, random_state=8, format="csr")
+    for r0, r1, c0, c1 in [(0, 12, 0, 15), (3, 7, 2, 9), (5, 5, 0, 4),
+                           (11, 12, 14, 15)]:
+        want = A[r0:r1, c0:c1].toarray()
+        np.testing.assert_array_equal(masking._dense_block(A, r0, r1, c0, c1),
+                                      want)
+        np.testing.assert_array_equal(
+            masking._dense_block(A.toarray(), r0, r1, c0, c1), want)
 
 
 # ---------------------------------------------------------------------------

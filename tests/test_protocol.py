@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from maskdispatch.lp import NumericalBreakdown, SolverConfig
+from maskdispatch import protocol
+from maskdispatch.lp import NumericalBreakdown, SolverConfig, solve_lp
 from maskdispatch.market import gen_synthetic, regroup_entities, build_ed_blocks
 from maskdispatch.masking import MaskConfig
 from maskdispatch.protocol import (
@@ -161,6 +162,39 @@ def test_highs_multi_hour_masked_round_matches_clear():
         assert masked.objective == pytest.approx(clear.objective, abs=1e-6)
         assert clear.max_dispatch_diff(masked) <= 1e-6
         np.testing.assert_allclose(masked.lmp, clear.lmp, atol=1e-6)
+
+
+@pytest.mark.parametrize("seed", [44, 73])
+def test_pooled_multi_hour_masked_round_matches_clear(seed):
+    # few parties with full-horizon masks; at these mask seeds solving the
+    # masked LP with its slack columns recovered dispatch 1.3e-6 off
+    system = gen_synthetic(30, 2, 2, 5, 4, seed=1, segments=3)
+    clear, _ = run_market_round(system, 0, mode="clear")
+    masked, _ = run_market_round(system, seed, mode="masked")
+    assert masked.objective == pytest.approx(clear.objective, rel=1e-6)
+    assert clear.max_dispatch_diff(masked) <= 1e-6
+    np.testing.assert_allclose(masked.lmp, clear.lmp, atol=1e-6)
+
+
+@pytest.mark.parametrize("backend, shape, n_eq", [("auto", (27, 35), 27),
+                                                  ("highs", (27, 11), 3)])
+def test_masked_round_solves_slack_form_only_on_simplex(threebus, monkeypatch,
+                                                        backend, shape, n_eq):
+    # the simplex gets the all-equality masked LP; HiGHS gets it with every
+    # slack block cancelled: the clear LP's 27 rows and 11 columns, with
+    # the 3 balance rows as its only equalities
+    seen = []
+
+    def spy(problem, config=None, **kwargs):
+        seen.append(problem)
+        return solve_lp(problem, config, **kwargs)
+
+    monkeypatch.setattr(protocol, "solve_lp", spy)
+    run_market_round(threebus, 0, mode="masked",
+                     config=SolverConfig(backend=backend))
+    (problem,) = seen
+    assert (problem.n_rows, problem.n_vars) == shape
+    assert problem.A_eq.shape[0] == n_eq
 
 
 def test_invalid_mode_rejected(threebus):
