@@ -13,15 +13,14 @@ dual of a binding <= row is nonnegative and for a min problem it is
 nonpositive.
 
 The default backend is a two-phase primal revised simplex (Bland's rule
-engaged after a run of degenerate pivots).  ``choose_backend`` routes
-problems whose size exceeds ``_SIMPLEX_SIZE_LIMIT``, or whose matrices
-are scipy.sparse, to scipy's HiGHS solver, which accepts the same data
-and is mapped onto the same dual convention.  HiGHS presolves by
-default; the masked dispatch LP is solved without presolve, because its
-rows are dense combinations that presolve cannot reduce, and on the
-slack-cancelled form it costs more than it saves.  The masked
-round asks ``choose_backend`` first, because a masked LP bound for HiGHS
-is solved with its slack blocks cancelled (``masking.eliminate_slacks``).
+engaged after a run of degenerate pivots).  ``choose_backend`` reads only
+the size: problems whose rows plus columns exceed ``_SIMPLEX_SIZE_LIMIT``
+go to scipy's HiGHS solver, which accepts the same data and is mapped onto
+the same dual convention.  The masked round asks it before assembling
+anything, because only the simplex takes the slack form; HiGHS gets the
+LP with its slack blocks cancelled (``masking.eliminate_slacks``), solved
+without presolve: its rows are dense combinations that presolve cannot
+reduce, and presolve costs more than it saves there.
 """
 
 from __future__ import annotations
@@ -503,18 +502,15 @@ def _finish(problem, x, duals_eq, duals_in, iterations, backend):
 def choose_backend(problem: LpProblem, config: SolverConfig = None) -> str:
     """The backend `solve_lp` uses for `problem` under `config`.
 
-    ``backend="auto"`` picks HiGHS for sparse input or for problems whose
-    rows plus columns exceed ``_SIMPLEX_SIZE_LIMIT``, and the bundled
-    simplex otherwise; any other setting is returned as given.
+    ``backend="auto"`` picks HiGHS when ``problem.n_rows + problem.n_vars``
+    exceeds ``_SIMPLEX_SIZE_LIMIT`` and the bundled simplex otherwise; any
+    other setting is returned as given.  Nothing else of `problem` is read.
     """
     backend = "auto" if config is None else config.backend
     if backend != "auto":
         return backend
-    sparse_input = (scipy.sparse.issparse(problem.A_eq)
-                    or scipy.sparse.issparse(problem.A_in))
-    if sparse_input or problem.n_rows + problem.n_vars > _SIMPLEX_SIZE_LIMIT:
-        return "highs"
-    return "simplex"
+    big = problem.n_rows + problem.n_vars > _SIMPLEX_SIZE_LIMIT
+    return "highs" if big else "simplex"
 
 
 def solve_lp(problem: LpProblem, config: SolverConfig = None, *,

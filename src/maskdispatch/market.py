@@ -122,6 +122,8 @@ class MarketSystem:
             what = f"line {ln.from_bus}-{ln.to_bus}"
             if ln.from_bus not in bus_set or ln.to_bus not in bus_set:
                 raise ValueError(f"{what} references unknown bus")
+            if ln.from_bus == ln.to_bus:
+                raise ValueError(f"{what} connects a bus to itself")
             _require_finite(what, reactance=ln.x, capacity=ln.capacity)
             if ln.x <= 0:
                 raise ValueError(f"{what} reactance must be positive")

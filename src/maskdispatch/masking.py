@@ -8,9 +8,11 @@ operator does the same for line-limit rows and additionally masks the
 nodal-balance rows with a square positive matrix applied on the left.
 Solving the masked LP and mapping each solution slice back through the
 owner's keys reproduces the clear-market dispatch, angles, and prices.
-Before a HiGHS solve the clearing agent cancels every published slack
-block (``eliminate_slacks``), which shrinks the masked LP to the clear
-LP's layout without changing the solution slices or the balance duals.
+The clearing agent keeps the published blocks as they arrive and builds
+only the LP its solver takes: the all-equality slack form for the bundled
+simplex or, for HiGHS, the LP with every owner's slack block cancelled
+(``eliminate_slacks``), in the clear LP's layout and with the same
+solution slices and balance duals.
 
 The module also provides the two generic single-sided transforms
 (column-wise and row-wise masking of an arbitrary partitioned LP) and a
@@ -20,6 +22,7 @@ published blocks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +30,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from maskdispatch.lp import LpProblem, DimensionMismatch, FREE, NONNEG
-from maskdispatch.market import EdBlocks, ed_layout, place_blocks
+from maskdispatch.market import _DENSE_CELL_LIMIT, EdBlocks, ed_layout, place_blocks
 
 
 class KeyGenerationFailed(RuntimeError):
@@ -501,22 +504,51 @@ def verify_masked(submission: EncryptedSubmission, entity_blocks) -> bool:
 
 @dataclass
 class TransformedLp:
-    """The masked all-equality LP plus the spans needed to route results."""
+    """The masked dispatch LP, kept as the blocks the parties published.
 
-    problem: LpProblem
+    `groups` holds each owner's row group ``(owner, col, C, S, b)``, read
+    ``C z + S s = b`` with ``s >= 0`` and ``C`` at structural column
+    ``col``: the entities, then the operator's upper and lower line limits.
+    `balance` holds the ``(col, block)`` pieces of the balance rows (zero
+    right-hand side), `c` the structural costs.  Only the form a solver
+    asks for is assembled: `problem` (the slack form) or `eliminate_slacks`.
+    """
+
+    groups: list
+    balance: list
+    c: np.ndarray
     var_spans: dict
     row_spans: dict
     n_structural: int
     n_slack: int
+    n_rows: int
+    n_vars: int
+
+    @functools.cached_property
+    def problem(self) -> LpProblem:
+        """The masked LP in all-equality slack form, assembled on first access."""
+        vs, bal = self.var_spans, self.row_spans["balance"][0]
+        pieces = [(bal, col, block) for col, block in self.balance]
+        for owner, col, C, S, _ in self.groups:
+            r0 = self.row_spans[owner][0]
+            pieces += [(r0, col, C), (r0, vs[f"slack:{owner}"][0], S)]
+        return LpProblem(
+            sense="max", c=np.concatenate([self.c, np.zeros(self.n_slack)]),
+            A_eq=place_blocks(pieces, (self.n_rows, self.n_vars)),
+            b_eq=np.concatenate([b for *_, b in self.groups]
+                                + [np.zeros(self.n_rows - bal)]),
+            A_in=None, b_in=None,
+            sign_class=[FREE] * self.n_structural + [NONNEG] * self.n_slack)
 
 
 def build_transformed_ed(submissions) -> TransformedLp:
-    """Assemble the masked dispatch LP from submissions alone.
+    """Collect the masked dispatch LP from submissions alone.
 
-    The assembler sees only EncryptedSubmission fields.  `ed_layout`
-    places the blocks from their public dimensions alone, in the clear
-    LP's order plus slack columns: entity dispatch columns, angle
-    columns, then entity slacks and the two line-slack groups.
+    The agent sees only EncryptedSubmission fields.  `ed_layout` places
+    the blocks from their public dimensions alone, in the clear LP's
+    order plus slack columns: entity dispatch columns, angle columns,
+    then entity slacks and the two line-slack groups.  No matrix is
+    assembled here.
     """
     isos = [s for s in submissions if s.kind == "ISO"]
     gencos = [s for s in submissions if s.kind == "GENCO"]
@@ -542,47 +574,21 @@ def build_transformed_ed(submissions) -> TransformedLp:
             raise DimensionMismatch(f"submission of {s.owner} is inconsistent")
 
     layout = ed_layout(entities, n_iso, TL, TB, slacks=True)
-    vs, rs = layout.var_spans, layout.row_spans
-    th, bal = vs["theta"][0], rs["balance"][0]
-    hi, lo = rs["line_hi"][0], rs["line_lo"][0]
-    pieces = [(hi, th, iso.line_flow_hi),
-              (hi, vs["slack:line_hi"][0], iso.line_slack_hi),
-              (lo, th, iso.line_flow_lo),
-              (lo, vs["slack:line_lo"][0], iso.line_slack_lo),
-              (bal, th, -iso.balance_theta)]
-    for s in entities:
-        pieces += [(rs[s.owner][0], vs[s.owner][0], s.masked_constraints),
-                   (rs[s.owner][0], vs[f"slack:{s.owner}"][0], s.masked_slack),
-                   (bal, vs[s.owner][0], iso.balance_gen[s.owner]
-                    if s.kind == "GENCO" else -iso.balance_load[s.owner])]
-    A = place_blocks(pieces, (layout.n_rows, layout.n_vars))
-
-    n_structural = vs["theta"][1]
-    n_slack = layout.n_vars - n_structural
+    vs = layout.var_spans
+    th, n_structural = vs["theta"]
+    groups = [(s.owner, vs[s.owner][0], s.masked_constraints, s.masked_slack,
+               s.masked_rhs) for s in entities]
+    groups += [("line_hi", th, iso.line_flow_hi, iso.line_slack_hi, iso.line_rhs_hi),
+               ("line_lo", th, iso.line_flow_lo, iso.line_slack_lo, iso.line_rhs_lo)]
+    balance = [(th, -iso.balance_theta)]
+    balance += [(vs[s.owner][0], iso.balance_gen[s.owner] if s.kind == "GENCO"
+                 else -iso.balance_load[s.owner]) for s in entities]
     c = np.concatenate([-s.masked_cost if s.kind == "GENCO" else s.masked_cost
-                        for s in entities] + [np.zeros(layout.n_vars - th)])
-    b = np.concatenate([s.masked_rhs for s in entities]
-                       + [iso.line_rhs_hi, iso.line_rhs_lo, np.zeros(TB)])
-    sign = [FREE] * n_structural + [NONNEG] * n_slack
-    problem = LpProblem(sense="max", c=c, A_eq=A, b_eq=b, A_in=None,
-                        b_in=None, sign_class=sign)
-    return TransformedLp(problem=problem, var_spans=vs, row_spans=rs,
-                         n_structural=n_structural, n_slack=n_slack)
-
-
-def _dense_block(A, r0, r1, c0, c1):
-    """``A[r0:r1, c0:c1]`` as a dense array.  A CSR ``A`` is read through
-    its index arrays, which costs far less than scipy's slicing for the
-    many small entity blocks."""
-    if not sp.issparse(A):
-        return A[r0:r1, c0:c1]
-    lo, hi = A.indptr[r0], A.indptr[r1]
-    rows = np.repeat(np.arange(r1 - r0), np.diff(A.indptr[r0:r1 + 1]))
-    cols = A.indices[lo:hi]
-    keep = (cols >= c0) & (cols < c1)
-    out = np.zeros((r1 - r0, c1 - c0))
-    out[rows[keep], cols[keep] - c0] = A.data[lo:hi][keep]
-    return out
+                        for s in entities] + [np.zeros(n_iso)])
+    return TransformedLp(groups=groups, balance=balance, c=c, var_spans=vs,
+                         row_spans=layout.row_spans, n_structural=n_structural,
+                         n_slack=layout.n_vars - n_structural,
+                         n_rows=layout.n_rows, n_vars=layout.n_vars)
 
 
 def _cancel_slack(S, C, b):
@@ -608,16 +614,16 @@ def _cancel_slack(S, C, b):
 def eliminate_slacks(tlp: TransformedLp) -> LpProblem:
     """The masked LP with every owner's slack block cancelled.
 
-    Each owner's row block (an entity's constraints, or one group of line
-    limits) reads ``C z + S s = b`` with ``s >= 0``, where ``C = X·E·Y``,
-    ``S = X·diag(R)`` and ``b = X·M`` are what the owner published for
-    its constraint matrix ``E`` and bounds ``M``.  Multiplying it on the
-    left by ``S⁻¹`` gives ``R⁻¹E·Y z + s = R⁻¹M``, that is
-    ``R⁻¹E·Y z <= R⁻¹M``, and the slack columns drop out.  The result is an LP in the clear layout
-    (``ed_layout(slacks=False)``): the same columns as the structural part
-    of ``tlp.problem``, the same rows in the same order, all variables
-    free, and the masked balance rows, unchanged, as its only equalities.
-    In exact arithmetic its entity and angle slices and its balance duals
+    Each owner's row group reads ``C z + S s = b`` with ``s >= 0``, where
+    ``C = X·E·Y``, ``S = X·diag(R)`` and ``b = X·M`` are what the owner
+    published for its constraint matrix ``E`` and bounds ``M``.
+    Multiplying it on the left by ``S⁻¹`` gives ``R⁻¹E·Y z + s = R⁻¹M``,
+    that is ``R⁻¹E·Y z <= R⁻¹M``, and the slack columns drop out.  The
+    result, placed once from the published blocks, is an LP in the clear
+    layout (``ed_layout(slacks=False)``): the structural columns of
+    ``tlp.problem``, the same rows in the same order, all variables free,
+    and the masked balance rows, unchanged, as its only equalities.  In
+    exact arithmetic its entity and angle slices and its balance duals
     equal those of ``tlp.problem``, so recovery is unchanged.
 
     Only published data is read, so the clearing agent can compute this
@@ -627,29 +633,24 @@ def eliminate_slacks(tlp: TransformedLp) -> LpProblem:
     a positive diagonal); a mitigation of item 3(a) that changes that
     must revisit it.
     """
-    A, b = tlp.problem.A_eq, tlp.problem.b_eq
-    vs, rs = tlp.var_spans, tlp.row_spans
-    n = tlp.n_structural
-    bal = rs["balance"][0]
-    pieces = [(bal, 0, A[bal:, :n])]
+    bal, n = tlp.row_spans["balance"][0], tlp.n_structural
+    # the operator's groups take the sparse kernel exactly when the slack
+    # form would be placed as CSR, whatever form its keys published them in
+    sparse = tlp.n_rows * tlp.n_vars > _DENSE_CELL_LIMIT
+    pieces = [(bal, col, block) for col, block in tlp.balance]
     b_in = np.zeros(bal)
-    for owner, (r0, r1) in rs.items():
-        if owner == "balance" or r0 == r1:
+    for owner, col, C, S, b in tlp.groups:
+        r0, r1 = tlp.row_spans[owner]
+        if r0 == r1:
             continue
-        s0, s1 = vs[f"slack:{owner}"]
         if owner in ("line_hi", "line_lo"):
-            # the operator's blocks stay sparse when its keys are hourly
-            c0, c1 = vs["theta"]
-            S, C = A[r0:r1, s0:s1], A[r0:r1, c0:c1]
-        else:
-            c0, c1 = vs[owner]
-            S = _dense_block(A, r0, r1, s0, s1)
-            C = _dense_block(A, r0, r1, c0, c1)
-        C, b_in[r0:r1] = _cancel_slack(S, C, b[r0:r1])
-        pieces.append((r0, c0, C))
-    A = place_blocks(pieces, (tlp.problem.n_rows, n))
-    return LpProblem(sense=tlp.problem.sense, c=tlp.problem.c[:n],
-                     A_eq=A[bal:], b_eq=b[bal:], A_in=A[:bal], b_in=b_in,
+            S, C = (sp.csr_matrix(m) if sparse else
+                    m.toarray() if sp.issparse(m) else m for m in (S, C))
+        C, b_in[r0:r1] = _cancel_slack(S, C, b)
+        pieces.append((r0, col, C))
+    A = place_blocks(pieces, (tlp.n_rows, n))
+    return LpProblem(sense="max", c=tlp.c, A_eq=A[bal:],
+                     b_eq=np.zeros(tlp.n_rows - bal), A_in=A[:bal], b_in=b_in,
                      sign_class=[FREE] * n)
 
 

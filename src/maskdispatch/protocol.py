@@ -183,10 +183,9 @@ def _private_row_hashes(blocks: EdBlocks):
 
     def add(arr):
         a = np.ascontiguousarray(np.asarray(arr, dtype=float))
-        if a.ndim == 1:
-            rows.add(a.tobytes())
-        else:
-            for r in a:
+        # an empty row holds no data; its b"" would match any empty payload
+        for r in [a] if a.ndim == 1 else a:
+            if r.size:
                 rows.add(np.ascontiguousarray(r).tobytes())
 
     for e in blocks.gencos + blocks.lses:
@@ -289,14 +288,14 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
     tlp = build_transformed_ed(submissions)
     expected_rows = (blocks.total_entity_rows + 2 * blocks.line_caps.size
                      + blocks.admittance.shape[0])
-    if tlp.problem.n_rows != expected_rows:
+    if tlp.n_rows != expected_rows:
         raise ProtocolViolation("transformed row count drifted from the original")
 
     if config is None:
         config = SolverConfig()
-    # no presolve: masking leaves it no singleton, doubleton or dependent
-    # row to remove, and on the slack-cancelled LP it costs more than it saves
-    if choose_backend(tlp.problem, config) == "highs":
+    # routed on its size before anything is assembled.  No presolve: masking
+    # leaves it no singleton, doubleton or dependent row to remove
+    if choose_backend(tlp, config) == "highs":
         # the agent cancels each owner's published slack block, leaving an
         # LP in the clear layout whose only equalities are the balance rows;
         # it stays on HiGHS however small that LP is

@@ -179,6 +179,10 @@ def _duplicate_generator_name(doc):
     doc["generators"][1]["name"] = doc["generators"][0]["name"]
 
 
+def _self_loop_line(doc):
+    doc["lines"].append({"from": "3", "to": "3", "x": 0.1, "capacity": 5.0})
+
+
 BAD_DOCUMENTS = {
     "nan-price": _set(["generators", 0, "segments", 0, "price"], float("nan")),
     "inf-min": _set(["loads", 0, "segments", 0, "min"], float("-inf")),
@@ -190,6 +194,7 @@ BAD_DOCUMENTS = {
     "inf-capacity": _set(["lines", 1, "capacity"], float("inf")),
     "fractional-horizon": _set(["meta", "T"], 1.5),
     "duplicate-asset-name": _duplicate_generator_name,
+    "self-loop-line": _self_loop_line,
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -267,6 +269,14 @@ def test_islanded_network_rejected():
         loads=[Load("L", "LSE1", "3", [BidSegment(9, 0, 10)])])
     with pytest.raises(IslandedNetwork):
         build_ed_blocks(system)
+
+
+def test_self_loop_line_rejected(threebus):
+    # a line from a bus to itself carries no flow, but its incidence row
+    # would keep only the second write and limit |angle| / x instead
+    with pytest.raises(ValueError, match="connects a bus to itself"):
+        dataclasses.replace(threebus,
+                            lines=threebus.lines + [Line("3", "3", 0.1, 5.0)])
 
 
 def test_infeasible_market_names_family(threebus):

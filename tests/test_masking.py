@@ -506,15 +506,36 @@ def test_sparse_slack_cancellation_matches_dense():
                                atol=1e-9)
 
 
-def test_dense_block_reads_csr_like_slicing():
-    A = sp.random(12, 15, density=0.3, random_state=8, format="csr")
-    for r0, r1, c0, c1 in [(0, 12, 0, 15), (3, 7, 2, 9), (5, 5, 0, 4),
-                           (11, 12, 14, 15)]:
-        want = A[r0:r1, c0:c1].toarray()
-        np.testing.assert_array_equal(masking._dense_block(A, r0, r1, c0, c1),
-                                      want)
-        np.testing.assert_array_equal(
-            masking._dense_block(A.toarray(), r0, r1, c0, c1), want)
+@pytest.mark.parametrize("case", ["threebus", "hourly-14"])
+def test_eliminate_slacks_equals_dense_cancellation(case, threebus):
+    # owner by owner, S⁻¹ times the owner's row block of the slack form,
+    # with S and the row block sliced out of the assembled slack form
+    if case == "threebus":
+        blocks, config = build_ed_blocks(threebus), MaskConfig()
+    else:
+        blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
+        config = MaskConfig(hourly_block_masks=True)
+    keys = gen_keys(blocks, 2, config)
+    assert sp.issparse(keys.iso.X_l1) == (case != "threebus")
+    tlp = build_transformed_ed(masked_submissions(blocks, keys))
+    A, b = tlp.problem.A_eq, tlp.problem.b_eq
+    A = A.toarray() if sp.issparse(A) else A
+    n, bal = tlp.n_structural, tlp.row_spans["balance"][0]
+    want_A, want_b = A[:, :n].copy(), np.zeros(bal)
+    for owner, (r0, r1) in tlp.row_spans.items():
+        if owner != "balance" and r1 > r0:
+            S = A[r0:r1, slice(*tlp.var_spans[f"slack:{owner}"])]
+            want_A[r0:r1] = np.linalg.solve(S, A[r0:r1, :n])
+            want_b[r0:r1] = np.linalg.solve(S, b[r0:r1])
+
+    got = masking.eliminate_slacks(tlp)
+    dense = [M.toarray() if sp.issparse(M) else M for M in (got.A_in, got.A_eq)]
+    np.testing.assert_allclose(dense[0], want_A[:bal], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(dense[1], want_A[bal:], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(got.b_in, want_b, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(got.b_eq, np.zeros(A.shape[0] - bal))
+    np.testing.assert_array_equal(got.c, tlp.problem.c[:n])
+    assert got.sign_class == ["free"] * n
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from maskdispatch import protocol
+from maskdispatch import masking, protocol
 from maskdispatch.lp import NumericalBreakdown, SolverConfig, solve_lp
-from maskdispatch.market import gen_synthetic, regroup_entities, build_ed_blocks
+from maskdispatch.market import (
+    BidSegment, Generator, Load, MarketSystem,
+    build_ed_blocks, gen_synthetic, place_blocks, regroup_entities,
+)
 from maskdispatch.masking import MaskConfig
 from maskdispatch.protocol import (
     AGENT, ISO, Message, CommLog, ProtocolViolation,
@@ -133,6 +136,25 @@ def test_leak_scanner_catches_raw_rows(threebus):
         _scan_for_leaks([vec], private)
 
 
+@pytest.mark.parametrize("backend", ["auto", "highs"])
+def test_masked_round_clears_market_without_lines(backend):
+    # one bus, no lines: the operator's empty line-limit payloads must not
+    # match the empty private line-capacity row
+    system = MarketSystem(
+        name="one", buses=["1"], reference_bus="1", lines=[],
+        generators=[Generator("G", "GENCO1", "1", [BidSegment(5.0, 0.0, 10.0)])],
+        loads=[Load("L", "LSE1", "1", [BidSegment(9.0, 0.0, 8.0)])], horizon=2)
+    config = SolverConfig(backend=backend)
+    clear, _ = run_market_round(system, 1, mode="clear", config=config)
+    masked, _ = run_market_round(system, 1, mode="masked", config=config)
+    assert clear.objective == pytest.approx(64.0)
+    assert masked.objective == pytest.approx(clear.objective, abs=1e-6)
+    np.testing.assert_allclose(clear.lmp, 5.0, atol=1e-9)
+    np.testing.assert_allclose(masked.lmp, clear.lmp, atol=1e-6)
+    np.testing.assert_allclose(masked.gen_dispatch["GENCO1"],
+                               clear.gen_dispatch["GENCO1"], atol=1e-6)
+
+
 def test_masked_rounds_pass_leak_scan_many_seeds(threebus):
     for seed in range(12):
         _, log = run_market_round(threebus, seed, mode="masked")
@@ -182,19 +204,26 @@ def test_masked_round_solves_slack_form_only_on_simplex(threebus, monkeypatch,
                                                         backend, shape, n_eq):
     # the simplex gets the all-equality masked LP; HiGHS gets it with every
     # slack block cancelled: the clear LP's 27 rows and 11 columns, with
-    # the 3 balance rows as its only equalities
-    seen = []
+    # the 3 balance rows as its only equalities.  The agent places only
+    # the matrix it solves, so HiGHS never sees a 27 x 35 slack form built
+    seen, placed = [], []
 
     def spy(problem, config=None, **kwargs):
         seen.append(problem)
         return solve_lp(problem, config, **kwargs)
 
+    def place_spy(pieces, shape):
+        placed.append(shape)
+        return place_blocks(pieces, shape)
+
     monkeypatch.setattr(protocol, "solve_lp", spy)
+    monkeypatch.setattr(masking, "place_blocks", place_spy)
     run_market_round(threebus, 0, mode="masked",
                      config=SolverConfig(backend=backend))
     (problem,) = seen
     assert (problem.n_rows, problem.n_vars) == shape
     assert problem.A_eq.shape[0] == n_eq
+    assert placed == [shape]
 
 
 def test_invalid_mode_rejected(threebus):
