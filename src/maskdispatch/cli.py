@@ -8,10 +8,11 @@ Subcommands:
     audit    per-entity inference audit of a masked round
 
 Exit codes: 0 solved to optimality, 1 input/usage error (including an
-islanded network, an empty market or a seed that is not a non-negative
-integer), 2 infeasible, 4 round failed (numerical breakdown, key
-generation failure or protocol violation).  Every error is one
-``error:`` line on stderr.  MASKDISPATCH_SEED sets the default seed.
+islanded network, an empty market, a seed that is not a non-negative
+integer or an ``--out`` file that cannot be written), 2 infeasible,
+4 round failed (numerical breakdown, key generation failure or protocol
+violation).  Every error is one ``error:`` line on stderr.
+MASKDISPATCH_SEED sets the default seed.
 
 The JSON report is versioned with a top-level ``"schema": 1`` field;
 all numbers carry six decimals and wall-clock measurements live in
@@ -99,6 +100,23 @@ def _error(exc, code) -> int:
     return code
 
 
+def _unwritable(path, exc: OSError) -> int:
+    return _error(f"cannot write --out {path}: {exc.strerror or exc}", EXIT_INPUT)
+
+
+def _output(text, path) -> int:
+    """Write `text` to the --out file, or to stdout without one."""
+    if not path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _unwritable(path, exc)
+    return EXIT_OK
+
+
 def cmd_solve(args) -> int:
     system = load_case(args.case)
     t0 = time.perf_counter()
@@ -123,13 +141,7 @@ def cmd_solve(args) -> int:
         report["comm"] = comm_cost(log).to_json()
     report["timing"] = {"solve_seconds": elapsed}
 
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _output(json.dumps(report, indent=2) + "\n", args.out)
 
 
 def cmd_compare(args) -> int:
@@ -154,19 +166,16 @@ def cmd_compare(args) -> int:
             f"{t_clear_ms:.3f}", f"{t_masked_ms:.3f}",
             str(cost.total_up_count), str(cost.total_down_count)]))
 
-    text = "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _output("\n".join(rows) + "\n", args.out)
 
 
 def cmd_gen(args) -> int:
     system = gen_synthetic(args.buses, args.gencos, args.lses,
                            args.entity_size, args.hours, args.seed)
-    save_case(system, args.out)
+    try:
+        save_case(system, args.out)
+    except OSError as exc:
+        return _unwritable(args.out, exc)
     return EXIT_OK
 
 

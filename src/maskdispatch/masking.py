@@ -8,11 +8,14 @@ operator does the same for line-limit rows and additionally masks the
 nodal-balance rows with a square positive matrix applied on the left.
 Solving the masked LP and mapping each solution slice back through the
 owner's keys reproduces the clear-market dispatch, angles, and prices.
-The clearing agent keeps the published blocks as they arrive and builds
-only the LP its solver takes: the all-equality slack form for the bundled
-simplex or, for HiGHS, the LP with every owner's slack block cancelled
-(``eliminate_slacks``), in the clear LP's layout and with the same
-solution slices and balance duals.
+With hourly masks the operator's keys are sparse block diagonals, applied
+one hour block at a time, and the entity incidences it re-masks are
+multiplied in one sparse product; the published blocks are bit for bit
+the whole products.  The clearing agent keeps the published blocks as
+they arrive and builds only the LP its solver takes: the all-equality
+slack form for the bundled simplex or, for HiGHS, the LP with every
+owner's slack block cancelled (``eliminate_slacks``), in the clear LP's
+layout and with the same solution slices and balance duals.
 
 The module also provides the two generic single-sided transforms
 (column-wise and row-wise masking of an arbitrary partitioned LP) and a
@@ -94,6 +97,9 @@ class IsoKeys:
     R_l1: np.ndarray     # (T*L,) positive
     R_l2: np.ndarray
     X_b: np.ndarray      # (T*B, T*B) positive
+    # the masks are block diagonal over this many hour blocks (sparse when
+    # more than one); mask_iso applies them one hour block at a time
+    hours: int = 1
 
 
 @dataclass
@@ -122,6 +128,9 @@ def _condition(M):
     n = M.shape[0]
     if n == 0:
         return 1.0
+    if n == 1:
+        # what np.linalg.cond returns, without its SVD
+        return 1.0 if M[0, 0] != 0.0 else np.inf
     if n <= _EXACT_COND_DIM:
         return float(np.linalg.cond(M))
     lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
@@ -180,9 +189,10 @@ def iso_keys(rng, n_iso, TL, TB, config: MaskConfig = None,
     if config is None:
         config = MaskConfig()
     plo, phi = _POSITIVE_RANGE
-    if config.hourly_block_masks and horizon > 1:
+    hours = horizon if config.hourly_block_masks else 1
+    if hours > 1:
         def draw(size, what):
-            return _sample_hourly_mask(rng, size, horizon, plo, phi, config,
+            return _sample_hourly_mask(rng, size, hours, plo, phi, config,
                                        what, sparse_out=True)
     else:
         def draw(size, what):
@@ -194,6 +204,7 @@ def iso_keys(rng, n_iso, TL, TB, config: MaskConfig = None,
         R_l1=rng.uniform(*_DIAG_RANGE, size=TL),
         R_l2=rng.uniform(*_DIAG_RANGE, size=TL),
         X_b=draw(TB, "balance row"),
+        hours=hours,
     )
 
 
@@ -453,6 +464,73 @@ def _colscale(X, r):
     return X * r[None, :]
 
 
+def _mask_iso_hourly(blocks, keys: IsoKeys, entity_incidences: dict):
+    """The operator's masked blocks for sparse hour-block-diagonal keys.
+
+    The network blocks are block diagonal over the same hour-major
+    blocks, so each product is formed one hour at a time as a sparse key
+    block times a dense operand block.  A sparse row times a dense block
+    adds each entry's terms in the order scipy's sparse x sparse product
+    does, and exact zeros are dropped as that product drops them, so the
+    published CSR blocks hold exactly that product's values.  Nothing
+    dense spans more than one hour.
+    """
+    incidences = _mask_incidences(keys.X_b, entity_incidences)
+    T = keys.hours
+    lines = blocks.line_caps.size // T
+    buses = blocks.admittance.shape[0] // T
+    angles = blocks.n_iso // T
+    flow_rows = blocks.flow_rows.tocsr()
+
+    def hour(M, t, rows, cols):
+        return M[t * rows:(t + 1) * rows, t * cols:(t + 1) * cols]
+
+    hi, lo, bal = [], [], []
+    for t in range(T):
+        Y = hour(keys.Y_theta, t, angles, angles).toarray()
+        flow = hour(flow_rows, t, lines, angles) @ Y
+        hi.append(sp.csr_matrix(hour(keys.X_l1, t, lines, lines) @ flow))
+        lo.append(sp.csr_matrix(-(hour(keys.X_l2, t, lines, lines) @ flow)))
+        bal.append(sp.csr_matrix(hour(keys.X_b, t, buses, buses)
+                                 @ (hour(blocks.admittance, t, buses, angles) @ Y)))
+    return (sp.block_diag(hi, format="csr"), sp.block_diag(lo, format="csr"),
+            sp.block_diag(bal, format="csr"), incidences)
+
+
+def _mask_incidences(X_b, entity_incidences: dict) -> dict:
+    """owner -> ``X_b @ incidence`` as CSR, from one sparse product of X_b
+    with all owners' dense incidences stacked side by side as one CSR."""
+    owners = list(entity_incidences)
+    incs = [np.asarray(entity_incidences[o]) for o in owners]
+    edges = np.cumsum([0] + [a.shape[1] for a in incs])
+    TB, n = X_b.shape[0], edges[-1]
+    nz = [np.nonzero(a) for a in incs]
+    stacked = sp.csr_matrix(
+        (np.concatenate([a[i] for a, i in zip(incs, nz)]),
+         (np.concatenate([r for r, _ in nz]),
+          np.concatenate([c + e for (_, c), e in zip(nz, edges)]))),
+        shape=(TB, n))
+    prod = (X_b @ stacked).tocsc()
+    # regroup the entries owner by owner, each owner's rows in order and
+    # each row's columns ascending, as a CSR built from a dense block has
+    # them: a stable sort of the column-major entries by (owner, row)
+    col = np.repeat(np.arange(n), np.diff(prod.indptr))
+    owner = np.searchsorted(edges, col, side="right") - 1
+    key = owner * TB + prod.indices
+    order = np.argsort(key, kind="stable")
+    # the whole product's index dtype holds any one owner's indices
+    idx = prod.indices.dtype
+    ptr = np.zeros(len(owners) * TB + 1, dtype=idx)
+    np.cumsum(np.bincount(key, minlength=len(owners) * TB), out=ptr[1:])
+    data, cols = prod.data[order], (col - edges[owner])[order].astype(idx)
+    out = {}
+    for k, o in enumerate(owners):
+        p = ptr[k * TB:(k + 1) * TB + 1]
+        out[o] = sp.csr_matrix((data[p[0]:p[-1]], cols[p[0]:p[-1]], p - p[0]),
+                               shape=(TB, edges[k + 1] - edges[k]))
+    return out
+
+
 def mask_iso(blocks, keys: IsoKeys, entity_incidences: dict,
              entity_kinds: dict) -> EncryptedSubmission:
     """Build the grid operator's submission from network-only blocks.
@@ -460,26 +538,29 @@ def mask_iso(blocks, keys: IsoKeys, entity_incidences: dict,
     `blocks` needs only the network fields (GridBlocks or EdBlocks).
     `entity_incidences` maps each entity to its published masked
     incidence block (already column-masked by the entity itself); the
-    operator applies its balance-row mask on top.
+    operator applies its balance-row mask on top.  Sparse (hourly) keys
+    are applied hour block by hour block and to all incidences in one
+    product (`_mask_iso_hourly`); dense keys multiply each block whole.
     """
     if np.any(keys.R_l1 <= 0) or np.any(keys.R_l2 <= 0):
         raise NonPositiveDiagonal("line slack coefficients")
-    sparse_keys = sp.issparse(keys.X_b)
-    flow = blocks.flow_rows @ keys.Y_theta
-    bal_theta = keys.X_b @ (blocks.admittance @ keys.Y_theta)
-    if not sparse_keys:
-        flow = np.asarray(flow)
-        bal_theta = np.asarray(bal_theta)
+    if sp.issparse(keys.X_b):
+        flow_hi, flow_lo, bal_theta, masked = _mask_iso_hourly(
+            blocks, keys, entity_incidences)
+    else:
+        flow = np.asarray(blocks.flow_rows @ keys.Y_theta)
+        flow_hi, flow_lo = keys.X_l1 @ flow, -(keys.X_l2 @ flow)
+        bal_theta = np.asarray(keys.X_b @ (blocks.admittance @ keys.Y_theta))
+        masked = {owner: keys.X_b @ inc
+                  for owner, inc in entity_incidences.items()}
     gen = {}
     load = {}
-    for owner, inc in entity_incidences.items():
-        tgt = gen if entity_kinds[owner] == "GENCO" else load
-        masked = keys.X_b @ inc
-        tgt[owner] = sp.csr_matrix(masked) if sparse_keys else masked
+    for owner, block in masked.items():
+        (gen if entity_kinds[owner] == "GENCO" else load)[owner] = block
     return EncryptedSubmission(
         owner="ISO", kind="ISO",
-        line_flow_hi=keys.X_l1 @ flow,
-        line_flow_lo=-(keys.X_l2 @ flow),
+        line_flow_hi=flow_hi,
+        line_flow_lo=flow_lo,
         line_slack_hi=_colscale(keys.X_l1, keys.R_l1),
         line_slack_lo=_colscale(keys.X_l2, keys.R_l2),
         line_rhs_hi=keys.X_l1 @ blocks.line_caps,

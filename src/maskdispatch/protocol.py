@@ -17,6 +17,11 @@ asset, so its nonzero rows name the buses of its assets (on the shipped
 three-bus case GENCO1, GENCO2 and LSE1 map to rows 0, 1 and 2 for every
 seed).  Routing the incidences to the grid operator only is ROADMAP
 item 3.
+
+Before solving, the agent scans every submitted row for an unmasked
+private row (`_scan_for_leaks`): rows are matched by a wrapping 64-bit
+digest computed in vectorised batches, sparse payloads from their stored
+entries only, and a digest match raises only when the bytes agree too.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from maskdispatch.lp import SolverConfig, choose_backend, solve_lp
 from maskdispatch.market import (
@@ -178,44 +184,178 @@ class IsoParty:
 # the round
 # ---------------------------------------------------------------------------
 
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+_ZERO_VALUE = np.zeros(1)
+_BATCH = 1 << 16    # values digested per pass, which bounds the scan's copies
+
+
+def _canonical_csr(block):
+    """`block` as CSR storing each position at most once, with the value
+    ``toarray`` gives it."""
+    if block.format == "csr":
+        if block.has_canonical_format:
+            return block
+        a = block.copy()
+        a.sort_indices()
+        if a.has_canonical_format:
+            return a
+    # duplicates: toarray adds them to 0.0 in stored order, as add.at does
+    coo = block.tocoo()
+    n = block.shape[1]
+    pos, inv = np.unique(coo.row.astype(np.int64) * n + coo.col,
+                         return_inverse=True)
+    values = np.zeros(pos.size)
+    np.add.at(values, inv, coo.data)
+    return sp.csr_matrix((values, np.divmod(pos, n)), shape=block.shape)
+
+
+def _digests(blocks, counts, widths):
+    """A digest of every row of `blocks`, float64 arrays before sparse
+    matrices, with the given row counts and widths (see `_Rows`)."""
+    width = np.repeat(np.array(widths, dtype=np.uint64), counts)
+    values = [a.ravel() for a in blocks if type(a) is np.ndarray]
+    dense = len(values)
+    # after a leading 0.0, row r's entries end at ends[r + 1]
+    ends = np.zeros(width.size + 1, dtype=np.int64)
+    r = sum(counts[:dense])
+    np.cumsum(width[:r], out=ends[1:r + 1], dtype=np.int64)
+    first_sparse = ends[r] + 1
+    for a in blocks[dense:]:
+        a = _canonical_csr(a)
+        values.append(a.data)
+        ends[r + 1:r + 1 + a.shape[0]] = a.indptr[1:] + ends[r]
+        r += a.shape[0]
+    v = np.concatenate([_ZERO_VALUE] + values)
+    if dense < len(blocks):
+        v[first_sparse:] += 0.0
+    bits = v.view(np.uint64)
+    sums = np.cumsum(bits, out=bits)[ends]
+    return (sums[1:] - sums[:-1] + width) * _MIX
+
+
+class _Rows:
+    """The rows of labelled blocks, each with a wrapping uint64 digest.
+
+    A 1-D block is one row; a sparse block stays sparse.  A row's digest
+    is (the sum of its entries' bit patterns + its length) times an odd
+    constant, all modulo 2**64.  0.0 has the bit pattern 0, so a sparse
+    row's digest comes from its stored entries alone and equals that of
+    its dense form (``toarray`` turns a stored -0.0 into 0.0, and so does
+    the ``+= 0.0`` in `_digests`).  Equal rows have equal digests; rows
+    with other values rarely do.  Rows are digested in vectorised passes
+    over copies of about `_BATCH` values, whatever the number of blocks.
+    """
+
+    def __init__(self, labelled):
+        labels, ndims, blocks, counts, widths, sparse = [], [], [], [], [], []
+        total = 0
+        for label, block in labelled:
+            if type(block) is not np.ndarray and sp.issparse(block):
+                sparse.append((label, block))
+                continue
+            a = np.asarray(block, dtype=float)
+            rows = len(a) if a.ndim > 1 else 1
+            labels.append(label)
+            ndims.append(a.ndim)
+            blocks.append(a)
+            counts.append(rows)
+            widths.append(a.size // rows if rows else 0)
+            total += a.size
+        # sparse blocks last, the order `_digests` takes them in
+        for label, a in sparse:
+            labels.append(label)
+            ndims.append(2)
+            blocks.append(a)
+            counts.append(a.shape[0])
+            widths.append(a.shape[1])
+            total += a.nnz
+        self.labels, self.ndims = labels, ndims
+        self.blocks, self.counts = blocks, counts
+        if total < _BATCH:
+            self.digests = _digests(blocks, counts, widths)
+            return
+        digests, start, size = [], 0, 0
+        for i, a in enumerate(blocks, 1):
+            size += a.size
+            if size >= _BATCH or i == len(blocks):
+                digests.append(_digests(blocks[start:i], counts[start:i],
+                                        widths[start:i]))
+                start, size = i, 0
+        self.digests = np.concatenate(digests)
+
+    def row(self, k):
+        """(label, ndim, row k as a contiguous dense float64 array)."""
+        for i, rows in enumerate(self.counts):
+            if k < rows:
+                break
+            k -= rows
+        a = self.blocks[i]
+        if sp.issparse(a):
+            row = _canonical_csr(a)[k:k + 1].toarray()[0]
+        else:
+            row = a.reshape(rows, -1)[k]
+        return self.labels[i], self.ndims[i], np.ascontiguousarray(row)
+
+
+class _PrivateRows(_Rows):
+    """Rows no submission may carry, looked up by digest.
+
+    A bitmap over the digests' high bits, at most 1/64 full, passes a
+    payload row on to the sorted digests about once in 64 or less.
+    """
+
+    def __init__(self, labelled):
+        # an empty row holds no data; it would match any empty payload
+        super().__init__((label, block) for label, block in labelled
+                         if block.shape[-1])
+        self.order = np.argsort(self.digests)
+        self.known = self.digests[self.order]
+        bits = max(12, (64 * self.known.size).bit_length())
+        self.shift = np.uint64(64 - bits)
+        self.bitmap = np.zeros(1 << bits, dtype=bool)
+        self.bitmap[self.known >> self.shift] = True
+
+    def matches(self, digests):
+        """(k, private row indices) for each k whose digest one shares."""
+        rows = np.flatnonzero(self.bitmap[digests >> self.shift])
+        if not rows.size:
+            return []
+        lo = np.searchsorted(self.known, digests[rows], side="left")
+        hi = np.searchsorted(self.known, digests[rows], side="right")
+        return [(rows[i], self.order[lo[i]:hi[i]])
+                for i in np.flatnonzero(lo < hi)]
+
+
 def _private_row_hashes(blocks: EdBlocks):
-    rows = set()
-
-    def add(arr):
-        a = np.ascontiguousarray(np.asarray(arr, dtype=float))
-        # an empty row holds no data; its b"" would match any empty payload
-        for r in [a] if a.ndim == 1 else a:
-            if r.size:
-                rows.add(np.ascontiguousarray(r).tobytes())
-
+    """The private rows no submission may carry, for `_scan_for_leaks`:
+    every entity's constraint rows, bounds and costs, the line capacities
+    and the admittance rows."""
+    labelled = []
     for e in blocks.gencos + blocks.lses:
-        add(e.A)
-        add(e.rhs)
-        add(e.cost)
-    add(blocks.line_caps)
-    add(blocks.admittance.toarray())
-    return rows
+        labelled += [(e.owner, e.A), (e.owner, e.rhs), (e.owner, e.cost)]
+    labelled += [(ISO, blocks.line_caps), (ISO, blocks.admittance)]
+    return _PrivateRows(labelled)
 
 
 def _scan_for_leaks(messages, private_rows):
-    import scipy.sparse as sp
+    """Raise ProtocolViolation when a submitted payload row equals a
+    private row byte for byte.
 
-    for msg in messages:
-        if msg.kind != SUBMISSION:
+    Only rows whose digest (which covers the length) matches a private
+    row's are compared, so the scan costs about one vectorised pass over
+    the submitted values and never densifies a sparse payload."""
+    sent = _Rows(((msg.sender, name), arr) for msg in messages
+                 if msg.kind == SUBMISSION for name, arr in msg.payload.items())
+    for k, candidates in private_rows.matches(sent.digests):
+        (sender, name), ndim, row = sent.row(k)
+        if not any(private_rows.row(j)[2].tobytes() == row.tobytes()
+                   for j in candidates):
             continue
-        for name, arr in msg.payload.items():
-            if sp.issparse(arr):
-                arr = arr.toarray()
-            a = np.ascontiguousarray(np.asarray(arr, dtype=float))
-            if a.ndim == 1:
-                if a.tobytes() in private_rows:
-                    raise ProtocolViolation(
-                        f"payload {name!r} of {msg.sender} matches private data")
-            else:
-                for r in a:
-                    if np.ascontiguousarray(r).tobytes() in private_rows:
-                        raise ProtocolViolation(
-                            f"payload {name!r} of {msg.sender} contains a private row")
+        if ndim == 1:
+            raise ProtocolViolation(
+                f"payload {name!r} of {sender} matches private data")
+        raise ProtocolViolation(
+            f"payload {name!r} of {sender} contains a private row")
 
 
 def run_market_round(system: MarketSystem, seed: int, mode: str = "masked",

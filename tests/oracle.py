@@ -7,6 +7,9 @@ it can certify solver results and optimum uniqueness.
 
 `assemble_ed_lp_scalar` builds the dispatch LP constraint by constraint
 from the bid data, independently of the block assembler it cross-checks.
+
+`plain_iso_products` forms the grid operator's masked blocks as whole
+products of its keys, the reference for `masking.mask_iso`.
 """
 
 from itertools import combinations
@@ -191,3 +194,18 @@ def assemble_ed_lp_scalar(system: MarketSystem):
                      A_eq=np.array(A_eq_rows), b_eq=np.zeros(T * B),
                      A_in=np.array(A_in_rows), b_in=np.array(b_in),
                      sign_class=[FREE] * n)
+
+
+def plain_iso_products(blocks, keys, entity_incidences):
+    """Name -> the operator's masked block, each a whole product: scipy
+    sparse x sparse for sparse (hourly) keys, ``K @ M`` for dense ones."""
+    if sp.issparse(keys.X_b):
+        incs = {o: sp.csr_matrix(a) for o, a in entity_incidences.items()}
+    else:
+        incs = dict(entity_incidences)
+    flow = blocks.flow_rows @ keys.Y_theta
+    out = {"line_flow_hi": keys.X_l1 @ flow,
+           "line_flow_lo": -(keys.X_l2 @ flow),
+           "balance_theta": keys.X_b @ (blocks.admittance @ keys.Y_theta)}
+    out.update({f"balance:{o}": keys.X_b @ a for o, a in incs.items()})
+    return out

@@ -268,6 +268,17 @@ def test_usage_errors_exit_1(monkeypatch, capsys, argv, env_seed):
     _assert_one_error_line(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--buses", "3", "--gencos", "2", "--lses", "1"],
+    ["solve", THREEBUS],
+    ["compare", THREEBUS, "--seeds", "1"],
+], ids=["gen", "solve", "compare"])
+def test_unwritable_out_is_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "no" / "such" / "dir" / "out.txt"
+    assert main(argv + ["--out", str(out)]) == 1
+    _assert_one_error_line(capsys.readouterr().err)
+
+
 def test_unbounded_masked_status_exits_4(tmp_path, capsys, monkeypatch):
     # the bundled simplex misreports this badly scaled masked LP as
     # unbounded; a dispatch LP is bounded, so that is a failed round

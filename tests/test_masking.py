@@ -11,6 +11,7 @@ from maskdispatch.market import (
     build_ed_blocks, assemble_ed_lp, gen_synthetic,
 )
 from maskdispatch import masking
+from oracle import plain_iso_products
 from maskdispatch.masking import (
     MaskConfig, MaskKeys, EncryptedSubmission,
     gen_keys, vertical_mask_generic, horizontal_mask_generic,
@@ -415,6 +416,50 @@ def test_hourly_block_masks_preserve_equivalence():
     assert sol.objective == pytest.approx(ref.objective, rel=1e-6)
     x = _recovered_point(blocks, keys, sol, tlp)
     assert check_point(assemble_ed_lp(blocks)[0], x, 1e-6).feasible
+
+
+@pytest.mark.parametrize("case", ["hourly-14", "threebus"])
+def test_mask_iso_equals_plain_products(case, threebus):
+    # hourly keys take the per-hour and stacked-incidence products, full
+    # keys the per-entity ones; both must publish the whole products' values
+    if case == "threebus":
+        system, config = threebus, MaskConfig()
+    else:
+        system = gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2)
+        config = MaskConfig(hourly_block_masks=True)
+    blocks = build_ed_blocks(system)
+    for seed in range(3):
+        keys = gen_keys(blocks, seed, config)
+        assert sp.issparse(keys.iso.X_b) == (case != "threebus")
+        subs = masked_submissions(blocks, keys)
+        iso = subs[-1]
+        ref = plain_iso_products(blocks.network_only(), keys.iso,
+                                 {s.owner: s.masked_incidence for s in subs[:-1]})
+        got = {"line_flow_hi": iso.line_flow_hi, "line_flow_lo": iso.line_flow_lo,
+               "balance_theta": iso.balance_theta}
+        got.update({f"balance:{o}": b for o, b in
+                    {**iso.balance_gen, **iso.balance_load}.items()})
+        assert got.keys() == ref.keys()
+        for name, want in ref.items():
+            have = got[name]
+            assert sp.issparse(have) == sp.issparse(want), name
+            if sp.issparse(want):
+                # published in canonical CSR form, as built from the dense block
+                want = sp.csr_matrix(want.toarray())
+                for a in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(have, a), getattr(want, a)), name
+            else:
+                assert np.array_equal(have, want), name
+
+
+def test_condition_matches_numpy_cond():
+    rng = np.random.default_rng(12)
+    for n in (1, 2, 5):
+        for _ in range(20):
+            M = rng.uniform(-1.0, 1.0, size=(n, n))
+            assert masking._condition(M) == np.linalg.cond(M)
+    for M in (np.zeros((1, 1)), np.array([[-0.0]]), np.array([[1e-300]])):
+        assert masking._condition(M) == np.linalg.cond(M)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

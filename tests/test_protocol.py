@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from maskdispatch import masking, protocol
 from maskdispatch.lp import NumericalBreakdown, SolverConfig, solve_lp
@@ -134,6 +135,51 @@ def test_leak_scanner_catches_raw_rows(threebus):
                         {"oops": blocks.gencos[0].rhs.copy()})
     with pytest.raises(ProtocolViolation):
         _scan_for_leaks([vec], private)
+
+
+def _submission(payload):
+    return Message.build("GENCO1", AGENT, "Submission", payload)
+
+
+def test_leak_scanner_catches_private_rows_in_sparse_payloads(threebus):
+    blocks = build_ed_blocks(threebus)
+    private = _private_row_hashes(blocks)
+    rng = np.random.default_rng(3)
+    # an entity's constraint row planted among masked-looking rows
+    A = blocks.gencos[0].A
+    planted = rng.uniform(0.1, 1.0, size=(5, A.shape[1]))
+    planted[2] = A[1]
+    with pytest.raises(ProtocolViolation, match="contains a private row"):
+        _scan_for_leaks([_submission({"oops": sp.csr_matrix(planted)})], private)
+    # an admittance row in a payload as wide as the angle columns
+    adm = blocks.admittance.toarray()
+    planted = rng.uniform(0.1, 1.0, size=(4, blocks.n_iso))
+    planted[3] = adm[0]
+    with pytest.raises(ProtocolViolation, match="contains a private row"):
+        _scan_for_leaks([_submission({"oops": sp.csr_matrix(planted)})], private)
+    # stored explicit zeros, one of them -0.0 (which toarray makes 0.0),
+    # leave the row's dense form a private row
+    row = A[0]
+    cols = np.arange(row.size)
+    data = row.copy()
+    data[np.flatnonzero(row == 0.0)[0]] = -0.0
+    stored = sp.csr_matrix((data, cols, [0, row.size]), shape=(1, row.size))
+    assert stored.nnz == row.size and np.signbit(stored.data[row == 0.0]).sum() == 1
+    with pytest.raises(ProtocolViolation):
+        _scan_for_leaks([_submission({"oops": stored})], private)
+    # duplicate entries, which toarray adds up, spelling out a private row
+    dup = sp.csr_matrix((np.concatenate([row, row]), np.concatenate([cols, cols]),
+                         [0, 2 * row.size]), shape=(1, row.size)) * 0.5
+    with pytest.raises(ProtocolViolation):
+        _scan_for_leaks([_submission({"oops": dup})], private)
+
+
+def test_leak_scanner_passes_a_clean_grid118_round():
+    system = gen_synthetic(118, 54, 91, 1, 2, seed=7, segments=1)
+    _, log = run_market_round(system, 1000, mode="masked",
+                              config=SolverConfig(highs_method="highs-ipm"),
+                              mask_config=MaskConfig(hourly_block_masks=True))
+    _scan_for_leaks(log.messages, _private_row_hashes(build_ed_blocks(system)))
 
 
 @pytest.mark.parametrize("backend", ["auto", "highs"])

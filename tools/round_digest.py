@@ -1,0 +1,116 @@
+"""Print one SHA-256 per case over everything a masked round produces.
+
+Each digest covers, for every round of the case: the objective, the
+recovered dispatch, LMPs, angles and flows, the iteration count of every
+LP solve, and every logged message's sender, receiver, byte size and
+payload (each block's type, shape, dtype and values; for a sparse block
+its CSR data, indices and indptr as stored).  Two source trees that print
+the same lines produce bit-identical rounds on these cases.
+
+    python3 tools/round_digest.py                 # this checkout's src/
+    python3 tools/round_digest.py --root OTHER    # OTHER/src, e.g. a parent checkout
+"""
+
+import argparse
+import hashlib
+import os
+import sys
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# name -> (case, solver settings, mask settings, mask seeds)
+CASES = {
+    "threebus-auto": (None, {}, {}, range(30)),
+    "threebus-highs": (None, {"backend": "highs"}, {}, range(10)),
+    "grid118-2h": ({"buses": 118, "gencos": 54, "lses": 91, "entity_size": 1,
+                    "T": 2, "seed": 7, "segments": 1},
+                   {"highs_method": "highs-ipm"}, {"hourly_block_masks": True},
+                   range(1000, 1010)),
+    "pooled30-4h": ({"buses": 30, "gencos": 2, "lses": 2, "entity_size": 5,
+                     "T": 4, "seed": 1, "segments": 3}, {}, {}, (44, 73, 5)),
+    "hourly14-3h": ({"buses": 14, "gencos": 5, "lses": 5, "entity_size": 1,
+                     "T": 3, "seed": 3, "segments": 2}, {},
+                    {"hourly_block_masks": True}, range(3)),
+}
+
+
+def feed(h, value):
+    """Hash a block with its type, so equal values of another type differ."""
+    import numpy as np
+    import scipy.sparse as sp
+
+    h.update(type(value).__name__.encode())
+    if sp.issparse(value):
+        m = value.tocsr() if value.format != "csr" else value
+        h.update(repr(m.shape).encode())
+        for a in (m.data, m.indices, m.indptr):
+            h.update(a.dtype.str.encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        return
+    a = np.asarray(value)
+    h.update(f"{a.dtype.str}{a.shape}".encode())
+    h.update(np.ascontiguousarray(a).tobytes())
+
+
+def digest(name, run_market_round, iterations):
+    from maskdispatch import MaskConfig, SolverConfig, gen_synthetic, load_case
+
+    case, solver, mask, seeds = CASES[name]
+    if case is None:
+        import maskdispatch
+        system = load_case(os.path.join(os.path.dirname(maskdispatch.__file__),
+                                        "cases", "threebus.case"))
+    else:
+        system = gen_synthetic(**case)
+    h = hashlib.sha256()
+    for seed in seeds:
+        iterations.clear()
+        cleared, log = run_market_round(system, seed, mode="masked",
+                                        config=SolverConfig(**solver),
+                                        mask_config=MaskConfig(**mask))
+        h.update(f"seed {seed} objective {cleared.objective!r} "
+                 f"iterations {iterations}".encode())
+        for d in (cleared.gen_dispatch, cleared.load_dispatch):
+            for owner, x in d.items():
+                h.update(owner.encode())
+                feed(h, x)
+        for a in (cleared.lmp, cleared.angles, cleared.flows):
+            feed(h, a)
+        for m in log.messages:
+            h.update(f"{m.sender}>{m.receiver} {m.kind} {m.byte_size}".encode())
+            for key, value in m.payload.items():
+                h.update(key.encode())
+                feed(h, value)
+    return h.hexdigest()
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--root", default=HERE,
+                    help="repository whose src/ is imported (default: this one)")
+    ap.add_argument("cases", nargs="*", default=list(CASES),
+                    help=f"cases to run (default: all of {', '.join(CASES)})")
+    args = ap.parse_args()
+    unknown = sorted(set(args.cases) - set(CASES))
+    if unknown:
+        ap.error(f"unknown case(s): {', '.join(unknown)}")
+    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
+    from maskdispatch import protocol
+
+    iterations = []
+    solve_lp = protocol.solve_lp
+
+    def counted(*a, **k):
+        sol = solve_lp(*a, **k)
+        iterations.append(sol.iterations)
+        return sol
+
+    protocol.solve_lp = counted
+    for name in args.cases:
+        print(name, digest(name, protocol.run_market_round, iterations), flush=True)
+
+
+if __name__ == "__main__":
+    main()
