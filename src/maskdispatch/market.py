@@ -324,19 +324,22 @@ def _entity_blocks(system, owner, assets, kind):
                     rows.append(r)
                     rhs.append(dn)
 
-    cost = np.zeros(n)
-    inc = sp.lil_matrix((T * B, n))
-    for t in range(T):
-        for a_i, a in enumerate(assets):
-            for k, seg in enumerate(a.segments):
-                j = col[(t, a_i, k)]
-                cost[j] = seg.price
-                inc[t * B + bus_idx[a.bus], j] = 1.0
+    # columns run in the order col assigns them: hour, asset, segment
+    cost = np.array([seg.price for _ in range(T) for a in assets
+                     for seg in a.segments], dtype=float).reshape(n)
+    # one 1.0 per column, at its asset's bus-hour row, stored row by row
+    # with ascending columns as a lil_matrix would give it
+    bus_rows = np.array([t * B + bus_idx[a.bus] for t in range(T)
+                         for a in assets for _ in a.segments], dtype=np.int32)
+    indptr = np.zeros(T * B + 1, dtype=np.int32)
+    np.cumsum(np.bincount(bus_rows, minlength=T * B), out=indptr[1:])
+    inc = sp.csr_matrix((np.ones(n), np.argsort(bus_rows, kind="stable")
+                         .astype(np.int32), indptr), shape=(T * B, n))
 
     return EntityBlocks(owner=owner, kind=kind, cost=cost,
                         A=np.array(rows, dtype=float).reshape(len(rows), n),
                         rhs=np.array(rhs, dtype=float),
-                        incidence=inc.tocsr(), var_names=names)
+                        incidence=inc, var_names=names)
 
 
 def build_ed_blocks(system: MarketSystem) -> EdBlocks:
@@ -358,19 +361,22 @@ def build_ed_blocks(system: MarketSystem) -> EdBlocks:
     lses = [_entity_blocks(system, d, system.loads_of(d), "LSE")
             for d in system.lses]
 
-    weights = np.zeros(T * L)
-    KL = sp.lil_matrix((T * L, n_iso))
-    caps = np.zeros(T * L)
+    weights = np.tile([1.0 / ln.x for ln in system.lines], T)
+    caps = np.tile([float(ln.capacity) for ln in system.lines], T)
+    # per line-hour row, +1 at the from bus's angle column and -1 at the to
+    # bus's, columns ascending as a lil_matrix would store them
+    kl_cols, kl_vals, kl_ptr = [], [], [0]
     for t in range(T):
-        for l_i, ln in enumerate(system.lines):
-            r = t * L + l_i
-            weights[r] = 1.0 / ln.x
-            caps[r] = ln.capacity
-            a, b = bus_idx[ln.from_bus], bus_idx[ln.to_bus]
-            if a != ref:
-                KL[r, t * (B - 1) + ang_col_of[a]] = 1.0
-            if b != ref:
-                KL[r, t * (B - 1) + ang_col_of[b]] = -1.0
+        for ln in system.lines:
+            ends = sorted((t * (B - 1) + ang_col_of[bus_idx[bus]], sign)
+                          for bus, sign in ((ln.from_bus, 1.0), (ln.to_bus, -1.0))
+                          if bus_idx[bus] != ref)
+            kl_cols += [c for c, _ in ends]
+            kl_vals += [v for _, v in ends]
+            kl_ptr.append(len(kl_cols))
+    KL = sp.csr_matrix((np.array(kl_vals, dtype=float),
+                        np.array(kl_cols, dtype=np.int32),
+                        np.array(kl_ptr, dtype=np.int32)), shape=(T * L, n_iso))
 
     Bfull = np.zeros((B, B))
     for ln in system.lines:
@@ -384,7 +390,7 @@ def build_ed_blocks(system: MarketSystem) -> EdBlocks:
     admittance = sp.block_diag([sp.csr_matrix(Bred)] * T, format="csr")
 
     return EdBlocks(system=system, gencos=gencos, lses=lses,
-                    susceptance=weights, incidence_lines=KL.tocsr(),
+                    susceptance=weights, incidence_lines=KL,
                     admittance=admittance, line_caps=caps)
 
 

@@ -14,8 +14,12 @@ multiplied in one sparse product; the published blocks are bit for bit
 the whole products.  The clearing agent keeps the published blocks as
 they arrive and builds only the LP its solver takes: the all-equality
 slack form for the bundled simplex or, for HiGHS, the LP with every
-owner's slack block cancelled (``eliminate_slacks``), in the clear LP's
-layout and with the same solution slices and balance duals.
+owner's slack block cancelled (``eliminate_slacks``) and the free angle
+columns substituted out through the masked balance rows
+(``eliminate_angles``, the shift-factor form over the entity columns,
+with one balance equality per hour).  Its solution is mapped back to the
+masked angles and balance duals before recovery, so the solution slices
+and the messages are those of the clear LP's layout.
 
 The module also provides the two generic single-sided transforms
 (column-wise and row-wise masking of an arbitrary partitioned LP) and a
@@ -25,6 +29,7 @@ published blocks.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 
@@ -459,8 +464,12 @@ def mask_entity(entity_blocks, keys: EntityKeys) -> EncryptedSubmission:
 
 
 def _colscale(X, r):
+    """``X·diag(r)``; a sparse result is published in canonical CSR (each
+    row's column indices ascending), so the leak scan need not sort it."""
     if sp.issparse(X):
-        return (X @ sp.diags(r)).tocsr()
+        out = (X @ sp.diags(r)).tocsr()
+        out.sum_duplicates()
+        return out
     return X * r[None, :]
 
 
@@ -570,7 +579,11 @@ def mask_iso(blocks, keys: IsoKeys, entity_incidences: dict,
 
 
 def verify_masked(submission: EncryptedSubmission, entity_blocks) -> bool:
-    """True when no published block equals its unmasked source."""
+    """True when no published block equals its unmasked source.
+
+    A raw block with no nonzero entry is skipped: every mask maps it to
+    zero, so equality with it says nothing about the mask.
+    """
     pairs = [
         (submission.masked_cost, entity_blocks.cost),
         (submission.masked_constraints, entity_blocks.A),
@@ -578,7 +591,8 @@ def verify_masked(submission: EncryptedSubmission, entity_blocks) -> bool:
         (submission.masked_slack, np.eye(entity_blocks.m)),
     ]
     for masked, raw in pairs:
-        if masked.shape == raw.shape and np.array_equal(masked, raw):
+        if masked.shape == raw.shape and np.array_equal(masked, raw) \
+                and np.any(raw):
             return False
     return True
 
@@ -592,7 +606,8 @@ class TransformedLp:
     ``col``: the entities, then the operator's upper and lower line limits.
     `balance` holds the ``(col, block)`` pieces of the balance rows (zero
     right-hand side), `c` the structural costs.  Only the form a solver
-    asks for is assembled: `problem` (the slack form) or `eliminate_slacks`.
+    asks for is assembled: `problem` (the slack form), `eliminate_slacks`
+    or `eliminate_angles`.
     """
 
     groups: list
@@ -692,6 +707,25 @@ def _cancel_slack(S, C, b):
     return out[:, :-1], out[:, -1]
 
 
+def _cancelled_groups(tlp: TransformedLp):
+    """``[(owner, row offset, column, S⁻¹C)]`` for every nonempty row
+    group of `tlp`, and ``S⁻¹b`` over all of them (see `eliminate_slacks`)."""
+    # the operator's groups take the sparse kernel exactly when the slack
+    # form would be placed as CSR, whatever form its keys published them in
+    sparse = tlp.n_rows * tlp.n_vars > _DENSE_CELL_LIMIT
+    groups, b_in = [], np.zeros(tlp.row_spans["balance"][0])
+    for owner, col, C, S, b in tlp.groups:
+        r0, r1 = tlp.row_spans[owner]
+        if r0 == r1:
+            continue
+        if owner in ("line_hi", "line_lo"):
+            S, C = (sp.csr_matrix(m) if sparse else
+                    m.toarray() if sp.issparse(m) else m for m in (S, C))
+        C, b_in[r0:r1] = _cancel_slack(S, C, b)
+        groups.append((owner, r0, col, C))
+    return groups, b_in
+
+
 def eliminate_slacks(tlp: TransformedLp) -> LpProblem:
     """The masked LP with every owner's slack block cancelled.
 
@@ -709,30 +743,142 @@ def eliminate_slacks(tlp: TransformedLp) -> LpProblem:
 
     Only published data is read, so the clearing agent can compute this
     itself; it learns nothing it could not already derive.  This is the
-    row-mask cancellation of ROADMAP item 3(a).  It relies on each
+    row-mask cancellation of ROADMAP item 4(a).  It relies on each
     owner's slack block being invertible (a condition-gated ``X`` times
-    a positive diagonal); a mitigation of item 3(a) that changes that
+    a positive diagonal); a mitigation of item 4(a) that changes that
     must revisit it.
     """
     bal, n = tlp.row_spans["balance"][0], tlp.n_structural
-    # the operator's groups take the sparse kernel exactly when the slack
-    # form would be placed as CSR, whatever form its keys published them in
-    sparse = tlp.n_rows * tlp.n_vars > _DENSE_CELL_LIMIT
+    groups, b_in = _cancelled_groups(tlp)
     pieces = [(bal, col, block) for col, block in tlp.balance]
-    b_in = np.zeros(bal)
-    for owner, col, C, S, b in tlp.groups:
-        r0, r1 = tlp.row_spans[owner]
-        if r0 == r1:
-            continue
-        if owner in ("line_hi", "line_lo"):
-            S, C = (sp.csr_matrix(m) if sparse else
-                    m.toarray() if sp.issparse(m) else m for m in (S, C))
-        C, b_in[r0:r1] = _cancel_slack(S, C, b)
-        pieces.append((r0, col, C))
+    pieces += [(r0, col, C) for _, r0, col, C in groups]
     A = place_blocks(pieces, (tlp.n_rows, n))
     return LpProblem(sense="max", c=tlp.c, A_eq=A[bal:],
                      b_eq=np.zeros(tlp.n_rows - bal), A_in=A[:bal], b_in=b_in,
                      sign_class=[FREE] * n)
+
+
+def _triplets(rows, cols, block):
+    """COO triplets of a dense `block` sitting at `rows` x `cols`."""
+    return (np.repeat(rows, cols.size), np.tile(cols, rows.size), block.ravel())
+
+
+def _coo_csr(triplets, shape):
+    """CSR from (rows, cols, values) triplets; repeated positions are added."""
+    r, c, v = (np.concatenate(t) for t in zip(*triplets))
+    return sp.csr_matrix((v, (r, c)), shape=shape)
+
+
+@dataclass
+class AngleElimination:
+    """The masked LP over the entity columns only, and the way back.
+
+    `problem` is what `eliminate_angles` hands the solver.  `restore` maps
+    its optimal solution to the layout of ``eliminate_slacks(tlp)``: the
+    masked angles ``θ' = P·z`` after the entity columns ``z``, and the
+    masked balance duals in place of the reduced LP's equality duals.
+    `components` holds ``(rows, cols, zcols, Q, R, P)`` per connected
+    component of the balance block's pattern; `L` is the cancelled
+    line-limit block over the angle columns, at rows `lines` of
+    ``problem.A_in``.
+    """
+
+    problem: LpProblem
+    components: list
+    L: sp.csr_matrix
+    lines: slice
+    n_balance: int
+
+    def restore(self, sol):
+        """`sol` with ``x`` and ``duals_eq`` in the angle-carrying layout;
+        a non-optimal `sol` is returned as it is."""
+        if sol.x is None:
+            return sol
+        z = sol.x
+        theta = np.zeros(self.L.shape[1])
+        lam = np.zeros(self.n_balance)
+        # dual feasibility of the eliminated columns, Bθᵀλ + Lθᵀμ = 0
+        g = self.L.T @ sol.duals_in[self.lines]
+        e = 0
+        for rows, cols, zcols, Q, R, P in self.components:
+            theta[cols] = P @ z[zcols]
+            nu = sol.duals_eq[e:e + rows.size - cols.size]
+            e += nu.size
+            lam[rows] = Q @ np.concatenate(
+                [-scipy.linalg.solve_triangular(R, g[cols], trans="T"), nu])
+        return dataclasses.replace(sol, x=np.concatenate([z, theta]),
+                                   duals_eq=lam)
+
+
+def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
+    """The masked LP with every slack block cancelled and the free angle
+    columns substituted out: the shift-factor (PTDF) form of the dispatch,
+    computed on masked data.
+
+    The slack blocks are cancelled as in `eliminate_slacks`.  The masked
+    balance rows then read ``Bz·z + Bθ·θ' = 0``, with ``Bθ = -X_b·B·Y_θ``
+    and ``Bz`` the entities' published balance blocks.  `Bθ` is split
+    into the connected components of its published pattern (one per hour
+    under hourly keys, one under dense keys).  For each, a full QR
+    ``Bθ = [Q1 Q2]·[R; 0]`` turns the rows into ``θ' = P·z`` with
+    ``P = -R⁻¹·Q1ᵀ·Bz`` and the equalities ``Q2ᵀ·Bz·z = 0`` (one per hour
+    for a connected network).  The line-limit rows ``Lθ·θ' <= b`` become
+    ``Lθ·P·z <= b``; the entity rows are unchanged.  Each component is
+    built densely over its own rows and columns only, and the LP is
+    placed once.
+
+    Only published data is read, as in `eliminate_slacks`, and with the
+    same caveat: it relies on invertible slack blocks and on each
+    component of ``Bθ`` having full column rank (a connected network, a
+    condition-gated ``X_b`` and ``Y_θ``).
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    bal = tlp.row_spans["balance"][0]
+    nz, n = tlp.var_spans["theta"]
+    n_iso, TB = n - nz, tlp.n_rows - bal
+    groups, b_in = _cancelled_groups(tlp)
+    pieces = [(r0, col, C) for owner, r0, col, C in groups
+              if owner not in ("line_hi", "line_lo")]
+    l0, l1 = tlp.row_spans["line_hi"][0], tlp.row_spans["line_lo"][1]
+    L = sp.vstack([sp.csr_matrix(C) for owner, _, _, C in groups
+                   if owner in ("line_hi", "line_lo")]
+                  or [sp.csr_matrix((0, n_iso))], format="csr")
+    Lc = L.tocsc()
+    (_, theta_block), *entity_blocks = tlp.balance
+    Bt = sp.csr_matrix(theta_block)
+    Bz = sp.hstack([sp.csr_matrix(b) for _, b in entity_blocks], format="csr")
+
+    pattern = sp.csr_matrix((np.ones(Bt.nnz), Bt.indices, Bt.indptr),
+                            shape=Bt.shape)
+    _, labels = connected_components(sp.bmat([[None, pattern],
+                                              [pattern.T, None]]),
+                                     directed=False)
+    row_label, col_label = labels[:TB], labels[TB:]
+    components, line_parts, eq_parts, e = [], [], [], 0
+    for k in np.unique(labels):
+        rows, cols = np.flatnonzero(row_label == k), np.flatnonzero(col_label == k)
+        sub = Bz[rows]
+        zcols = np.unique(sub.indices)
+        Bz_k = sub[:, zcols].toarray()
+        Q, R = np.linalg.qr(Bt[rows][:, cols].toarray(), mode="complete")
+        R = R[:cols.size]
+        P = -scipy.linalg.solve_triangular(R, Q[:, :cols.size].T @ Bz_k)
+        eq = Q[:, cols.size:].T @ Bz_k
+        eq_parts.append(_triplets(e + np.arange(eq.shape[0]), zcols, eq))
+        e += eq.shape[0]
+        Lk = Lc[:, cols]
+        lrows = np.unique(Lk.indices)
+        line_parts.append(_triplets(lrows, zcols, Lk[lrows].toarray() @ P))
+        components.append((rows, cols, zcols, Q, R, P))
+    pieces += [(l0, 0, _coo_csr(line_parts, (l1 - l0, nz))),
+               (bal, 0, _coo_csr(eq_parts, (e, nz)))]
+    A = place_blocks(pieces, (bal + e, nz))
+    problem = LpProblem(sense="max", c=tlp.c[:nz], A_eq=A[bal:],
+                        b_eq=np.zeros(e), A_in=A[:bal], b_in=b_in,
+                        sign_class=[FREE] * nz)
+    return AngleElimination(problem=problem, components=components, L=L,
+                            lines=slice(l0, l1), n_balance=TB)
 
 
 def recover_primal(keys: MaskKeys, solution, tlp: TransformedLp) -> dict:

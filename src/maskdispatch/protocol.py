@@ -16,12 +16,20 @@ hide locations: its zero rows are the bus-hours where the entity has no
 asset, so its nonzero rows name the buses of its assets (on the shipped
 three-bus case GENCO1, GENCO2 and LSE1 map to rows 0, 1 and 2 for every
 seed).  Routing the incidences to the grid operator only is ROADMAP
-item 3.
+item 4.
 
 Before solving, the agent scans every submitted row for an unmasked
 private row (`_scan_for_leaks`): rows are matched by a wrapping 64-bit
 digest computed in vectorised batches, sparse payloads from their stored
 entries only, and a digest match raises only when the bytes agree too.
+Private rows without a nonzero entry are not scanned for: every mask maps
+them to zero, so zero entries stay visible under masking.
+
+An LP the router sends to HiGHS is solved in its shift-factor form: the
+agent cancels every owner's slack block and substitutes the masked angles
+out (`masking.eliminate_angles`), solves once, and maps the solution back
+to masked angles and balance duals before any slice is sent.  The
+simplex takes the all-equality slack form.
 """
 
 from __future__ import annotations
@@ -185,6 +193,7 @@ class IsoParty:
 # ---------------------------------------------------------------------------
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
+_SIGN_BIT = np.uint64(1 << 63)
 _ZERO_VALUE = np.zeros(1)
 _BATCH = 1 << 16    # values digested per pass, which bounds the scan's copies
 
@@ -270,7 +279,7 @@ class _Rows:
             widths.append(a.shape[1])
             total += a.nnz
         self.labels, self.ndims = labels, ndims
-        self.blocks, self.counts = blocks, counts
+        self.blocks, self.counts, self.widths = blocks, counts, widths
         if total < _BATCH:
             self.digests = _digests(blocks, counts, widths)
             return
@@ -305,10 +314,18 @@ class _PrivateRows(_Rows):
     """
 
     def __init__(self, labelled):
-        # an empty row holds no data; it would match any empty payload
-        super().__init__((label, block) for label, block in labelled
-                         if block.shape[-1])
+        super().__init__(labelled)
+        # a row with no nonzero entry holds no data: every mask maps it to
+        # zero, and an empty one would match any empty payload.  A row of
+        # k entries -0.0 and w - k entries 0.0 digests as
+        # (w + k * 2**63) * _MIX, so only those digests are checked
+        width = np.repeat(np.array(self.widths, dtype=np.uint64), self.counts)
+        maybe = ((self.digests == width * _MIX)
+                 | (self.digests == (width + _SIGN_BIT) * _MIX))
+        zero = [k for k in np.flatnonzero(maybe) if not self.row(k)[2].any()]
         self.order = np.argsort(self.digests)
+        if zero:
+            self.order = self.order[~np.isin(self.order, zero)]
         self.known = self.digests[self.order]
         bits = max(12, (64 * self.known.size).bit_length())
         self.shift = np.uint64(64 - bits)
@@ -436,12 +453,14 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
     # routed on its size before anything is assembled.  No presolve: masking
     # leaves it no singleton, doubleton or dependent row to remove
     if choose_backend(tlp, config) == "highs":
-        # the agent cancels each owner's published slack block, leaving an
-        # LP in the clear layout whose only equalities are the balance rows;
-        # it stays on HiGHS however small that LP is
-        sol = solve_lp(masking.eliminate_slacks(tlp),
-                       dataclasses.replace(config, backend="highs"),
-                       presolve=False)
+        # the agent cancels each owner's published slack block and
+        # substitutes the angles out, leaving an LP over the entity columns
+        # with one equality per hour; it stays on HiGHS however small that
+        # LP is, and its solution is mapped back to angles and balance duals
+        reduced = masking.eliminate_angles(tlp)
+        sol = reduced.restore(solve_lp(
+            reduced.problem, dataclasses.replace(config, backend="highs"),
+            presolve=False))
         balance_rows = slice(None)
     else:
         sol = solve_lp(tlp.problem, config, presolve=False)

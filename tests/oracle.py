@@ -10,6 +10,9 @@ from the bid data, independently of the block assembler it cross-checks.
 
 `plain_iso_products` forms the grid operator's masked blocks as whole
 products of its keys, the reference for `masking.mask_iso`.
+
+`lil_incidences` builds the entity and line incidences entry by entry in
+a `lil_matrix`, the reference for `market.build_ed_blocks`.
 """
 
 from itertools import combinations
@@ -209,3 +212,32 @@ def plain_iso_products(blocks, keys, entity_incidences):
            "balance_theta": keys.X_b @ (blocks.admittance @ keys.Y_theta)}
     out.update({f"balance:{o}": keys.X_b @ a for o, a in incs.items()})
     return out
+
+
+def lil_incidences(system: MarketSystem):
+    """(owner -> entity incidence, line incidence KL), each set entry by
+    entry in a ``lil_matrix`` and converted to CSR."""
+    T, B, L = system.horizon, system.n_buses, system.n_lines
+    bus = {b: i for i, b in enumerate(system.buses)}
+    ref = bus[system.reference_bus]
+    angle = {i: j for j, i in enumerate(i for i in range(B) if i != ref)}
+    out = {}
+    for owner in system.gencos + system.lses:
+        assets = (system.units_of(owner) if owner in system.gencos
+                  else system.loads_of(owner))
+        n = T * sum(len(a.segments) for a in assets)
+        inc, j = sp.lil_matrix((T * B, n)), 0
+        for t in range(T):
+            for a in assets:
+                for _ in a.segments:
+                    inc[t * B + bus[a.bus], j] = 1.0
+                    j += 1
+        out[owner] = inc.tocsr()
+    KL = sp.lil_matrix((T * L, T * (B - 1)))
+    for t in range(T):
+        for l_i, ln in enumerate(system.lines):
+            if bus[ln.from_bus] != ref:
+                KL[t * L + l_i, t * (B - 1) + angle[bus[ln.from_bus]]] = 1.0
+            if bus[ln.to_bus] != ref:
+                KL[t * L + l_i, t * (B - 1) + angle[bus[ln.to_bus]]] = -1.0
+    return out, KL.tocsr()

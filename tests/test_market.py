@@ -11,7 +11,7 @@ from maskdispatch.market import (
     regroup_entities, extract_cleared,
     IslandedNetwork, EmptyMarket, InvalidCounts, ClearingFailed,
 )
-from oracle import assemble_ed_lp_scalar
+from oracle import assemble_ed_lp_scalar, lil_incidences
 
 
 def test_threebus_blocks_shape(threebus):
@@ -298,3 +298,30 @@ def test_zero_point_violates_load_minimum(threebus):
     # the 100 MW minimum on the first load segment is violated at zero
     assert not rep.feasible
     assert rep.max_inequality_violation == pytest.approx(100.0)
+
+
+@pytest.mark.parametrize("case", ["threebus", "grid118-2h", "one-bus"])
+def test_incidences_equal_lil_built_csr(case, threebus):
+    # built from index arrays, the incidences keep the exact CSR arrays a
+    # lil_matrix gives, so the clear LP is placed bit for bit as before
+    if case == "threebus":
+        system = threebus
+    elif case == "grid118-2h":
+        system = gen_synthetic(118, 54, 91, 1, 2, seed=7, segments=1)
+    else:
+        system = MarketSystem(
+            name="one", buses=["1"], reference_bus="1", lines=[],
+            generators=[Generator("G", "GENCO1", "1", [BidSegment(5.0, 0.0, 10.0)])],
+            loads=[Load("L", "LSE1", "1", [BidSegment(9.0, 0.0, 8.0)])],
+            horizon=2)
+    blocks = build_ed_blocks(system)
+    want_inc, want_KL = lil_incidences(system)
+    pairs = [(e.incidence, want_inc[e.owner]) for e in blocks.gencos + blocks.lses]
+    pairs.append((blocks.incidence_lines, want_KL))
+    for got, want in pairs:
+        assert got.format == "csr" and got.shape == want.shape
+        assert got.has_canonical_format and want.has_canonical_format
+        for a, b in ((got.data, want.data), (got.indices, want.indices),
+                     (got.indptr, want.indptr)):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)

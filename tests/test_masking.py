@@ -583,6 +583,75 @@ def test_eliminate_slacks_equals_dense_cancellation(case, threebus):
     assert got.sign_class == ["free"] * n
 
 
+def _case_tlp(case, seed, threebus):
+    """(TransformedLp, hours) for a named case at mask seed `seed`."""
+    if case == "threebus":
+        blocks, config = build_ed_blocks(threebus), MaskConfig()
+    elif case == "hourly-14":
+        blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
+        config = MaskConfig(hourly_block_masks=True)
+    else:
+        blocks = build_ed_blocks(gen_synthetic(30, 2, 2, 5, 4, seed=1, segments=3))
+        config = MaskConfig()
+    keys = gen_keys(blocks, seed, config)
+    return build_transformed_ed(masked_submissions(blocks, keys)), blocks.T
+
+
+@pytest.mark.parametrize("case, seed", [("hourly-14", 0), ("hourly-14", 1),
+                                        ("hourly-14", 2), ("threebus", 0),
+                                        ("pooled30-4h", 44), ("pooled30-4h", 73)])
+def test_eliminated_angles_reproduce_cancelled_solve(case, seed, threebus):
+    # substituting the angles out and mapping the solution back gives an
+    # optimal point and duals of the cancelled LP: its entity and angle
+    # slices and balance duals match the cancelled LP's own solve
+    tlp, _ = _case_tlp(case, seed, threebus)
+    config = SolverConfig(backend="highs")
+    cancelled = masking.eliminate_slacks(tlp)
+    want = solve_lp(cancelled, config, presolve=False)
+    reduced = masking.eliminate_angles(tlp)
+    got = reduced.restore(solve_lp(reduced.problem, config, presolve=False))
+    assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-6)
+    # masked coordinates reach about 1.7e3 here; on pooled30-4h seed 44
+    # each solve recovers dispatch about 5e-7 from clear, on opposite sides
+    np.testing.assert_allclose(got.x, want.x, rtol=1e-8, atol=1e-6)
+    np.testing.assert_allclose(got.duals_eq, want.duals_eq, rtol=1e-8, atol=1e-6)
+    assert check_point(cancelled, got.x).feasible
+    # dual feasibility in the cancelled LP, the eliminated angle columns too
+    residual = (cancelled.c - cancelled.A_in.T @ got.duals_in
+                - cancelled.A_eq.T @ got.duals_eq)
+    assert np.max(np.abs(residual)) <= 1e-6
+    assert np.max(np.abs(residual[tlp.var_spans["theta"][0]:])) <= 1e-9
+
+
+@pytest.mark.parametrize("case", ["threebus", "hourly-14", "pooled30-4h"])
+def test_eliminated_angles_keep_one_equality_per_hour(case, threebus):
+    # hourly keys leave one balance component per hour and dense keys one
+    # over all hours; either way a connected network keeps one system
+    # balance row per hour, over the entity columns only
+    tlp, T = _case_tlp(case, 1, threebus)
+    reduced = masking.eliminate_angles(tlp)
+    nz = tlp.var_spans["theta"][0]
+    n_iso = tlp.n_structural - nz
+    bal = tlp.row_spans["balance"][0]
+    assert len(reduced.components) == (T if case == "hourly-14" else 1)
+    assert (reduced.problem.n_vars, reduced.problem.A_in.shape[0]) == (nz, bal)
+    assert reduced.problem.A_eq.shape[0] == T
+    assert sum(cols.size for _, cols, *_ in reduced.components) == n_iso
+    assert reduced.L.shape == (tlp.row_spans["line_lo"][1]
+                               - tlp.row_spans["line_hi"][0], n_iso)
+
+
+def test_operator_line_slack_blocks_are_canonical_csr():
+    # published sorted once, so the leak scan never copies them to sort
+    blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
+    keys = gen_keys(blocks, 0, MaskConfig(hourly_block_masks=True))
+    iso = masked_submissions(blocks, keys)[-1]
+    for block, X, r in ((iso.line_slack_hi, keys.iso.X_l1, keys.iso.R_l1),
+                        (iso.line_slack_lo, keys.iso.X_l2, keys.iso.R_l2)):
+        assert block.format == "csr" and block.has_canonical_format
+        np.testing.assert_array_equal(block.toarray(), X.toarray() * r[None, :])
+
+
 # ---------------------------------------------------------------------------
 # inference audit
 # ---------------------------------------------------------------------------

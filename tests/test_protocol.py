@@ -174,6 +174,25 @@ def test_leak_scanner_catches_private_rows_in_sparse_payloads(threebus):
         _scan_for_leaks([_submission({"oops": dup})], private)
 
 
+def test_leak_scanner_skips_private_rows_without_a_nonzero():
+    # all-zero private rows, of 0.0, of -0.0 (an odd and an even count)
+    # and sparse, say nothing about a mask; every row with a nonzero keeps
+    # the guard
+    A = np.array([[0.0, -0.0, 0.0], [1.0, 0.0, 0.0], [-0.0, -0.0, 0.0],
+                  [0.0, 0.0, 0.0]])
+    private = protocol._PrivateRows([
+        ("GENCO1", A), ("GENCO1", np.zeros(3)), ("GENCO1", np.array([-0.0] * 3)),
+        ("ISO", sp.csr_matrix((np.array([0.0, 2.0]), [0, 1], [0, 1, 2]),
+                              shape=(2, 3)))])
+    assert private.known.size == 2
+    zeros = np.zeros((2, 3))
+    _scan_for_leaks([_submission({"cost": np.zeros(3), "block": zeros,
+                                  "sparse": sp.csr_matrix(zeros)})], private)
+    for row in (A[1], np.array([0.0, 2.0, 0.0])):
+        with pytest.raises(ProtocolViolation):
+            _scan_for_leaks([_submission({"oops": row.copy()})], private)
+
+
 def test_leak_scanner_passes_a_clean_grid118_round():
     system = gen_synthetic(118, 54, 91, 1, 2, seed=7, segments=1)
     _, log = run_market_round(system, 1000, mode="masked",
@@ -245,13 +264,14 @@ def test_pooled_multi_hour_masked_round_matches_clear(seed):
 
 
 @pytest.mark.parametrize("backend, shape, n_eq", [("auto", (27, 35), 27),
-                                                  ("highs", (27, 11), 3)])
+                                                  ("highs", (25, 9), 1)])
 def test_masked_round_solves_slack_form_only_on_simplex(threebus, monkeypatch,
                                                         backend, shape, n_eq):
     # the simplex gets the all-equality masked LP; HiGHS gets it with every
-    # slack block cancelled: the clear LP's 27 rows and 11 columns, with
-    # the 3 balance rows as its only equalities.  The agent places only
-    # the matrix it solves, so HiGHS never sees a 27 x 35 slack form built
+    # slack block cancelled and the 2 angle columns substituted out: the
+    # clear LP's 24 inequality rows over its 9 entity columns, plus one
+    # system balance row.  The agent places only the matrix it solves, so
+    # HiGHS never sees a 27 x 35 slack form built
     seen, placed = [], []
 
     def spy(problem, config=None, **kwargs):
@@ -270,6 +290,28 @@ def test_masked_round_solves_slack_form_only_on_simplex(threebus, monkeypatch,
     assert (problem.n_rows, problem.n_vars) == shape
     assert problem.A_eq.shape[0] == n_eq
     assert placed == [shape]
+
+
+@pytest.mark.parametrize("backend", ["auto", "highs"])
+def test_zero_priced_bids_clear_in_masked_mode(threebus, backend):
+    # an all-zero cost row is zero under any mask, so it must not count as
+    # a leaked block or a private row
+    loads = [dataclasses.replace(d, segments=[dataclasses.replace(s, price=0.0)
+                                              for s in d.segments])
+             for d in threebus.loads]
+    system = dataclasses.replace(threebus, loads=loads)
+    config = SolverConfig(backend=backend)
+    clear, _ = run_market_round(system, 0, mode="clear", config=config)
+    assert clear.objective == pytest.approx(-1020.0)
+    for seed in range(5):
+        masked, _ = run_market_round(system, seed, mode="masked", config=config)
+        assert masked.objective == pytest.approx(clear.objective, abs=1e-6)
+        assert clear.max_dispatch_diff(masked) <= 1e-6
+        # the load sits at its minimum and both units' marginal segments at
+        # a bound (90 of 90 MW at $10, 10 of 80 MW at $12), so every
+        # uniform price in [10, 12] is an optimal dual; clear picks 10
+        np.testing.assert_allclose(masked.lmp, masked.lmp[0, 0], atol=1e-6)
+        assert 10.0 - 1e-6 <= masked.lmp[0, 0] <= 12.0 + 1e-6
 
 
 def test_invalid_mode_rejected(threebus):
