@@ -18,9 +18,9 @@ the size: problems whose rows plus columns exceed ``_SIMPLEX_SIZE_LIMIT``
 go to scipy's HiGHS solver, which accepts the same data and is mapped onto
 the same dual convention.  The masked round asks it before assembling
 anything, because only the simplex takes the slack form; HiGHS gets the
-LP with its slack blocks cancelled (``masking.eliminate_slacks``), solved
-without presolve: its rows are dense combinations that presolve cannot
-reduce, and presolve costs more than it saves there.
+LP that ``masking.eliminate_angles`` builds, solved without presolve: its
+rows are dense combinations that presolve cannot reduce, and presolve
+costs more than it saves there.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ multiplied in one sparse product; the published blocks are bit for bit
 the whole products.  The clearing agent keeps the published blocks as
 they arrive and builds only the LP its solver takes: the all-equality
 slack form for the bundled simplex or, for HiGHS, the LP with every
-owner's slack block cancelled (``eliminate_slacks``) and the free angle
-columns substituted out through the masked balance rows
+owner's slack block cancelled by dense solves (a sparse block one
+diagonal block at a time) and the free angle columns substituted out
 (``eliminate_angles``, the shift-factor form over the entity columns,
 with one balance equality per hour).  Its solution is mapped back to the
 masked angles and balance duals before recovery, so the solution slices
@@ -38,7 +38,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from maskdispatch.lp import LpProblem, DimensionMismatch, FREE, NONNEG
-from maskdispatch.market import _DENSE_CELL_LIMIT, EdBlocks, ed_layout, place_blocks
+from maskdispatch.market import EdBlocks, ed_layout, place_blocks
 
 
 class KeyGenerationFailed(RuntimeError):
@@ -67,8 +67,6 @@ _DIAG_RANGE = (0.5, 2.0)        # slack coefficient diagonals
 # above this dimension the condition gate uses a LAPACK 1-norm estimate
 # instead of an exact SVD
 _EXACT_COND_DIM = 800
-# right-hand-side columns per sparse solve when a slack block is cancelled
-_SOLVE_CHUNK = 512
 
 
 @dataclass
@@ -606,8 +604,8 @@ class TransformedLp:
     ``col``: the entities, then the operator's upper and lower line limits.
     `balance` holds the ``(col, block)`` pieces of the balance rows (zero
     right-hand side), `c` the structural costs.  Only the form a solver
-    asks for is assembled: `problem` (the slack form), `eliminate_slacks`
-    or `eliminate_angles`.
+    asks for is assembled: `problem` (the slack form) or `eliminate_angles`;
+    `eliminate_slacks` is the reference the latter is tested against.
     """
 
     groups: list
@@ -687,47 +685,62 @@ def build_transformed_ed(submissions) -> TransformedLp:
                          n_rows=layout.n_rows, n_vars=layout.n_vars)
 
 
+def _diagonal_blocks(M):
+    """``[(r0, r1, c0, c1)]``, the finest split of sparse `M` into contiguous
+    diagonal blocks of rows ``r0:r1`` by columns ``c0:c1``: a cut before row
+    i at column j needs the rows above i to touch only columns below j and
+    the rest only columns from j on.  An empty row is a block of no columns.
+    """
+    M = sp.csr_matrix(M)
+    n_rows, n_cols = M.shape
+    filled = np.flatnonzero(np.diff(M.indptr))
+    lo, hi = np.full(n_rows, n_cols), np.full(n_rows, -1)
+    lo[filled] = np.minimum.reduceat(M.indices, M.indptr[filled])
+    hi[filled] = np.maximum.reduceat(M.indices, M.indptr[filled])
+    end = np.maximum.accumulate(hi)[:-1] + 1  # rows <= i: columns < end[i]
+    start = np.minimum.accumulate(lo[::-1])[::-1][1:]  # rows > i: >= start[i]
+    cut = np.flatnonzero(end <= start)
+    r = np.concatenate([[0], cut + 1, [n_rows]])
+    c = np.concatenate([[0], end[cut], [n_cols]])
+    return list(zip(r[:-1], r[1:], c[:-1], c[1:]))
+
+
 def _cancel_slack(S, C, b):
     """(S⁻¹C, S⁻¹b) for one owner's slack block S, constraint block C and
-    right-hand side b.
-
-    A sparse S (the operator's hourly line keys) is factorised with
-    SuperLU, whose solve takes a dense right-hand side, so C is solved in
-    column chunks; a dense S is solved densely.
-    """
-    if sp.issparse(S):
-        from scipy.sparse.linalg import splu
-
-        lu = splu(S.tocsc())
-        C = C.tocsc()
-        parts = [sp.csr_matrix(lu.solve(C[:, j:j + _SOLVE_CHUNK].toarray()))
-                 for j in range(0, C.shape[1], _SOLVE_CHUNK)]
-        return sp.hstack(parts, format="csr"), lu.solve(b)
-    out = np.linalg.solve(S, np.column_stack([C, b]))
-    return out[:, :-1], out[:, -1]
+    right-hand side b.  A dense S is solved whole; a sparse S (hourly line
+    keys) one diagonal block (hour) at a time, against the columns that the
+    block's rows of C touch, and S⁻¹C comes back as CSR."""
+    if not sp.issparse(S):
+        out = np.linalg.solve(S, np.column_stack([C, b]))
+        return out[:, :-1], out[:, -1]
+    S, C = sp.csr_matrix(S), sp.csr_matrix(C)
+    parts, x = [], np.zeros(b.size)
+    for r0, r1, c0, c1 in _diagonal_blocks(S):
+        Ck = C[r0:r1]
+        cols = np.unique(Ck.indices)
+        sol = np.linalg.solve(S[r0:r1, c0:c1].toarray(),
+                              np.column_stack([Ck[:, cols].toarray(), b[r0:r1]]))
+        parts.append(_triplets(np.arange(c0, c1), cols, sol[:, :-1]))
+        x[c0:c1] = sol[:, -1]
+    return _coo_csr(parts, C.shape), x
 
 
 def _cancelled_groups(tlp: TransformedLp):
     """``[(owner, row offset, column, S⁻¹C)]`` for every nonempty row
     group of `tlp`, and ``S⁻¹b`` over all of them (see `eliminate_slacks`)."""
-    # the operator's groups take the sparse kernel exactly when the slack
-    # form would be placed as CSR, whatever form its keys published them in
-    sparse = tlp.n_rows * tlp.n_vars > _DENSE_CELL_LIMIT
     groups, b_in = [], np.zeros(tlp.row_spans["balance"][0])
     for owner, col, C, S, b in tlp.groups:
         r0, r1 = tlp.row_spans[owner]
         if r0 == r1:
             continue
-        if owner in ("line_hi", "line_lo"):
-            S, C = (sp.csr_matrix(m) if sparse else
-                    m.toarray() if sp.issparse(m) else m for m in (S, C))
         C, b_in[r0:r1] = _cancel_slack(S, C, b)
         groups.append((owner, r0, col, C))
     return groups, b_in
 
 
 def eliminate_slacks(tlp: TransformedLp) -> LpProblem:
-    """The masked LP with every owner's slack block cancelled.
+    """The masked LP with every owner's slack block cancelled and the
+    angles kept: the reference that `eliminate_angles` is tested against.
 
     Each owner's row group reads ``C z + S s = b`` with ``s >= 0``, where
     ``C = X·E·Y``, ``S = X·diag(R)`` and ``b = X·M`` are what the owner
@@ -777,8 +790,8 @@ class AngleElimination:
     its optimal solution to the layout of ``eliminate_slacks(tlp)``: the
     masked angles ``θ' = P·z`` after the entity columns ``z``, and the
     masked balance duals in place of the reduced LP's equality duals.
-    `components` holds ``(rows, cols, zcols, Q, R, P)`` per connected
-    component of the balance block's pattern; `L` is the cancelled
+    `components` holds ``(rows, cols, zcols, Q, R, P)`` per diagonal
+    block of the balance block (`_diagonal_blocks`); `L` is the cancelled
     line-limit block over the angle columns, at rows `lines` of
     ``problem.A_in``.
     """
@@ -818,22 +831,19 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     The slack blocks are cancelled as in `eliminate_slacks`.  The masked
     balance rows then read ``Bz·z + Bθ·θ' = 0``, with ``Bθ = -X_b·B·Y_θ``
     and ``Bz`` the entities' published balance blocks.  `Bθ` is split
-    into the connected components of its published pattern (one per hour
-    under hourly keys, one under dense keys).  For each, a full QR
+    into its diagonal blocks (`_diagonal_blocks`: one per hour under
+    hourly keys, one under dense keys).  For each, a full QR
     ``Bθ = [Q1 Q2]·[R; 0]`` turns the rows into ``θ' = P·z`` with
     ``P = -R⁻¹·Q1ᵀ·Bz`` and the equalities ``Q2ᵀ·Bz·z = 0`` (one per hour
     for a connected network).  The line-limit rows ``Lθ·θ' <= b`` become
-    ``Lθ·P·z <= b``; the entity rows are unchanged.  Each component is
-    built densely over its own rows and columns only, and the LP is
-    placed once.
+    ``Lθ·P·z <= b``; the entity rows are unchanged.  Each block is built
+    densely over its own rows and columns only, and the LP is placed once.
 
     Only published data is read, as in `eliminate_slacks`, and with the
     same caveat: it relies on invertible slack blocks and on each
-    component of ``Bθ`` having full column rank (a connected network, a
+    diagonal block of ``Bθ`` having full column rank (a connected network, a
     condition-gated ``X_b`` and ``Y_θ``).
     """
-    from scipy.sparse.csgraph import connected_components
-
     bal = tlp.row_spans["balance"][0]
     nz, n = tlp.var_spans["theta"]
     n_iso, TB = n - nz, tlp.n_rows - bal
@@ -849,19 +859,13 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     Bt = sp.csr_matrix(theta_block)
     Bz = sp.hstack([sp.csr_matrix(b) for _, b in entity_blocks], format="csr")
 
-    pattern = sp.csr_matrix((np.ones(Bt.nnz), Bt.indices, Bt.indptr),
-                            shape=Bt.shape)
-    _, labels = connected_components(sp.bmat([[None, pattern],
-                                              [pattern.T, None]]),
-                                     directed=False)
-    row_label, col_label = labels[:TB], labels[TB:]
     components, line_parts, eq_parts, e = [], [], [], 0
-    for k in np.unique(labels):
-        rows, cols = np.flatnonzero(row_label == k), np.flatnonzero(col_label == k)
-        sub = Bz[rows]
+    for r0, r1, c0, c1 in _diagonal_blocks(Bt):
+        rows, cols = np.arange(r0, r1), np.arange(c0, c1)
+        sub = Bz[r0:r1]
         zcols = np.unique(sub.indices)
         Bz_k = sub[:, zcols].toarray()
-        Q, R = np.linalg.qr(Bt[rows][:, cols].toarray(), mode="complete")
+        Q, R = np.linalg.qr(Bt[r0:r1, c0:c1].toarray(), mode="complete")
         R = R[:cols.size]
         P = -scipy.linalg.solve_triangular(R, Q[:, :cols.size].T @ Bz_k)
         eq = Q[:, cols.size:].T @ Bz_k

@@ -257,7 +257,6 @@ class _Rows:
 
     def __init__(self, labelled):
         labels, ndims, blocks, counts, widths, sparse = [], [], [], [], [], []
-        total = 0
         for label, block in labelled:
             if type(block) is not np.ndarray and sp.issparse(block):
                 sparse.append((label, block))
@@ -269,7 +268,6 @@ class _Rows:
             blocks.append(a)
             counts.append(rows)
             widths.append(a.size // rows if rows else 0)
-            total += a.size
         # sparse blocks last, the order `_digests` takes them in
         for label, a in sparse:
             labels.append(label)
@@ -277,12 +275,8 @@ class _Rows:
             blocks.append(a)
             counts.append(a.shape[0])
             widths.append(a.shape[1])
-            total += a.nnz
         self.labels, self.ndims = labels, ndims
         self.blocks, self.counts, self.widths = blocks, counts, widths
-        if total < _BATCH:
-            self.digests = _digests(blocks, counts, widths)
-            return
         digests, start, size = [], 0, 0
         for i, a in enumerate(blocks, 1):
             size += a.size
@@ -290,7 +284,7 @@ class _Rows:
                 digests.append(_digests(blocks[start:i], counts[start:i],
                                         widths[start:i]))
                 start, size = i, 0
-        self.digests = np.concatenate(digests)
+        self.digests = np.concatenate(digests or [np.zeros(0, np.uint64)])
 
     def row(self, k):
         """(label, ndim, row k as a contiguous dense float64 array)."""

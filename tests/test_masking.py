@@ -533,22 +533,62 @@ def test_eliminated_slacks_skip_empty_line_groups():
     np.testing.assert_allclose(rec["GENCO1"], [8.0, 8.0], atol=1e-6)
 
 
-def test_sparse_slack_cancellation_matches_dense():
-    # hourly line keys give a block-diagonal slack block, factorised
-    # sparsely and solved in column chunks
+def _assert_diagonal_blocks(M, want):
+    got = masking._diagonal_blocks(M)
+    assert [tuple(map(int, blk)) for blk in got] == want
+    # every entry lies in the block of its row
+    coo = sp.coo_matrix(M)
+    for r0, r1, c0, c1 in got:
+        rows = (r0 <= coo.row) & (coo.row < r1)
+        assert np.all((c0 <= coo.col[rows]) & (coo.col[rows] < c1))
+
+
+def test_diagonal_blocks_split_contiguous_blocks():
+    rng = np.random.default_rng(3)
+    # Bθ-like: rectangular hour blocks, more buses than angles
+    hours = sp.block_diag([rng.uniform(0.01, 1.0, (4, 3)) for _ in range(3)],
+                          format="csr")
+    _assert_diagonal_blocks(hours, [(0, 4, 0, 3), (4, 8, 3, 6), (8, 12, 6, 9)])
+    # an empty middle row is a block of its own with no columns
+    gap = sp.vstack([sp.hstack([rng.uniform(0.01, 1.0, (2, 2)), sp.csr_matrix((2, 3))]),
+                     sp.csr_matrix((1, 5)),
+                     sp.hstack([sp.csr_matrix((2, 2)), rng.uniform(0.01, 1.0, (2, 3))])],
+                    format="csr")
+    _assert_diagonal_blocks(gap, [(0, 2, 0, 2), (2, 3, 2, 2), (3, 5, 2, 5)])
+    # one bus: no angle columns, one block per hour row
+    _assert_diagonal_blocks(sp.csr_matrix((2, 0)), [(0, 1, 0, 0), (1, 2, 0, 0)])
+    # a dense block and one entry coupling two blocks do not split
+    _assert_diagonal_blocks(rng.uniform(0.01, 1.0, (3, 3)), [(0, 3, 0, 3)])
+    coupled = hours.tolil()
+    coupled[1, 7] = 1.0
+    _assert_diagonal_blocks(coupled.tocsr(), [(0, 12, 0, 9)])
+
+
+def test_sparse_slack_cancellation_matches_dense_solve():
+    # hourly line keys give a block-diagonal slack block, cancelled one
+    # diagonal block at a time; one entry couples the last two blocks, so
+    # they must be solved as one
     rng = np.random.default_rng(5)
-    S = sp.block_diag([rng.uniform(0.01, 1.0, (6, 6)) for _ in range(4)],
-                      format="csr")
-    C = sp.random(24, 2 * masking._SOLVE_CHUNK + 7, density=0.2,
-                  random_state=6, format="csr")
-    b = rng.normal(size=24)
+    sizes = [1, 3, 6, 3]
+    S = sp.block_diag([rng.uniform(0.01, 1.0, (k, k)) + k * np.eye(k)
+                       for k in sizes], format="lil")
+    S[4, 11] = 0.5
+    S = S.tocsr()
+    assert [blk[:2] for blk in masking._diagonal_blocks(S)] == [(0, 1), (1, 4), (4, 13)]
+    # the blocks' rows of C touch different column sets, one block none
+    C = sp.random(13, 20, density=0.3, random_state=6, format="lil")
+    C[0, :] = 0.0
+    C[0, 17] = 2.0
+    C[1:4, :] = 0.0
+    C = C.tocsr()
+    b = rng.normal(size=13)
     got_C, got_b = masking._cancel_slack(S, C, b)
     assert sp.issparse(got_C)
     np.testing.assert_allclose(got_C.toarray(),
                                np.linalg.solve(S.toarray(), C.toarray()),
-                               atol=1e-9)
+                               rtol=0, atol=1e-12)
     np.testing.assert_allclose(got_b, np.linalg.solve(S.toarray(), b),
-                               atol=1e-9)
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("case", ["threebus", "hourly-14"])
