@@ -53,38 +53,13 @@ _PIVOT_TOL = 1e-9
 _DUAL_TOL = 1e-9
 _DEGEN_THRESHOLD = 40         # consecutive degenerate pivots before Bland's rule
 _SIMPLEX_SIZE_LIMIT = 600     # rows + cols above which auto routes to highs
+_MAX_ITER = 200_000           # simplex iterations, or HiGHS maxiter
 
 
 @dataclass
 class SolverConfig:
-    max_iter: int = 200_000
     backend: str = "auto"              # auto | simplex | highs
     highs_method: str = "highs"        # or highs-ipm / highs-ds
-
-
-@dataclass
-class SolveStats:
-    """Running record of optimality certificates, for suite-wide checks."""
-
-    n_optimal: int = 0
-    max_gap: float = 0.0
-    max_primal_residual: float = 0.0
-    max_cs_violation: float = 0.0
-
-    def record(self, gap, residual, cs):
-        self.n_optimal += 1
-        self.max_gap = max(self.max_gap, gap)
-        self.max_primal_residual = max(self.max_primal_residual, residual)
-        self.max_cs_violation = max(self.max_cs_violation, cs)
-
-    def reset(self):
-        self.n_optimal = 0
-        self.max_gap = 0.0
-        self.max_primal_residual = 0.0
-        self.max_cs_violation = 0.0
-
-
-SOLVE_STATS = SolveStats()
 
 
 def _as_matrix(a, n_cols_hint=None):
@@ -298,9 +273,8 @@ class _StandardForm:
 class _Simplex:
     """Revised primal simplex on min c'z, Az=b, z>=0 with a known basis."""
 
-    def __init__(self, A, b, c, max_iter):
+    def __init__(self, A, b, c):
         self.A, self.b, self.c = A, b, c
-        self.max_iter = max_iter
         self.iterations = 0
 
     def _factor(self, basis):
@@ -317,7 +291,7 @@ class _Simplex:
         removed from `allowed` once they leave the basis.  Returns
         (status, x, y, basis) where status is OPTIMAL or UNBOUNDED.
         """
-        A, b, c, max_iter = self.A, self.b, self.c, self.max_iter
+        A, b, c = self.A, self.b, self.c
         m, n_total = A.shape
         basis = list(basis)
         in_basis = np.zeros(n_total, dtype=bool)
@@ -325,9 +299,9 @@ class _Simplex:
         degen_run = 0
 
         while True:
-            if self.iterations >= max_iter:
+            if self.iterations >= _MAX_ITER:
                 raise NumericalBreakdown(
-                    f"iteration limit {max_iter} exceeded")
+                    f"iteration limit {_MAX_ITER} exceeded")
             self.iterations += 1
 
             lu_piv = self._factor(basis)
@@ -372,7 +346,7 @@ class _Simplex:
                 allowed[leaving] = False
 
 
-def _solve_simplex(problem: LpProblem, config: SolverConfig) -> LpSolution:
+def _solve_simplex(problem: LpProblem) -> LpSolution:
     std = _StandardForm(problem)
     A, b, c = std.A, std.b, std.c
     m, n = A.shape
@@ -388,7 +362,7 @@ def _solve_simplex(problem: LpProblem, config: SolverConfig) -> LpSolution:
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    engine = _Simplex(A1, b, c1, config.max_iter)
+    engine = _Simplex(A1, b, c1)
     allowed = np.ones(n + m, dtype=bool)
     status, z, y, basis = engine.run(basis, allowed, bar_reentry_from=n)
     if status != OPTIMAL:
@@ -425,7 +399,7 @@ def _solve_simplex(problem: LpProblem, config: SolverConfig) -> LpSolution:
         kept_rows = keep
 
     # phase 2
-    engine2 = _Simplex(A, b, c, config.max_iter)
+    engine2 = _Simplex(A, b, c)
     engine2.iterations = engine.iterations
     allowed2 = np.ones(n, dtype=bool)
     status, z, y, basis = engine2.run(basis, allowed2)
@@ -451,7 +425,7 @@ def _solve_highs(problem: LpProblem, config: SolverConfig,
                   A_ub=A_in, b_ub=problem.b_in if A_in is not None else None,
                   A_eq=A_eq, b_eq=problem.b_eq if A_eq is not None else None,
                   bounds=bounds, method=config.highs_method,
-                  options={"presolve": presolve, "maxiter": config.max_iter})
+                  options={"presolve": presolve, "maxiter": _MAX_ITER})
     if res.status == 2:
         return LpSolution(status=INFEASIBLE, backend="highs")
     if res.status == 3:
@@ -484,10 +458,6 @@ def _finish(problem, x, duals_eq, duals_in, iterations, backend):
         slack = problem.b_in - problem.A_in @ x
         cs = float(np.max(np.abs(duals_in * slack)))
 
-    sol = LpSolution(status=OPTIMAL, x=x, duals_eq=duals_eq, duals_in=duals_in,
-                     objective=obj, iterations=iterations, backend=backend,
-                     gap=gap, max_primal_residual=residual,
-                     max_cs_violation=cs)
     if residual > _FEAS_TOL * scale:
         raise NumericalBreakdown(f"primal residual {residual:.3e} exceeds tolerance")
     if gap > _GAP_TOL * scale:
@@ -495,8 +465,10 @@ def _finish(problem, x, duals_eq, duals_in, iterations, backend):
             f"duality gap {gap:.3e} exceeds tolerance (objective {obj:.6g})")
     if cs > _GAP_TOL * scale:
         raise NumericalBreakdown(f"complementary slackness violation {cs:.3e}")
-    SOLVE_STATS.record(gap / scale, residual, cs / scale)
-    return sol
+    return LpSolution(status=OPTIMAL, x=x, duals_eq=duals_eq, duals_in=duals_in,
+                      objective=obj, iterations=iterations, backend=backend,
+                      gap=gap, max_primal_residual=residual,
+                      max_cs_violation=cs)
 
 
 def choose_backend(problem: LpProblem, config: SolverConfig = None) -> str:
@@ -519,7 +491,7 @@ def solve_lp(problem: LpProblem, config: SolverConfig = None, *,
 
     Infeasible and unbounded problems are reported through
     ``LpSolution.status``; numerical failure, including hitting
-    ``config.max_iter``, raises NumericalBreakdown.  ``presolve=False``
+    ``_MAX_ITER`` iterations, raises NumericalBreakdown.  ``presolve=False``
     skips HiGHS presolve, which only pays where the rows have sparse
     structure to remove; the bundled simplex has no presolve and
     ignores it.
@@ -530,7 +502,7 @@ def solve_lp(problem: LpProblem, config: SolverConfig = None, *,
 
     backend = choose_backend(problem, config)
     if backend == "simplex":
-        return _solve_simplex(problem, config)
+        return _solve_simplex(problem)
     if backend == "highs":
         return _solve_highs(problem, config, presolve)
     raise ValueError(f"unknown backend {config.backend!r}")

@@ -64,22 +64,25 @@ class SpanMismatch(ValueError):
 _POSITIVE_RANGE = (0.01, 1.0)   # entries of Y, Y_theta, X_l1/X_l2, X_b
 _SIGNED_RANGE = (-1.0, 1.0)     # entries of entity X masks
 _DIAG_RANGE = (0.5, 2.0)        # slack coefficient diagonals
-# above this dimension the condition gate uses a LAPACK 1-norm estimate
-# instead of an exact SVD
+# a mask is redrawn while its condition number exceeds _COND_MAX, at most
+# _MAX_RETRIES draws per mask
+_COND_MAX = 1e6
+_MAX_RETRIES = 50
+# up to this dimension the gate computes the exact 2-norm condition number
+# from an SVD; above it, LAPACK's estimate of the 1-norm condition number
 _EXACT_COND_DIM = 800
 
 
 @dataclass
 class MaskConfig:
-    cond_max: float = 1e6
-    max_retries: int = 50
-    # sample the column masks and the operator's row masks as per-hour
-    # block diagonals instead of one full positive matrix over all
-    # hours.  Identical to the default at a one-hour horizon, and all
-    # equivalence and recovery arithmetic is unchanged; without it the
-    # masked LP densifies quadratically in hours*lines and multi-day
-    # cases stop being solvable in reasonable time.  Transmission
-    # accounting always charges full blocks either way.
+    # the one mask setting; the condition gate (_COND_MAX, _MAX_RETRIES)
+    # is fixed.  hourly_block_masks samples the column masks and the
+    # operator's row masks as per-hour block diagonals instead of one
+    # full positive matrix over all hours.  Identical to the default at a
+    # one-hour horizon, and all equivalence and recovery arithmetic is
+    # unchanged; without it the masked LP densifies quadratically in
+    # hours*lines and multi-day cases stop being solvable in reasonable
+    # time.  Transmission accounting always charges full blocks either way.
     hourly_block_masks: bool = False
 
 
@@ -136,32 +139,31 @@ def _condition(M):
         return 1.0 if M[0, 0] != 0.0 else np.inf
     if n <= _EXACT_COND_DIM:
         return float(np.linalg.cond(M))
-    lu, piv = scipy.linalg.lu_factor(M, check_finite=False)
-    if np.min(np.abs(np.diag(lu))) == 0.0:
+    getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (M,))
+    lu, _, info = getrf(M)
+    if info > 0:        # an exactly zero pivot: M is singular
         return np.inf
-    gecon = scipy.linalg.get_lapack_funcs(("gecon",), (M,))[0]
-    anorm = np.linalg.norm(M, 1)
-    rcond, _ = gecon(lu, anorm)
+    rcond, _ = gecon(lu, np.linalg.norm(M, 1))
     return np.inf if rcond == 0 else 1.0 / float(rcond)
 
 
-def _sample_mask(rng, n, lo, hi, config, what):
+def _sample_mask(rng, n, lo, hi, what):
     if n == 0:
         return np.zeros((0, 0))
-    for _ in range(config.max_retries):
+    for _ in range(_MAX_RETRIES):
         M = rng.uniform(lo, hi, size=(n, n))
-        if _condition(M) <= config.cond_max:
+        if _condition(M) <= _COND_MAX:
             return M
     raise KeyGenerationFailed(
-        f"no acceptable {what} mask of size {n} in {config.max_retries} draws")
+        f"no acceptable {what} mask of size {n} in {_MAX_RETRIES} draws")
 
 
-def _sample_hourly_mask(rng, n, T, lo, hi, config, what, sparse_out=False):
+def _sample_hourly_mask(rng, n, T, lo, hi, what, sparse_out=False):
     """Per-hour block-diagonal mask; hour-major variable layout assumed."""
     if n % T:
         raise DimensionMismatch(f"{what}: {n} columns do not split into {T} hours")
     k = n // T
-    parts = [_sample_mask(rng, k, lo, hi, config, what) for _ in range(T)]
+    parts = [_sample_mask(rng, k, lo, hi, what) for _ in range(T)]
     if sparse_out:
         return sp.block_diag(parts, format="csr")
     out = np.zeros((n, n))
@@ -177,11 +179,10 @@ def entity_keys(rng, owner, kind, n, m, config: MaskConfig = None,
         config = MaskConfig()
     plo, phi = _POSITIVE_RANGE
     if config.hourly_block_masks and horizon > 1:
-        Y = _sample_hourly_mask(rng, n, horizon, plo, phi, config,
-                                f"{owner} column")
+        Y = _sample_hourly_mask(rng, n, horizon, plo, phi, f"{owner} column")
     else:
-        Y = _sample_mask(rng, n, plo, phi, config, f"{owner} column")
-    X = _sample_mask(rng, m, *_SIGNED_RANGE, config, f"{owner} row")
+        Y = _sample_mask(rng, n, plo, phi, f"{owner} column")
+    X = _sample_mask(rng, m, *_SIGNED_RANGE, f"{owner} row")
     R = rng.uniform(*_DIAG_RANGE, size=m)
     return EntityKeys(owner=owner, kind=kind, Y=Y, X=X, R=R)
 
@@ -195,11 +196,11 @@ def iso_keys(rng, n_iso, TL, TB, config: MaskConfig = None,
     hours = horizon if config.hourly_block_masks else 1
     if hours > 1:
         def draw(size, what):
-            return _sample_hourly_mask(rng, size, hours, plo, phi, config,
-                                       what, sparse_out=True)
+            return _sample_hourly_mask(rng, size, hours, plo, phi, what,
+                                       sparse_out=True)
     else:
         def draw(size, what):
-            return _sample_mask(rng, size, plo, phi, config, what)
+            return _sample_mask(rng, size, plo, phi, what)
     return IsoKeys(
         Y_theta=draw(n_iso, "angle column"),
         X_l1=draw(TL, "line row 1"),

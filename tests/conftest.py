@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from maskdispatch.lp import SOLVE_STATS
+from maskdispatch import lp
 from maskdispatch.casefile import load_case
 from importlib.resources import files
 
@@ -9,14 +9,28 @@ from importlib.resources import files
 @pytest.fixture(scope="session", autouse=True)
 def optimality_certificates():
     """Every optimal solve in the whole run must certify duality and
-    complementary slackness within tolerance (scaled by 1 + |objective|)."""
-    SOLVE_STATS.reset()
-    yield
-    if SOLVE_STATS.n_optimal:
-        assert SOLVE_STATS.max_gap <= 1e-6, \
-            f"worst duality gap {SOLVE_STATS.max_gap:.3e} over {SOLVE_STATS.n_optimal} solves"
-        assert SOLVE_STATS.max_cs_violation <= 1e-6, \
-            f"worst complementary slackness {SOLVE_STATS.max_cs_violation:.3e}"
+    complementary slackness within tolerance (scaled by 1 + |objective|).
+
+    Both backends build each optimal solution in ``lp._finish``; wrapping
+    it collects ``(scaled gap, scaled CS)`` per solve into the yielded list.
+    """
+    certificates = []
+    finish = lp._finish
+
+    def recording(*args, **kwargs):
+        sol = finish(*args, **kwargs)
+        scale = 1.0 + abs(sol.objective)
+        certificates.append((sol.gap / scale, sol.max_cs_violation / scale))
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_finish", recording)
+        yield certificates
+    if certificates:
+        gap, cs = np.max(certificates, axis=0)
+        assert gap <= 1e-6, \
+            f"worst duality gap {gap:.3e} over {len(certificates)} solves"
+        assert cs <= 1e-6, f"worst complementary slackness {cs:.3e}"
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,7 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the verdict lines.
 The large-scale criterion (7) performs a full 118-bus, 24-hour masked
-clearing round and takes a few minutes; everything else is fast.
+clearing round and takes about 5 s on a 2-core VM; everything else is fast.
 """
 
 import time
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from maskdispatch.lp import (
-    LpProblem, SolverConfig, solve_lp, check_point, SOLVE_STATS,
+    LpProblem, SolverConfig, solve_lp, check_point,
 )
 from maskdispatch.market import (
     build_ed_blocks, assemble_ed_lp, gen_synthetic, regroup_entities,
@@ -280,7 +280,7 @@ def test_criterion_7_scale_behavior():
              f"{down_totals[0]}")
 
 
-def test_criterion_8_solver_certificates():
+def test_criterion_8_solver_certificates(optimality_certificates):
     rng = np.random.default_rng(88)
     agree = 0
     ok = True
@@ -299,10 +299,9 @@ def test_criterion_8_solver_certificates():
             ok &= abs(sol.objective - ref) <= 1e-8 * (1 + abs(ref))
             agree += 1
     ok &= agree >= 40
-    gap = SOLVE_STATS.max_gap
-    cs = SOLVE_STATS.max_cs_violation
+    gap, cs = np.max(optimality_certificates, axis=0)
     ok &= gap <= 1e-6 and cs <= 1e-6
     _verdict(8, "solver self-consistency", ok,
-             f"{SOLVE_STATS.n_optimal} optimal solves this session: worst scaled "
+             f"{len(optimality_certificates)} optimal solves this session: worst scaled "
              f"duality gap {gap:.2e}, worst complementary slackness {cs:.2e}; "
              f"vertex-oracle agreement on {agree} random small programs")

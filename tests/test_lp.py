@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maskdispatch import lp
 from maskdispatch.lp import (
     LpProblem, SolverConfig, solve_lp, check_point,
     DimensionMismatch, NumericalBreakdown,
@@ -137,11 +138,35 @@ def test_degenerate_problem_terminates():
 
 
 @pytest.mark.parametrize("backend", ["auto", "highs"])
-def test_iteration_limit_raises(backend):
+def test_iteration_limit_raises(backend, monkeypatch):
     rng = np.random.default_rng(5)
     p = _random_bounded_lp(rng, n=6, m_in=9)
+    monkeypatch.setattr(lp, "_MAX_ITER", 2)
     with pytest.raises(NumericalBreakdown):
-        solve_lp(p, SolverConfig(max_iter=2, backend=backend))
+        solve_lp(p, SolverConfig(backend=backend))
+
+
+# min x  s.t.  x = 3,  x <= 10: the optimum x = 3 has duals 1 and 0
+_TINY = dict(sense="min", c=[1.0], A_eq=[[1.0]], b_eq=[3.0],
+             A_in=[[1.0]], b_in=[10.0])
+
+
+@pytest.mark.parametrize("x, dual_eq, dual_in, gate", [
+    # off the equality by 0.01; gap 0, and the slack row has no dual
+    (3.01, 3.01 / 3.0, 0.0, "primal residual"),
+    # feasible, no dual weight on the binding row: gap 3, CS 0
+    (3.0, 0.0, 0.0, "duality gap"),
+    # dual objective 3*4/3 - 10*0.1 = 3 (gap 0), but the slack row (slack 7)
+    # carries a dual of -0.1
+    (3.0, 4.0 / 3.0, -0.1, "complementary slackness"),
+], ids=["residual", "gap", "cs"])
+def test_finish_rejects_each_uncertified_point(x, dual_eq, dual_in, gate):
+    p = LpProblem(**_TINY)
+    sol = lp._finish(p, [3.0], np.array([1.0]), np.array([0.0]), 0, "simplex")
+    assert (sol.gap, sol.max_primal_residual, sol.max_cs_violation) == (0, 0, 0)
+    with pytest.raises(NumericalBreakdown, match=gate):
+        lp._finish(p, [x], np.array([dual_eq]), np.array([dual_in]), 0,
+                   "simplex")
 
 
 def test_check_point_self_consistency():

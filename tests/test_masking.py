@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -74,7 +76,7 @@ def test_keys_deterministic_per_seed(threebus):
 
 def test_key_conditioning_and_positivity(threebus):
     blocks = build_ed_blocks(threebus)
-    cfg = MaskConfig(cond_max=1e6)
+    cfg = MaskConfig()
     for seed in range(10):
         keys = gen_keys(blocks, seed, cfg)
         mats = [keys.iso.Y_theta, keys.iso.X_l1, keys.iso.X_l2, keys.iso.X_b]
@@ -91,11 +93,12 @@ def test_key_conditioning_and_positivity(threebus):
         assert np.all(keys.iso.R_l1 > 0) and np.all(keys.iso.R_l2 > 0)
 
 
-def test_impossible_conditioning_gate_fails():
+def test_impossible_conditioning_gate_fails(monkeypatch):
     blocks = build_ed_blocks(gen_synthetic(3, 1, 1, 1, 1, seed=3))
+    monkeypatch.setattr(masking, "_COND_MAX", 1.0 + 1e-9)
+    monkeypatch.setattr(masking, "_MAX_RETRIES", 5)
     with pytest.raises(KeyGenerationFailed):
-        gen_keys(blocks, seed=0, config=MaskConfig(cond_max=1.0 + 1e-9,
-                                                   max_retries=5))
+        gen_keys(blocks, seed=0)
 
 
 def _assert_hour_blocks_within(M, hours, lo, hi):
@@ -460,6 +463,22 @@ def test_condition_matches_numpy_cond():
             assert masking._condition(M) == np.linalg.cond(M)
     for M in (np.zeros((1, 1)), np.array([[-0.0]]), np.array([[1e-300]])):
         assert masking._condition(M) == np.linalg.cond(M)
+
+
+def test_condition_estimate_above_exact_dimension():
+    # above _EXACT_COND_DIM the gate estimates the 1-norm condition number
+    n = masking._EXACT_COND_DIM + 1
+    M = np.random.default_rng(0).uniform(0.01, 1.0, size=(n, n))
+    exact = np.linalg.cond(M, 1)
+    assert exact / 3 <= masking._condition(M) <= 3 * exact
+    singular = M.copy()
+    singular[:, 5] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert masking._condition(singular) == np.inf
+    duplicated = M.copy()
+    duplicated[7] = duplicated[3]
+    assert masking._condition(duplicated) > masking._COND_MAX
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

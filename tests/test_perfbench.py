@@ -1,18 +1,24 @@
-"""The benchmark's span wrappers still find what they wrap.
+"""The benchmark's span wrappers still find what they wrap, and the
+verification tools' config tables still build.
 
 ``perfbench/tracer.py`` replaces attributes of the package by name; a
-renamed function would silently lose its span.  These tests only read
-``perfbench/``.
+renamed function would silently lose its span.  ``perfbench/run.py`` and
+``tools/round_digest.py`` build ``SolverConfig``/``MaskConfig`` from their
+tables; a removed field would only show when they run.  These tests only
+read ``perfbench/`` and ``tools/``.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
-from maskdispatch import lp, protocol
+from maskdispatch import MaskConfig, SolverConfig, lp, protocol
 from maskdispatch.protocol import run_market_round
 
+ROOT = Path(__file__).resolve().parents[1]
+
 _spec = importlib.util.spec_from_file_location(
-    "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
 tracer = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(tracer)
 
@@ -37,3 +43,24 @@ def test_traced_masked_round_has_one_solve_and_one_assembly(threebus):
     assert layers.count("masking.assemble_s") == 1
     ((root, _),) = t.rounds("masked")
     assert root.ok
+
+
+def _table(path, name):
+    """The expression assigned to `name` in the script at `path`, parsed
+    without running the script."""
+    tree = ast.parse(path.read_text())
+    return next(node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name])
+
+
+def test_tool_config_tables_build():
+    workloads = ast.literal_eval(_table(ROOT / "perfbench" / "run.py", "WORKLOADS"))
+    settings = [(w["solver"], w["mask"]) for w in workloads.values()]
+    # name -> (case, solver settings, mask settings, mask seeds)
+    for case in _table(ROOT / "tools" / "round_digest.py", "CASES").values:
+        settings.append(tuple(ast.literal_eval(e) for e in case.elts[1:3]))
+    assert len(settings) > len(workloads) > 0
+    for solver, mask in settings:
+        SolverConfig(**solver)
+        MaskConfig(**mask)
