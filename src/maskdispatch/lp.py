@@ -18,9 +18,10 @@ the size: problems whose rows plus columns exceed ``_SIMPLEX_SIZE_LIMIT``
 go to scipy's HiGHS solver, which accepts the same data and is mapped onto
 the same dual convention.  The masked round asks it before assembling
 anything, because only the simplex takes the slack form; HiGHS gets the
-LP that ``masking.eliminate_angles`` builds, solved without presolve: its
-rows are dense combinations that presolve cannot reduce, and presolve
-costs more than it saves there.
+flow-form LP that ``masking.eliminate_angles`` builds as CSR, solved
+without presolve: apart from the flow columns' singleton limit rows, its
+rows are dense combinations that presolve cannot reduce, and on the
+118-bus, 2-hour case presolve saves no measurable time.
 """
 
 from __future__ import annotations

@@ -15,11 +15,17 @@ the whole products.  The clearing agent keeps the published blocks as
 they arrive and builds only the LP its solver takes: the all-equality
 slack form for the bundled simplex or, for HiGHS, the LP with every
 owner's slack block cancelled by dense solves (a sparse block one
-diagonal block at a time) and the free angle columns substituted out
-(``eliminate_angles``, the shift-factor form over the entity columns,
-with one balance equality per hour).  Its solution is mapped back to the
-masked angles and balance duals before recovery, so the solution slices
-and the messages are those of the clear LP's layout.
+diagonal block at a time), the free angle columns substituted out and
+each line-hour stated once (``eliminate_angles``, the shift-factor form
+in flow form: the entity columns plus one masked-flow column per
+line-hour, one balance equality per hour and one flow equality per
+line-hour).  After cancellation a line-hour's upper and lower limit rows
+are one row up to a positive factor; the agent checks that they are
+antiparallel and raises NumericalBreakdown if not.  The factor and the
+flows were already computable from the published blocks, and nothing
+new is sent.  The solution is mapped back to the masked angles, the
+line-limit duals and the balance duals before recovery, so the solution
+slices and the messages are those of the clear LP's layout.
 
 The module also provides the two generic single-sided transforms
 (column-wise and row-wise masking of an arbitrary partitioned LP) and a
@@ -37,7 +43,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from maskdispatch.lp import LpProblem, DimensionMismatch, FREE, NONNEG
+from maskdispatch.lp import (
+    LpProblem, DimensionMismatch, NumericalBreakdown, FREE, NONNEG,
+)
 from maskdispatch.market import EdBlocks, ed_layout, place_blocks
 
 
@@ -777,42 +785,80 @@ def _triplets(rows, cols, block):
     return (np.repeat(rows, cols.size), np.tile(cols, rows.size), block.ravel())
 
 
-def _coo_csr(triplets, shape):
-    """CSR from (rows, cols, values) triplets; repeated positions are added."""
+def _coo_csr(triplets, shape, tiny=None):
+    """CSR from (rows, cols, values) triplets; repeated positions are added.
+    With `tiny`, entries of magnitude at most `tiny` are left out first."""
     r, c, v = (np.concatenate(t) for t in zip(*triplets))
+    if tiny is not None:
+        keep = np.abs(v) > tiny
+        r, c, v = r[keep], c[keep], v[keep]
     return sp.csr_matrix((v, (r, c)), shape=shape)
+
+
+def _merge_line_rows(hi, lo):
+    """``(a, k)`` for the cancelled upper- and lower-limit rows of the
+    line-hours, ``hi = R_l1⁻¹·F`` and ``lo = -R_l2⁻¹·F``: per row the ratio
+    ``k = r1/r2`` fitted by least squares, ``lo ≈ -k·hi``, and the
+    symmetric merge ``a = (hi - lo/k)/2``, as CSR.  Raises
+    NumericalBreakdown unless every pair is antiparallel (``k > 0``) to a
+    relative residual ``|lo + k·hi| / |lo|`` of at most 1e-6."""
+    def dots(A, B):
+        """Row-wise inner products of two sparse matrices."""
+        return np.asarray(A.multiply(B).sum(axis=1)).ravel()
+
+    hi, lo = sp.csr_matrix(hi), sp.csr_matrix(lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        k = -dots(hi, lo) / dots(hi, hi)
+    res = lo + sp.diags(k) @ hi
+    # |lo + k·hi| <= 1e-6·|lo|, squared
+    bad = np.flatnonzero(~((k > 0) & (dots(res, res) <= 1e-12 * dots(lo, lo))))
+    if bad.size:
+        raise NumericalBreakdown(
+            f"{bad.size} of {k.size} line-hour limit pairs are not "
+            f"antiparallel (first: row {bad[0]})")
+    a = (hi - sp.diags(1.0 / k) @ lo) * 0.5
+    return a, k
 
 
 @dataclass
 class AngleElimination:
-    """The masked LP over the entity columns only, and the way back.
+    """The masked LP in flow form over the entity columns, and the way back.
 
-    `problem` is what `eliminate_angles` hands the solver.  `restore` maps
-    its optimal solution to the layout of ``eliminate_slacks(tlp)``: the
-    masked angles ``θ' = P·z`` after the entity columns ``z``, and the
-    masked balance duals in place of the reduced LP's equality duals.
-    `components` holds ``(rows, cols, zcols, Q, R, P)`` per diagonal
-    block of the balance block (`_diagonal_blocks`); `L` is the cancelled
-    line-limit block over the angle columns, at rows `lines` of
+    `problem` is what `eliminate_angles` hands the solver: the entity
+    columns ``z``, then one free masked-flow column ``f`` per line-hour.
+    `restore` maps its optimal solution to the layout of
+    ``eliminate_slacks(tlp)``: the masked angles ``θ' = P·z`` after the
+    entity columns (``f`` is dropped), the lower-limit duals divided by
+    `k` and the masked balance duals in place of the reduced LP's
+    equality duals.  `components` holds ``(rows, cols, zcols, Q, R, P)``
+    per diagonal block of the balance block (`_diagonal_blocks`); `L` is
+    the merged line block ``a`` over the angle columns, `k` the
+    lower-to-upper row ratios and `lower` the rows of the lower limits in
     ``problem.A_in``.
     """
 
     problem: LpProblem
     components: list
     L: sp.csr_matrix
-    lines: slice
+    k: np.ndarray
+    lower: slice
     n_balance: int
 
     def restore(self, sol):
-        """`sol` with ``x`` and ``duals_eq`` in the angle-carrying layout;
-        a non-optimal `sol` is returned as it is."""
+        """`sol` with ``x``, ``duals_in`` and ``duals_eq`` in the
+        angle-carrying layout; a non-optimal `sol` is returned as it is."""
         if sol.x is None:
             return sol
-        z = sol.x
+        TL = self.k.size
+        z = sol.x[:sol.x.size - TL]
+        duals_in = sol.duals_in.copy()
+        duals_in[self.lower] /= self.k
+        n_eq = sol.duals_eq.size - TL
         theta = np.zeros(self.L.shape[1])
         lam = np.zeros(self.n_balance)
-        # dual feasibility of the eliminated columns, Bθᵀλ + Lθᵀμ = 0
-        g = self.L.T @ sol.duals_in[self.lines]
+        # dual feasibility of the eliminated columns, Bθᵀλ + Lθᵀμ = 0, with
+        # Lθᵀμ = aᵀη from the flow equalities' duals η
+        g = self.L.T @ sol.duals_eq[n_eq:]
         e = 0
         for rows, cols, zcols, Q, R, P in self.components:
             theta[cols] = P @ z[zcols]
@@ -821,12 +867,13 @@ class AngleElimination:
             lam[rows] = Q @ np.concatenate(
                 [-scipy.linalg.solve_triangular(R, g[cols], trans="T"), nu])
         return dataclasses.replace(sol, x=np.concatenate([z, theta]),
-                                   duals_eq=lam)
+                                   duals_in=duals_in, duals_eq=lam)
 
 
 def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
-    """The masked LP with every slack block cancelled and the free angle
-    columns substituted out: the shift-factor (PTDF) form of the dispatch,
+    """The masked LP with every slack block cancelled, the free angle
+    columns substituted out and each line-hour stated once through a
+    masked-flow column: the shift-factor (PTDF) form of the dispatch,
     computed on masked data.
 
     The slack blocks are cancelled as in `eliminate_slacks`.  The masked
@@ -836,31 +883,51 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     hourly keys, one under dense keys).  For each, a full QR
     ``Bθ = [Q1 Q2]·[R; 0]`` turns the rows into ``θ' = P·z`` with
     ``P = -R⁻¹·Q1ᵀ·Bz`` and the equalities ``Q2ᵀ·Bz·z = 0`` (one per hour
-    for a connected network).  The line-limit rows ``Lθ·θ' <= b`` become
-    ``Lθ·P·z <= b``; the entity rows are unchanged.  Each block is built
-    densely over its own rows and columns only, and the LP is placed once.
+    for a connected network).  The entity rows are unchanged.
+
+    Each line-hour's cancelled rows are ``hi = R_l1⁻¹·F`` and
+    ``lo = -R_l2⁻¹·F`` (``F = G·KL·Y_θ``), one shift-factor row twice.
+    `_merge_line_rows` finds ``k = r1/r2`` from the two rows alone, checks
+    that they are antiparallel (NumericalBreakdown if not, rather than
+    solving another LP) and merges them into ``a``.  The line-hour then
+    gets a free column ``f``, the equality ``a·P·z - f = 0`` after the
+    balance equalities, and the limits ``f <= b_hi`` and ``-f <= b_lo/k``
+    in the rows the two line limits held, so ``A_in`` keeps its rows and
+    their order.  Each block is built densely over its own rows and
+    columns, and the LP is placed once as CSR from its triplets, without
+    the entries of magnitude at most 1e-9 (cancellation residue that
+    HiGHS drops on input, its ``small_matrix_value``).
 
     Only published data is read, as in `eliminate_slacks`, and with the
     same caveat: it relies on invertible slack blocks and on each
     diagonal block of ``Bθ`` having full column rank (a connected network, a
-    condition-gated ``X_b`` and ``Y_θ``).
+    condition-gated ``X_b`` and ``Y_θ``).  ``k`` and the flows
+    ``f = hi·θ'`` were already computable from what the agent received;
+    nothing new is sent.
     """
     bal = tlp.row_spans["balance"][0]
     nz, n = tlp.var_spans["theta"]
     n_iso, TB = n - nz, tlp.n_rows - bal
     groups, b_in = _cancelled_groups(tlp)
-    pieces = [(r0, col, C) for owner, r0, col, C in groups
-              if owner not in ("line_hi", "line_lo")]
-    l0, l1 = tlp.row_spans["line_hi"][0], tlp.row_spans["line_lo"][1]
-    L = sp.vstack([sp.csr_matrix(C) for owner, _, _, C in groups
-                   if owner in ("line_hi", "line_lo")]
-                  or [sp.csr_matrix((0, n_iso))], format="csr")
-    Lc = L.tocsc()
+    (l0, l1), lower = tlp.row_spans["line_hi"], slice(*tlp.row_spans["line_lo"])
+    TL = l1 - l0
+    lines = {owner: C for owner, _, _, C in groups
+             if owner in ("line_hi", "line_lo")}
+    empty = sp.csr_matrix((0, n_iso))
+    a, k = _merge_line_rows(lines.get("line_hi", empty),
+                            lines.get("line_lo", empty))
+    b_in[lower] /= k
+    flow = nz + np.arange(TL)
+    ineq = [_triplets(r0 + np.arange(C.shape[0]), col + np.arange(C.shape[1]), C)
+            for owner, r0, col, C in groups if owner not in lines]
+    ineq += [(l0 + np.arange(TL), flow, np.ones(TL)),
+             (np.arange(lower.start, lower.stop), flow, -np.ones(TL))]
+    Lc = a.tocsc()
     (_, theta_block), *entity_blocks = tlp.balance
     Bt = sp.csr_matrix(theta_block)
     Bz = sp.hstack([sp.csr_matrix(b) for _, b in entity_blocks], format="csr")
 
-    components, line_parts, eq_parts, e = [], [], [], 0
+    components, flow_parts, eq_parts, e = [], [], [], 0
     for r0, r1, c0, c1 in _diagonal_blocks(Bt):
         rows, cols = np.arange(r0, r1), np.arange(c0, c1)
         sub = Bz[r0:r1]
@@ -874,16 +941,18 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
         e += eq.shape[0]
         Lk = Lc[:, cols]
         lrows = np.unique(Lk.indices)
-        line_parts.append(_triplets(lrows, zcols, Lk[lrows].toarray() @ P))
+        flow_parts.append(_triplets(lrows, zcols, Lk[lrows].toarray() @ P))
         components.append((rows, cols, zcols, Q, R, P))
-    pieces += [(l0, 0, _coo_csr(line_parts, (l1 - l0, nz))),
-               (bal, 0, _coo_csr(eq_parts, (e, nz)))]
-    A = place_blocks(pieces, (bal + e, nz))
-    problem = LpProblem(sense="max", c=tlp.c[:nz], A_eq=A[bal:],
-                        b_eq=np.zeros(e), A_in=A[:bal], b_in=b_in,
-                        sign_class=[FREE] * nz)
-    return AngleElimination(problem=problem, components=components, L=L,
-                            lines=slice(l0, l1), n_balance=TB)
+    eq_parts += [(e + r, c, v) for r, c, v in flow_parts]
+    eq_parts.append((e + np.arange(TL), flow, -np.ones(TL)))
+    problem = LpProblem(
+        sense="max", c=np.concatenate([tlp.c[:nz], np.zeros(TL)]),
+        A_eq=_coo_csr(eq_parts, (e + TL, nz + TL), tiny=1e-9),
+        b_eq=np.zeros(e + TL),
+        A_in=_coo_csr(ineq, (bal, nz + TL), tiny=1e-9), b_in=b_in,
+        sign_class=[FREE] * (nz + TL))
+    return AngleElimination(problem=problem, components=components, L=a, k=k,
+                            lower=lower, n_balance=TB)
 
 
 def recover_primal(keys: MaskKeys, solution, tlp: TransformedLp) -> dict:

@@ -25,11 +25,12 @@ entries only, and a digest match raises only when the bytes agree too.
 Private rows without a nonzero entry are not scanned for: every mask maps
 them to zero, so zero entries stay visible under masking.
 
-An LP the router sends to HiGHS is solved in its shift-factor form: the
-agent cancels every owner's slack block and substitutes the masked angles
-out (`masking.eliminate_angles`), solves once, and maps the solution back
-to masked angles and balance duals before any slice is sent.  The
-simplex takes the all-equality slack form.
+An LP the router sends to HiGHS is solved in its shift-factor flow form:
+the agent cancels every owner's slack block, substitutes the masked angles
+out and states each line-hour once through a masked-flow column
+(`masking.eliminate_angles`), solves once, and maps the solution back to
+masked angles and balance duals before any slice is sent.  The simplex
+takes the all-equality slack form.
 """
 
 from __future__ import annotations
@@ -447,10 +448,11 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
     # routed on its size before anything is assembled.  No presolve: masking
     # leaves it no singleton, doubleton or dependent row to remove
     if choose_backend(tlp, config) == "highs":
-        # the agent cancels each owner's published slack block and
-        # substitutes the angles out, leaving an LP over the entity columns
-        # with one equality per hour; it stays on HiGHS however small that
-        # LP is, and its solution is mapped back to angles and balance duals
+        # the agent cancels each owner's published slack block, substitutes
+        # the angles out and merges each line-hour's two limit rows into one
+        # flow column, leaving an LP over the entity and flow columns with
+        # one balance equality per hour; it stays on HiGHS however small
+        # that LP is, and its solution is mapped back to angles and duals
         reduced = masking.eliminate_angles(tlp)
         sol = reduced.restore(solve_lp(
             reduced.problem, dataclasses.replace(config, backend="highs"),

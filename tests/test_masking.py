@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from maskdispatch.lp import (
     LpProblem, SolverConfig, solve_lp, check_point, DimensionMismatch,
+    NumericalBreakdown,
 )
 from maskdispatch.market import (
     BidSegment, Generator, Load, MarketSystem,
@@ -642,8 +644,8 @@ def test_eliminate_slacks_equals_dense_cancellation(case, threebus):
     assert got.sign_class == ["free"] * n
 
 
-def _case_tlp(case, seed, threebus):
-    """(TransformedLp, hours) for a named case at mask seed `seed`."""
+def _case_submissions(case, seed, threebus):
+    """(published submissions, hours) for a named case at mask seed `seed`."""
     if case == "threebus":
         blocks, config = build_ed_blocks(threebus), MaskConfig()
     elif case == "hourly-14":
@@ -653,7 +655,13 @@ def _case_tlp(case, seed, threebus):
         blocks = build_ed_blocks(gen_synthetic(30, 2, 2, 5, 4, seed=1, segments=3))
         config = MaskConfig()
     keys = gen_keys(blocks, seed, config)
-    return build_transformed_ed(masked_submissions(blocks, keys)), blocks.T
+    return masked_submissions(blocks, keys), blocks.T
+
+
+def _case_tlp(case, seed, threebus):
+    """(TransformedLp, hours) for a named case at mask seed `seed`."""
+    subs, T = _case_submissions(case, seed, threebus)
+    return build_transformed_ed(subs), T
 
 
 @pytest.mark.parametrize("case, seed", [("hourly-14", 0), ("hourly-14", 1),
@@ -686,18 +694,57 @@ def test_eliminated_angles_reproduce_cancelled_solve(case, seed, threebus):
 def test_eliminated_angles_keep_one_equality_per_hour(case, threebus):
     # hourly keys leave one balance component per hour and dense keys one
     # over all hours; either way a connected network keeps one system
-    # balance row per hour, over the entity columns only
+    # balance row per hour, over the entity columns only, and each
+    # line-hour adds one flow column and one flow equality
     tlp, T = _case_tlp(case, 1, threebus)
     reduced = masking.eliminate_angles(tlp)
     nz = tlp.var_spans["theta"][0]
     n_iso = tlp.n_structural - nz
     bal = tlp.row_spans["balance"][0]
+    TL = tlp.row_spans["line_hi"][1] - tlp.row_spans["line_hi"][0]
     assert len(reduced.components) == (T if case == "hourly-14" else 1)
-    assert (reduced.problem.n_vars, reduced.problem.A_in.shape[0]) == (nz, bal)
-    assert reduced.problem.A_eq.shape[0] == T
+    assert (reduced.problem.n_vars, reduced.problem.A_in.shape[0]) == (nz + TL, bal)
+    assert reduced.problem.A_eq.shape[0] == T + TL
     assert sum(cols.size for _, cols, *_ in reduced.components) == n_iso
-    assert reduced.L.shape == (tlp.row_spans["line_lo"][1]
-                               - tlp.row_spans["line_hi"][0], n_iso)
+    assert reduced.L.shape == (TL, n_iso)
+
+
+def test_eliminated_angles_restore_lower_limit_duals(threebus):
+    # threebus with its congested line 1-3 entered as 3-1, so that it binds
+    # at its lower limit: the flow form states that limit divided by k, and
+    # restore must give back the cancelled LP's own line-limit duals
+    lines = list(threebus.lines)
+    lines[2] = dataclasses.replace(lines[2], from_bus="3", to_bus="1")
+    blocks = build_ed_blocks(dataclasses.replace(threebus, lines=lines))
+    tlp = build_transformed_ed(masked_submissions(blocks, gen_keys(blocks, 0)))
+    config = SolverConfig(backend="highs")
+    want = solve_lp(masking.eliminate_slacks(tlp), config, presolve=False)
+    reduced = masking.eliminate_angles(tlp)
+    got = reduced.restore(solve_lp(reduced.problem, config, presolve=False))
+    assert np.max(np.abs(got.duals_in[reduced.lower])) > 1e-3
+    np.testing.assert_allclose(got.duals_in, want.duals_in, rtol=1e-6, atol=1e-6)
+    np.testing.assert_allclose(got.duals_eq, want.duals_eq, rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("case, tamper", [("threebus", "row"), ("hourly-14", "row"),
+                                          ("threebus", "sign")])
+def test_eliminated_angles_refuse_unpaired_line_rows(case, tamper, threebus):
+    # one row of the published lower-limit block scaled without its slack
+    # block or right-hand side: the cancelled rows of that hour are no
+    # longer the upper-limit rows times -r1/r2, so merging them would solve
+    # another LP.  With the whole block negated they stay parallel, but
+    # with the same sign, and the lower limit would turn into an upper one
+    subs, _ = _case_submissions(case, 1, threebus)
+    iso = subs[-1]
+    scale = np.ones(iso.line_flow_lo.shape[0])
+    if tamper == "row":
+        scale[1] = 1.01
+    else:
+        scale[:] = -1.0
+    iso.line_flow_lo = sp.diags(scale) @ iso.line_flow_lo
+    tlp = build_transformed_ed(subs)
+    with pytest.raises(NumericalBreakdown, match="not antiparallel"):
+        masking.eliminate_angles(tlp)
 
 
 def test_operator_line_slack_blocks_are_canonical_csr():

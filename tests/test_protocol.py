@@ -251,10 +251,11 @@ def test_highs_multi_hour_masked_round_matches_clear():
         np.testing.assert_allclose(masked.lmp, clear.lmp, atol=1e-6)
 
 
-@pytest.mark.parametrize("seed", [44, 73])
+@pytest.mark.parametrize("seed", [44, 47, 73])
 def test_pooled_multi_hour_masked_round_matches_clear(seed):
-    # few parties with full-horizon masks; at these mask seeds solving the
-    # masked LP with its slack columns recovered dispatch 1.3e-6 off
+    # few parties with full-horizon masks; at mask seeds 44 and 73 solving
+    # the masked LP with its slack columns recovered dispatch 1.3e-6 off,
+    # and at 47 stating each line-hour twice recovered it 3.2e-6 off
     system = gen_synthetic(30, 2, 2, 5, 4, seed=1, segments=3)
     clear, _ = run_market_round(system, 0, mode="clear")
     masked, _ = run_market_round(system, seed, mode="masked")
@@ -264,15 +265,16 @@ def test_pooled_multi_hour_masked_round_matches_clear(seed):
 
 
 @pytest.mark.parametrize("backend, shape, n_eq", [("auto", (27, 35), 27),
-                                                  ("highs", (25, 9), 1)])
+                                                  ("highs", (28, 12), 4)])
 def test_masked_round_solves_slack_form_only_on_simplex(threebus, monkeypatch,
                                                         backend, shape, n_eq):
     # the simplex gets the all-equality masked LP; HiGHS gets it with every
-    # slack block cancelled and the 2 angle columns substituted out: the
-    # clear LP's 24 inequality rows over its 9 entity columns, plus one
-    # system balance row.  The agent places only the matrix it solves, so
+    # slack block cancelled, the 2 angle columns substituted out and each
+    # of the 3 lines stated once: the clear LP's 24 inequality rows over
+    # its 9 entity columns and 3 flow columns, plus one system balance row
+    # and 3 flow rows.  The agent places only the matrix it solves, so
     # HiGHS never sees a 27 x 35 slack form built
-    seen, placed = [], []
+    seen, placed, tlps = [], [], []
 
     def spy(problem, config=None, **kwargs):
         seen.append(problem)
@@ -282,14 +284,22 @@ def test_masked_round_solves_slack_form_only_on_simplex(threebus, monkeypatch,
         placed.append(shape)
         return place_blocks(pieces, shape)
 
+    def build_spy(submissions):
+        tlps.append(masking.build_transformed_ed(submissions))
+        return tlps[-1]
+
     monkeypatch.setattr(protocol, "solve_lp", spy)
+    monkeypatch.setattr(protocol, "build_transformed_ed", build_spy)
     monkeypatch.setattr(masking, "place_blocks", place_spy)
     run_market_round(threebus, 0, mode="masked",
                      config=SolverConfig(backend=backend))
-    (problem,) = seen
+    (problem,), (tlp,) = seen, tlps
     assert (problem.n_rows, problem.n_vars) == shape
     assert problem.A_eq.shape[0] == n_eq
-    assert placed == [shape]
+    if backend == "auto":
+        assert placed == [shape]
+    else:
+        assert placed == [] and "problem" not in tlp.__dict__
 
 
 @pytest.mark.parametrize("backend", ["auto", "highs"])
