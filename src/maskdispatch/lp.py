@@ -5,23 +5,27 @@ Problems are stated as
     min/max  c' x
     s.t.     A_eq x  = b_eq
              A_in x <= b_in
-             x_j >= 0 for every variable whose sign class is "nonneg"
+             lb <= x <= ub
 
-Duals are reported as the gradient of the *declared* objective with
-respect to the constraint right-hand sides, so for a max problem the
-dual of a binding <= row is nonnegative and for a min problem it is
-nonpositive.
+with per-column bounds that default to (-inf, inf); a nonnegative column
+has (0, inf).  Duals are reported as the gradient of the *declared*
+objective with respect to the constraint right-hand sides and the bounds,
+so for a max problem the dual of a binding <= row or upper bound is
+nonnegative and for a min problem it is nonpositive.
 
 The default backend is a two-phase primal revised simplex (Bland's rule
-engaged after a run of degenerate pivots).  ``choose_backend`` reads only
-the size: problems whose rows plus columns exceed ``_SIMPLEX_SIZE_LIMIT``
-go to scipy's HiGHS solver, which accepts the same data and is mapped onto
-the same dual convention.  The masked round asks it before assembling
+engaged after a run of degenerate pivots); it takes only lower bounds of 0
+or -inf and no upper bounds.  ``choose_backend`` reads only the size:
+problems whose rows plus columns exceed ``_SIMPLEX_SIZE_LIMIT`` go to
+scipy's HiGHS solver, which accepts the same data and is mapped onto the
+same dual convention.  The masked round asks it before assembling
 anything, because only the simplex takes the slack form; HiGHS gets the
-flow-form LP that ``masking.eliminate_angles`` builds as CSR, solved
-without presolve: apart from the flow columns' singleton limit rows, its
-rows are dense combinations that presolve cannot reduce, and on the
-118-bus, 2-hour case presolve saves no measurable time.
+flow-form LP that ``masking.eliminate_angles`` builds as CSR, with its
+single-entry rows (the flow limits and, under hourly masks, the bound rows
+of single-segment entities) stated as column bounds.  What stays a row is
+an equality or a ramp row over two columns, a dense combination that
+presolve cannot reduce, so that LP is solved without presolve: on the
+118-bus, 2-hour case presolve saved no measurable time.
 """
 
 from __future__ import annotations
@@ -35,10 +39,6 @@ import scipy.sparse
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-
-FREE = "free"
-NONNEG = "nonneg"
-
 
 class DimensionMismatch(ValueError):
     """Array shapes disagree with the declared problem dimensions."""
@@ -89,7 +89,7 @@ def _all_finite(a):
 
 @dataclass
 class LpProblem:
-    """LP in objective/equality/inequality/sign-class form.
+    """LP in objective/equality/inequality/bounds form.
 
     Matrices may be numpy arrays or scipy.sparse matrices; sparse input
     is only worthwhile for problems large enough to route to HiGHS.
@@ -101,7 +101,8 @@ class LpProblem:
     b_eq: np.ndarray = None
     A_in: object = None
     b_in: np.ndarray = None
-    sign_class: list = None
+    lb: np.ndarray = None
+    ub: np.ndarray = None
 
     def __post_init__(self):
         self.c = _as_vector(self.c)
@@ -110,9 +111,8 @@ class LpProblem:
         self.A_in = _as_matrix(self.A_in, n)
         self.b_eq = _as_vector(self.b_eq)
         self.b_in = _as_vector(self.b_in)
-        if self.sign_class is None:
-            self.sign_class = [FREE] * n
-        self.sign_class = list(self.sign_class)
+        self.lb = np.full(n, -np.inf) if self.lb is None else _as_vector(self.lb)
+        self.ub = np.full(n, np.inf) if self.ub is None else _as_vector(self.ub)
         self.validate()
 
     @property
@@ -135,11 +135,13 @@ class LpProblem:
             raise DimensionMismatch("A_eq row count does not match b_eq")
         if self.A_in.shape[0] != self.b_in.size:
             raise DimensionMismatch("A_in row count does not match b_in")
-        if len(self.sign_class) != n:
-            raise DimensionMismatch("sign_class length does not match variable count")
-        for s in self.sign_class:
-            if s not in (FREE, NONNEG):
-                raise ValueError(f"unknown sign class {s!r}")
+        if self.lb.size != n or self.ub.size != n:
+            raise DimensionMismatch("bound lengths do not match variable count")
+        # False for NaN too
+        if not np.all(self.lb <= self.ub) or np.any(self.lb == np.inf) \
+                or np.any(self.ub == -np.inf):
+            raise ValueError("bounds must be numbers with lb <= ub, lb < inf "
+                             "and ub > -inf")
         for name, a in (("c", self.c), ("b_eq", self.b_eq), ("b_in", self.b_in)):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} contains non-finite entries")
@@ -157,6 +159,8 @@ class LpSolution:
     x: np.ndarray = None
     duals_eq: np.ndarray = None
     duals_in: np.ndarray = None
+    duals_lb: np.ndarray = None
+    duals_ub: np.ndarray = None
     objective: float = None
     iterations: int = 0
     backend: str = "simplex"
@@ -169,7 +173,7 @@ class LpSolution:
 class FeasibilityReport:
     max_equality_residual: float
     max_inequality_violation: float
-    max_sign_violation: float
+    max_bound_violation: float
     objective: float
     tol: float
 
@@ -177,7 +181,7 @@ class FeasibilityReport:
     def feasible(self):
         return (self.max_equality_residual <= self.tol
                 and self.max_inequality_violation <= self.tol
-                and self.max_sign_violation <= self.tol)
+                and self.max_bound_violation <= self.tol)
 
 
 def check_point(problem: LpProblem, x, tol: float = 1e-6) -> FeasibilityReport:
@@ -192,9 +196,9 @@ def check_point(problem: LpProblem, x, tol: float = 1e-6) -> FeasibilityReport:
     in_viol = 0.0
     if problem.A_in.shape[0]:
         in_viol = float(max(0.0, np.max(problem.A_in @ x - problem.b_in)))
-    nonneg = np.array([s == NONNEG for s in problem.sign_class])
-    sign_viol = float(np.max(-x[nonneg], initial=0.0)) if nonneg.any() else 0.0
-    return FeasibilityReport(eq_res, in_viol, max(sign_viol, 0.0),
+    bound_viol = float(max(np.max(problem.lb - x, initial=0.0),
+                           np.max(x - problem.ub, initial=0.0)))
+    return FeasibilityReport(eq_res, in_viol, bound_viol,
                              problem.objective_at(x), tol)
 
 
@@ -207,12 +211,17 @@ class _StandardForm:
 
     Free variables are split into positive/negative parts; inequality rows
     gain a unit slack; rows with negative rhs are negated (flip tracked for
-    dual signs).
+    dual signs).  Only lower bounds of 0 or -inf and no upper bounds are
+    taken; any other bound raises ValueError.
     """
 
     def __init__(self, problem: LpProblem):
         self.problem = problem
         n = problem.n_vars
+        if np.any((problem.lb != 0.0) & (problem.lb != -np.inf)) \
+                or np.any(problem.ub != np.inf):
+            raise ValueError("the simplex takes only lower bounds of 0 or -inf "
+                             "and no upper bounds")
         A_eq = problem.A_eq
         A_in = problem.A_in
         if scipy.sparse.issparse(A_eq):
@@ -224,9 +233,9 @@ class _StandardForm:
         m = m_eq + m_in
 
         cols = []        # (var_index, sign) per structural column
-        for j, s in enumerate(problem.sign_class):
+        for j, free in enumerate((problem.lb == -np.inf).tolist()):
             cols.append((j, 1.0))
-            if s == FREE:
+            if free:
                 cols.append((j, -1.0))
         self.cols = cols
         n_struct = len(cols)
@@ -357,7 +366,8 @@ def _solve_simplex(problem: LpProblem) -> LpSolution:
         if np.any(c < -_DUAL_TOL):
             return LpSolution(status=UNBOUNDED, backend="simplex")
         x = std.recover_x(np.zeros(n))
-        return _finish(problem, x, np.zeros(0), np.zeros(0), 0, "simplex")
+        return _finish(problem, x, np.zeros(0), np.zeros(0), 0, "simplex",
+                       duals_lb=np.where(problem.lb == 0.0, problem.c, 0.0))
 
     # phase 1: artificial basis
     A1 = np.hstack([A, np.eye(m)])
@@ -410,7 +420,11 @@ def _solve_simplex(problem: LpProblem) -> LpSolution:
 
     x = std.recover_x(z[:std.n_struct + std.n_slack])
     duals_eq, duals_in = std.recover_duals(y, kept_rows)
-    return _finish(problem, x, duals_eq, duals_in, engine2.iterations, "simplex")
+    # a zero lower bound's dual is its column's reduced cost
+    reduced = problem.c - problem.A_eq.T @ duals_eq - problem.A_in.T @ duals_in
+    duals_lb = np.where(problem.lb == 0.0, reduced, 0.0)
+    return _finish(problem, x, duals_eq, duals_in, engine2.iterations, "simplex",
+                   duals_lb=duals_lb)
 
 
 def _solve_highs(problem: LpProblem, config: SolverConfig,
@@ -418,14 +432,13 @@ def _solve_highs(problem: LpProblem, config: SolverConfig,
     from scipy.optimize import linprog
 
     sign = -1.0 if problem.sense == "max" else 1.0
-    bounds = [(None, None) if s == FREE else (0.0, None)
-              for s in problem.sign_class]
     A_eq = problem.A_eq if problem.A_eq.shape[0] else None
     A_in = problem.A_in if problem.A_in.shape[0] else None
     res = linprog(sign * problem.c,
                   A_ub=A_in, b_ub=problem.b_in if A_in is not None else None,
                   A_eq=A_eq, b_eq=problem.b_eq if A_eq is not None else None,
-                  bounds=bounds, method=config.highs_method,
+                  bounds=np.column_stack([problem.lb, problem.ub]),
+                  method=config.highs_method,
                   options={"presolve": presolve, "maxiter": _MAX_ITER})
     if res.status == 2:
         return LpSolution(status=INFEASIBLE, backend="highs")
@@ -438,26 +451,39 @@ def _solve_highs(problem: LpProblem, config: SolverConfig,
     duals_eq = sign * res.eqlin.marginals if A_eq is not None else np.zeros(0)
     duals_in = sign * res.ineqlin.marginals if A_in is not None else np.zeros(0)
     return _finish(problem, res.x, duals_eq, duals_in,
-                   int(getattr(res, "nit", 0)), "highs")
+                   int(getattr(res, "nit", 0)), "highs",
+                   duals_lb=sign * res.lower.marginals,
+                   duals_ub=sign * res.upper.marginals)
 
 
-def _finish(problem, x, duals_eq, duals_in, iterations, backend):
+def _finish(problem, x, duals_eq, duals_in, iterations, backend,
+            duals_lb=None, duals_ub=None):
+    """The certified LpSolution at `x` and the declared-sense duals; bound
+    duals default to zero.  Raises NumericalBreakdown when the primal
+    residual (rows and bounds), the duality gap or complementary slackness
+    (rows and finite bounds) exceeds its tolerance, scaled by 1 + |obj|."""
     x = np.asarray(x, dtype=float)
+    n = problem.n_vars
+    duals_lb = np.zeros(n) if duals_lb is None else np.asarray(duals_lb, dtype=float)
+    duals_ub = np.zeros(n) if duals_ub is None else np.asarray(duals_ub, dtype=float)
     obj = problem.objective_at(x)
 
     report = check_point(problem, x, _FEAS_TOL)
     residual = max(report.max_equality_residual,
                    report.max_inequality_violation,
-                   report.max_sign_violation)
+                   report.max_bound_violation)
 
-    dual_obj = float(problem.b_eq @ duals_eq) + float(problem.b_in @ duals_in)
+    lo, hi = np.isfinite(problem.lb), np.isfinite(problem.ub)
+    dual_obj = (float(problem.b_eq @ duals_eq) + float(problem.b_in @ duals_in)
+                + float(problem.lb[lo] @ duals_lb[lo])
+                + float(problem.ub[hi] @ duals_ub[hi]))
     scale = 1.0 + abs(obj)
     gap = abs(obj - dual_obj)
 
-    cs = 0.0
-    if problem.A_in.shape[0]:
-        slack = problem.b_in - problem.A_in @ x
-        cs = float(np.max(np.abs(duals_in * slack)))
+    products = [duals_in * (problem.b_in - problem.A_in @ x),
+                duals_lb[lo] * (x[lo] - problem.lb[lo]),
+                duals_ub[hi] * (problem.ub[hi] - x[hi])]
+    cs = float(np.max(np.abs(np.concatenate(products)), initial=0.0))
 
     if residual > _FEAS_TOL * scale:
         raise NumericalBreakdown(f"primal residual {residual:.3e} exceeds tolerance")
@@ -467,9 +493,9 @@ def _finish(problem, x, duals_eq, duals_in, iterations, backend):
     if cs > _GAP_TOL * scale:
         raise NumericalBreakdown(f"complementary slackness violation {cs:.3e}")
     return LpSolution(status=OPTIMAL, x=x, duals_eq=duals_eq, duals_in=duals_in,
-                      objective=obj, iterations=iterations, backend=backend,
-                      gap=gap, max_primal_residual=residual,
-                      max_cs_violation=cs)
+                      duals_lb=duals_lb, duals_ub=duals_ub, objective=obj,
+                      iterations=iterations, backend=backend, gap=gap,
+                      max_primal_residual=residual, max_cs_violation=cs)
 
 
 def choose_backend(problem: LpProblem, config: SolverConfig = None) -> str:

@@ -34,7 +34,6 @@ import scipy.sparse as sp
 
 from maskdispatch.lp import (
     LpProblem, SolverConfig, solve_lp, DimensionMismatch, NumericalBreakdown,
-    FREE,
 )
 
 
@@ -470,7 +469,7 @@ def assemble_ed_lp(blocks: EdBlocks):
     """Build the dispatch LP from the block form.
 
     Returns (LpProblem, EdLpLayout).  Variables: entity dispatch
-    segments then angles, all sign-free (bounds are explicit rows).  The
+    segments then angles, all free (bounds are explicit rows).  The
     balance rows are the equalities, every other row an inequality.
     """
     entities = blocks.gencos + blocks.lses
@@ -493,8 +492,7 @@ def assemble_ed_lp(blocks: EdBlocks):
                           + [blocks.line_caps, blocks.line_caps])
     problem = LpProblem(sense="max", c=c, A_eq=A[bal:],
                         b_eq=np.zeros(layout.n_rows - bal),
-                        A_in=A[:bal], b_in=b_in,
-                        sign_class=[FREE] * layout.n_vars)
+                        A_in=A[:bal], b_in=b_in)
     return problem, layout
 
 

@@ -23,9 +23,12 @@ line-hour).  After cancellation a line-hour's upper and lower limit rows
 are one row up to a positive factor; the agent checks that they are
 antiparallel and raises NumericalBreakdown if not.  The factor and the
 flows were already computable from the published blocks, and nothing
-new is sent.  The solution is mapped back to the masked angles, the
-line-limit duals and the balance duals before recovery, so the solution
-slices and the messages are those of the clear LP's layout.
+new is sent.  Every inequality row left with a single entry (the flow
+limits, and the bound rows of entities with a diagonal column mask) is
+handed to HiGHS as a column bound.  The solution is mapped back to the
+masked angles, the row duals of the moved rows, the line-limit duals and
+the balance duals before recovery, so the solution slices and the
+messages are those of the clear LP's layout.
 
 The module also provides the two generic single-sided transforms
 (column-wise and row-wise masking of an arbitrary partitioned LP) and a
@@ -44,7 +47,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from maskdispatch.lp import (
-    LpProblem, DimensionMismatch, NumericalBreakdown, FREE, NONNEG,
+    LpProblem, DimensionMismatch, NumericalBreakdown,
 )
 from maskdispatch.market import EdBlocks, ed_layout, place_blocks
 
@@ -266,7 +269,7 @@ def vertical_mask_generic(problem: LpProblem, column_blocks, Ys):
 
     `column_blocks` is a list of (owner, column-index-list) covering
     every column exactly once; `Ys` maps owner to its mask.  Columns
-    must be sign-free (bounds belong in the constraint set).  Returns
+    must be free (bounds belong in the constraint set).  Returns
     (masked LpProblem, recover) where recover maps a masked primal
     vector back to the original variables.
     """
@@ -277,9 +280,9 @@ def vertical_mask_generic(problem: LpProblem, column_blocks, Ys):
     if sorted(covered) != list(range(n)):
         raise ValueError("column blocks must cover every column exactly once")
     for owner, idx in column_blocks:
-        if problem.sign_class and any(problem.sign_class[j] != FREE for j in idx):
+        if np.isfinite(problem.lb[idx]).any() or np.isfinite(problem.ub[idx]).any():
             raise ValueError(
-                f"columns of {owner} must be sign-free before column masking")
+                f"columns of {owner} must be free before column masking")
         Y = np.asarray(Ys[owner], dtype=float)
         if Y.shape != (len(idx), len(idx)):
             raise DimensionMismatch(
@@ -300,8 +303,7 @@ def vertical_mask_generic(problem: LpProblem, column_blocks, Ys):
             A_in[:, idx] = A_in[:, idx] @ Y
 
     masked = LpProblem(sense=problem.sense, c=c, A_eq=A_eq, b_eq=problem.b_eq.copy(),
-                       A_in=A_in, b_in=problem.b_in.copy(),
-                       sign_class=list(problem.sign_class))
+                       A_in=A_in, b_in=problem.b_in.copy())
 
     def recover(x_masked):
         x_masked = np.asarray(x_masked, dtype=float)
@@ -377,10 +379,11 @@ def horizontal_mask_generic(problem: LpProblem, row_blocks, Xs, Rs):
         row_spans["equalities"] = (r0, r0 + A_eq.shape[0])
 
     c = np.concatenate([problem.c, np.zeros(n_slack)])
-    sign = list(problem.sign_class) + [NONNEG] * n_slack
     masked = LpProblem(sense=problem.sense, c=c,
                        A_eq=np.vstack(rows), b_eq=np.concatenate(rhs),
-                       A_in=None, b_in=None, sign_class=sign)
+                       A_in=None, b_in=None,
+                       lb=np.concatenate([problem.lb, np.zeros(n_slack)]),
+                       ub=np.concatenate([problem.ub, np.full(n_slack, np.inf)]))
     return masked, {"slack_cols": slack_off, "rows": row_spans}
 
 
@@ -641,7 +644,8 @@ class TransformedLp:
             b_eq=np.concatenate([b for *_, b in self.groups]
                                 + [np.zeros(self.n_rows - bal)]),
             A_in=None, b_in=None,
-            sign_class=[FREE] * self.n_structural + [NONNEG] * self.n_slack)
+            lb=np.concatenate([np.full(self.n_structural, -np.inf),
+                               np.zeros(self.n_slack)]))
 
 
 def build_transformed_ed(submissions) -> TransformedLp:
@@ -776,8 +780,7 @@ def eliminate_slacks(tlp: TransformedLp) -> LpProblem:
     pieces += [(r0, col, C) for _, r0, col, C in groups]
     A = place_blocks(pieces, (tlp.n_rows, n))
     return LpProblem(sense="max", c=tlp.c, A_eq=A[bal:],
-                     b_eq=np.zeros(tlp.n_rows - bal), A_in=A[:bal], b_in=b_in,
-                     sign_class=[FREE] * n)
+                     b_eq=np.zeros(tlp.n_rows - bal), A_in=A[:bal], b_in=b_in)
 
 
 def _triplets(rows, cols, block):
@@ -820,21 +823,59 @@ def _merge_line_rows(hi, lo):
     return a, k
 
 
+def _rows_as_bounds(problem):
+    """`problem`, whose columns are free, with single-entry inequality rows
+    stated as column bounds, and ``(rows, cols, coef)`` of the rows moved.
+    Row ``a·x_j <= b`` of CSR ``A_in`` becomes ``ub_j = b/a`` when
+    ``a > 0`` and ``lb_j = b/a`` when ``a < 0``.  Only the first such row
+    per column and direction moves; a later one stays a row, as do all
+    rows with other counts."""
+    A, b = problem.A_in, problem.b_in
+    rows = np.flatnonzero(np.diff(A.indptr) == 1)
+    cols, coef = A.indices[A.indptr[rows]], A.data[A.indptr[rows]]
+    # np.unique's indices are those of each key's first occurrence
+    _, first = np.unique(2 * cols + (coef < 0), return_index=True)
+    rows, cols, coef = rows[first], cols[first], coef[first]
+    lb, ub, up = problem.lb.copy(), problem.ub.copy(), coef > 0
+    ub[cols[up]] = b[rows[up]] / coef[up]
+    lb[cols[~up]] = b[rows[~up]] / coef[~up]
+    kept = np.ones(b.size, dtype=bool)
+    kept[rows] = False
+    return dataclasses.replace(problem, A_in=A[kept], b_in=b[kept],
+                               lb=lb, ub=ub), (rows, cols, coef)
+
+
+def _row_duals(sol, moved):
+    """The inequality duals of the problem before `_rows_as_bounds` from
+    `sol` of the problem after it: a moved row's dual is its bound's dual
+    divided by the row's coefficient."""
+    rows, cols, coef = moved
+    kept = np.ones(sol.duals_in.size + rows.size, dtype=bool)
+    kept[rows] = False
+    duals = np.empty(kept.size)
+    duals[kept] = sol.duals_in
+    duals[rows] = np.where(coef > 0, sol.duals_ub[cols], sol.duals_lb[cols]) / coef
+    return duals
+
+
 @dataclass
 class AngleElimination:
     """The masked LP in flow form over the entity columns, and the way back.
 
     `problem` is what `eliminate_angles` hands the solver: the entity
-    columns ``z``, then one free masked-flow column ``f`` per line-hour.
-    `restore` maps its optimal solution to the layout of
-    ``eliminate_slacks(tlp)``: the masked angles ``θ' = P·z`` after the
-    entity columns (``f`` is dropped), the lower-limit duals divided by
-    `k` and the masked balance duals in place of the reduced LP's
-    equality duals.  `components` holds ``(rows, cols, zcols, Q, R, P)``
-    per diagonal block of the balance block (`_diagonal_blocks`); `L` is
-    the merged line block ``a`` over the angle columns, `k` the
-    lower-to-upper row ratios and `lower` the rows of the lower limits in
-    ``problem.A_in``.
+    columns ``z``, then one masked-flow column ``f`` per line-hour, with
+    its single-entry rows stated as column bounds.  `restore` maps its
+    optimal solution to the layout of ``eliminate_slacks(tlp)``: the
+    masked angles ``θ' = P·z`` after the entity columns (``f`` is
+    dropped), every inequality row's dual in its row (the moved rows' from
+    their bounds' duals), the lower-limit duals divided by `k` and the
+    masked balance duals in place of the reduced LP's equality duals.
+    `components` holds ``(rows, cols, zcols, Q, R, P)`` per diagonal block
+    of the balance block (`_diagonal_blocks`); `L` is the merged line
+    block ``a`` over the angle columns, `k` the lower-to-upper row ratios,
+    `lower` the rows of the lower limits and `moved` the ``(rows, cols,
+    coef)`` of the rows stated as bounds (`_rows_as_bounds`), both in the
+    inequality rows of ``eliminate_slacks(tlp)``.
     """
 
     problem: LpProblem
@@ -843,6 +884,7 @@ class AngleElimination:
     k: np.ndarray
     lower: slice
     n_balance: int
+    moved: tuple
 
     def restore(self, sol):
         """`sol` with ``x``, ``duals_in`` and ``duals_eq`` in the
@@ -851,7 +893,7 @@ class AngleElimination:
             return sol
         TL = self.k.size
         z = sol.x[:sol.x.size - TL]
-        duals_in = sol.duals_in.copy()
+        duals_in = _row_duals(sol, self.moved)
         duals_in[self.lower] /= self.k
         n_eq = sol.duals_eq.size - TL
         theta = np.zeros(self.L.shape[1])
@@ -866,8 +908,10 @@ class AngleElimination:
             e += nu.size
             lam[rows] = Q @ np.concatenate(
                 [-scipy.linalg.solve_triangular(R, g[cols], trans="T"), nu])
-        return dataclasses.replace(sol, x=np.concatenate([z, theta]),
-                                   duals_in=duals_in, duals_eq=lam)
+        x = np.concatenate([z, theta])
+        return dataclasses.replace(sol, x=x, duals_in=duals_in, duals_eq=lam,
+                                   duals_lb=np.zeros(x.size),
+                                   duals_ub=np.zeros(x.size))
 
 
 def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
@@ -890,20 +934,36 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     `_merge_line_rows` finds ``k = r1/r2`` from the two rows alone, checks
     that they are antiparallel (NumericalBreakdown if not, rather than
     solving another LP) and merges them into ``a``.  The line-hour then
-    gets a free column ``f``, the equality ``a·P·z - f = 0`` after the
+    gets a column ``f``, the equality ``a·P·z - f = 0`` after the
     balance equalities, and the limits ``f <= b_hi`` and ``-f <= b_lo/k``
-    in the rows the two line limits held, so ``A_in`` keeps its rows and
-    their order.  Each block is built densely over its own rows and
+    in the rows the two line limits held, so the inequality rows keep
+    the order of ``eliminate_slacks(tlp)``.  Each block is built densely over its own rows and
     columns, and the LP is placed once as CSR from its triplets, without
     the entries of magnitude at most 1e-9 (cancellation residue that
     HiGHS drops on input, its ``small_matrix_value``).
+
+    Last, every inequality row left with one entry is stated as a bound
+    of its column (`_rows_as_bounds`), which an interior-point solver
+    treats far more cheaply than a row: the flow limits, and the bound
+    rows of every entity whose column mask is diagonal.  The other rows
+    stay in ``problem.A_in`` in their order.  `restore` puts each bound's
+    dual back in its row (`_row_duals`), so ``duals_in`` keeps the layout
+    of ``eliminate_slacks(tlp)``.  On the 118-bus,
+    2-hour case with hourly keys, 1,140 of 1,248 inequality rows move and
+    the 108 two-entry ramp rows stay.
 
     Only published data is read, as in `eliminate_slacks`, and with the
     same caveat: it relies on invertible slack blocks and on each
     diagonal block of ``Bθ`` having full column rank (a connected network, a
     condition-gated ``X_b`` and ``Y_θ``).  ``k`` and the flows
     ``f = hi·θ'`` were already computable from what the agent received;
-    nothing new is sent.
+    nothing new is sent.  The entity part of the move exists only because
+    of a leak: a single-segment entity under hourly keys has a diagonal
+    ``Y``, so after the cancellation each of its bound rows has one entry
+    and tells the agent price times bound for its hour (ROADMAP item 4,
+    leak (c)).  The agent sees these rows either way; a mitigation that
+    mixes an entity's hours makes them dense again, and this part of the
+    saving goes with it.
     """
     bal = tlp.row_spans["balance"][0]
     nz, n = tlp.var_spans["theta"]
@@ -945,14 +1005,13 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
         components.append((rows, cols, zcols, Q, R, P))
     eq_parts += [(e + r, c, v) for r, c, v in flow_parts]
     eq_parts.append((e + np.arange(TL), flow, -np.ones(TL)))
-    problem = LpProblem(
+    problem, moved = _rows_as_bounds(LpProblem(
         sense="max", c=np.concatenate([tlp.c[:nz], np.zeros(TL)]),
         A_eq=_coo_csr(eq_parts, (e + TL, nz + TL), tiny=1e-9),
         b_eq=np.zeros(e + TL),
-        A_in=_coo_csr(ineq, (bal, nz + TL), tiny=1e-9), b_in=b_in,
-        sign_class=[FREE] * (nz + TL))
+        A_in=_coo_csr(ineq, (bal, nz + TL), tiny=1e-9), b_in=b_in))
     return AngleElimination(problem=problem, components=components, L=a, k=k,
-                            lower=lower, n_balance=TB)
+                            lower=lower, n_balance=TB, moved=moved)
 
 
 def recover_primal(keys: MaskKeys, solution, tlp: TransformedLp) -> dict:

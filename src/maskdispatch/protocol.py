@@ -27,9 +27,10 @@ them to zero, so zero entries stay visible under masking.
 
 An LP the router sends to HiGHS is solved in its shift-factor flow form:
 the agent cancels every owner's slack block, substitutes the masked angles
-out and states each line-hour once through a masked-flow column
-(`masking.eliminate_angles`), solves once, and maps the solution back to
-masked angles and balance duals before any slice is sent.  The simplex
+out, states each line-hour once through a masked-flow column and every
+single-entry row as a column bound (`masking.eliminate_angles`), solves
+once, and maps the solution back to masked angles, row duals and balance
+duals before any slice is sent.  The simplex
 takes the all-equality slack form.
 """
 
@@ -445,14 +446,16 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
 
     if config is None:
         config = SolverConfig()
-    # routed on its size before anything is assembled.  No presolve: masking
-    # leaves it no singleton, doubleton or dependent row to remove
+    # routed on its size before anything is assembled
     if choose_backend(tlp, config) == "highs":
         # the agent cancels each owner's published slack block, substitutes
-        # the angles out and merges each line-hour's two limit rows into one
-        # flow column, leaving an LP over the entity and flow columns with
-        # one balance equality per hour; it stays on HiGHS however small
-        # that LP is, and its solution is mapped back to angles and duals
+        # the angles out, merges each line-hour's two limit rows into one
+        # flow column and states every single-entry row as a column bound,
+        # leaving an LP over the entity and flow columns with one balance
+        # equality per hour and dense or two-entry rows; it stays on HiGHS
+        # however small that LP is, and its solution is mapped back to
+        # angles and row duals.  No presolve: the singleton rows it would
+        # remove are bounds already, and it saved no time on the flow form
         reduced = masking.eliminate_angles(tlp)
         sol = reduced.restore(solve_lp(
             reduced.problem, dataclasses.replace(config, backend="highs"),

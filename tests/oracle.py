@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 
-from maskdispatch.lp import LpProblem, FREE, NONNEG
+from maskdispatch.lp import LpProblem
 from maskdispatch.market import MarketSystem
 
 
@@ -35,12 +35,13 @@ def enumerate_vertices(problem: LpProblem, tol=1e-8):
     b_eq = np.asarray(problem.b_eq, dtype=float)
     rows = [_dense(problem.A_in)] if problem.A_in.shape[0] else []
     rhs = [np.asarray(problem.b_in, dtype=float)] if problem.A_in.shape[0] else []
-    for j, s in enumerate(problem.sign_class):
-        if s == NONNEG:
-            e = np.zeros((1, n))
-            e[0, j] = -1.0
-            rows.append(e)
-            rhs.append(np.zeros(1))
+    for j in range(n):
+        for sgn, bound in ((-1.0, problem.lb[j]), (1.0, problem.ub[j])):
+            if np.isfinite(bound):
+                e = np.zeros((1, n))
+                e[0, j] = sgn
+                rows.append(e)
+                rhs.append(np.array([sgn * bound]))
     G = np.vstack(rows) if rows else np.zeros((0, n))
     h = np.concatenate(rhs) if rhs else np.zeros(0)
 
@@ -195,8 +196,7 @@ def assemble_ed_lp_scalar(system: MarketSystem):
 
     return LpProblem(sense="max", c=c,
                      A_eq=np.array(A_eq_rows), b_eq=np.zeros(T * B),
-                     A_in=np.array(A_in_rows), b_in=np.array(b_in),
-                     sign_class=[FREE] * n)
+                     A_in=np.array(A_in_rows), b_in=np.array(b_in))
 
 
 def plain_iso_products(blocks, keys, entity_incidences):

@@ -291,8 +291,7 @@ def test_criterion_8_solver_certificates(optimality_certificates):
         x0 = rng.uniform(0.1, 1.0, n)
         b = A @ x0 + rng.uniform(0.0, 1.0, m)
         y0 = np.abs(rng.normal(size=m))
-        p = LpProblem(sense="min", c=-(A.T @ y0), A_in=A, b_in=b,
-                      sign_class=["free"] * n)
+        p = LpProblem(sense="min", c=-(A.T @ y0), A_in=A, b_in=b)
         sol = solve_lp(p)
         ref = best_vertex_objective(p)
         if sol.status == "optimal" and ref is not None:

@@ -12,7 +12,7 @@ from oracle import best_vertex_objective
 def simple_bound_problem():
     # min x subject to x >= 3, stated as -x <= -3 with x nonnegative
     return LpProblem(sense="min", c=[1.0], A_in=[[-1.0]], b_in=[-3.0],
-                     sign_class=["nonneg"])
+                     lb=[0.0])
 
 
 def test_single_variable_bound():
@@ -26,22 +26,21 @@ def test_single_variable_bound():
 def test_contradictory_equalities_infeasible():
     p = LpProblem(sense="min", c=[1.0, 1.0],
                   A_eq=[[1, 1], [1, 1]], b_eq=[1, 2],
-                  sign_class=["nonneg"] * 2)
+                  lb=[0.0] * 2)
     assert solve_lp(p).status == "infeasible"
 
 
 def test_unbounded_direction():
-    p = LpProblem(sense="max", c=[1.0], sign_class=["free"])
+    p = LpProblem(sense="max", c=[1.0])
     assert solve_lp(p).status == "unbounded"
-    p2 = LpProblem(sense="min", c=[-1.0], A_in=[[-1.0]], b_in=[0.0],
-                   sign_class=["free"])
+    p2 = LpProblem(sense="min", c=[-1.0], A_in=[[-1.0]], b_in=[0.0])
     assert solve_lp(p2).status == "unbounded"
 
 
 def test_free_variable_recombination():
     # equality pins x1 + x2 = -5 with x1 free; optimum pushes x2 to zero
     p = LpProblem(sense="min", c=[0.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[-5.0],
-                  sign_class=["free", "nonneg"])
+                  lb=[-np.inf, 0.0])
     sol = solve_lp(p)
     assert sol.status == "optimal"
     assert sol.x[0] == pytest.approx(-5.0, abs=1e-9)
@@ -55,12 +54,12 @@ def test_max_sense_inequality_duals_nonnegative():
         A = rng.uniform(0.1, 1.0, (m, n))
         b = rng.uniform(1.0, 2.0, m)
         c = rng.uniform(0.1, 1.0, n)
-        p = LpProblem(sense="max", c=c, A_in=A, b_in=b, sign_class=["nonneg"] * n)
+        p = LpProblem(sense="max", c=c, A_in=A, b_in=b, lb=[0.0] * n)
         sol = solve_lp(p)
         assert sol.status == "optimal"
         assert np.all(sol.duals_in >= -1e-9)
         # the same data as a min problem flips the dual sign
-        pm = LpProblem(sense="min", c=-c, A_in=A, b_in=b, sign_class=["nonneg"] * n)
+        pm = LpProblem(sense="min", c=-c, A_in=A, b_in=b, lb=[0.0] * n)
         sm = solve_lp(pm)
         assert np.all(sm.duals_in <= 1e-9)
         assert sm.objective == pytest.approx(-sol.objective, abs=1e-8)
@@ -76,8 +75,8 @@ def _random_bounded_lp(rng, n=5, m_in=7, m_eq=0, sense="min", nonneg=False):
     if m_eq:
         E = rng.normal(size=(m_eq, n))
         kw = dict(A_eq=E, b_eq=E @ x0)
-    sign = ["nonneg" if nonneg else "free"] * n
-    return LpProblem(sense=sense, c=c, A_in=A, b_in=b, sign_class=sign, **kw)
+    lb = [0.0 if nonneg else -np.inf] * n
+    return LpProblem(sense=sense, c=c, A_in=A, b_in=b, lb=lb, **kw)
 
 
 def test_simplex_agrees_with_highs():
@@ -130,7 +129,7 @@ def test_degenerate_problem_terminates():
          [0.5, -90.0, -0.02, 3.0],
          [0.0, 0.0, 1.0, 0.0]]
     b = [0.0, 0.0, 1.0]
-    p = LpProblem(sense="min", c=c, A_in=A, b_in=b, sign_class=["nonneg"] * 4)
+    p = LpProblem(sense="min", c=c, A_in=A, b_in=b, lb=[0.0] * 4)
     sol = solve_lp(p)
     assert sol.status == "optimal"
     ref = best_vertex_objective(p)
@@ -146,27 +145,69 @@ def test_iteration_limit_raises(backend, monkeypatch):
         solve_lp(p, SolverConfig(backend=backend))
 
 
-# min x  s.t.  x = 3,  x <= 10: the optimum x = 3 has duals 1 and 0
-_TINY = dict(sense="min", c=[1.0], A_eq=[[1.0]], b_eq=[3.0],
-             A_in=[[1.0]], b_in=[10.0])
+# min x  s.t.  x = 3,  x <= 10,  y <= 1 (a bound; y costs nothing): the
+# optimum x = 3, y = 0 has duals 1 and 0 and bound duals 0
+_TINY = dict(sense="min", c=[1.0, 0.0], A_eq=[[1.0, 0.0]], b_eq=[3.0],
+             A_in=[[1.0, 0.0]], b_in=[10.0], ub=[np.inf, 1.0])
 
 
 @pytest.mark.parametrize("x, dual_eq, dual_in, gate", [
     # off the equality by 0.01; gap 0, and the slack row has no dual
-    (3.01, 3.01 / 3.0, 0.0, "primal residual"),
+    ([3.01, 0.0], 3.01 / 3.0, 0.0, "primal residual"),
     # feasible, no dual weight on the binding row: gap 3, CS 0
-    (3.0, 0.0, 0.0, "duality gap"),
+    ([3.0, 0.0], 0.0, 0.0, "duality gap"),
     # dual objective 3*4/3 - 10*0.1 = 3 (gap 0), but the slack row (slack 7)
     # carries a dual of -0.1
-    (3.0, 4.0 / 3.0, -0.1, "complementary slackness"),
-], ids=["residual", "gap", "cs"])
+    ([3.0, 0.0], 4.0 / 3.0, -0.1, "complementary slackness"),
+    # every row holds and gap and CS are 0, but y is 1 above its bound
+    ([3.0, 2.0], 1.0, 0.0, "primal residual"),
+], ids=["residual", "gap", "cs", "bound"])
 def test_finish_rejects_each_uncertified_point(x, dual_eq, dual_in, gate):
     p = LpProblem(**_TINY)
-    sol = lp._finish(p, [3.0], np.array([1.0]), np.array([0.0]), 0, "simplex")
+    sol = lp._finish(p, [3.0, 0.0], np.array([1.0]), np.array([0.0]), 0,
+                     "simplex")
     assert (sol.gap, sol.max_primal_residual, sol.max_cs_violation) == (0, 0, 0)
     with pytest.raises(NumericalBreakdown, match=gate):
-        lp._finish(p, [x], np.array([dual_eq]), np.array([dual_in]), 0,
+        lp._finish(p, x, np.array([dual_eq]), np.array([dual_in]), 0,
                    "simplex")
+
+
+@pytest.mark.parametrize("sense", ["max", "min"])
+def test_highs_bound_duals_in_declared_sense(sense):
+    # max x - y  s.t.  x + y <= 10,  -5 <= x <= 3,  y >= 2: the optimum
+    # (3, 2) binds x's upper and y's lower bound, not the row; the min
+    # problem is the same with the objective negated
+    sign = 1.0 if sense == "max" else -1.0
+    p = LpProblem(sense=sense, c=[sign, -sign], A_in=[[1.0, 1.0]], b_in=[10.0],
+                  lb=[-5.0, 2.0], ub=[3.0, np.inf])
+    sol = solve_lp(p, SolverConfig(backend="highs"))
+    np.testing.assert_allclose(sol.x, [3.0, 2.0], atol=1e-9)
+    assert sol.objective == pytest.approx(sign, abs=1e-9)
+    # d(objective)/d(bound) in the declared sense
+    np.testing.assert_allclose(sol.duals_ub, [sign, 0.0], atol=1e-9)
+    np.testing.assert_allclose(sol.duals_lb, [0.0, -sign], atol=1e-9)
+    np.testing.assert_allclose(sol.duals_in, [0.0], atol=1e-9)
+    # the row terms alone leave the whole objective as gap; the finite
+    # bound terms 3*sign + 2*(-sign) close it
+    assert abs(sol.objective - p.b_in @ sol.duals_in) == pytest.approx(1.0)
+    assert sol.gap <= 1e-9 and sol.max_cs_violation <= 1e-9
+
+
+@pytest.mark.parametrize("bounds", [{"ub": [5.0]}, {"lb": [2.0]}],
+                         ids=["finite-ub", "nonzero-lb"])
+def test_simplex_rejects_other_bounds(bounds):
+    p = LpProblem(sense="min", c=[1.0], A_in=[[1.0]], b_in=[10.0], **bounds)
+    with pytest.raises(ValueError, match="simplex takes only"):
+        solve_lp(p, SolverConfig(backend="simplex"))
+
+
+@pytest.mark.parametrize("bounds", [
+    {"lb": [np.nan]}, {"ub": [np.nan]}, {"lb": [2.0], "ub": [1.0]},
+    {"lb": [np.inf]}, {"ub": [-np.inf]},
+], ids=["nan-lb", "nan-ub", "crossed", "lb-inf", "ub-minus-inf"])
+def test_empty_or_undefined_bounds_rejected(bounds):
+    with pytest.raises(ValueError):
+        LpProblem(sense="min", c=[1.0], **bounds)
 
 
 def test_check_point_self_consistency():
@@ -180,18 +221,17 @@ def test_check_point_self_consistency():
 
 def test_check_point_flags_violations():
     p = LpProblem(sense="min", c=[1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[2.0],
-                  A_in=[[1.0, 0.0]], b_in=[0.5], sign_class=["nonneg"] * 2)
+                  A_in=[[1.0, 0.0]], b_in=[0.5], lb=[0.0] * 2)
     rep = check_point(p, [2.0, -1.0], 1e-6)
     assert not rep.feasible
     assert rep.max_equality_residual == pytest.approx(1.0)
     assert rep.max_inequality_violation == pytest.approx(1.5)
-    assert rep.max_sign_violation == pytest.approx(1.0)
+    assert rep.max_bound_violation == pytest.approx(1.0)
 
 
 def test_dimension_errors():
     with pytest.raises(DimensionMismatch):
-        LpProblem(sense="min", c=[1.0, 2.0], A_in=[[1.0]], b_in=[1.0],
-                  sign_class=["free", "free"])
+        LpProblem(sense="min", c=[1.0, 2.0], A_in=[[1.0]], b_in=[1.0])
     p = simple_bound_problem()
     with pytest.raises(DimensionMismatch):
         check_point(p, [1.0, 2.0])
@@ -199,17 +239,16 @@ def test_dimension_errors():
 
 def test_nonfinite_entries_rejected():
     with pytest.raises(ValueError):
-        LpProblem(sense="min", c=[np.nan], sign_class=["free"])
+        LpProblem(sense="min", c=[np.nan])
     with pytest.raises(ValueError):
-        LpProblem(sense="min", c=[1.0], A_in=[[np.inf]], b_in=[1.0],
-                  sign_class=["free"])
+        LpProblem(sense="min", c=[1.0], A_in=[[np.inf]], b_in=[1.0])
 
 
 def test_redundant_equality_rows_handled():
     # duplicated equality row: phase 1 must drop it and still produce duals
     p = LpProblem(sense="min", c=[1.0, 2.0],
                   A_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[1.0, 2.0],
-                  sign_class=["nonneg"] * 2)
+                  lb=[0.0] * 2)
     sol = solve_lp(p)
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-9)

@@ -144,12 +144,11 @@ def _partitioned_lp(rng, equality=False):
     if equality:
         b = A @ x0
         c = rng.uniform(-1, 1, 6)
-        return LpProblem(sense="min", c=c, A_eq=A, b_eq=b,
-                         sign_class=["free"] * 6)
+        return LpProblem(sense="min", c=c, A_eq=A, b_eq=b)
     b = A @ x0 + rng.uniform(0.0, 0.5, 6)
     y0 = np.abs(rng.normal(size=6)) + 0.05
     c = -(A.T @ y0)
-    return LpProblem(sense="min", c=c, A_in=A, b_in=b, sign_class=["free"] * 6)
+    return LpProblem(sense="min", c=c, A_in=A, b_in=b)
 
 
 COLUMN_BLOCKS = [("E1", [0, 1]), ("E2", [2, 3]), ("E3", [4, 5])]
@@ -200,7 +199,7 @@ def test_horizontal_identity_is_plain_slack_form():
     np.testing.assert_array_equal(A[:, :6], np.asarray(p.A_in))
     np.testing.assert_array_equal(A[:, 6:], np.eye(6))
     np.testing.assert_array_equal(masked.b_eq, p.b_in)
-    assert masked.sign_class[6:] == ["nonneg"] * 6
+    assert list(masked.lb[6:]) == [0.0] * 6 and np.all(masked.ub == np.inf)
 
 
 def test_horizontal_mask_preserves_optimum():
@@ -285,8 +284,8 @@ def test_transformed_problem_dimensions(threebus):
     hi = tlp.var_spans["slack:line_hi"]
     lo = tlp.var_spans["slack:line_lo"]
     assert hi[1] - hi[0] == 3 and lo[1] - lo[0] == 3
-    assert all(s == "free" for s in tlp.problem.sign_class[:11])
-    assert all(s == "nonneg" for s in tlp.problem.sign_class[11:])
+    assert np.all(tlp.problem.lb[:11] == -np.inf)
+    assert np.all(tlp.problem.lb[11:] == 0.0) and np.all(tlp.problem.ub == np.inf)
 
 
 def test_identity_keys_reproduce_slack_form(threebus):
@@ -641,15 +640,17 @@ def test_eliminate_slacks_equals_dense_cancellation(case, threebus):
     np.testing.assert_allclose(got.b_in, want_b, rtol=0, atol=1e-10)
     np.testing.assert_array_equal(got.b_eq, np.zeros(A.shape[0] - bal))
     np.testing.assert_array_equal(got.c, tlp.problem.c[:n])
-    assert got.sign_class == ["free"] * n
+    assert np.all(got.lb == -np.inf) and np.all(got.ub == np.inf)
 
 
 def _case_submissions(case, seed, threebus):
     """(published submissions, hours) for a named case at mask seed `seed`."""
     if case == "threebus":
         blocks, config = build_ed_blocks(threebus), MaskConfig()
-    elif case == "hourly-14":
-        blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
+    elif case in ("hourly-14", "hourly-14-1seg"):
+        segments = 2 if case == "hourly-14" else 1
+        blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3,
+                                               segments=segments))
         config = MaskConfig(hourly_block_masks=True)
     else:
         blocks = build_ed_blocks(gen_synthetic(30, 2, 2, 5, 4, seed=1, segments=3))
@@ -666,7 +667,8 @@ def _case_tlp(case, seed, threebus):
 
 @pytest.mark.parametrize("case, seed", [("hourly-14", 0), ("hourly-14", 1),
                                         ("hourly-14", 2), ("threebus", 0),
-                                        ("pooled30-4h", 44), ("pooled30-4h", 73)])
+                                        ("pooled30-4h", 44), ("pooled30-4h", 73),
+                                        ("hourly-14-1seg", 0)])
 def test_eliminated_angles_reproduce_cancelled_solve(case, seed, threebus):
     # substituting the angles out and mapping the solution back gives an
     # optimal point and duals of the cancelled LP: its entity and angle
@@ -688,6 +690,18 @@ def test_eliminated_angles_reproduce_cancelled_solve(case, seed, threebus):
                 - cancelled.A_eq.T @ got.duals_eq)
     assert np.max(np.abs(residual)) <= 1e-6
     assert np.max(np.abs(residual[tlp.var_spans["theta"][0]:])) <= 1e-9
+    # the duals of the rows stated as bounds come back in their rows
+    np.testing.assert_allclose(got.duals_in, want.duals_in, rtol=0, atol=1e-6)
+    if case == "hourly-14-1seg":
+        # single-segment entities under hourly keys have a diagonal Y, so
+        # their cancelled bound rows have one entry each (leak (c)) and
+        # move into column bounds with the flow limits, upper and lower
+        # ones binding
+        rows, _, coef = reduced.moved
+        TL = tlp.row_spans["line_hi"][1] - tlp.row_spans["line_hi"][0]
+        assert rows.size > 2 * TL
+        binding = np.abs(got.duals_in[rows]) > 1e-6
+        assert binding[coef > 0].any() and binding[coef < 0].any()
 
 
 @pytest.mark.parametrize("case", ["threebus", "hourly-14", "pooled30-4h"])
@@ -695,7 +709,9 @@ def test_eliminated_angles_keep_one_equality_per_hour(case, threebus):
     # hourly keys leave one balance component per hour and dense keys one
     # over all hours; either way a connected network keeps one system
     # balance row per hour, over the entity columns only, and each
-    # line-hour adds one flow column and one flow equality
+    # line-hour adds one flow column and one flow equality; the moved
+    # single-entry rows, the two flow limits of each line-hour among them,
+    # leave the inequality rows
     tlp, T = _case_tlp(case, 1, threebus)
     reduced = masking.eliminate_angles(tlp)
     nz = tlp.var_spans["theta"][0]
@@ -703,10 +719,44 @@ def test_eliminated_angles_keep_one_equality_per_hour(case, threebus):
     bal = tlp.row_spans["balance"][0]
     TL = tlp.row_spans["line_hi"][1] - tlp.row_spans["line_hi"][0]
     assert len(reduced.components) == (T if case == "hourly-14" else 1)
-    assert (reduced.problem.n_vars, reduced.problem.A_in.shape[0]) == (nz + TL, bal)
+    moved = reduced.moved[0].size
+    assert moved >= 2 * TL
+    assert (reduced.problem.n_vars, reduced.problem.A_in.shape[0]) == (nz + TL,
+                                                                      bal - moved)
     assert reduced.problem.A_eq.shape[0] == T + TL
     assert sum(cols.size for _, cols, *_ in reduced.components) == n_iso
     assert reduced.L.shape == (TL, n_iso)
+
+
+@pytest.mark.parametrize("caps", [(4.0, 3.0), (3.0, 4.0)],
+                         ids=["second-binds", "first-binds"])
+def test_repeated_single_entry_row_stays_a_row(caps):
+    # max 2x + y - z  s.t.  x <= caps[0], x <= caps[1], x + y <= 10,
+    # -z <= -2: only the first bound row of x moves (ub), the second stays
+    # a row; -z <= -2 becomes lb_z = 2.  The restored duals are the row
+    # form's whichever of x's two rows binds
+    p = LpProblem(sense="max", c=[2.0, 1.0, -1.0],
+                  A_in=sp.csr_matrix([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                      [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]]),
+                  b_in=[caps[0], caps[1], 10.0, -2.0])
+    bounded, moved = masking._rows_as_bounds(p)
+    rows, cols, coef = moved
+    np.testing.assert_array_equal(rows, [0, 3])
+    np.testing.assert_array_equal(cols, [0, 2])
+    np.testing.assert_array_equal(coef, [1.0, -1.0])
+    np.testing.assert_array_equal(bounded.A_in.toarray(),
+                                  [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]])
+    np.testing.assert_array_equal(bounded.b_in, [caps[1], 10.0])
+    np.testing.assert_array_equal(bounded.ub, [caps[0], np.inf, np.inf])
+    np.testing.assert_array_equal(bounded.lb, [-np.inf, -np.inf, 2.0])
+    config = SolverConfig(backend="highs")
+    want = solve_lp(p, config)
+    got = solve_lp(bounded, config)
+    np.testing.assert_allclose(got.x, want.x, atol=1e-9)
+    duals = masking._row_duals(got, moved)
+    np.testing.assert_allclose(duals, want.duals_in, atol=1e-9)
+    binding = 0 if caps[0] < caps[1] else 1
+    np.testing.assert_allclose(duals[[binding, 2, 3]], [1.0, 1.0, 1.0], atol=1e-9)
 
 
 def test_eliminated_angles_restore_lower_limit_duals(threebus):

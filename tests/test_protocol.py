@@ -265,14 +265,15 @@ def test_pooled_multi_hour_masked_round_matches_clear(seed):
 
 
 @pytest.mark.parametrize("backend, shape, n_eq", [("auto", (27, 35), 27),
-                                                  ("highs", (28, 12), 4)])
+                                                  ("highs", (22, 12), 4)])
 def test_masked_round_solves_slack_form_only_on_simplex(threebus, monkeypatch,
                                                         backend, shape, n_eq):
     # the simplex gets the all-equality masked LP; HiGHS gets it with every
     # slack block cancelled, the 2 angle columns substituted out and each
     # of the 3 lines stated once: the clear LP's 24 inequality rows over
-    # its 9 entity columns and 3 flow columns, plus one system balance row
-    # and 3 flow rows.  The agent places only the matrix it solves, so
+    # its 9 entity columns and 3 flow columns, less the 6 flow limits that
+    # become the flow columns' bounds, plus one system balance row and 3
+    # flow rows.  The agent places only the matrix it solves, so
     # HiGHS never sees a 27 x 35 slack form built
     seen, placed, tlps = [], [], []
 
