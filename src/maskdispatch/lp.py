@@ -15,7 +15,7 @@ nonnegative and for a min problem it is nonpositive.
 
 The default backend is a two-phase primal revised simplex (Bland's rule
 engaged after a run of degenerate pivots); it takes only lower bounds of 0
-or -inf and no upper bounds.  ``choose_backend`` reads only the size:
+or -inf and no upper bounds, and reports no bound duals.  ``choose_backend`` reads only the size:
 problems whose rows plus columns exceed ``_SIMPLEX_SIZE_LIMIT`` go to
 scipy's HiGHS solver, which accepts the same data and is mapped onto the
 same dual convention.  The masked round asks it before assembling
@@ -366,8 +366,7 @@ def _solve_simplex(problem: LpProblem) -> LpSolution:
         if np.any(c < -_DUAL_TOL):
             return LpSolution(status=UNBOUNDED, backend="simplex")
         x = std.recover_x(np.zeros(n))
-        return _finish(problem, x, np.zeros(0), np.zeros(0), 0, "simplex",
-                       duals_lb=np.where(problem.lb == 0.0, problem.c, 0.0))
+        return _finish(problem, x, np.zeros(0), np.zeros(0), 0, "simplex")
 
     # phase 1: artificial basis
     A1 = np.hstack([A, np.eye(m)])
@@ -420,11 +419,7 @@ def _solve_simplex(problem: LpProblem) -> LpSolution:
 
     x = std.recover_x(z[:std.n_struct + std.n_slack])
     duals_eq, duals_in = std.recover_duals(y, kept_rows)
-    # a zero lower bound's dual is its column's reduced cost
-    reduced = problem.c - problem.A_eq.T @ duals_eq - problem.A_in.T @ duals_in
-    duals_lb = np.where(problem.lb == 0.0, reduced, 0.0)
-    return _finish(problem, x, duals_eq, duals_in, engine2.iterations, "simplex",
-                   duals_lb=duals_lb)
+    return _finish(problem, x, duals_eq, duals_in, engine2.iterations, "simplex")
 
 
 def _solve_highs(problem: LpProblem, config: SolverConfig,
@@ -459,13 +454,14 @@ def _solve_highs(problem: LpProblem, config: SolverConfig,
 def _finish(problem, x, duals_eq, duals_in, iterations, backend,
             duals_lb=None, duals_ub=None):
     """The certified LpSolution at `x` and the declared-sense duals; bound
-    duals default to zero.  Raises NumericalBreakdown when the primal
+    duals not given (the simplex's) count as zero in the certificate and
+    are reported as None.  Raises NumericalBreakdown when the primal
     residual (rows and bounds), the duality gap or complementary slackness
     (rows and finite bounds) exceeds its tolerance, scaled by 1 + |obj|."""
     x = np.asarray(x, dtype=float)
     n = problem.n_vars
-    duals_lb = np.zeros(n) if duals_lb is None else np.asarray(duals_lb, dtype=float)
-    duals_ub = np.zeros(n) if duals_ub is None else np.asarray(duals_ub, dtype=float)
+    d_lb = np.zeros(n) if duals_lb is None else np.asarray(duals_lb, dtype=float)
+    d_ub = np.zeros(n) if duals_ub is None else np.asarray(duals_ub, dtype=float)
     obj = problem.objective_at(x)
 
     report = check_point(problem, x, _FEAS_TOL)
@@ -475,14 +471,14 @@ def _finish(problem, x, duals_eq, duals_in, iterations, backend,
 
     lo, hi = np.isfinite(problem.lb), np.isfinite(problem.ub)
     dual_obj = (float(problem.b_eq @ duals_eq) + float(problem.b_in @ duals_in)
-                + float(problem.lb[lo] @ duals_lb[lo])
-                + float(problem.ub[hi] @ duals_ub[hi]))
+                + float(problem.lb[lo] @ d_lb[lo])
+                + float(problem.ub[hi] @ d_ub[hi]))
     scale = 1.0 + abs(obj)
     gap = abs(obj - dual_obj)
 
     products = [duals_in * (problem.b_in - problem.A_in @ x),
-                duals_lb[lo] * (x[lo] - problem.lb[lo]),
-                duals_ub[hi] * (problem.ub[hi] - x[hi])]
+                d_lb[lo] * (x[lo] - problem.lb[lo]),
+                d_ub[hi] * (problem.ub[hi] - x[hi])]
     cs = float(np.max(np.abs(np.concatenate(products)), initial=0.0))
 
     if residual > _FEAS_TOL * scale:

@@ -829,16 +829,22 @@ def _rows_as_bounds(problem):
     Row ``a·x_j <= b`` of CSR ``A_in`` becomes ``ub_j = b/a`` when
     ``a > 0`` and ``lb_j = b/a`` when ``a < 0``.  Only the first such row
     per column and direction moves; a later one stays a row, as do all
-    rows with other counts."""
+    rows with other counts.  A lower bound above its column's new upper
+    bound stays a row too: a fixed quantity (``lo == hi``) gives two rows
+    from separate cancellations, whose bounds can cross by rounding, and
+    an infeasible one is left for the solver to report."""
     A, b = problem.A_in, problem.b_in
     rows = np.flatnonzero(np.diff(A.indptr) == 1)
     cols, coef = A.indices[A.indptr[rows]], A.data[A.indptr[rows]]
     # np.unique's indices are those of each key's first occurrence
     _, first = np.unique(2 * cols + (coef < 0), return_index=True)
     rows, cols, coef = rows[first], cols[first], coef[first]
-    lb, ub, up = problem.lb.copy(), problem.ub.copy(), coef > 0
-    ub[cols[up]] = b[rows[up]] / coef[up]
-    lb[cols[~up]] = b[rows[~up]] / coef[~up]
+    bound, up = b[rows] / coef, coef > 0
+    lb, ub = problem.lb.copy(), problem.ub.copy()
+    ub[cols[up]] = bound[up]
+    move = up | (bound <= ub[cols])
+    rows, cols, coef, bound = rows[move], cols[move], coef[move], bound[move]
+    lb[cols[coef < 0]] = bound[coef < 0]
     kept = np.ones(b.size, dtype=bool)
     kept[rows] = False
     return dataclasses.replace(problem, A_in=A[kept], b_in=b[kept],
@@ -942,8 +948,8 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     the entries of magnitude at most 1e-9 (cancellation residue that
     HiGHS drops on input, its ``small_matrix_value``).
 
-    Last, every inequality row left with one entry is stated as a bound
-    of its column (`_rows_as_bounds`), which an interior-point solver
+    Last, the inequality rows left with one entry are stated as bounds
+    of their columns (`_rows_as_bounds`), which an interior-point solver
     treats far more cheaply than a row: the flow limits, and the bound
     rows of every entity whose column mask is diagonal.  The other rows
     stay in ``problem.A_in`` in their order.  `restore` puts each bound's

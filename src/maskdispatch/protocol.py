@@ -27,8 +27,8 @@ them to zero, so zero entries stay visible under masking.
 
 An LP the router sends to HiGHS is solved in its shift-factor flow form:
 the agent cancels every owner's slack block, substitutes the masked angles
-out, states each line-hour once through a masked-flow column and every
-single-entry row as a column bound (`masking.eliminate_angles`), solves
+out, states each line-hour once through a masked-flow column and its
+single-entry rows as column bounds (`masking.eliminate_angles`), solves
 once, and maps the solution back to masked angles, row duals and balance
 duals before any slice is sent.  The simplex
 takes the all-equality slack form.
@@ -450,7 +450,7 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
     if choose_backend(tlp, config) == "highs":
         # the agent cancels each owner's published slack block, substitutes
         # the angles out, merges each line-hour's two limit rows into one
-        # flow column and states every single-entry row as a column bound,
+        # flow column and states single-entry rows as column bounds,
         # leaving an LP over the entity and flow columns with one balance
         # equality per hour and dense or two-entry rows; it stays on HiGHS
         # however small that LP is, and its solution is mapped back to

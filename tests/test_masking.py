@@ -759,6 +759,22 @@ def test_repeated_single_entry_row_stays_a_row(caps):
     np.testing.assert_allclose(duals[[binding, 2, 3]], [1.0, 1.0, 1.0], atol=1e-9)
 
 
+def test_crossing_lower_bound_stays_a_row():
+    # max x  s.t.  x <= 1, -x <= -(1 + 1e-12): the lower bound would cross
+    # the upper one, so its row stays and the solver meets it within its
+    # tolerance; the duals restore as for any kept row
+    p = LpProblem(sense="max", c=[1.0],
+                  A_in=sp.csr_matrix([[1.0], [-1.0]]), b_in=[1.0, -(1.0 + 1e-12)])
+    bounded, moved = masking._rows_as_bounds(p)
+    rows, cols, coef = moved
+    np.testing.assert_array_equal(rows, [0])
+    np.testing.assert_array_equal(bounded.b_in, [-(1.0 + 1e-12)])
+    np.testing.assert_array_equal((bounded.lb, bounded.ub), ([-np.inf], [1.0]))
+    got = solve_lp(bounded, SolverConfig(backend="highs"))
+    assert got.x[0] == pytest.approx(1.0, abs=1e-9)
+    assert masking._row_duals(got, moved).size == 2
+
+
 def test_eliminated_angles_restore_lower_limit_duals(threebus):
     # threebus with its congested line 1-3 entered as 3-1, so that it binds
     # at its lower limit: the flow form states that limit divided by k, and

@@ -220,6 +220,24 @@ def test_masked_round_clears_market_without_lines(backend):
                                clear.gen_dispatch["GENCO1"], atol=1e-6)
 
 
+def test_fixed_load_masked_round_matches_clear():
+    # a fixed load (lo == hi) under hourly keys: each hour's two bound rows
+    # have one entry and are cancelled separately, so the bounds they give
+    # can cross by rounding; the round must still clear
+    system = MarketSystem(
+        name="onebus", buses=["b"], reference_bus="b", lines=[],
+        generators=[Generator("G", "GENCO1", "b", [BidSegment(10.0, 0.0, 100.0)])],
+        loads=[Load("L", "LSE1", "b", [BidSegment(20.0, 50.0, 50.0)])], horizon=2)
+    config = SolverConfig(backend="highs")
+    clear, _ = run_market_round(system, 0, mode="clear", config=config)
+    for seed in range(8):
+        masked, _ = run_market_round(system, seed, mode="masked", config=config,
+                                     mask_config=MaskConfig(hourly_block_masks=True))
+        assert masked.objective == pytest.approx(clear.objective, rel=1e-9)
+        assert clear.max_dispatch_diff(masked) <= 1e-6
+        np.testing.assert_allclose(masked.lmp, clear.lmp, atol=1e-6)
+
+
 def test_masked_rounds_pass_leak_scan_many_seeds(threebus):
     for seed in range(12):
         _, log = run_market_round(threebus, seed, mode="masked")
