@@ -32,8 +32,7 @@ import numpy as np
 from maskdispatch.casefile import CaseFileError, load_case, save_case
 from maskdispatch.lp import NumericalBreakdown
 from maskdispatch.market import (
-    ClearingFailed, EmptyMarket, InvalidCounts, IslandedNetwork,
-    build_ed_blocks, gen_synthetic,
+    ClearingFailed, EmptyMarket, InvalidCounts, IslandedNetwork, gen_synthetic,
 )
 from maskdispatch.masking import KeyGenerationFailed, leakage_audit
 from maskdispatch.protocol import ProtocolViolation, comm_cost, run_market_round
@@ -74,24 +73,28 @@ def _matrix(a):
 
 
 def _dispatch_section(system, cleared):
-    blocks = build_ed_blocks(system)
     gens, loads = {}, {}
-    for e in blocks.gencos:
-        x = cleared.gen_dispatch[e.owner]
-        gens.update(_per_asset(e, x))
-    for e in blocks.lses:
-        x = cleared.load_dispatch[e.owner]
-        loads.update(_per_asset(e, x))
+    for owner in system.gencos:
+        gens.update(_per_asset(owner, system.units_of(owner), system.horizon,
+                               cleared.gen_dispatch[owner]))
+    for owner in system.lses:
+        loads.update(_per_asset(owner, system.loads_of(owner), system.horizon,
+                                cleared.load_dispatch[owner]))
     return gens, loads
 
 
-def _per_asset(entity, x):
-    out = {}
-    for name, v in zip(entity.var_names, x):
-        asset, seg, hour = name.split(":")
-        rec = out.setdefault(asset, {"owner": entity.owner, "segments": {}, "total": 0.0})
-        rec["segments"][f"{seg}:{hour}"] = _r6(v)
-        rec["total"] = _r6(rec["total"] + float(v))
+def _per_asset(owner, assets, hours, x):
+    """Asset name -> report record from one owner's dispatch `x`, whose
+    columns run hour-major: per hour, per asset, one per bid segment."""
+    out = {a.name: {"owner": owner, "segments": {}, "total": 0.0} for a in assets}
+    values = iter(x)
+    for t in range(1, hours + 1):
+        for a in assets:
+            rec = out[a.name]
+            for k in range(1, len(a.segments) + 1):
+                v = next(values)
+                rec["segments"][f"s{k}:t{t}"] = _r6(v)
+                rec["total"] = _r6(rec["total"] + float(v))
     return out
 
 

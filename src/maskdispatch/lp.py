@@ -25,7 +25,8 @@ single-entry rows (the flow limits and, under hourly masks, the bound rows
 of single-segment entities) stated as column bounds.  What stays a row is
 an equality or a ramp row over two columns, a dense combination that
 presolve cannot reduce, so that LP is solved without presolve: on the
-118-bus, 2-hour case presolve saved no measurable time.
+118-bus, 2-hour case (mask seeds 1000-1002) presolve costs time, 61-83 ms
+a solve against 51-67 ms without.
 """
 
 from __future__ import annotations
@@ -517,7 +518,9 @@ def solve_lp(problem: LpProblem, config: SolverConfig = None, *,
     ``_MAX_ITER`` iterations, raises NumericalBreakdown.  ``presolve=False``
     skips HiGHS presolve, which only pays where the rows have sparse
     structure to remove; the bundled simplex has no presolve and
-    ignores it.
+    ignores it.  The clear LP needs it (13 ms against 18-21 ms on the
+    30-bus, 4-hour case, 160-180 ms against 270-280 ms on the 118-bus,
+    24-hour one); the masked flow form is faster without it.
     """
     if config is None:
         config = SolverConfig()

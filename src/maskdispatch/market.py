@@ -204,7 +204,6 @@ class EntityBlocks:
     A: np.ndarray             # (m, n) rows of one-sided <= constraints
     rhs: np.ndarray           # (m,)
     incidence: sp.csr_matrix  # (T*B, n), entries 0/1
-    var_names: list = None
 
     @property
     def n(self):
@@ -283,12 +282,10 @@ def _entity_blocks(system, owner, assets, kind):
     n = T * n_per_hour
 
     col = {}
-    names = []
     for t in range(T):
         for a_i, a in enumerate(assets):
             for k in range(len(a.segments)):
-                col[(t, a_i, k)] = len(names)
-                names.append(f"{a.name}:s{k + 1}:t{t + 1}")
+                col[(t, a_i, k)] = len(col)
 
     rows = []
     rhs = []
@@ -338,7 +335,7 @@ def _entity_blocks(system, owner, assets, kind):
     return EntityBlocks(owner=owner, kind=kind, cost=cost,
                         A=np.array(rows, dtype=float).reshape(len(rows), n),
                         rhs=np.array(rhs, dtype=float),
-                        incidence=inc, var_names=names)
+                        incidence=inc)
 
 
 def build_ed_blocks(system: MarketSystem) -> EdBlocks:
@@ -440,12 +437,30 @@ def ed_layout(parties, n_iso, TL, TB, slacks=False) -> EdLpLayout:
                       n_vars=col, n_rows=row + 2 * TL + TB)
 
 
+def triplets(rows, cols, block):
+    """COO triplets of a dense `block` sitting at `rows` x `cols`."""
+    return (np.repeat(rows, cols.size), np.tile(cols, rows.size), block.ravel())
+
+
+def coo_csr(parts, shape, tiny=None):
+    """CSR from (rows, cols, values) triplets; repeated positions are added.
+    With `tiny`, entries of magnitude at most `tiny` are left out first."""
+    r, c, v = (np.concatenate(t) for t in zip(*parts))
+    if tiny is not None:
+        keep = np.abs(v) > tiny
+        r, c, v = r[keep], c[keep], v[keep]
+    return sp.csr_matrix((v, (r, c)), shape=shape)
+
+
 def place_blocks(pieces, shape):
     """A matrix of `shape` holding each (row offset, column offset, block).
 
     Blocks may be dense or sparse and must not overlap.  Up to
     `_DENSE_CELL_LIMIT` cells the result is a dense array; above it, a
-    CSR matrix built from the blocks' concatenated COO triplets.
+    CSR matrix from the blocks' nonzero triplets (`coo_csr`).  The dense
+    branch stays because it is faster on small LPs: on the 3-bus case the
+    clear LP assembles in 0.5-0.6 ms dense against 1.6-1.9 ms as CSR, the
+    slack form in 0.1 ms against 0.7-1.3 ms (of an 11-14 ms masked round).
     """
     if shape[0] * shape[1] <= _DENSE_CELL_LIMIT:
         out = np.zeros(shape)
@@ -454,15 +469,9 @@ def place_blocks(pieces, shape):
                 block = block.toarray()
             out[r:r + block.shape[0], c:c + block.shape[1]] = block
         return out
-    rows, cols, vals = [], [], []
-    for r, c, block in pieces:
-        coo = sp.coo_matrix(block)
-        rows.append(coo.row + r)
-        cols.append(coo.col + c)
-        vals.append(coo.data)
-    return sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape)
+    coos = [(r, c, sp.coo_matrix(block)) for r, c, block in pieces]
+    return coo_csr([(coo.row + r, coo.col + c, coo.data) for r, c, coo in coos],
+                   shape)
 
 
 def assemble_ed_lp(blocks: EdBlocks):

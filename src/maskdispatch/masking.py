@@ -49,7 +49,9 @@ import scipy.sparse as sp
 from maskdispatch.lp import (
     LpProblem, DimensionMismatch, NumericalBreakdown,
 )
-from maskdispatch.market import EdBlocks, ed_layout, place_blocks
+from maskdispatch.market import (
+    EdBlocks, coo_csr, ed_layout, place_blocks, triplets,
+)
 
 
 class KeyGenerationFailed(RuntimeError):
@@ -170,7 +172,12 @@ def _sample_mask(rng, n, lo, hi, what):
 
 
 def _sample_hourly_mask(rng, n, T, lo, hi, what, sparse_out=False):
-    """Per-hour block-diagonal mask; hour-major variable layout assumed."""
+    """Per-hour block-diagonal mask; hour-major variable layout assumed.
+
+    Dense unless `sparse_out`: filling the hour blocks in directly drew the
+    145 entity keys of the 118-bus, 2-hour case in 6.7-7.6 ms, where
+    ``sp.block_diag(...).toarray()`` took 25-33 ms.
+    """
     if n % T:
         raise DimensionMismatch(f"{what}: {n} columns do not split into {T} hours")
     k = n // T
@@ -400,7 +407,7 @@ class EncryptedSubmission:
     masked bus incidence.  The grid operator's submission carries the
     masked line-limit rows, their slack blocks and bounds, the masked
     balance-row blocks (its own and one per entity, further masked with
-    the balance-row key), and the masked admittance block.
+    the balance-row key, keyed by owner), and the masked admittance block.
     """
 
     owner: str
@@ -417,8 +424,8 @@ class EncryptedSubmission:
     line_slack_lo: np.ndarray = None      # X_l2 R_l2
     line_rhs_hi: np.ndarray = None        # X_l1 PL           (T*L,)
     line_rhs_lo: np.ndarray = None        # X_l2 PL
-    balance_gen: dict = None              # owner -> X_b KP_i Y_i (T*B, n_i)
-    balance_load: dict = None             # owner -> X_b KD_j Y_j
+    balance: dict = None                  # owner -> X_b KP_i Y_i (T*B, n_i)
+                                          # or X_b KD_j Y_j
     balance_theta: np.ndarray = None      # X_b B Y_theta     (T*B, n_iso)
 
     @property
@@ -440,11 +447,8 @@ class EncryptedSubmission:
             v = getattr(self, nm)
             if v is not None:
                 out[nm] = v
-        for d, tag in ((self.balance_gen, "balance_gen"),
-                       (self.balance_load, "balance_load")):
-            if d:
-                for owner, v in d.items():
-                    out[f"{tag}:{owner}"] = v
+        for owner, v in (self.balance or {}).items():
+            out[f"balance:{owner}"] = v
         return out
 
 
@@ -550,14 +554,15 @@ def _mask_incidences(X_b, entity_incidences: dict) -> dict:
     return out
 
 
-def mask_iso(blocks, keys: IsoKeys, entity_incidences: dict,
-             entity_kinds: dict) -> EncryptedSubmission:
+def mask_iso(blocks, keys: IsoKeys,
+             entity_incidences: dict) -> EncryptedSubmission:
     """Build the grid operator's submission from network-only blocks.
 
     `blocks` needs only the network fields (GridBlocks or EdBlocks).
     `entity_incidences` maps each entity to its published masked
     incidence block (already column-masked by the entity itself); the
-    operator applies its balance-row mask on top.  Sparse (hourly) keys
+    operator applies its balance-row mask on top and publishes each
+    result under the same owner in `balance`.  Sparse (hourly) keys
     are applied hour block by hour block and to all incidences in one
     product (`_mask_iso_hourly`); dense keys multiply each block whole.
     """
@@ -572,10 +577,6 @@ def mask_iso(blocks, keys: IsoKeys, entity_incidences: dict,
         bal_theta = np.asarray(keys.X_b @ (blocks.admittance @ keys.Y_theta))
         masked = {owner: keys.X_b @ inc
                   for owner, inc in entity_incidences.items()}
-    gen = {}
-    load = {}
-    for owner, block in masked.items():
-        (gen if entity_kinds[owner] == "GENCO" else load)[owner] = block
     return EncryptedSubmission(
         owner="ISO", kind="ISO",
         line_flow_hi=flow_hi,
@@ -584,7 +585,7 @@ def mask_iso(blocks, keys: IsoKeys, entity_incidences: dict,
         line_slack_lo=_colscale(keys.X_l2, keys.R_l2),
         line_rhs_hi=keys.X_l1 @ blocks.line_caps,
         line_rhs_lo=keys.X_l2 @ blocks.line_caps,
-        balance_gen=gen, balance_load=load, balance_theta=bal_theta,
+        balance=masked, balance_theta=bal_theta,
     )
 
 
@@ -665,12 +666,9 @@ def build_transformed_ed(submissions) -> TransformedLp:
     if not gencos or not lses:
         raise MissingSubmission("need at least one GENCO and one LSE submission")
     iso = isos[0]
-    if set(iso.balance_gen) != {s.owner for s in gencos}:
-        raise MissingSubmission("ISO balance blocks do not match GENCO submissions")
-    if set(iso.balance_load) != {s.owner for s in lses}:
-        raise MissingSubmission("ISO balance blocks do not match LSE submissions")
-
     entities = gencos + lses
+    if set(iso.balance) != {s.owner for s in entities}:
+        raise MissingSubmission("ISO balance blocks do not match entity submissions")
     n_iso = iso.balance_theta.shape[1]
     TL = iso.line_rhs_hi.size
     TB = iso.balance_theta.shape[0]
@@ -688,8 +686,8 @@ def build_transformed_ed(submissions) -> TransformedLp:
     groups += [("line_hi", th, iso.line_flow_hi, iso.line_slack_hi, iso.line_rhs_hi),
                ("line_lo", th, iso.line_flow_lo, iso.line_slack_lo, iso.line_rhs_lo)]
     balance = [(th, -iso.balance_theta)]
-    balance += [(vs[s.owner][0], iso.balance_gen[s.owner] if s.kind == "GENCO"
-                 else -iso.balance_load[s.owner]) for s in entities]
+    balance += [(vs[s.owner][0], iso.balance[s.owner] if s.kind == "GENCO"
+                 else -iso.balance[s.owner]) for s in entities]
     c = np.concatenate([-s.masked_cost if s.kind == "GENCO" else s.masked_cost
                         for s in entities] + [np.zeros(n_iso)])
     return TransformedLp(groups=groups, balance=balance, c=c, var_spans=vs,
@@ -733,9 +731,9 @@ def _cancel_slack(S, C, b):
         cols = np.unique(Ck.indices)
         sol = np.linalg.solve(S[r0:r1, c0:c1].toarray(),
                               np.column_stack([Ck[:, cols].toarray(), b[r0:r1]]))
-        parts.append(_triplets(np.arange(c0, c1), cols, sol[:, :-1]))
+        parts.append(triplets(np.arange(c0, c1), cols, sol[:, :-1]))
         x[c0:c1] = sol[:, -1]
-    return _coo_csr(parts, C.shape), x
+    return coo_csr(parts, C.shape), x
 
 
 def _cancelled_groups(tlp: TransformedLp):
@@ -781,21 +779,6 @@ def eliminate_slacks(tlp: TransformedLp) -> LpProblem:
     A = place_blocks(pieces, (tlp.n_rows, n))
     return LpProblem(sense="max", c=tlp.c, A_eq=A[bal:],
                      b_eq=np.zeros(tlp.n_rows - bal), A_in=A[:bal], b_in=b_in)
-
-
-def _triplets(rows, cols, block):
-    """COO triplets of a dense `block` sitting at `rows` x `cols`."""
-    return (np.repeat(rows, cols.size), np.tile(cols, rows.size), block.ravel())
-
-
-def _coo_csr(triplets, shape, tiny=None):
-    """CSR from (rows, cols, values) triplets; repeated positions are added.
-    With `tiny`, entries of magnitude at most `tiny` are left out first."""
-    r, c, v = (np.concatenate(t) for t in zip(*triplets))
-    if tiny is not None:
-        keep = np.abs(v) > tiny
-        r, c, v = r[keep], c[keep], v[keep]
-    return sp.csr_matrix((v, (r, c)), shape=shape)
 
 
 def _merge_line_rows(hi, lo):
@@ -984,7 +967,7 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
                             lines.get("line_lo", empty))
     b_in[lower] /= k
     flow = nz + np.arange(TL)
-    ineq = [_triplets(r0 + np.arange(C.shape[0]), col + np.arange(C.shape[1]), C)
+    ineq = [triplets(r0 + np.arange(C.shape[0]), col + np.arange(C.shape[1]), C)
             for owner, r0, col, C in groups if owner not in lines]
     ineq += [(l0 + np.arange(TL), flow, np.ones(TL)),
              (np.arange(lower.start, lower.stop), flow, -np.ones(TL))]
@@ -1003,19 +986,19 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
         R = R[:cols.size]
         P = -scipy.linalg.solve_triangular(R, Q[:, :cols.size].T @ Bz_k)
         eq = Q[:, cols.size:].T @ Bz_k
-        eq_parts.append(_triplets(e + np.arange(eq.shape[0]), zcols, eq))
+        eq_parts.append(triplets(e + np.arange(eq.shape[0]), zcols, eq))
         e += eq.shape[0]
         Lk = Lc[:, cols]
         lrows = np.unique(Lk.indices)
-        flow_parts.append(_triplets(lrows, zcols, Lk[lrows].toarray() @ P))
+        flow_parts.append(triplets(lrows, zcols, Lk[lrows].toarray() @ P))
         components.append((rows, cols, zcols, Q, R, P))
     eq_parts += [(e + r, c, v) for r, c, v in flow_parts]
     eq_parts.append((e + np.arange(TL), flow, -np.ones(TL)))
     problem, moved = _rows_as_bounds(LpProblem(
         sense="max", c=np.concatenate([tlp.c[:nz], np.zeros(TL)]),
-        A_eq=_coo_csr(eq_parts, (e + TL, nz + TL), tiny=1e-9),
+        A_eq=coo_csr(eq_parts, (e + TL, nz + TL), tiny=1e-9),
         b_eq=np.zeros(e + TL),
-        A_in=_coo_csr(ineq, (bal, nz + TL), tiny=1e-9), b_in=b_in))
+        A_in=coo_csr(ineq, (bal, nz + TL), tiny=1e-9), b_in=b_in))
     return AngleElimination(problem=problem, components=components, L=a, k=k,
                             lower=lower, n_balance=TB, moved=moved)
 

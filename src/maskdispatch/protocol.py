@@ -93,17 +93,6 @@ class CommLog:
     def add(self, msg: Message):
         self.messages.append(msg)
 
-    def _select(self, sender=None, receiver=None):
-        return [m for m in self.messages
-                if (sender is None or m.sender == sender)
-                and (receiver is None or m.receiver == receiver)]
-
-    def party_share(self, party):
-        """(scalar_count to agent, scalar_count from agent) for one party."""
-        up = sum(m.scalar_count for m in self._select(sender=party, receiver=AGENT))
-        down = sum(m.scalar_count for m in self._select(sender=AGENT, receiver=party))
-        return up, down
-
 
 # ---------------------------------------------------------------------------
 # parties
@@ -163,14 +152,13 @@ class IsoParty:
         self._seed = seed
         self._keys = None
 
-    def masked_submission(self, config, entity_incidences, entity_kinds):
+    def masked_submission(self, config, entity_incidences):
         rng = np.random.default_rng(self._seed)
         TL = self.grid.line_caps.size
         TB = self.grid.admittance.shape[0]
         self._keys = masking.iso_keys(rng, self.grid.n_iso, TL, TB, config,
                                       horizon=self.horizon)
-        return masking.mask_iso(self.grid, self._keys, entity_incidences,
-                                entity_kinds)
+        return masking.mask_iso(self.grid, self._keys, entity_incidences)
 
     def clear_payload(self) -> dict:
         return {"line_from": np.asarray([self.bus_index[l.from_bus]
@@ -431,8 +419,7 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
         log.add(Message.build(p.owner, AGENT, SUBMISSION, sub.payload_arrays()))
 
     incidences = {s.owner: s.masked_incidence for s in submissions}
-    kinds = {s.owner: s.kind for s in submissions}
-    iso_sub = iso.masked_submission(mask_config, incidences, kinds)
+    iso_sub = iso.masked_submission(mask_config, incidences)
     submissions.append(iso_sub)
     log.add(Message.build(ISO, AGENT, SUBMISSION, iso_sub.payload_arrays()))
 
@@ -455,7 +442,7 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
         # equality per hour and dense or two-entry rows; it stays on HiGHS
         # however small that LP is, and its solution is mapped back to
         # angles and row duals.  No presolve: the singleton rows it would
-        # remove are bounds already, and it saved no time on the flow form
+        # remove are bounds already, and on the flow form it costs time
         reduced = masking.eliminate_angles(tlp)
         sol = reduced.restore(solve_lp(
             reduced.problem, dataclasses.replace(config, backend="highs"),
@@ -531,16 +518,6 @@ class CostReport:
                                   "bytes": self.total_down_bytes,
                                   "mb": self.total_down_mb},
         }
-
-    def to_csv(self):
-        lines = ["party,up_count,up_bytes,down_count,down_bytes"]
-        for p in sorted(set(self.per_party_up) | set(self.per_party_down)):
-            uc, ub = self.per_party_up.get(p, (0, 0))
-            dc, db = self.per_party_down.get(p, (0, 0))
-            lines.append(f"{p},{uc},{ub},{dc},{db}")
-        lines.append(f"TOTAL,{self.total_up_count},{self.total_up_bytes},"
-                     f"{self.total_down_count},{self.total_down_bytes}")
-        return "\n".join(lines) + "\n"
 
 
 def comm_cost(log: CommLog) -> CostReport:

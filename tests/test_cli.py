@@ -12,7 +12,7 @@ from maskdispatch.market import gen_synthetic
 from maskdispatch import cli
 from maskdispatch.lp import NumericalBreakdown
 from maskdispatch.masking import KeyGenerationFailed
-from maskdispatch.protocol import ProtocolViolation
+from maskdispatch.protocol import ProtocolViolation, run_market_round
 
 THREEBUS = str(files("maskdispatch").joinpath("cases/threebus.case"))
 
@@ -113,6 +113,52 @@ def test_gen_bigger_case_solves_both_modes(tmp_path):
     rep = tmp_path / "r.json"
     assert main(["solve", str(case), "--mode", "clear", "--out", str(rep)]) == 0
     assert main(["solve", str(case), "--mode", "masked", "--out", str(rep)]) == 0
+
+
+def test_report_takes_asset_names_with_colons(tmp_path):
+    doc = _threebus_doc()
+    assert doc["generators"][0]["name"] == "U1"
+    doc["generators"][0]["name"] = "U:1"
+    case = tmp_path / "colon.case"
+    case.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["solve", str(case), "--out", str(out)]) == 0
+    rep = read_json(out)
+    assert rep["generators"]["U:1"]["total"] == pytest.approx(110.0)
+    assert "U1" not in rep["generators"]
+
+
+def test_report_slices_owner_dispatch_hour_major(tmp_path):
+    case = tmp_path / "multi.case"
+    assert main(["gen", "--buses", "8", "--gencos", "3", "--lses", "2",
+                 "--entity-size", "2", "--hours", "3", "--seed", "0",
+                 "--out", str(case)]) == 0
+    out = tmp_path / "r.json"
+    assert main(["solve", str(case), "--out", str(out)]) == 0
+    rep = read_json(out)
+    system = load_case(case)
+    cleared, _ = run_market_round(system, 0, mode="clear")
+    T = system.horizon
+    for section, dispatch, assets_of in (
+            ("generators", cleared.gen_dispatch, system.units_of),
+            ("loads", cleared.load_dispatch, system.loads_of)):
+        assert sorted(rep[section]) == sorted(
+            a.name for owner in dispatch for a in assets_of(owner))
+        for owner, x in dispatch.items():
+            assets = assets_of(owner)
+            assert len(assets) == 2
+            # columns run hour-major: per hour, per asset, per segment
+            hourly = np.asarray(x).reshape(T, -1)
+            col = 0
+            for a in assets:
+                k = len(a.segments)
+                rec = rep[section][a.name]
+                assert rec["owner"] == owner
+                assert rec["segments"] == {
+                    f"s{j + 1}:t{t + 1}": round(float(hourly[t, col + j]), 6) + 0.0
+                    for t in range(T) for j in range(k)}
+                col += k
+            assert col == hourly.shape[1]
 
 
 def test_audit_output(capsys):

@@ -42,8 +42,7 @@ def masked_submissions(blocks, keys):
     subs = [mask_entity(e, keys.entities[e.owner])
             for e in blocks.gencos + blocks.lses]
     incidences = {s.owner: s.masked_incidence for s in subs}
-    kinds = {s.owner: s.kind for s in subs}
-    subs.append(mask_iso(blocks.network_only(), keys.iso, incidences, kinds))
+    subs.append(mask_iso(blocks.network_only(), keys.iso, incidences))
     return subs
 
 
@@ -384,6 +383,11 @@ def test_missing_submission_rejected(threebus):
         build_transformed_ed(subs[1:])           # ISO expects GENCO1
     with pytest.raises(MissingSubmission):
         build_transformed_ed([s for s in subs if s.kind != "LSE"])
+    iso = subs[-1]
+    short = dataclasses.replace(iso, balance={o: b for o, b in iso.balance.items()
+                                              if o != "LSE1"})
+    with pytest.raises(MissingSubmission):
+        build_transformed_ed(subs[:-1] + [short])   # ISO lacks LSE1's block
 
 
 def test_constraint_count_conservation_random_systems():
@@ -441,8 +445,7 @@ def test_mask_iso_equals_plain_products(case, threebus):
                                  {s.owner: s.masked_incidence for s in subs[:-1]})
         got = {"line_flow_hi": iso.line_flow_hi, "line_flow_lo": iso.line_flow_lo,
                "balance_theta": iso.balance_theta}
-        got.update({f"balance:{o}": b for o, b in
-                    {**iso.balance_gen, **iso.balance_load}.items()})
+        got.update({f"balance:{o}": b for o, b in iso.balance.items()})
         assert got.keys() == ref.keys()
         for name, want in ref.items():
             have = got[name]
