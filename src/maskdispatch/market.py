@@ -445,6 +445,8 @@ def triplets(rows, cols, block):
 def coo_csr(parts, shape, tiny=None):
     """CSR from (rows, cols, values) triplets; repeated positions are added.
     With `tiny`, entries of magnitude at most `tiny` are left out first."""
+    if not parts:
+        return sp.csr_matrix(shape)
     r, c, v = (np.concatenate(t) for t in zip(*parts))
     if tiny is not None:
         keep = np.abs(v) > tiny

@@ -469,6 +469,46 @@ def test_condition_matches_numpy_cond():
         assert masking._condition(M) == np.linalg.cond(M)
 
 
+def test_gate_decides_as_exact_condition():
+    # the Frobenius bound only spares the SVD: on draws at the workloads'
+    # sizes, on matrices built with a condition number 0.1% either side of
+    # _COND_MAX and on (near-)singular ones, the gate decides as the exact
+    # test does, and the bound decides most draws and one next to the line
+    rng = np.random.default_rng(21)
+    mats = [rng.uniform(0.01, 1.0, (n, n)) for n in range(1, 7) for _ in range(30)]
+    mats += [rng.uniform(0.01, 1.0, (n, n)) for n in (117, 118, 140) for _ in range(3)]
+    mats += [rng.uniform(-1.0, 1.0, (n, n)) for n in (4, 6) for _ in range(30)]
+    built = {}
+    for n in (2, 4, 6, 117):
+        for kappa in (1e6 * (1 - 1e-3), 1e6 * (1 + 1e-3)):
+            U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+            built[n, kappa] = U @ np.diag(np.geomspace(1.0, 1.0 / kappa, n)) @ V.T
+    mats += list(built.values())
+    singular = rng.uniform(0.01, 1.0, (6, 6))
+    singular[:, 2] = 0.0
+    near = rng.uniform(0.01, 1.0, (6, 6))
+    near[4] = near[1] + 1e-9 * rng.uniform(size=6)
+    mats += [singular, near]
+    by_bound = 0
+    for M in mats:
+        exact = masking._condition(M) <= masking._COND_MAX
+        assert masking._passes_gate(M) == exact
+        if masking._frobenius_bound(M) <= masking._COND_MAX * (1 - 1e-6):
+            by_bound += 1
+            assert exact
+    assert by_bound > len(mats) // 2
+    # at n = 2 the bound is within 1e-12 of the condition number, so it
+    # passes the matrix 0.1% under the line and must not pass the one over
+    below, above = (built[2, 1e6 * (1 + d)] for d in (-1e-3, 1e-3))
+    assert masking._frobenius_bound(below) <= masking._COND_MAX * (1 - 1e-6)
+    assert masking._condition(above) > masking._COND_MAX
+    # an exactly zero pivot: no bound, and the SVD's condition number fails
+    assert masking._frobenius_bound(singular) == np.inf
+    assert not masking._passes_gate(singular)
+    assert not masking._passes_gate(near)
+
+
 def test_condition_estimate_above_exact_dimension():
     # above _EXACT_COND_DIM the gate estimates the 1-norm condition number
     n = masking._EXACT_COND_DIM + 1
@@ -605,9 +645,11 @@ def test_sparse_slack_cancellation_matches_dense_solve():
     C[1:4, :] = 0.0
     C = C.tocsr()
     b = rng.normal(size=13)
-    got_C, got_b = masking._cancel_slack(S, C, b)
-    assert sp.issparse(got_C)
-    np.testing.assert_allclose(got_C.toarray(),
+    (blocks,) = masking._cancel_slacks([(C, S, b)])
+    got_C, got_b = np.zeros(C.shape), np.zeros(b.size)
+    for r0, r1, cols, SC, Sb in blocks:
+        got_C[r0:r1, cols], got_b[r0:r1] = SC, Sb
+    np.testing.assert_allclose(got_C,
                                np.linalg.solve(S.toarray(), C.toarray()),
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(got_b, np.linalg.solve(S.toarray(), b),
@@ -650,8 +692,8 @@ def _case_submissions(case, seed, threebus):
     """(published submissions, hours) for a named case at mask seed `seed`."""
     if case == "threebus":
         blocks, config = build_ed_blocks(threebus), MaskConfig()
-    elif case in ("hourly-14", "hourly-14-1seg"):
-        segments = 2 if case == "hourly-14" else 1
+    elif case in ("hourly-14", "hourly-14-1seg", "hourly-14-coupled"):
+        segments = 1 if case == "hourly-14-1seg" else 2
         blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3,
                                                segments=segments))
         config = MaskConfig(hourly_block_masks=True)
@@ -659,7 +701,19 @@ def _case_submissions(case, seed, threebus):
         blocks = build_ed_blocks(gen_synthetic(30, 2, 2, 5, 4, seed=1, segments=3))
         config = MaskConfig()
     keys = gen_keys(blocks, seed, config)
-    return masked_submissions(blocks, keys), blocks.T
+    if case != "hourly-14-coupled":
+        return masked_submissions(blocks, keys), blocks.T
+    # one entry of X_l2 couples the first line-hour row to the last hour,
+    # so the lower-limit slack block no longer splits by hour while the
+    # upper-limit one still does; mask_iso applies the keys hour block by
+    # hour block, so the lower-limit flow block is the whole product
+    X = keys.iso.X_l2.tolil()
+    X[0, X.shape[1] - 1] = 0.5
+    keys.iso.X_l2 = X.tocsr()
+    subs = masked_submissions(blocks, keys)
+    subs[-1].line_flow_lo = plain_iso_products(
+        blocks.network_only(), keys.iso, {})["line_flow_lo"]
+    return subs, blocks.T
 
 
 def _case_tlp(case, seed, threebus):
@@ -671,12 +725,19 @@ def _case_tlp(case, seed, threebus):
 @pytest.mark.parametrize("case, seed", [("hourly-14", 0), ("hourly-14", 1),
                                         ("hourly-14", 2), ("threebus", 0),
                                         ("pooled30-4h", 44), ("pooled30-4h", 73),
-                                        ("hourly-14-1seg", 0)])
+                                        ("hourly-14-1seg", 0),
+                                        ("hourly-14-coupled", 0)])
 def test_eliminated_angles_reproduce_cancelled_solve(case, seed, threebus):
     # substituting the angles out and mapping the solution back gives an
     # optimal point and duals of the cancelled LP: its entity and angle
     # slices and balance duals match the cancelled LP's own solve
-    tlp, _ = _case_tlp(case, seed, threebus)
+    tlp, T = _case_tlp(case, seed, threebus)
+    if case == "hourly-14-coupled":
+        # the two line-slack blocks split differently, so the kernel
+        # cancels both line-limit groups on one common split
+        (_, _, _, S_hi, _), (_, _, _, S_lo, _) = tlp.groups[-2:]
+        assert len(masking._diagonal_blocks(S_hi)) == T
+        assert len(masking._diagonal_blocks(S_lo)) == 1
     config = SolverConfig(backend="highs")
     cancelled = masking.eliminate_slacks(tlp)
     want = solve_lp(cancelled, config, presolve=False)
