@@ -32,7 +32,8 @@ import numpy as np
 from maskdispatch.casefile import CaseFileError, load_case, save_case
 from maskdispatch.lp import NumericalBreakdown
 from maskdispatch.market import (
-    ClearingFailed, EmptyMarket, InvalidCounts, IslandedNetwork, gen_synthetic,
+    ISO, ClearingFailed, EmptyMarket, InvalidCounts, IslandedNetwork,
+    gen_synthetic,
 )
 from maskdispatch.masking import KeyGenerationFailed, leakage_audit
 from maskdispatch.protocol import ProtocolViolation, comm_cost, run_market_round
@@ -192,7 +193,7 @@ def cmd_audit(args) -> int:
     from maskdispatch.masking import EncryptedSubmission
 
     for msg in submissions:
-        if msg.sender == "ISO":
+        if msg.sender == ISO:
             continue
         sub = EncryptedSubmission(
             owner=msg.sender,

@@ -61,6 +61,16 @@ class ClearingFailed(RuntimeError):
         super().__init__(msg)
 
 
+# the two parties besides the asset owners, as the messages name them
+ISO = "ISO"
+AGENT = "clearing-agent"
+# owner names no asset owner may take: the layout (`ed_layout`), the
+# payloads and the communication tally key by owner alongside these
+# parties and the grid's blocks, and every slack block is "slack:<name>"
+RESERVED_OWNERS = (ISO, AGENT, "theta", "balance", "line_hi", "line_lo")
+SLACK_PREFIX = "slack:"
+
+
 @dataclass(frozen=True)
 class BidSegment:
     price: float   # $/MWh
@@ -137,6 +147,10 @@ class MarketSystem:
                 raise ValueError(f"asset {asset.name} placed at unknown bus {asset.bus!r}")
             if not asset.owner:
                 raise ValueError(f"asset {asset.name} has no owner")
+            if asset.owner in RESERVED_OWNERS or \
+                    asset.owner.startswith(SLACK_PREFIX):
+                raise ValueError(f"asset {asset.name}: owner name "
+                                 f"{asset.owner!r} is reserved")
             if not asset.segments:
                 raise ValueError(f"asset {asset.name} has no bid segments")
             _require_finite(f"asset {asset.name}",
@@ -149,6 +163,10 @@ class MarketSystem:
                     raise ValueError(
                         f"asset {asset.name} segment {k}: lower bound {seg.lo} "
                         f"exceeds upper bound {seg.hi}")
+        both = set(self.gencos) & set(self.lses)
+        if both:
+            raise ValueError(f"owner {sorted(both)[0]!r} holds both "
+                             "generators and loads")
 
     @property
     def gencos(self):
@@ -425,10 +443,10 @@ def ed_layout(parties, n_iso, TL, TB, slacks=False) -> EdLpLayout:
     col += n_iso
     if slacks:
         for p in parties:
-            var_spans[f"slack:{p.owner}"] = (col, col + p.m)
+            var_spans[SLACK_PREFIX + p.owner] = (col, col + p.m)
             col += p.m
-        var_spans["slack:line_hi"] = (col, col + TL)
-        var_spans["slack:line_lo"] = (col + TL, col + 2 * TL)
+        var_spans[SLACK_PREFIX + "line_hi"] = (col, col + TL)
+        var_spans[SLACK_PREFIX + "line_lo"] = (col + TL, col + 2 * TL)
         col += 2 * TL
     row_spans["line_hi"] = (row, row + TL)
     row_spans["line_lo"] = (row + TL, row + 2 * TL)

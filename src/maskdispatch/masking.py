@@ -54,7 +54,7 @@ from maskdispatch.lp import (
     LpProblem, DimensionMismatch, NumericalBreakdown,
 )
 from maskdispatch.market import (
-    EdBlocks, coo_csr, ed_layout, place_blocks, triplets,
+    ISO, SLACK_PREFIX, EdBlocks, coo_csr, ed_layout, place_blocks, triplets,
 )
 
 
@@ -81,15 +81,15 @@ class SpanMismatch(ValueError):
 _POSITIVE_RANGE = (0.01, 1.0)   # entries of Y, Y_theta, X_l1/X_l2, X_b
 _SIGNED_RANGE = (-1.0, 1.0)     # entries of entity X masks
 _DIAG_RANGE = (0.5, 2.0)        # slack coefficient diagonals
-# a mask is redrawn while its condition number exceeds _COND_MAX, at most
-# _MAX_RETRIES draws per mask
+# a matrix serves as a mask, drawn as a key or supplied to the generic
+# transforms, when its Frobenius bound ‖M‖_F·‖M⁻¹‖_F (_frobenius_bound) is
+# at most _COND_MAX.  The bound is at least the 2-norm condition number, so
+# it keeps the recovery's error amplification under _COND_MAX, and up to
+# 6.4x it on the signed entity row masks, so the rule is that much
+# stricter there.  A drawn key is redrawn until it passes, at most
+# _MAX_RETRIES draws per mask.
 _COND_MAX = 1e6
 _MAX_RETRIES = 50
-# up to this dimension the gate decides on the exact 2-norm condition
-# number from an SVD, skipped for a draw whose Frobenius bound already
-# passes (_passes_gate); above it, on LAPACK's estimate of the 1-norm
-# condition number
-_EXACT_COND_DIM = 800
 
 
 @dataclass
@@ -103,6 +103,11 @@ class MaskConfig:
     # hours*lines and multi-day cases stop being solvable in reasonable
     # time.  Transmission accounting always charges full blocks either way.
     hourly_block_masks: bool = False
+
+    def hours(self, horizon):
+        """How many diagonal hour blocks a column or operator row mask is
+        drawn in over `horizon` hours."""
+        return horizon if self.hourly_block_masks else 1
 
 
 @dataclass
@@ -149,34 +154,26 @@ class MaskKeys:
         return cls(entities=ents, iso=iso)
 
 
-def _condition(M):
-    """The condition number the key gate compares with _COND_MAX: exact in
-    the 2-norm up to _EXACT_COND_DIM, LAPACK's 1-norm estimate above."""
-    n = M.shape[0]
-    if n == 0:
-        return 1.0
-    if n == 1:
-        # what np.linalg.cond returns, without its SVD
-        return 1.0 if M[0, 0] != 0.0 else np.inf
-    if n <= _EXACT_COND_DIM:
-        return float(np.linalg.cond(M))
-    getrf, gecon = scipy.linalg.get_lapack_funcs(("getrf", "gecon"), (M,))
-    lu, _, info = getrf(M)
-    if info > 0:        # an exactly zero pivot: M is singular
-        return np.inf
-    rcond, _ = gecon(lu, np.linalg.norm(M, 1))
-    return np.inf if rcond == 0 else 1.0 / float(rcond)
-
-
 def _frobenius_bound(M):
     """``‖M‖_F·‖M⁻¹‖_F`` from an LU factorisation and inverse (LAPACK
-    ``getrf``/``getri``), or inf when M is singular or its inverse is not
-    finite.  It bounds the 2-norm condition number from above (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 6): over
-    300 draws each at n = 117 and 140 it was 1.2x the exact value at the
-    median and 2.2x at worst.  With one BLAS thread on a 2-core x86 VM it
-    took 0.32 ms at n = 117 and 0.51 ms at n = 140, where the SVD took
-    0.82 and 1.81 ms, and 6-11 us at n = 2-6 against 12-14 us."""
+    ``getrf``/``getri``), or inf when M is singular or the bound is not
+    finite (a NaN entry included).  It is the one test of whether M may
+    serve as a mask: at most _COND_MAX.
+
+    It bounds the 2-norm condition number κ₂ from above and is at most
+    n·κ₂ (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., ch. 6), so it is stricter than κ₂ by its ratio to κ₂: over 300
+    positive draws each at n = 117 and 140 that ratio was 1.2 at the median
+    and 2.2 at worst, and on the signed entity row masks of the pooled
+    30-bus 4-hour case (n = 120 and 150) it reached 5.5-6.4.  With one BLAS
+    thread on a 2-core x86 VM it took 0.32 ms at n = 117 and 0.51 ms at
+    n = 140, where an SVD took 0.82 and 1.81 ms, and 6-11 us at n = 2-6.
+    The inverse makes it dearer than a condition estimate at large n: 0.11,
+    0.82 and 8.2 s at n = 801, 1,600 and 3,360, where LAPACK's 1-norm
+    estimate, which bounds κ₂ neither above nor below, took 0.02, 0.13 and
+    1.1 s.  Only full-horizon keys are that large."""
+    if M.shape[0] == 1:   # |m|·|1/m| without LAPACK: hourly 1-column keys
+        return 1.0 if M[0, 0] != 0.0 and np.isfinite(M[0, 0]) else np.inf
     lu, piv, info = scipy.linalg.lapack.dgetrf(M)
     if info > 0:
         return np.inf
@@ -185,39 +182,23 @@ def _frobenius_bound(M):
     return bound if info == 0 and np.isfinite(bound) else np.inf
 
 
-def _passes_gate(M):
-    """The key gate: whether ``_condition(M) <= _COND_MAX``.
-
-    Up to _EXACT_COND_DIM, a draw whose `_frobenius_bound` is at most
-    ``_COND_MAX·(1 - 1e-6)`` passes without the SVD: the bound is at least
-    the exact condition number, and the margin is far above the rounding
-    of either (about ``κ·eps``, 1e-10 relative at ``κ = 1e6``).  Any other
-    draw, a singular one included, goes to `_condition`, so the gate passes
-    exactly the draws that the exact test passes.
-    """
-    if 1 < M.shape[0] <= _EXACT_COND_DIM and \
-            _frobenius_bound(M) <= _COND_MAX * (1.0 - 1e-6):
-        return True
-    return _condition(M) <= _COND_MAX
-
-
 def _sample_mask(rng, n, lo, hi, what):
-    """A uniform draw on [lo, hi) of size n x n, redrawn until it passes the
-    key gate (`_passes_gate`), at most _MAX_RETRIES draws.  The gate's
-    bound changes its cost, not its decisions, so every key is drawn as
-    under the exact test alone."""
+    """A uniform draw on [lo, hi) of size n x n, redrawn until its
+    `_frobenius_bound` is at most _COND_MAX, at most _MAX_RETRIES draws."""
     if n == 0:
         return np.zeros((0, 0))
     for _ in range(_MAX_RETRIES):
         M = rng.uniform(lo, hi, size=(n, n))
-        if _passes_gate(M):
+        if _frobenius_bound(M) <= _COND_MAX:
             return M
     raise KeyGenerationFailed(
         f"no acceptable {what} mask of size {n} in {_MAX_RETRIES} draws")
 
 
 def _sample_hourly_mask(rng, n, T, lo, hi, what, sparse_out=False):
-    """Per-hour block-diagonal mask; hour-major variable layout assumed.
+    """Per-hour block-diagonal mask of T `_sample_mask` draws; hour-major
+    variable layout assumed.  One block is `_sample_mask`'s draw: the same
+    values from the same use of `rng`.
 
     Dense unless `sparse_out`: filling the hour blocks in directly drew the
     145 entity keys of the 118-bus, 2-hour case in 6.7-7.6 ms, where
@@ -229,6 +210,8 @@ def _sample_hourly_mask(rng, n, T, lo, hi, what, sparse_out=False):
     parts = [_sample_mask(rng, k, lo, hi, what) for _ in range(T)]
     if sparse_out:
         return sp.block_diag(parts, format="csr")
+    if T == 1:
+        return parts[0]
     out = np.zeros((n, n))
     for t, blk in enumerate(parts):
         out[t * k:(t + 1) * k, t * k:(t + 1) * k] = blk
@@ -240,11 +223,8 @@ def entity_keys(rng, owner, kind, n, m, config: MaskConfig = None,
     """Draw one entity's private keys from its own random stream."""
     if config is None:
         config = MaskConfig()
-    plo, phi = _POSITIVE_RANGE
-    if config.hourly_block_masks and horizon > 1:
-        Y = _sample_hourly_mask(rng, n, horizon, plo, phi, f"{owner} column")
-    else:
-        Y = _sample_mask(rng, n, plo, phi, f"{owner} column")
+    Y = _sample_hourly_mask(rng, n, config.hours(horizon), *_POSITIVE_RANGE,
+                            f"{owner} column")
     X = _sample_mask(rng, m, *_SIGNED_RANGE, f"{owner} row")
     R = rng.uniform(*_DIAG_RANGE, size=m)
     return EntityKeys(owner=owner, kind=kind, Y=Y, X=X, R=R)
@@ -255,15 +235,11 @@ def iso_keys(rng, n_iso, TL, TB, config: MaskConfig = None,
     """Draw the grid operator's private keys from its own random stream."""
     if config is None:
         config = MaskConfig()
-    plo, phi = _POSITIVE_RANGE
-    hours = horizon if config.hourly_block_masks else 1
-    if hours > 1:
-        def draw(size, what):
-            return _sample_hourly_mask(rng, size, hours, plo, phi, what,
-                                       sparse_out=True)
-    else:
-        def draw(size, what):
-            return _sample_mask(rng, size, plo, phi, what)
+    hours = config.hours(horizon)
+
+    def draw(size, what):
+        return _sample_hourly_mask(rng, size, hours, *_POSITIVE_RANGE, what,
+                                   sparse_out=hours > 1)
     return IsoKeys(
         Y_theta=draw(n_iso, "angle column"),
         X_l1=draw(TL, "line row 1"),
@@ -310,10 +286,9 @@ def gen_keys(blocks: EdBlocks, seed: int, config: MaskConfig = None) -> MaskKeys
 def _check_invertible(M, name):
     if M.shape[0] != M.shape[1]:
         raise SingularMask(f"{name} mask must be square, got {M.shape}")
-    if M.shape[0] == 0:
-        return
-    if np.linalg.matrix_rank(M) < M.shape[0]:
-        raise SingularMask(f"{name} mask is singular")
+    if M.shape[0] and _frobenius_bound(M) > _COND_MAX:
+        raise SingularMask(f"{name} mask is singular or too ill-conditioned "
+                           f"(Frobenius bound above {_COND_MAX:g})")
 
 
 def vertical_mask_generic(problem: LpProblem, column_blocks, Ys):
@@ -623,7 +598,7 @@ def mask_iso(blocks, keys: IsoKeys,
         masked = {owner: keys.X_b @ inc
                   for owner, inc in entity_incidences.items()}
     return EncryptedSubmission(
-        owner="ISO", kind="ISO",
+        owner=ISO, kind="ISO",
         line_flow_hi=flow_hi,
         line_flow_lo=flow_lo,
         line_slack_hi=_colscale(keys.X_l1, keys.R_l1),
@@ -685,7 +660,7 @@ class TransformedLp:
         pieces = self.balance_pieces(bal)
         for owner, col, C, S, _ in self.groups:
             r0 = self.row_spans[owner][0]
-            pieces += [(r0, col, C), (r0, vs[f"slack:{owner}"][0], S)]
+            pieces += [(r0, col, C), (r0, vs[SLACK_PREFIX + owner][0], S)]
         return LpProblem(
             sense="max", c=np.concatenate([self.c, np.zeros(self.n_slack)]),
             A_eq=place_blocks(pieces, (self.n_rows, self.n_vars)),

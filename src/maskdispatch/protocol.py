@@ -44,7 +44,7 @@ import scipy.sparse as sp
 
 from maskdispatch.lp import SolverConfig, choose_backend, solve_lp
 from maskdispatch.market import (
-    MarketSystem, EdBlocks, ClearedMarket,
+    AGENT, ISO, MarketSystem, EdBlocks, ClearedMarket,
     build_ed_blocks, assemble_ed_lp, extract_cleared, full_angles, line_flows,
     require_optimal,
 )
@@ -56,9 +56,6 @@ from maskdispatch.masking import (
 
 SCALAR_BYTES = 8
 HEADER_BYTES = 32
-
-AGENT = "clearing-agent"
-ISO = "ISO"
 
 SUBMISSION = "Submission"
 SOLUTION_SLICE = "TransformedSolutionSlice"

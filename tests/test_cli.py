@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from importlib.resources import files
 
@@ -284,6 +285,34 @@ def test_empty_market_is_one_error_line(tmp_path, capsys):
     assert code == 1
     _assert_one_error_line(err)
 
+
+
+# owners the round cannot tell apart: one owner of generators and loads, or
+# an owner named like a block of the LP layout or like a party role
+AMBIGUOUS_OWNERS = {
+    "genco-owns-load": ("loads", 0, "GENCO2"),
+    **{f"owner-{name}": ("generators", 1, name)
+       for name in ("theta", "balance", "line_hi", "line_lo",
+                    "slack:line_hi", "slack:GENCO1", "ISO", "clearing-agent")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(AMBIGUOUS_OWNERS))
+def test_ambiguous_owner_rejected(tmp_path, capsys, threebus, name):
+    group, index, owner = AMBIGUOUS_OWNERS[name]
+    assets = list(getattr(threebus, group))
+    assets[index] = dataclasses.replace(assets[index], owner=owner)
+    with pytest.raises(ValueError, match="reserved|both generators and loads"):
+        dataclasses.replace(threebus, **{group: assets})
+    doc = _threebus_doc()
+    doc[group][index]["owner"] = owner
+    case = tmp_path / "case.case"
+    case.write_text(json.dumps(doc))
+    with pytest.raises(CaseFileError):
+        load_case(case)
+    code, err = _solve_exit(tmp_path, capsys, doc, "masked")
+    assert code == 1
+    _assert_one_error_line(err)
 
 
 @pytest.mark.parametrize("error", [NumericalBreakdown, KeyGenerationFailed,

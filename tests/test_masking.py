@@ -1,5 +1,4 @@
 import dataclasses
-import warnings
 
 import numpy as np
 import pytest
@@ -459,70 +458,84 @@ def test_mask_iso_equals_plain_products(case, threebus):
                 assert np.array_equal(have, want), name
 
 
-def test_condition_matches_numpy_cond():
-    rng = np.random.default_rng(12)
-    for n in (1, 2, 5):
-        for _ in range(20):
-            M = rng.uniform(-1.0, 1.0, size=(n, n))
-            assert masking._condition(M) == np.linalg.cond(M)
-    for M in (np.zeros((1, 1)), np.array([[-0.0]]), np.array([[1e-300]])):
-        assert masking._condition(M) == np.linalg.cond(M)
+def _with_condition(rng, n, kappa):
+    """U·diag(s)·Vᵀ with orthogonal U, V and 2-norm condition number kappa."""
+    U = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    return U @ np.diag(np.geomspace(1.0, 1.0 / kappa, n)) @ V.T
 
 
-def test_gate_decides_as_exact_condition():
-    # the Frobenius bound only spares the SVD: on draws at the workloads'
-    # sizes, on matrices built with a condition number 0.1% either side of
-    # _COND_MAX and on (near-)singular ones, the gate decides as the exact
-    # test does, and the bound decides most draws and one next to the line
+def test_frobenius_bound_bounds_condition():
+    # the one mask rule is sound: ‖M‖_F·‖M⁻¹‖_F >= κ₂(M) on draws at the
+    # workloads' key sizes, positive (column and operator masks) and signed
+    # (entity row masks); at n = 1 both are 1, up to rounding
     rng = np.random.default_rng(21)
     mats = [rng.uniform(0.01, 1.0, (n, n)) for n in range(1, 7) for _ in range(30)]
-    mats += [rng.uniform(0.01, 1.0, (n, n)) for n in (117, 118, 140) for _ in range(3)]
+    mats += [rng.uniform(0.01, 1.0, (n, n)) for n in (117, 140) for _ in range(3)]
     mats += [rng.uniform(-1.0, 1.0, (n, n)) for n in (4, 6) for _ in range(30)]
-    built = {}
+    mats += [rng.uniform(-1.0, 1.0, (n, n)) for n in (120, 150) for _ in range(3)]
+    for M in mats:
+        assert masking._frobenius_bound(M) >= np.linalg.cond(M) * (1 - 1e-12)
+
+
+def test_bound_rejects_past_cond_max():
+    rng = np.random.default_rng(22)
     for n in (2, 4, 6, 117):
-        for kappa in (1e6 * (1 - 1e-3), 1e6 * (1 + 1e-3)):
-            U = np.linalg.qr(rng.normal(size=(n, n)))[0]
-            V = np.linalg.qr(rng.normal(size=(n, n)))[0]
-            built[n, kappa] = U @ np.diag(np.geomspace(1.0, 1.0 / kappa, n)) @ V.T
-    mats += list(built.values())
+        M = _with_condition(rng, n, masking._COND_MAX * (1 + 1e-3))
+        assert masking._frobenius_bound(M) > masking._COND_MAX
+    # at n = 2 the bound is κ₂ + 1/κ₂, so it passes 0.1% under the line
+    assert masking._frobenius_bound(
+        _with_condition(rng, 2, masking._COND_MAX * (1 - 1e-3))) <= masking._COND_MAX
+    # an exactly zero pivot has no bound; a near-singular matrix fails
     singular = rng.uniform(0.01, 1.0, (6, 6))
     singular[:, 2] = 0.0
+    assert masking._frobenius_bound(singular) == np.inf
     near = rng.uniform(0.01, 1.0, (6, 6))
     near[4] = near[1] + 1e-9 * rng.uniform(size=6)
-    mats += [singular, near]
-    by_bound = 0
-    for M in mats:
-        exact = masking._condition(M) <= masking._COND_MAX
-        assert masking._passes_gate(M) == exact
-        if masking._frobenius_bound(M) <= masking._COND_MAX * (1 - 1e-6):
-            by_bound += 1
-            assert exact
-    assert by_bound > len(mats) // 2
-    # at n = 2 the bound is within 1e-12 of the condition number, so it
-    # passes the matrix 0.1% under the line and must not pass the one over
-    below, above = (built[2, 1e6 * (1 + d)] for d in (-1e-3, 1e-3))
-    assert masking._frobenius_bound(below) <= masking._COND_MAX * (1 - 1e-6)
-    assert masking._condition(above) > masking._COND_MAX
-    # an exactly zero pivot: no bound, and the SVD's condition number fails
-    assert masking._frobenius_bound(singular) == np.inf
-    assert not masking._passes_gate(singular)
-    assert not masking._passes_gate(near)
+    assert masking._frobenius_bound(near) > masking._COND_MAX
 
 
-def test_condition_estimate_above_exact_dimension():
-    # above _EXACT_COND_DIM the gate estimates the 1-norm condition number
-    n = masking._EXACT_COND_DIM + 1
-    M = np.random.default_rng(0).uniform(0.01, 1.0, size=(n, n))
-    exact = np.linalg.cond(M, 1)
-    assert exact / 3 <= masking._condition(M) <= 3 * exact
-    singular = M.copy()
-    singular[:, 5] = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert masking._condition(singular) == np.inf
-    duplicated = M.copy()
-    duplicated[7] = duplicated[3]
-    assert masking._condition(duplicated) > masking._COND_MAX
+KEYED_SYSTEMS = {
+    "threebus": (None, False, range(5)),
+    "pooled30-4h": (dict(buses=30, gencos=2, lses=2, entity_size=5, T=4,
+                         seed=1, segments=3), False, (44, 73, 5)),
+    "hourly14-3h": (dict(buses=14, gencos=5, lses=5, entity_size=1, T=3,
+                         seed=3, segments=2), True, range(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_SYSTEMS))
+def test_drawn_keys_within_cond_max(name, threebus):
+    case, hourly, seeds = KEYED_SYSTEMS[name]
+    blocks = build_ed_blocks(threebus if case is None else gen_synthetic(**case))
+    for seed in seeds:
+        keys = gen_keys(blocks, seed, MaskConfig(hourly_block_masks=hourly))
+        iso = keys.iso
+        mats = [iso.Y_theta, iso.X_l1, iso.X_l2, iso.X_b]
+        mats += [M for ek in keys.entities.values() for M in (ek.Y, ek.X)]
+        for M in mats:
+            M = M.toarray() if sp.issparse(M) else M
+            assert np.linalg.cond(M) <= masking._COND_MAX
+
+
+@pytest.mark.parametrize("bad", ["nan", "kappa-1e9"])
+def test_generic_transforms_reject_unusable_mask(bad):
+    rng = np.random.default_rng(23)
+    if bad == "nan":
+        M = rng.uniform(0.01, 1.0, (2, 2))
+        M[1, 0] = np.nan
+    else:
+        M = _with_condition(rng, 2, 1e9)
+    p = _partitioned_lp(rng)
+    Ys = _column_masks(rng)
+    Ys["E1"] = M
+    with pytest.raises(SingularMask):
+        vertical_mask_generic(p, COLUMN_BLOCKS, Ys)
+    Xs = {o: np.eye(2) for o, _ in ROW_BLOCKS}
+    Xs["E1"] = M
+    with pytest.raises(SingularMask):
+        horizontal_mask_generic(p, ROW_BLOCKS, Xs,
+                                {o: np.ones(2) for o, _ in ROW_BLOCKS})
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -1,5 +1,6 @@
-"""The benchmark's span wrappers still find what they wrap, and the
-verification tools' config tables still build.
+"""The benchmark's span wrappers still find what they wrap, the
+verification tools' config tables still build, and the round digest is
+deterministic.
 
 ``perfbench/tracer.py`` replaces attributes of the package by name; a
 renamed function would silently lose its span.  ``perfbench/run.py`` and
@@ -10,6 +11,7 @@ read ``perfbench/`` and ``tools/``.
 
 import ast
 import importlib.util
+import re
 from pathlib import Path
 
 from maskdispatch import MaskConfig, SolverConfig, lp, protocol
@@ -17,10 +19,16 @@ from maskdispatch.protocol import run_market_round
 
 ROOT = Path(__file__).resolve().parents[1]
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-tracer = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracer)
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
 
 
 def test_every_span_target_exists():
@@ -64,3 +72,11 @@ def test_tool_config_tables_build():
     for solver, mask in settings:
         SolverConfig(**solver)
         MaskConfig(**mask)
+
+
+def test_round_digest_is_deterministic():
+    # the digest is how two source trees show bit-identical rounds
+    round_digest = _load("round_digest", ROOT / "tools" / "round_digest.py")
+    first = round_digest.digest("threebus-auto", run_market_round, [])
+    assert first == round_digest.digest("threebus-auto", run_market_round, [])
+    assert re.fullmatch("[0-9a-f]{64}", first)
