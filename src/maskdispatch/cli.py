@@ -87,15 +87,18 @@ def _dispatch_section(system, cleared):
 def _per_asset(owner, assets, hours, x):
     """Asset name -> report record from one owner's dispatch `x`, whose
     columns run hour-major: per hour, per asset, one per bid segment."""
-    out = {a.name: {"owner": owner, "segments": {}, "total": 0.0} for a in assets}
+    out = {a.name: {"owner": owner, "segments": {}} for a in assets}
+    totals = dict.fromkeys(out, 0.0)
     values = iter(x)
     for t in range(1, hours + 1):
         for a in assets:
-            rec = out[a.name]
             for k in range(1, len(a.segments) + 1):
-                v = next(values)
-                rec["segments"][f"s{k}:t{t}"] = _r6(v)
-                rec["total"] = _r6(rec["total"] + float(v))
+                v = float(next(values))
+                out[a.name]["segments"][f"s{k}:t{t}"] = _r6(v)
+                totals[a.name] += v
+    # the raw values are summed and rounded once, so rounding cannot drift
+    for name, total in totals.items():
+        out[name]["total"] = _r6(total)
     return out
 
 

@@ -26,7 +26,9 @@ of single-segment entities) stated as column bounds.  What stays a row is
 an equality or a ramp row over two columns, a dense combination that
 presolve cannot reduce, so that LP is solved without presolve: on the
 118-bus, 2-hour case (mask seeds 1000-1002) presolve costs time, 61-83 ms
-a solve against 51-67 ms without.
+a solve against 51-67 ms without.  The agent solves it with its line
+limits screened (``protocol._solve_screened``), and certifies the last
+solution on the whole LP through ``_finish``.
 """
 
 from __future__ import annotations

@@ -291,10 +291,11 @@ def _connected(system: MarketSystem) -> bool:
     return len(seen) == len(system.buses)
 
 
-def _entity_blocks(system, owner, assets, kind):
+def _entity_blocks(system, owner, assets, kind, bus_idx):
+    """One entity's blocks; `bus_idx` maps each bus of `system` to its
+    index, built once by the caller for all entities."""
     T = system.horizon
     B = system.n_buses
-    bus_idx = {b: i for i, b in enumerate(system.buses)}
     segs = [len(a.segments) for a in assets]
     n_per_hour = sum(segs)
     n = T * n_per_hour
@@ -370,9 +371,9 @@ def build_ed_blocks(system: MarketSystem) -> EdBlocks:
     ang_col_of = {b: j for j, b in enumerate(ang_cols)}
     n_iso = T * (B - 1)
 
-    gencos = [_entity_blocks(system, g, system.units_of(g), "GENCO")
+    gencos = [_entity_blocks(system, g, system.units_of(g), "GENCO", bus_idx)
               for g in system.gencos]
-    lses = [_entity_blocks(system, d, system.loads_of(d), "LSE")
+    lses = [_entity_blocks(system, d, system.loads_of(d), "LSE", bus_idx)
             for d in system.lses]
 
     weights = np.tile([1.0 / ln.x for ln in system.lines], T)
@@ -575,14 +576,17 @@ def line_flows(system: MarketSystem, angles) -> np.ndarray:
 def social_welfare(system: MarketSystem, gen_dispatch: dict, load_dispatch: dict) -> float:
     """Bid value of served load minus offered cost of dispatched generation."""
     total = 0.0
+    bus_idx = {b: i for i, b in enumerate(system.buses)}
     for owner in system.gencos:
-        blk = _entity_blocks(system, owner, system.units_of(owner), "GENCO")
+        blk = _entity_blocks(system, owner, system.units_of(owner), "GENCO",
+                             bus_idx)
         x = np.asarray(gen_dispatch[owner], dtype=float)
         if x.size != blk.n:
             raise DimensionMismatch(f"dispatch for {owner} has wrong length")
         total -= float(blk.cost @ x)
     for owner in system.lses:
-        blk = _entity_blocks(system, owner, system.loads_of(owner), "LSE")
+        blk = _entity_blocks(system, owner, system.loads_of(owner), "LSE",
+                             bus_idx)
         x = np.asarray(load_dispatch[owner], dtype=float)
         if x.size != blk.n:
             raise DimensionMismatch(f"dispatch for {owner} has wrong length")

@@ -954,6 +954,11 @@ def _row_duals(sol, moved):
     return duals
 
 
+# a lifted flow beyond its bound by at most this, relative to 1 + |bound|,
+# counts as within it: a hundredth of HiGHS's primal feasibility tolerance
+_SCREEN_TOL = 1e-9
+
+
 @dataclass
 class AngleElimination:
     """The masked LP in flow form over the entity columns, and the way back.
@@ -972,6 +977,17 @@ class AngleElimination:
     `lower` the rows of the lower limits and `moved` the ``(rows, cols,
     coef)`` of the rows stated as bounds (`_rows_as_bounds`), both in the
     inequality rows of ``eliminate_slacks(tlp)``.
+
+    `screened`, `lift` and `flows_in_rows` state `problem` with only some of
+    its line-hours monitored, for a solve that adds line limits lazily.
+    An unmonitored line-hour loses its flow row and flow column, and with
+    them its limits: the balance equalities, every inequality row and the
+    other column bounds stay, so the screened LP is a relaxation of
+    `problem`.  Its optimum lifted back (``f = F_z·z`` from the flow rows'
+    entity part ``F_z = a·P``, zero duals on the dropped rows and bounds)
+    is optimal for `problem` whenever every lifted flow lies within its
+    bounds: the point is feasible, and the zero duals leave the dual
+    solution feasible with the same objective.
     """
 
     problem: LpProblem
@@ -981,6 +997,60 @@ class AngleElimination:
     lower: slice
     n_balance: int
     moved: tuple
+
+    def _screen_index(self, monitored):
+        """(rows of ``problem.A_eq``, columns of `problem`) that
+        ``screened(monitored)`` keeps, in order."""
+        TL = self.k.size
+        nz, n_eq = self.problem.n_vars - TL, self.problem.A_eq.shape[0] - TL
+        return (np.concatenate([np.arange(n_eq), n_eq + monitored]),
+                np.concatenate([np.arange(nz), nz + monitored]))
+
+    def flows_in_rows(self):
+        """The line-hours whose flow column an inequality row touches,
+        sorted: a flow limit that `_rows_as_bounds` left a row because its
+        bounds crossed.  They are monitored from the first solve on, so
+        every inequality row of `problem` is a row of each screened LP."""
+        nz = self.problem.n_vars - self.k.size
+        cols = self.problem.A_in.indices
+        return np.unique(cols[cols >= nz]) - nz
+
+    def screened(self, monitored) -> LpProblem:
+        """`problem` with the flow rows and flow columns of the line-hours
+        in sorted `monitored` only (a superset of `flows_in_rows`): the entity
+        columns, then those flow columns in order; the balance equalities,
+        then those flow rows; every inequality row."""
+        p = self.problem
+        rows, cols = self._screen_index(monitored)
+        return LpProblem(sense=p.sense, c=p.c[cols], A_eq=p.A_eq[rows][:, cols],
+                         b_eq=p.b_eq[rows], A_in=p.A_in[:, cols], b_in=p.b_in,
+                         lb=p.lb[cols], ub=p.ub[cols])
+
+    def lift(self, sol, monitored):
+        """``(lifted, violated)`` for the optimal `sol` of
+        ``screened(monitored)``: `lifted` is `sol` in the layout of
+        `problem`, with each unmonitored flow ``f = F_z·z`` and a zero dual
+        on each unmonitored flow row and bound, and `violated` the
+        unmonitored line-hours whose flow lies outside its bounds by more
+        than ``_SCREEN_TOL`` relative to ``1 + |bound|``, sorted."""
+        p = self.problem
+        nz, n_eq = p.n_vars - self.k.size, p.A_eq.shape[0] - self.k.size
+        rows, cols = self._screen_index(monitored)
+        x = np.zeros(p.n_vars)
+        x[:nz] = sol.x[:nz]
+        # with every flow column at 0 the flow rows give F_z·z
+        x[nz:] = (p.A_eq @ x)[n_eq:]
+        f, lb, ub = x[nz:].copy(), p.lb[nz:], p.ub[nz:]
+        x[cols] = sol.x
+        out = (f - ub > _SCREEN_TOL * (1.0 + np.abs(ub))) \
+            | (lb - f > _SCREEN_TOL * (1.0 + np.abs(lb)))
+        out[monitored] = False
+        duals_eq, duals_lb, duals_ub = (np.zeros(p.A_eq.shape[0]),
+                                        np.zeros(p.n_vars), np.zeros(p.n_vars))
+        duals_eq[rows], duals_lb[cols], duals_ub[cols] = (
+            sol.duals_eq, sol.duals_lb, sol.duals_ub)
+        return dataclasses.replace(sol, x=x, duals_eq=duals_eq, duals_lb=duals_lb,
+                                   duals_ub=duals_ub), np.flatnonzero(out)
 
     def restore(self, sol):
         """`sol` with ``x``, ``duals_in`` and ``duals_eq`` in the
@@ -1051,6 +1121,12 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     of ``eliminate_slacks(tlp)``.  On the 118-bus,
     2-hour case with hourly keys, 1,140 of 1,248 inequality rows move and
     the 108 two-entry ramp rows stay.
+
+    The agent does not solve `problem` whole in one go: the flow rows hold
+    almost all of its nonzeros and few line-hours bind, so it solves
+    ``AngleElimination.screened`` LPs that monitor a growing set of
+    line-hours and certifies the lifted last one on `problem` (see
+    `protocol._solve_screened`).
 
     Only published data is read, as in `eliminate_slacks`, and with the
     same caveat: it relies on invertible slack blocks and on each

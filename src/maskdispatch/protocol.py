@@ -28,10 +28,14 @@ them to zero, so zero entries stay visible under masking.
 An LP the router sends to HiGHS is solved in its shift-factor flow form:
 the agent cancels every owner's slack block, substitutes the masked angles
 out, states each line-hour once through a masked-flow column and its
-single-entry rows as column bounds (`masking.eliminate_angles`), solves
-once, and maps the solution back to masked angles, row duals and balance
-duals before any slice is sent.  The simplex
-takes the all-equality slack form.
+single-entry rows as column bounds (`masking.eliminate_angles`).  It
+solves that LP with the line limits added lazily (`_solve_screened`):
+first without the flow rows, then with every line-hour whose flow the
+last solution overloads, until none is, and certifies the last solution
+on the whole flow-form LP.  Should a screened solve not be optimal, the
+whole LP is solved as it is.  The solution is mapped back to masked
+angles, row duals and balance duals before any slice is sent.  The
+simplex takes the all-equality slack form.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from maskdispatch.lp import SolverConfig, choose_backend, solve_lp
+from maskdispatch import lp
+from maskdispatch.lp import (
+    OPTIMAL, NumericalBreakdown, SolverConfig, choose_backend, solve_lp,
+)
 from maskdispatch.market import (
     AGENT, ISO, MarketSystem, EdBlocks, ClearedMarket,
     build_ed_blocks, assemble_ed_lp, extract_cleared, full_angles, line_flows,
@@ -408,6 +415,38 @@ def _run_clear(system, blocks, parties, iso, log, config):
     return cleared, log
 
 
+def _solve_screened(reduced, config):
+    """The optimal solution of the flow-form LP ``reduced.problem``, found
+    with its line limits added lazily and certified on it, or None when a
+    solve on the way is not optimal.
+
+    The first LP monitors no line-hour but those an inequality row
+    touches (`masking.AngleElimination.flows_in_rows`); each solve's lifted
+    flows ``F_z·z`` name the line-hours to add, and the next solve
+    monitors them too.  The monitored set only grows, so at most TL + 1
+    LPs are solved.  The last solution, lifted onto ``reduced.problem``,
+    goes through ``lp._finish`` like any solve, with the iterations of
+    every solve.  No presolve: the singleton rows it would remove are
+    bounds already, and on the flow form it costs time.
+    """
+    monitored = reduced.flows_in_rows()
+    iterations = 0
+    try:
+        while True:
+            sol = solve_lp(reduced.screened(monitored), config, presolve=False)
+            if sol.status != OPTIMAL:
+                return None
+            iterations += sol.iterations
+            sol, violated = reduced.lift(sol, monitored)
+            if not violated.size:
+                return lp._finish(reduced.problem, sol.x, sol.duals_eq,
+                                  sol.duals_in, iterations, sol.backend,
+                                  duals_lb=sol.duals_lb, duals_ub=sol.duals_ub)
+            monitored = np.union1d(monitored, violated)
+    except NumericalBreakdown:
+        return None
+
+
 def _run_masked(system, blocks, parties, iso, log, config, mask_config):
     submissions = []
     for p in parties:
@@ -437,13 +476,15 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
         # flow column and states single-entry rows as column bounds,
         # leaving an LP over the entity and flow columns with one balance
         # equality per hour and dense or two-entry rows; it stays on HiGHS
-        # however small that LP is, and its solution is mapped back to
-        # angles and row duals.  No presolve: the singleton rows it would
-        # remove are bounds already, and on the flow form it costs time
+        # however small that LP is, is solved with its line limits screened
+        # and, should a screened solve not be optimal, whole as it is, and
+        # its solution is mapped back to angles and row duals
         reduced = masking.eliminate_angles(tlp)
-        sol = reduced.restore(solve_lp(
-            reduced.problem, dataclasses.replace(config, backend="highs"),
-            presolve=False))
+        highs = dataclasses.replace(config, backend="highs")
+        sol = _solve_screened(reduced, highs)
+        if sol is None:
+            sol = solve_lp(reduced.problem, highs, presolve=False)
+        sol = reduced.restore(sol)
         balance_rows = slice(None)
     else:
         sol = solve_lp(tlp.problem, config, presolve=False)

@@ -10,7 +10,7 @@ from maskdispatch.casefile import (
     CaseFileError, load_case, save_case, system_to_case, case_to_system,
 )
 from maskdispatch.market import gen_synthetic
-from maskdispatch import cli
+from maskdispatch import cli, lp, protocol
 from maskdispatch.lp import NumericalBreakdown
 from maskdispatch.masking import KeyGenerationFailed
 from maskdispatch.protocol import ProtocolViolation, run_market_round
@@ -160,6 +160,16 @@ def test_report_slices_owner_dispatch_hour_major(tmp_path):
                     for t in range(T) for j in range(k)}
                 col += k
             assert col == hourly.shape[1]
+
+
+def test_report_total_rounds_the_raw_sum_once(threebus):
+    # rounding a running total at every segment drifts: three segments of
+    # 0.1234564 would report 0.123456, 0.246912 and then 0.370368
+    unit = threebus.units_of("GENCO1")[0]
+    rec = cli._per_asset("GENCO1", [unit], 1, [0.1234564] * 3)[unit.name]
+    assert rec["segments"] == {"s1:t1": 0.123456, "s2:t1": 0.123456,
+                               "s3:t1": 0.123456}
+    assert rec["total"] == 0.370369
 
 
 def test_audit_output(capsys):
@@ -373,3 +383,30 @@ def test_infeasible_clear_solve_names_family(tmp_path, capsys):
     assert code == 2
     _assert_one_error_line(err)
     assert "line capacity limits" in err
+
+
+def test_infeasible_masked_highs_round_exits_2(tmp_path, capsys, monkeypatch):
+    # routed to HiGHS, a masked round screens the line limits: its first
+    # LP, without them, is optimal, a later one is not, and the whole
+    # flow-form LP then reports the market infeasible as it did unscreened
+    monkeypatch.delenv("MASKDISPATCH_SEED", raising=False)
+    monkeypatch.setattr(lp, "_SIMPLEX_SIZE_LIMIT", 0)
+    statuses = []
+    solve = protocol.solve_lp
+
+    def spy(problem, config=None, **kwargs):
+        sol = solve(problem, config, **kwargs)
+        statuses.append((problem.A_eq.shape[0], sol.status))
+        return sol
+
+    monkeypatch.setattr(protocol, "solve_lp", spy)
+    doc = _threebus_doc()
+    for line in doc["lines"]:
+        line["capacity"] = 1.0
+    code, err = _solve_exit(tmp_path, capsys, doc, "masked")
+    assert code == 2
+    _assert_one_error_line(err)
+    assert "infeasible" in err
+    # one balance row first; the last LP has all 3 flow rows
+    assert statuses[0] == (1, "optimal")
+    assert statuses[-1] == (4, "infeasible") and len(statuses) >= 3

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from maskdispatch import masking, protocol
+from maskdispatch import lp, masking, protocol
 from maskdispatch.lp import NumericalBreakdown, SolverConfig, solve_lp
 from maskdispatch.market import (
     BidSegment, Generator, Load, MarketSystem,
@@ -287,13 +287,20 @@ def test_masked_round_solves_slack_form_only_on_simplex(threebus, monkeypatch,
     # of the 3 lines stated once: the clear LP's 24 inequality rows over
     # its 9 entity columns and 3 flow columns, less the 6 flow limits that
     # become the flow columns' bounds, plus one system balance row and 3
-    # flow rows.  The agent places only the matrix it solves, so
-    # HiGHS never sees a 27 x 35 slack form built
-    seen, placed, tlps = [], [], []
+    # flow rows.  That LP is certified; threebus is congested, so HiGHS
+    # first solves it without any flow row or column and then once more
+    # with the binding line-hour.  The agent places only the matrix it
+    # solves, so HiGHS never sees a 27 x 35 slack form built
+    seen, placed, tlps, certified = [], [], [], []
+    finish = lp._finish
 
     def spy(problem, config=None, **kwargs):
         seen.append(problem)
         return solve_lp(problem, config, **kwargs)
+
+    def finish_spy(problem, *args, **kwargs):
+        certified.append(problem)
+        return finish(problem, *args, **kwargs)
 
     def place_spy(pieces, shape):
         placed.append(shape)
@@ -304,17 +311,149 @@ def test_masked_round_solves_slack_form_only_on_simplex(threebus, monkeypatch,
         return tlps[-1]
 
     monkeypatch.setattr(protocol, "solve_lp", spy)
+    monkeypatch.setattr(lp, "_finish", finish_spy)
     monkeypatch.setattr(protocol, "build_transformed_ed", build_spy)
     monkeypatch.setattr(masking, "place_blocks", place_spy)
     run_market_round(threebus, 0, mode="masked",
                      config=SolverConfig(backend=backend))
-    (problem,), (tlp,) = seen, tlps
+    problem, (tlp,) = certified[-1], tlps
     assert (problem.n_rows, problem.n_vars) == shape
     assert problem.A_eq.shape[0] == n_eq
     if backend == "auto":
+        assert len(seen) == 1 and seen[0] is problem
         assert placed == [shape]
     else:
+        first = seen[0]
+        assert len(seen) == 2
+        assert first.A_eq.shape == (1, 9) and first.A_in.shape[1] == 9
         assert placed == [] and "problem" not in tlp.__dict__
+
+
+def _screening_case(name, threebus):
+    """(system, solver settings, mask settings, mask seed, solves the
+    screened round takes) for the cases the screened solve is checked on."""
+    if name == "threebus":
+        return threebus, SolverConfig(backend="highs"), MaskConfig(), 0, 2
+    if name == "hourly14-3h":
+        return (gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2),
+                SolverConfig(), MaskConfig(hourly_block_masks=True), 0, 2)
+    return (gen_synthetic(118, 54, 91, 1, 2, seed=7, segments=1),
+            SolverConfig(highs_method="highs-ipm"),
+            MaskConfig(hourly_block_masks=True), 1000, 1)
+
+
+@pytest.mark.parametrize("name", ["threebus", "hourly14-3h", "grid118-2h"])
+def test_screened_solve_matches_a_direct_solve(threebus, monkeypatch, name):
+    # congested threebus and hourly14-3h add their binding line-hours in a
+    # second solve; no line-hour binds on grid118-2h.  Without screening
+    # the agent solves the whole flow-form LP once
+    system, config, mask_config, seed, solves = _screening_case(name, threebus)
+    seen = []
+
+    def spy(problem, config=None, **kwargs):
+        seen.append(problem)
+        return solve_lp(problem, config, **kwargs)
+
+    monkeypatch.setattr(protocol, "solve_lp", spy)
+    screened, _ = run_market_round(system, seed, mode="masked", config=config,
+                                   mask_config=mask_config)
+    assert len(seen) == solves
+    monkeypatch.setattr(protocol, "_solve_screened", lambda reduced, config: None)
+    direct, _ = run_market_round(system, seed, mode="masked", config=config,
+                                 mask_config=mask_config)
+    assert len(seen) == solves + 1
+    assert seen[-1].n_rows > seen[-2].n_rows
+    assert screened.objective == pytest.approx(direct.objective, abs=1e-9)
+    assert screened.max_dispatch_diff(direct) <= 1e-9
+    np.testing.assert_allclose(screened.lmp, direct.lmp, rtol=0, atol=1e-9)
+
+
+def test_binding_line_hour_is_monitored_with_its_dual(threebus, threebus_golden,
+                                                      monkeypatch):
+    # line 3 carries its full 100 MW in the clear round
+    caps = np.array([ln.capacity for ln in threebus.lines])
+    binding = np.flatnonzero(np.isclose(threebus_golden["flows"][0], caps))
+    assert binding.tolist() == [2]
+    monitored, restored, tlps = [], [], []
+    screened = masking.AngleElimination.screened
+    restore = masking.AngleElimination.restore
+
+    def screened_spy(self, lines):
+        monitored.append(lines)
+        return screened(self, lines)
+
+    def restore_spy(self, sol):
+        restored.append(restore(self, sol))
+        return restored[-1]
+
+    def build_spy(submissions):
+        tlps.append(masking.build_transformed_ed(submissions))
+        return tlps[-1]
+
+    monkeypatch.setattr(masking.AngleElimination, "screened", screened_spy)
+    monkeypatch.setattr(masking.AngleElimination, "restore", restore_spy)
+    monkeypatch.setattr(protocol, "build_transformed_ed", build_spy)
+    run_market_round(threebus, 0, mode="masked",
+                     config=SolverConfig(backend="highs"))
+    (sol,), (tlp,) = restored, tlps
+    assert monitored[0].size == 0 and np.isin(binding, monitored[-1]).all()
+    hi, lo = tlp.row_spans["line_hi"][0], tlp.row_spans["line_lo"][0]
+    assert abs(sol.duals_in[hi + 2]) > 1e-6
+    # an unmonitored line-hour's limits have zero duals
+    free = np.setdiff1d(np.arange(caps.size), monitored[-1])
+    assert free.size and not sol.duals_in[hi + free].any()
+    assert not sol.duals_in[lo + free].any()
+
+
+def test_flow_limit_left_a_row_is_monitored_from_the_first_solve(threebus,
+                                                                  monkeypatch):
+    # `_rows_as_bounds` leaves a flow limit a row when its bounds cross; a
+    # row over line 2's flow column keeps that column and its flow row in
+    # every screened LP, and the screened solve still gives the whole LP's
+    reduced = []
+    eliminate = masking.eliminate_angles
+
+    def eliminate_spy(tlp):
+        reduced.append(eliminate(tlp))
+        return reduced[-1]
+
+    monkeypatch.setattr(masking, "eliminate_angles", eliminate_spy)
+    config = SolverConfig(backend="highs")
+    run_market_round(threebus, 0, mode="masked", config=config)
+    (flow_form,) = reduced
+    p = flow_form.problem
+    nz = p.n_vars - flow_form.k.size
+    row = sp.csr_matrix(([1.0], ([0], [nz + 1])), shape=(1, p.n_vars))
+    flow_form.problem = dataclasses.replace(
+        p, A_in=sp.vstack([p.A_in, row], format="csr"),
+        b_in=np.append(p.b_in, p.ub[nz + 1]))
+    assert flow_form.flows_in_rows().tolist() == [1]
+    first = flow_form.screened(flow_form.flows_in_rows())
+    assert first.n_vars == nz + 1 and first.A_eq.shape[0] == 2
+    screened = protocol._solve_screened(flow_form, config)
+    direct = solve_lp(flow_form.problem, config, presolve=False)
+    assert screened.objective == pytest.approx(direct.objective, abs=1e-9)
+    np.testing.assert_allclose(screened.x[:nz], direct.x[:nz], rtol=0, atol=1e-9)
+
+
+def test_last_certificate_of_a_round_is_on_the_flow_form(threebus, monkeypatch):
+    reduced, certified = [], []
+    eliminate, finish = masking.eliminate_angles, lp._finish
+
+    def eliminate_spy(tlp):
+        reduced.append(eliminate(tlp))
+        return reduced[-1]
+
+    def finish_spy(problem, *args, **kwargs):
+        certified.append(problem)
+        return finish(problem, *args, **kwargs)
+
+    monkeypatch.setattr(masking, "eliminate_angles", eliminate_spy)
+    monkeypatch.setattr(lp, "_finish", finish_spy)
+    run_market_round(threebus, 0, mode="masked",
+                     config=SolverConfig(backend="highs"))
+    (flow_form,) = reduced
+    assert len(certified) == 3 and certified[-1] is flow_form.problem
 
 
 @pytest.mark.parametrize("backend", ["auto", "highs"])
