@@ -7,15 +7,15 @@ from maskdispatch.lp import (
 from maskdispatch.market import (
     MarketSystem, Line, Generator, Load, BidSegment,
     EdBlocks, ClearedMarket, ClearingFailed,
-    build_ed_blocks, assemble_ed_lp, solve_clear, line_flows,
-    social_welfare, gen_synthetic, regroup_entities,
+    build_ed_blocks, assemble_ed_lp, line_flows, gen_synthetic,
+    regroup_entities,
     IslandedNetwork, EmptyMarket, InvalidCounts,
 )
 from maskdispatch.masking import (
-    MaskConfig, MaskKeys, EntityKeys, IsoKeys, EncryptedSubmission,
+    MaskConfig, EntityKeys, IsoKeys, EncryptedSubmission,
     TransformedLp, AuditReport,
-    gen_keys, vertical_mask_generic, horizontal_mask_generic,
-    build_transformed_ed, recover_primal, recover_lmp, leakage_audit,
+    vertical_mask_generic, horizontal_mask_generic,
+    build_transformed_ed, recover_lmp, leakage_audit,
     KeyGenerationFailed, SingularMask, NonPositiveDiagonal,
     MissingSubmission, SpanMismatch,
 )

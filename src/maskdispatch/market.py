@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from maskdispatch.lp import (
-    LpProblem, SolverConfig, solve_lp, DimensionMismatch, NumericalBreakdown,
+    LpProblem, solve_lp, DimensionMismatch, NumericalBreakdown,
 )
 
 
@@ -153,9 +153,12 @@ class MarketSystem:
                                  f"{asset.owner!r} is reserved")
             if not asset.segments:
                 raise ValueError(f"asset {asset.name} has no bid segments")
-            _require_finite(f"asset {asset.name}",
-                            ramp_up=getattr(asset, "ramp_up", None),
-                            ramp_dn=getattr(asset, "ramp_dn", None))
+            ramps = {key: getattr(asset, key, None) for key in ("ramp_up", "ramp_dn")}
+            _require_finite(f"asset {asset.name}", **ramps)
+            for key, v in ramps.items():
+                if v is not None and v < 0:
+                    raise ValueError(f"asset {asset.name}: {key} must not be "
+                                     f"negative, got {v}")
             for k, seg in enumerate(asset.segments):
                 _require_finite(f"asset {asset.name} segment {k}",
                                 price=seg.price, lo=seg.lo, hi=seg.hi)
@@ -527,7 +530,7 @@ def assemble_ed_lp(blocks: EdBlocks):
 
 
 # ---------------------------------------------------------------------------
-# clearing and evaluation
+# clearing outcome
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -573,27 +576,6 @@ def line_flows(system: MarketSystem, angles) -> np.ndarray:
     return ((full[:, frm] - full[:, to]) / x).reshape(-1)
 
 
-def social_welfare(system: MarketSystem, gen_dispatch: dict, load_dispatch: dict) -> float:
-    """Bid value of served load minus offered cost of dispatched generation."""
-    total = 0.0
-    bus_idx = {b: i for i, b in enumerate(system.buses)}
-    for owner in system.gencos:
-        blk = _entity_blocks(system, owner, system.units_of(owner), "GENCO",
-                             bus_idx)
-        x = np.asarray(gen_dispatch[owner], dtype=float)
-        if x.size != blk.n:
-            raise DimensionMismatch(f"dispatch for {owner} has wrong length")
-        total -= float(blk.cost @ x)
-    for owner in system.lses:
-        blk = _entity_blocks(system, owner, system.loads_of(owner), "LSE",
-                             bus_idx)
-        x = np.asarray(load_dispatch[owner], dtype=float)
-        if x.size != blk.n:
-            raise DimensionMismatch(f"dispatch for {owner} has wrong length")
-        total += float(blk.cost @ x)
-    return total
-
-
 def _diagnose_infeasibility(system) -> str:
     relaxed = MarketSystem(
         name=system.name, buses=list(system.buses),
@@ -627,16 +609,6 @@ def require_optimal(status, system=None):
     raise NumericalBreakdown(
         f"LP solver reported {status} on a dispatch LP that is bounded "
         f"by construction")
-
-
-def solve_clear(system: MarketSystem, config: SolverConfig = None) -> ClearedMarket:
-    """Clear the market in the open: solve the dispatch LP on raw bids."""
-    blocks = build_ed_blocks(system)
-    problem, layout = assemble_ed_lp(blocks)
-    sol = solve_lp(problem, config)
-    require_optimal(sol.status, system)
-    return extract_cleared(system, blocks, layout, sol.x, sol.duals_eq,
-                           sol.objective)
 
 
 def extract_cleared(system, blocks, layout, x, balance_duals,

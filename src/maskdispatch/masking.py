@@ -54,7 +54,7 @@ from maskdispatch.lp import (
     LpProblem, DimensionMismatch, NumericalBreakdown,
 )
 from maskdispatch.market import (
-    ISO, SLACK_PREFIX, EdBlocks, coo_csr, ed_layout, place_blocks, triplets,
+    ISO, SLACK_PREFIX, coo_csr, ed_layout, place_blocks, triplets,
 )
 
 
@@ -130,28 +130,6 @@ class IsoKeys:
     # the masks are block diagonal over this many hour blocks (sparse when
     # more than one); mask_iso applies them one hour block at a time
     hours: int = 1
-
-
-@dataclass
-class MaskKeys:
-    entities: dict       # owner -> EntityKeys
-    iso: IsoKeys
-
-    @classmethod
-    def identity(cls, blocks: EdBlocks):
-        """All masks identity, slack coefficients one: the no-op key set."""
-        ents = {}
-        for e in blocks.gencos + blocks.lses:
-            ents[e.owner] = EntityKeys(owner=e.owner, kind=e.kind,
-                                       Y=np.eye(e.n), X=np.eye(e.m),
-                                       R=np.ones(e.m))
-        TL = blocks.line_caps.size
-        TB = blocks.admittance.shape[0]
-        iso = IsoKeys(Y_theta=np.eye(blocks.n_iso),
-                      X_l1=np.eye(TL), X_l2=np.eye(TL),
-                      R_l1=np.ones(TL), R_l2=np.ones(TL),
-                      X_b=np.eye(TB))
-        return cls(entities=ents, iso=iso)
 
 
 def _frobenius_bound(M):
@@ -254,29 +232,6 @@ def iso_keys(rng, n_iso, TL, TB, config: MaskConfig = None,
 def spawn_party_seeds(seed: int, n_entities: int):
     """Per-party seed children for one market round, entities first, ISO last."""
     return np.random.SeedSequence(seed).spawn(n_entities + 1)
-
-
-def gen_keys(blocks: EdBlocks, seed: int, config: MaskConfig = None) -> MaskKeys:
-    """Draw the full key set for a system, deterministically per seed.
-
-    Every party's keys come from an independent child of the seed, so a
-    party regenerates exactly its own keys without seeing anyone else's.
-    """
-    if config is None:
-        config = MaskConfig()
-    entities = blocks.gencos + blocks.lses
-    T = blocks.T
-    children = spawn_party_seeds(seed, len(entities))
-    ent_keys = {}
-    for child, e in zip(children[:-1], entities):
-        ent_keys[e.owner] = entity_keys(np.random.default_rng(child),
-                                        e.owner, e.kind, e.n, e.m, config,
-                                        horizon=T)
-    TL = blocks.line_caps.size
-    TB = blocks.admittance.shape[0]
-    iso = iso_keys(np.random.default_rng(children[-1]),
-                   blocks.n_iso, TL, TB, config, horizon=T)
-    return MaskKeys(entities=ent_keys, iso=iso)
 
 
 # ---------------------------------------------------------------------------
@@ -638,9 +593,8 @@ class TransformedLp:
     `balance` holds the ``(col, block, sign)`` pieces of the balance rows
     (zero right-hand side): each block as published, entering the rows
     times ``sign`` (-1 for the angle block and the loads' blocks), `c` the
-    structural costs.  Only the form a solver
-    asks for is assembled: `problem` (the slack form) or `eliminate_angles`;
-    `eliminate_slacks` is the reference the latter is tested against.
+    structural costs.  Only the form a solver asks for is assembled:
+    `problem` (the slack form) or `eliminate_angles`.
     """
 
     groups: list
@@ -657,7 +611,8 @@ class TransformedLp:
     def problem(self) -> LpProblem:
         """The masked LP in all-equality slack form, assembled on first access."""
         vs, bal = self.var_spans, self.row_spans["balance"][0]
-        pieces = self.balance_pieces(bal)
+        pieces = [(bal, col, block if sign > 0 else -block)
+                  for col, block, sign in self.balance]
         for owner, col, C, S, _ in self.groups:
             r0 = self.row_spans[owner][0]
             pieces += [(r0, col, C), (r0, vs[SLACK_PREFIX + owner][0], S)]
@@ -669,11 +624,6 @@ class TransformedLp:
             A_in=None, b_in=None,
             lb=np.concatenate([np.full(self.n_structural, -np.inf),
                                np.zeros(self.n_slack)]))
-
-    def balance_pieces(self, row):
-        """`place_blocks` pieces of the balance rows, signed, at row `row`."""
-        return [(row, col, block if sign > 0 else -block)
-                for col, block, sign in self.balance]
 
 
 def build_transformed_ed(submissions) -> TransformedLp:
@@ -787,8 +737,7 @@ def _cancel_slacks(groups):
     hourly keys) is split on one common split of its S's patterns
     (`_diagonal_blocks`), and each block is solved for the whole batch in
     one stacked solve, against the columns that its rows touch in any of
-    the batch's C.  This is the one cancellation kernel of
-    `eliminate_slacks` and `eliminate_angles`.
+    the batch's C.  This is the cancellation kernel of `eliminate_angles`.
     """
     batches = {}
     for i, (C, S, _) in enumerate(groups):
@@ -821,7 +770,8 @@ def _cancel_slacks(groups):
 def _cancelled_groups(tlp: TransformedLp):
     """``[(owner, row offset, column, blocks)]`` for every nonempty row
     group of `tlp`, with its `_cancel_slacks` blocks, and ``S⁻¹b`` over all
-    of them (see `eliminate_slacks`)."""
+    of them, in the inequality rows of the clear LP's layout (see
+    `eliminate_angles`)."""
     groups = [(owner, tlp.row_spans[owner][0], col, (C, S, b))
               for owner, col, C, S, b in tlp.groups if b.size]
     b_in = np.zeros(tlp.row_spans["balance"][0])
@@ -839,39 +789,6 @@ def _block_triplets(r0, col, blocks):
     start at row `r0` and whose columns start at column `col`."""
     return [triplets(r0 + np.arange(q0, q1), col + cols, D)
             for q0, q1, cols, D, *_ in blocks]
-
-
-def eliminate_slacks(tlp: TransformedLp) -> LpProblem:
-    """The masked LP with every owner's slack block cancelled and the
-    angles kept: the reference that `eliminate_angles` is tested against.
-
-    Each owner's row group reads ``C z + S s = b`` with ``s >= 0``, where
-    ``C = X·E·Y``, ``S = X·diag(R)`` and ``b = X·M`` are what the owner
-    published for its constraint matrix ``E`` and bounds ``M``.
-    Multiplying it on the left by ``S⁻¹`` (`_cancel_slacks`) gives
-    ``R⁻¹E·Y z + s = R⁻¹M``, that is ``R⁻¹E·Y z <= R⁻¹M``, and the slack
-    columns drop out.  The result, placed once from the published blocks,
-    is an LP in the clear layout (``ed_layout(slacks=False)``): the
-    structural columns of ``tlp.problem``, the same rows in the same order
-    (the inequality rows as CSR), all variables free, and the masked
-    balance rows, unchanged, as its only equalities.  In exact arithmetic
-    its entity and angle slices and its balance duals equal those of
-    ``tlp.problem``, so recovery is unchanged.
-
-    Only published data is read, so the clearing agent can compute this
-    itself; it learns nothing it could not already derive.  This is the
-    row-mask cancellation of ROADMAP item 4(a).  It relies on each
-    owner's slack block being invertible (a condition-gated ``X`` times
-    a positive diagonal); a mitigation of item 4(a) that changes that
-    must revisit it.
-    """
-    bal, n = tlp.row_spans["balance"][0], tlp.n_structural
-    groups, b_in = _cancelled_groups(tlp)
-    A_in = coo_csr([t for _, r0, col, blocks in groups
-                    for t in _block_triplets(r0, col, blocks)], (bal, n))
-    A_eq = place_blocks(tlp.balance_pieces(0), (tlp.n_rows - bal, n))
-    return LpProblem(sense="max", c=tlp.c, A_eq=A_eq,
-                     b_eq=np.zeros(tlp.n_rows - bal), A_in=A_in, b_in=b_in)
 
 
 def _merge_line_rows(hi, lo):
@@ -966,9 +883,10 @@ class AngleElimination:
     `problem` is what `eliminate_angles` hands the solver: the entity
     columns ``z``, then one masked-flow column ``f`` per line-hour, with
     its single-entry rows stated as column bounds.  `restore` maps its
-    optimal solution to the layout of ``eliminate_slacks(tlp)``: the
-    masked angles ``θ' = P·z`` after the entity columns (``f`` is
-    dropped), every inequality row's dual in its row (the moved rows' from
+    optimal solution to the clear LP's layout (``ed_layout(slacks=False)``,
+    the structural columns and rows of ``tlp.problem``): the masked angles
+    ``θ' = P·z`` after the entity columns (``f`` is dropped), every
+    inequality row's dual in its row (the moved rows' from
     their bounds' duals), the lower-limit duals divided by `k` and the
     masked balance duals in place of the reduced LP's equality duals.
     `components` holds ``(rows, cols, zcols, Q, R, P)`` per diagonal block
@@ -976,7 +894,7 @@ class AngleElimination:
     block ``a`` over the angle columns, `k` the lower-to-upper row ratios,
     `lower` the rows of the lower limits and `moved` the ``(rows, cols,
     coef)`` of the rows stated as bounds (`_rows_as_bounds`), both in the
-    inequality rows of ``eliminate_slacks(tlp)``.
+    inequality rows of that layout.
 
     `screened`, `lift` and `flows_in_rows` state `problem` with only some of
     its line-hours monitored, for a solve that adds line limits lazily.
@@ -1053,8 +971,8 @@ class AngleElimination:
                                    duals_ub=duals_ub), np.flatnonzero(out)
 
     def restore(self, sol):
-        """`sol` with ``x``, ``duals_in`` and ``duals_eq`` in the
-        angle-carrying layout; a non-optimal `sol` is returned as it is."""
+        """`sol` with ``x``, ``duals_in`` and ``duals_eq`` in the clear
+        LP's layout; a non-optimal `sol` is returned as it is."""
         if sol.x is None:
             return sol
         TL = self.k.size
@@ -1086,13 +1004,21 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     masked-flow column: the shift-factor (PTDF) form of the dispatch,
     computed on masked data.
 
-    The slack blocks are cancelled as in `eliminate_slacks`, by
-    `_cancel_slacks`.  The masked balance rows then read
-    ``Bz·z + Bθ·θ' = 0``, with ``Bθ = -X_b·B·Y_θ`` and ``Bz`` the
-    entities' published balance blocks, stacked once, each signed as it
-    enters the rows.  `Bθ` is split
-    into its diagonal blocks (`_diagonal_blocks`: one per hour under
-    hourly keys, one under dense keys).  For each, a full QR
+    Each owner's row group reads ``C z + S s = b`` with ``s >= 0``, where
+    ``C = X·E·Y``, ``S = X·diag(R)`` and ``b = X·M`` are what the owner
+    published for its constraint matrix ``E`` and bounds ``M``.
+    Multiplying it on the left by ``S⁻¹`` (`_cancel_slacks`) gives
+    ``R⁻¹E·Y z + s = R⁻¹M``, that is ``R⁻¹E·Y z <= R⁻¹M``, and the slack
+    columns drop out: an LP in the clear LP's layout whose entity and
+    angle slices and balance duals equal, in exact arithmetic, those of
+    ``tlp.problem``, so recovery is unchanged.  This is the row-mask
+    cancellation of ROADMAP item 4(a).
+
+    The masked balance rows read ``Bz·z + Bθ·θ' = 0``, with
+    ``Bθ = -X_b·B·Y_θ`` and ``Bz`` the entities' published balance blocks,
+    stacked once, each signed as it enters the rows.  `Bθ` is split into
+    its diagonal blocks (`_diagonal_blocks`: one per hour under hourly
+    keys, one under dense keys).  For each, a full QR
     ``Bθ = [Q1 Q2]·[R; 0]`` turns the rows into ``θ' = P·z`` with
     ``P = -R⁻¹·Q1ᵀ·Bz`` and the equalities ``Q2ᵀ·Bz·z = 0`` (one per hour
     for a connected network).  The entity rows are unchanged.
@@ -1106,21 +1032,20 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     The line-hour then gets a column ``f``, the equality ``a·P·z - f = 0``
     after the balance equalities, and the limits ``f <= b_hi`` and
     ``-f <= b_lo/k`` in the rows the two line limits held, so the
-    inequality rows keep the order of ``eliminate_slacks(tlp)``.  Each
-    block is built densely over its own rows and columns, and the LP is
-    placed once as CSR from its triplets, without the entries of
-    magnitude at most 1e-9 (cancellation residue that HiGHS drops on
-    input, its ``small_matrix_value``).
+    inequality rows keep the clear LP's order.  Each block is built
+    densely over its own rows and columns, and the LP is placed once as
+    CSR from its triplets, without the entries of magnitude at most 1e-9
+    (cancellation residue that HiGHS drops on input, its
+    ``small_matrix_value``).
 
     Last, the inequality rows left with one entry are stated as bounds
     of their columns (`_rows_as_bounds`), which an interior-point solver
     treats far more cheaply than a row: the flow limits, and the bound
     rows of every entity whose column mask is diagonal.  The other rows
     stay in ``problem.A_in`` in their order.  `restore` puts each bound's
-    dual back in its row (`_row_duals`), so ``duals_in`` keeps the layout
-    of ``eliminate_slacks(tlp)``.  On the 118-bus,
-    2-hour case with hourly keys, 1,140 of 1,248 inequality rows move and
-    the 108 two-entry ramp rows stay.
+    dual back in its row (`_row_duals`), so ``duals_in`` keeps the clear
+    LP's layout.  On the 118-bus, 2-hour case with hourly keys, 1,140 of
+    1,248 inequality rows move and the 108 two-entry ramp rows stay.
 
     The agent does not solve `problem` whole in one go: the flow rows hold
     almost all of its nonzeros and few line-hours bind, so it solves
@@ -1128,8 +1053,10 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     line-hours and certifies the lifted last one on `problem` (see
     `protocol._solve_screened`).
 
-    Only published data is read, as in `eliminate_slacks`, and with the
-    same caveat: it relies on invertible slack blocks and on each
+    Only published data is read, so the agent learns nothing it could not
+    already derive.  It relies on each owner's slack block being
+    invertible (a condition-gated ``X`` times a positive diagonal; a
+    mitigation of item 4(a) that changes that must revisit it) and on each
     diagonal block of ``Bθ`` having full column rank (a connected network, a
     condition-gated ``X_b`` and ``Y_θ``).  ``k`` and the flows
     ``f = hi·θ'`` were already computable from what the agent received;
@@ -1192,29 +1119,6 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     L = coo_csr(_block_triplets(0, 0, line_blocks), (TL, n_iso), tiny=0.0)
     return AngleElimination(problem=problem, components=components, L=L, k=k,
                             lower=lower, n_balance=TB, moved=moved)
-
-
-def recover_primal(keys: MaskKeys, solution, tlp: TransformedLp) -> dict:
-    """Map each owner's masked solution slice back to its real values.
-
-    Returns owner -> dispatch for entities plus "theta" for the grid
-    operator.  Each entry uses only that owner's key and slice.
-    """
-    x = np.asarray(solution.x, dtype=float)
-    out = {}
-    for owner, ek in keys.entities.items():
-        if owner not in tlp.var_spans:
-            raise SpanMismatch(f"no column span for {owner}")
-        lo, hi = tlp.var_spans[owner]
-        if hi - lo != ek.Y.shape[0]:
-            raise SpanMismatch(
-                f"{owner} slice has {hi - lo} entries, key is {ek.Y.shape[0]}")
-        out[owner] = ek.Y @ x[lo:hi]
-    lo, hi = tlp.var_spans["theta"]
-    if hi - lo != keys.iso.Y_theta.shape[0]:
-        raise SpanMismatch("angle slice does not match the angle key")
-    out["theta"] = np.asarray(keys.iso.Y_theta @ x[lo:hi]).reshape(-1)
-    return out
 
 
 def recover_lmp(X_b, lambda_tilde) -> np.ndarray:

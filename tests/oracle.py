@@ -11,6 +11,10 @@ from the bid data, independently of the block assembler it cross-checks.
 `plain_iso_products` forms the grid operator's masked blocks as whole
 products of its keys, the reference for `masking.mask_iso`.
 
+`cancelled_slack_form` cancels each owner's slack block by a dense solve
+on the assembled slack form, the reference for the clearing agent's
+cancellation kernel and for `masking.eliminate_angles`.
+
 `lil_incidences` builds the entity and line incidences entry by entry in
 a `lil_matrix`, the reference for `market.build_ed_blocks`.
 """
@@ -21,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from maskdispatch.lp import LpProblem
-from maskdispatch.market import MarketSystem
+from maskdispatch.market import SLACK_PREFIX, MarketSystem
 
 
 def _dense(a):
@@ -212,6 +216,24 @@ def plain_iso_products(blocks, keys, entity_incidences):
            "balance_theta": keys.X_b @ (blocks.admittance @ keys.Y_theta)}
     out.update({f"balance:{o}": keys.X_b @ a for o, a in incs.items()})
     return out
+
+
+def cancelled_slack_form(tlp):
+    """The masked LP `tlp` with every owner's slack block cancelled, in the
+    clear LP's layout: owner by owner, ``np.linalg.solve(S, ·)`` of the
+    owner's rows of the dense slack form ``tlp.problem``, with ``S`` its
+    slack columns.  The cancelled rows are the inequalities, the balance
+    rows, unchanged, the equalities, and every variable is free."""
+    A, b = _dense(tlp.problem.A_eq), tlp.problem.b_eq
+    n, bal = tlp.n_structural, tlp.row_spans["balance"][0]
+    A_in, b_in = A[:bal, :n].copy(), np.zeros(bal)
+    for owner, (r0, r1) in tlp.row_spans.items():
+        if owner != "balance" and r1 > r0:
+            S = A[r0:r1, slice(*tlp.var_spans[SLACK_PREFIX + owner])]
+            A_in[r0:r1] = np.linalg.solve(S, A[r0:r1, :n])
+            b_in[r0:r1] = np.linalg.solve(S, b[r0:r1])
+    return LpProblem(sense="max", c=tlp.problem.c[:n], A_eq=A[bal:, :n],
+                     b_eq=b[bal:], A_in=A_in, b_in=b_in)
 
 
 def lil_incidences(system: MarketSystem):

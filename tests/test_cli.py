@@ -247,6 +247,8 @@ BAD_DOCUMENTS = {
     "inf-ramp-up": _set(["generators", 0, "ramp_up"], float("inf")),
     "nan-ramp-down": _set(["generators", 0, "ramp_down"], float("nan")),
     "text-ramp-up": _set(["generators", 0, "ramp_up"], "fast"),
+    "negative-ramp-up": _set(["generators", 0, "ramp_up"], -5.0),
+    "negative-ramp-down": _set(["generators", 0, "ramp_down"], -5.0),
     "nan-reactance": _set(["lines", 0, "x"], float("nan")),
     "inf-capacity": _set(["lines", 1, "capacity"], float("inf")),
     "fractional-horizon": _set(["meta", "T"], 1.5),

@@ -6,8 +6,8 @@ from maskdispatch.market import (
     _DENSE_CELL_LIMIT, assemble_ed_lp, build_ed_blocks, gen_synthetic,
     place_blocks,
 )
-from maskdispatch.masking import build_transformed_ed, gen_keys
-from test_masking import masked_submissions
+from maskdispatch.masking import build_transformed_ed
+from test_masking import masked_submissions, party_keys
 
 
 @pytest.mark.parametrize("which", ["threebus", "synthetic-2h"])
@@ -15,7 +15,7 @@ def test_masked_layout_extends_clear_layout(which, threebus):
     system = threebus if which == "threebus" else gen_synthetic(6, 2, 2, 2, 2, seed=4)
     blocks = build_ed_blocks(system)
     _, clear = assemble_ed_lp(blocks)
-    tlp = build_transformed_ed(masked_submissions(blocks, gen_keys(blocks, seed=3)))
+    tlp = build_transformed_ed(masked_submissions(blocks, party_keys(blocks, seed=3)))
     for owner in [e.owner for e in blocks.gencos + blocks.lses] + ["theta"]:
         assert tlp.var_spans[owner] == clear.var_spans[owner]
     assert tlp.row_spans == clear.row_spans

@@ -6,12 +6,21 @@ import pytest
 from maskdispatch.lp import solve_lp, DimensionMismatch
 from maskdispatch.market import (
     MarketSystem, Line, Generator, Load, BidSegment,
-    build_ed_blocks, assemble_ed_lp,
-    solve_clear, line_flows, social_welfare, gen_synthetic,
+    build_ed_blocks, assemble_ed_lp, line_flows, gen_synthetic,
     regroup_entities, extract_cleared,
     IslandedNetwork, EmptyMarket, InvalidCounts, ClearingFailed,
 )
+from maskdispatch.protocol import run_market_round
 from oracle import assemble_ed_lp_scalar, lil_incidences
+
+
+def welfare(system, gen_dispatch, load_dispatch):
+    """Bid value of served load minus offered cost of dispatched generation:
+    the scalar assembly's objective, at zero angles."""
+    p = assemble_ed_lp_scalar(system)
+    x = np.concatenate([gen_dispatch[o] for o in system.gencos]
+                       + [load_dispatch[o] for o in system.lses])
+    return p.objective_at(np.concatenate([x, np.zeros(p.n_vars - x.size)]))
 
 
 def test_threebus_blocks_shape(threebus):
@@ -41,7 +50,7 @@ def test_threebus_balance_rows(threebus):
 
 
 def test_threebus_clear_golden(threebus, threebus_golden):
-    cm = solve_clear(threebus)
+    cm = run_market_round(threebus, 0, mode="clear")[0]
     g = threebus_golden
     assert cm.objective == pytest.approx(g["objective"], abs=1e-6)
     for owner, segs in g["gen_segments"].items():
@@ -58,7 +67,7 @@ def test_single_bus_marginal_unit_sets_price():
         name="onebus", buses=["b"], reference_bus="b", lines=[],
         generators=[Generator("G", "GENCO1", "b", [BidSegment(10.0, 0.0, 100.0)])],
         loads=[Load("L", "LSE1", "b", [BidSegment(20.0, 50.0, 50.0)])])
-    cm = solve_clear(system)
+    cm = run_market_round(system, 0, mode="clear")[0]
     assert cm.gen_dispatch["GENCO1"][0] == pytest.approx(50.0, abs=1e-8)
     assert cm.lmp[0, 0] == pytest.approx(10.0, abs=1e-8)
 
@@ -69,7 +78,7 @@ def test_uncongested_network_has_uniform_lmp(threebus):
         reference_bus=threebus.reference_bus,
         lines=[Line(l.from_bus, l.to_bus, l.x, 10000.0) for l in threebus.lines],
         generators=threebus.generators, loads=threebus.loads, horizon=1)
-    cm = solve_clear(relaxed)
+    cm = run_market_round(relaxed, 0, mode="clear")[0]
     assert np.max(cm.lmp) - np.min(cm.lmp) <= 1e-6
 
 
@@ -92,11 +101,11 @@ def test_line_flows_single_line():
 
 def test_social_welfare_evaluation(threebus, threebus_golden):
     g = threebus_golden
-    assert social_welfare(threebus, g["gen_segments"], g["load_segments"]) \
+    assert welfare(threebus, g["gen_segments"], g["load_segments"]) \
         == pytest.approx(1330.0)
     zero = {k: np.zeros_like(v) for k, v in g["gen_segments"].items()}
     zload = {k: np.zeros_like(v) for k, v in g["load_segments"].items()}
-    assert social_welfare(threebus, zero, zload) == 0.0
+    assert welfare(threebus, zero, zload) == 0.0
 
 
 def test_social_welfare_is_linear_in_prices(threebus, threebus_golden):
@@ -110,7 +119,7 @@ def test_social_welfare_is_linear_in_prices(threebus, threebus_golden):
                     [BidSegment(2 * s.price, s.lo, s.hi) for s in d.segments])
                for d in threebus.loads])
     g = threebus_golden
-    assert social_welfare(doubled, g["gen_segments"], g["load_segments"]) \
+    assert welfare(doubled, g["gen_segments"], g["load_segments"]) \
         == pytest.approx(2 * 1330.0)
 
 
@@ -147,8 +156,8 @@ def test_flat_dispatch_when_hours_are_identical():
         name="flat1", buses=["1"], reference_bus="1", lines=[],
         generators=[Generator("G", "GENCO1", "1", [BidSegment(5.0, 0.0, 100.0)])],
         loads=[Load("L", "LSE1", "1", [BidSegment(30.0, 20.0, 40.0)])])
-    cm = solve_clear(system)
-    ref = solve_clear(single)
+    cm = run_market_round(system, 0, mode="clear")[0]
+    ref = run_market_round(single, 0, mode="clear")[0]
     assert cm.objective == pytest.approx(3 * ref.objective, abs=1e-6)
     hours = cm.gen_dispatch["GENCO1"].reshape(3, -1)
     np.testing.assert_allclose(hours - hours[0], 0.0, atol=1e-6)
@@ -173,7 +182,7 @@ def test_scalar_and_block_assembly_agree():
 def test_cleared_market_invariants_on_synthetics():
     for seed in (1, 2, 3, 4):
         system = gen_synthetic(4, 2, 2, 1, 2, seed=seed, segments=2)
-        cm = solve_clear(system)
+        cm = run_market_round(system, 0, mode="clear")[0]
         # flows inside limits
         caps = np.array([[l.capacity for l in system.lines]] * system.horizon)
         assert np.all(np.abs(cm.flows) <= caps + 1e-6)
@@ -199,16 +208,16 @@ def test_cleared_market_invariants_on_synthetics():
         np.testing.assert_allclose(gen_hour, load_hour, atol=1e-6)
         # objective consistent with the bid evaluation
         assert cm.objective == pytest.approx(
-            social_welfare(system, cm.gen_dispatch, cm.load_dispatch), abs=1e-6)
+            welfare(system, cm.gen_dispatch, cm.load_dispatch), abs=1e-6)
 
 
 def test_reference_bus_change_preserves_physics(threebus):
-    base = solve_clear(threebus)
+    base = run_market_round(threebus, 0, mode="clear")[0]
     moved = MarketSystem(
         name="ref2", buses=list(threebus.buses), reference_bus="2",
         lines=list(threebus.lines), generators=threebus.generators,
         loads=threebus.loads, horizon=1)
-    other = solve_clear(moved)
+    other = run_market_round(moved, 0, mode="clear")[0]
     np.testing.assert_allclose(base.flows, other.flows, atol=1e-6)
     np.testing.assert_allclose(base.lmp, other.lmp, atol=1e-6)
     assert base.max_dispatch_diff(other) <= 1e-6
@@ -221,7 +230,7 @@ def test_gen_synthetic_deterministic_and_solvable():
     a = gen_synthetic(3, 2, 1, 1, 1, seed=5)
     b = gen_synthetic(3, 2, 1, 1, 1, seed=5)
     assert a == b
-    cm = solve_clear(a)
+    cm = run_market_round(a, 0, mode="clear")[0]
     assert cm.objective >= 0.0
 
 
@@ -249,8 +258,8 @@ def test_regroup_entities_preserves_physics():
     system = gen_synthetic(5, 2, 2, 2, 1, seed=9)
     grouped = regroup_entities(system, 4)
     assert len(grouped.gencos) == 1
-    base = solve_clear(system)
-    other = solve_clear(grouped)
+    base = run_market_round(system, 0, mode="clear")[0]
+    other = run_market_round(grouped, 0, mode="clear")[0]
     assert base.objective == pytest.approx(other.objective, abs=1e-6)
 
 
@@ -279,6 +288,18 @@ def test_self_loop_line_rejected(threebus):
                             lines=threebus.lines + [Line("3", "3", 0.1, 5.0)])
 
 
+@pytest.mark.parametrize("key", ["ramp_up", "ramp_dn"])
+def test_negative_ramp_rejected(threebus, key):
+    # a negative ramp limit would force a unit's output down from hour to
+    # hour, or make the market infeasible; a zero limit stays legal
+    units = list(threebus.generators)
+    units[0] = dataclasses.replace(units[0], **{key: -5.0})
+    with pytest.raises(ValueError, match=f"{key} must not be negative"):
+        dataclasses.replace(threebus, generators=units, horizon=2)
+    units[0] = dataclasses.replace(units[0], **{key: 0.0})
+    assert dataclasses.replace(threebus, generators=units, horizon=2).horizon == 2
+
+
 def test_infeasible_market_names_family(threebus):
     # load minimum of 100 MW with all line capacities shrunk to 1 MW
     squeezed = MarketSystem(
@@ -286,7 +307,7 @@ def test_infeasible_market_names_family(threebus):
         lines=[Line(l.from_bus, l.to_bus, l.x, 1.0) for l in threebus.lines],
         generators=threebus.generators, loads=threebus.loads)
     with pytest.raises(ClearingFailed) as err:
-        solve_clear(squeezed)
+        run_market_round(squeezed, 0, mode="clear")
     assert err.value.status == "infeasible"
     assert err.value.family == "line capacity limits"
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -9,19 +10,17 @@ from maskdispatch.lp import (
     LpProblem, SolverConfig, solve_lp, check_point, DimensionMismatch,
     NumericalBreakdown,
 )
-from maskdispatch.market import (
-    BidSegment, Generator, Load, MarketSystem,
-    build_ed_blocks, assemble_ed_lp, gen_synthetic,
-)
-from maskdispatch import masking
-from oracle import plain_iso_products
+from maskdispatch.market import build_ed_blocks, assemble_ed_lp, gen_synthetic
+from maskdispatch import masking, protocol
+from maskdispatch.protocol import run_market_round
+from oracle import cancelled_slack_form, plain_iso_products
 from maskdispatch.masking import (
-    MaskConfig, MaskKeys, EncryptedSubmission,
-    gen_keys, vertical_mask_generic, horizontal_mask_generic,
-    build_transformed_ed, recover_primal, recover_lmp, leakage_audit,
+    MaskConfig, EntityKeys, IsoKeys, EncryptedSubmission,
+    vertical_mask_generic, horizontal_mask_generic,
+    build_transformed_ed, recover_lmp, leakage_audit,
     mask_entity, mask_iso, verify_masked,
     KeyGenerationFailed, SingularMask, NonPositiveDiagonal,
-    MissingSubmission, SpanMismatch,
+    MissingSubmission,
 )
 
 # worked 3-bus recovery data as printed to two decimals
@@ -37,6 +36,34 @@ XB_PRINTED = np.array([[0.58, 0.06, 0.92],
 LAMBDA_MASKED = np.array([-13.13, -16.22, -0.95])
 
 
+PartyKeys = collections.namedtuple("PartyKeys", "entities iso")
+
+
+def party_keys(blocks, seed, config=None):
+    """Every party's keys for mask seed `seed`, drawn as `run_market_round`
+    draws them, each from its own child of the seed: PartyKeys(owner ->
+    EntityKeys, IsoKeys)."""
+    entities = blocks.gencos + blocks.lses
+    *rngs, iso = map(np.random.default_rng,
+                     masking.spawn_party_seeds(seed, len(entities)))
+    return PartyKeys(
+        {e.owner: masking.entity_keys(rng, e.owner, e.kind, e.n, e.m, config,
+                                      horizon=blocks.T)
+         for e, rng in zip(entities, rngs)},
+        masking.iso_keys(iso, blocks.n_iso, blocks.line_caps.size,
+                         blocks.admittance.shape[0], config, horizon=blocks.T))
+
+
+def identity_keys(blocks):
+    """All masks identity, slack coefficients one: the no-op key set."""
+    TL, TB = blocks.line_caps.size, blocks.admittance.shape[0]
+    return PartyKeys(
+        {e.owner: EntityKeys(e.owner, e.kind, np.eye(e.n), np.eye(e.m), np.ones(e.m))
+         for e in blocks.gencos + blocks.lses},
+        IsoKeys(np.eye(blocks.n_iso), np.eye(TL), np.eye(TL), np.ones(TL),
+                np.ones(TL), np.eye(TB)))
+
+
 def masked_submissions(blocks, keys):
     subs = [mask_entity(e, keys.entities[e.owner])
             for e in blocks.gencos + blocks.lses]
@@ -45,9 +72,16 @@ def masked_submissions(blocks, keys):
     return subs
 
 
+def recovered_point(keys, x, tlp):
+    """The clear LP's point from the masked solution `x`: each owner's slice
+    mapped back through its column key, as its party does in a round."""
+    Ys = [k.Y for k in keys.entities.values()] + [keys.iso.Y_theta]
+    return sp.block_diag(Ys, format="csr") @ x[:tlp.n_structural]
+
+
 def run_masked(system, seed, config=None):
     blocks = build_ed_blocks(system)
-    keys = gen_keys(blocks, seed, config)
+    keys = party_keys(blocks, seed, config)
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
     sol = solve_lp(tlp.problem)
     return blocks, keys, tlp, sol
@@ -55,7 +89,7 @@ def run_masked(system, seed, config=None):
 
 def test_key_dimensions_match_entity_blocks(threebus):
     blocks = build_ed_blocks(threebus)
-    keys = gen_keys(blocks, seed=1)
+    keys = party_keys(blocks, seed=1)
     assert keys.entities["GENCO1"].Y.shape == (3, 3)
     assert keys.entities["GENCO1"].X.shape == (6, 6)
     assert keys.entities["LSE1"].Y.shape == (3, 3)
@@ -66,11 +100,11 @@ def test_key_dimensions_match_entity_blocks(threebus):
 
 def test_keys_deterministic_per_seed(threebus):
     blocks = build_ed_blocks(threebus)
-    a = gen_keys(blocks, seed=17)
-    b = gen_keys(blocks, seed=17)
+    a = party_keys(blocks, seed=17)
+    b = party_keys(blocks, seed=17)
     assert np.array_equal(a.entities["GENCO1"].Y, b.entities["GENCO1"].Y)
     assert np.array_equal(a.iso.X_b, b.iso.X_b)
-    c = gen_keys(blocks, seed=18)
+    c = party_keys(blocks, seed=18)
     assert not np.array_equal(a.entities["GENCO1"].Y, c.entities["GENCO1"].Y)
 
 
@@ -78,7 +112,7 @@ def test_key_conditioning_and_positivity(threebus):
     blocks = build_ed_blocks(threebus)
     cfg = MaskConfig()
     for seed in range(10):
-        keys = gen_keys(blocks, seed, cfg)
+        keys = party_keys(blocks, seed, cfg)
         mats = [keys.iso.Y_theta, keys.iso.X_l1, keys.iso.X_l2, keys.iso.X_b]
         positives = list(mats)
         for ek in keys.entities.values():
@@ -98,7 +132,7 @@ def test_impossible_conditioning_gate_fails(monkeypatch):
     monkeypatch.setattr(masking, "_COND_MAX", 1.0 + 1e-9)
     monkeypatch.setattr(masking, "_MAX_RETRIES", 5)
     with pytest.raises(KeyGenerationFailed):
-        gen_keys(blocks, seed=0)
+        party_keys(blocks, seed=0)
 
 
 def _assert_hour_blocks_within(M, hours, lo, hi):
@@ -117,7 +151,7 @@ def test_key_draws_stay_in_documented_ranges(hourly):
     blocks = build_ed_blocks(gen_synthetic(4, 2, 2, 1, T, seed=9, segments=2))
     hours = T if hourly else 1
     for seed in range(3):
-        keys = gen_keys(blocks, seed, MaskConfig(hourly_block_masks=hourly))
+        keys = party_keys(blocks, seed, MaskConfig(hourly_block_masks=hourly))
         iso = keys.iso
         for M in [iso.Y_theta, iso.X_l1, iso.X_l2, iso.X_b] + [
                 ek.Y for ek in keys.entities.values()]:
@@ -288,7 +322,7 @@ def test_transformed_problem_dimensions(threebus):
 
 def test_identity_keys_reproduce_slack_form(threebus):
     blocks = build_ed_blocks(threebus)
-    keys = MaskKeys.identity(blocks)
+    keys = identity_keys(blocks)
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
     problem, layout = assemble_ed_lp(blocks)
     A_in = np.asarray(problem.A_in)
@@ -310,12 +344,14 @@ def test_masked_solve_recovers_clear_outcome(threebus, threebus_golden):
         blocks, keys, tlp, sol = run_masked(threebus, seed)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(g["objective"], abs=1e-6)
-        rec = recover_primal(keys, sol, tlp)
-        np.testing.assert_allclose(rec["GENCO1"], g["gen_segments"]["GENCO1"],
+        rec = recovered_point(keys, sol.x, tlp)
+        vs = tlp.var_spans
+        np.testing.assert_allclose(rec[slice(*vs["GENCO1"])],
+                                   g["gen_segments"]["GENCO1"], atol=1e-6)
+        np.testing.assert_allclose(rec[slice(*vs["LSE1"])],
+                                   g["load_segments"]["LSE1"], atol=1e-6)
+        np.testing.assert_allclose(rec[slice(*vs["theta"])], [-1.0, -10.0],
                                    atol=1e-6)
-        np.testing.assert_allclose(rec["LSE1"], g["load_segments"]["LSE1"],
-                                   atol=1e-6)
-        np.testing.assert_allclose(rec["theta"], [-1.0, -10.0], atol=1e-6)
         blo, bhi = tlp.row_spans["balance"]
         lmp = recover_lmp(keys.iso.X_b, sol.duals_eq[blo:bhi])
         np.testing.assert_allclose(lmp, [15.0, 15.5, 16.0], atol=1e-6)
@@ -344,26 +380,22 @@ def test_recover_lmp_conventions():
 
 
 def test_recover_primal_identity_passthrough(threebus):
+    # under identity keys a party's own recovery hands its slice back
     blocks = build_ed_blocks(threebus)
-    keys = MaskKeys.identity(blocks)
+    keys = identity_keys(blocks)
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
     sol = solve_lp(tlp.problem)
-    rec = recover_primal(keys, sol, tlp)
-    lo, hi = tlp.var_spans["GENCO1"]
-    np.testing.assert_allclose(rec["GENCO1"], sol.x[lo:hi])
-
-
-def test_recover_primal_span_mismatch(threebus):
-    blocks, keys, tlp, sol = run_masked(threebus, seed=2)
-    bad = gen_keys(build_ed_blocks(gen_synthetic(3, 2, 1, 2, 1, seed=1)), 0)
-    with pytest.raises(SpanMismatch):
-        recover_primal(bad, sol, tlp)
+    for e in blocks.gencos + blocks.lses:
+        party = protocol.EntityParty(e, [], seed=0)
+        party._keys = keys.entities[e.owner]
+        lo, hi = tlp.var_spans[e.owner]
+        np.testing.assert_array_equal(party.recover(sol.x[lo:hi]), sol.x[lo:hi])
 
 
 def test_submissions_disclose_nothing(threebus):
     blocks = build_ed_blocks(threebus)
     for seed in range(10):
-        keys = gen_keys(blocks, seed)
+        keys = party_keys(blocks, seed)
         for e in blocks.gencos + blocks.lses:
             sub = mask_entity(e, keys.entities[e.owner])
             assert verify_masked(sub, e)
@@ -374,7 +406,7 @@ def test_submissions_disclose_nothing(threebus):
 
 def test_missing_submission_rejected(threebus):
     blocks = build_ed_blocks(threebus)
-    keys = gen_keys(blocks, 0)
+    keys = party_keys(blocks, 0)
     subs = masked_submissions(blocks, keys)
     with pytest.raises(MissingSubmission):
         build_transformed_ed(subs[:-1])          # no ISO
@@ -394,7 +426,7 @@ def test_constraint_count_conservation_random_systems():
         system = gen_synthetic(4, 2, 2, 1, 2, seed=seed, segments=2)
         blocks = build_ed_blocks(system)
         problem, _ = assemble_ed_lp(blocks)
-        keys = gen_keys(blocks, seed)
+        keys = party_keys(blocks, seed)
         tlp = build_transformed_ed(masked_submissions(blocks, keys))
         assert tlp.problem.A_eq.shape[0] == problem.n_rows
         total_slack = blocks.total_entity_rows + 2 * blocks.line_caps.size
@@ -405,23 +437,17 @@ def test_constraint_count_conservation_random_systems():
             ref.objective, rel=1e-6, abs=1e-6)
 
 
-def _recovered_point(blocks, keys, sol, tlp):
-    rec = recover_primal(keys, sol, tlp)
-    return np.concatenate([rec[e.owner] for e in blocks.gencos + blocks.lses]
-                          + [rec["theta"]])
-
-
 def test_hourly_block_masks_preserve_equivalence():
     system = gen_synthetic(4, 2, 2, 1, 3, seed=11, segments=2)
     blocks = build_ed_blocks(system)
     ref = solve_lp(assemble_ed_lp(blocks)[0])
     cfg = MaskConfig(hourly_block_masks=True)
-    keys = gen_keys(blocks, 5, cfg)
+    keys = party_keys(blocks, 5, cfg)
     assert sp.issparse(keys.iso.X_b)
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
     sol = solve_lp(tlp.problem)
     assert sol.objective == pytest.approx(ref.objective, rel=1e-6)
-    x = _recovered_point(blocks, keys, sol, tlp)
+    x = recovered_point(keys, sol.x, tlp)
     assert check_point(assemble_ed_lp(blocks)[0], x, 1e-6).feasible
 
 
@@ -436,7 +462,7 @@ def test_mask_iso_equals_plain_products(case, threebus):
         config = MaskConfig(hourly_block_masks=True)
     blocks = build_ed_blocks(system)
     for seed in range(3):
-        keys = gen_keys(blocks, seed, config)
+        keys = party_keys(blocks, seed, config)
         assert sp.issparse(keys.iso.X_b) == (case != "threebus")
         subs = masked_submissions(blocks, keys)
         iso = subs[-1]
@@ -509,13 +535,39 @@ def test_drawn_keys_within_cond_max(name, threebus):
     case, hourly, seeds = KEYED_SYSTEMS[name]
     blocks = build_ed_blocks(threebus if case is None else gen_synthetic(**case))
     for seed in seeds:
-        keys = gen_keys(blocks, seed, MaskConfig(hourly_block_masks=hourly))
+        keys = party_keys(blocks, seed, MaskConfig(hourly_block_masks=hourly))
         iso = keys.iso
         mats = [iso.Y_theta, iso.X_l1, iso.X_l2, iso.X_b]
         mats += [M for ek in keys.entities.values() for M in (ek.Y, ek.X)]
         for M in mats:
             M = M.toarray() if sp.issparse(M) else M
             assert np.linalg.cond(M) <= masking._COND_MAX
+
+
+def _bits(a):
+    """Shape and bytes of a dense array, or of a CSR matrix's arrays."""
+    if sp.issparse(a):
+        return a.shape, a.indptr.tobytes(), a.indices.tobytes(), a.data.tobytes()
+    return a.shape, np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(KEYED_SYSTEMS))
+def test_party_keys_give_the_round_payloads(name, threebus):
+    # the keys the tests draw are the keys the round's parties draw: their
+    # submissions are the payloads run_market_round logs, bit for bit
+    case, hourly, _ = KEYED_SYSTEMS[name]
+    system = threebus if case is None else gen_synthetic(**case)
+    blocks, config = build_ed_blocks(system), MaskConfig(hourly_block_masks=hourly)
+    for seed in range(3):
+        _, log = run_market_round(system, seed, mode="masked", mask_config=config)
+        sent = [m.payload for m in log.messages if m.kind == protocol.SUBMISSION]
+        subs = masked_submissions(blocks, party_keys(blocks, seed, config))
+        assert len(subs) == len(sent)
+        for sub, payload in zip(subs, sent):
+            drawn = sub.payload_arrays()
+            assert list(drawn) == list(payload)
+            for key, value in payload.items():
+                assert _bits(drawn[key]) == _bits(value), (seed, sub.owner, key)
 
 
 @pytest.mark.parametrize("bad", ["nan", "kappa-1e9"])
@@ -547,11 +599,11 @@ def test_masked_equals_clear_on_synthetic_markets(buses, seed, T, backend):
     clear_problem = assemble_ed_lp(blocks)[0]
     config = SolverConfig(backend=backend)
     ref = solve_lp(clear_problem, config)
-    keys = gen_keys(blocks, seed)
+    keys = party_keys(blocks, seed)
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
     sol = solve_lp(tlp.problem, config, presolve=False)
     assert sol.objective == pytest.approx(ref.objective, rel=1e-6)
-    x = _recovered_point(blocks, keys, sol, tlp)
+    x = recovered_point(keys, sol.x, tlp)
     assert check_point(clear_problem, x, 1e-6).feasible
 
 
@@ -559,54 +611,13 @@ def test_presolve_does_not_change_masked_multi_hour_solve():
     # masking leaves presolve nothing to remove, so skipping it (as the
     # masked round does) must give the same solution bit for bit
     blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
-    keys = gen_keys(blocks, 0, MaskConfig(hourly_block_masks=True))
+    keys = party_keys(blocks, 0, MaskConfig(hourly_block_masks=True))
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
     config = SolverConfig(backend="highs")
     with_presolve = solve_lp(tlp.problem, config, presolve=True)
     without = solve_lp(tlp.problem, config, presolve=False)
     np.testing.assert_array_equal(without.x, with_presolve.x)
     np.testing.assert_array_equal(without.duals_eq, with_presolve.duals_eq)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_eliminated_slacks_reproduce_masked_solve(seed):
-    # cancelling each owner's slack block leaves an LP of the clear LP's
-    # size whose recovered dispatch, angles and prices are the masked LP's
-    blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
-    clear_problem = assemble_ed_lp(blocks)[0]
-    keys = gen_keys(blocks, seed, MaskConfig(hourly_block_masks=True))
-    tlp = build_transformed_ed(masked_submissions(blocks, keys))
-    eliminated = masking.eliminate_slacks(tlp)
-    assert (eliminated.n_vars, eliminated.n_rows) == \
-        (clear_problem.n_vars, clear_problem.n_rows)
-    assert eliminated.A_eq.shape[0] == clear_problem.A_eq.shape[0]
-
-    config = SolverConfig(backend="highs")
-    full = solve_lp(tlp.problem, config, presolve=False)
-    short = solve_lp(eliminated, config, presolve=False)
-    want = recover_primal(keys, full, tlp)
-    got = recover_primal(keys, short, tlp)
-    for owner in want:
-        np.testing.assert_allclose(got[owner], want[owner], atol=1e-6)
-    blo, bhi = tlp.row_spans["balance"]
-    np.testing.assert_allclose(recover_lmp(keys.iso.X_b, short.duals_eq),
-                               recover_lmp(keys.iso.X_b, full.duals_eq[blo:bhi]),
-                               atol=1e-6)
-
-
-def test_eliminated_slacks_skip_empty_line_groups():
-    # one bus, no lines: both line-limit groups are empty
-    system = MarketSystem(
-        name="one", buses=["1"], reference_bus="1", lines=[],
-        generators=[Generator("G", "GENCO1", "1", [BidSegment(5.0, 0.0, 10.0)])],
-        loads=[Load("L", "LSE1", "1", [BidSegment(9.0, 0.0, 8.0)])], horizon=2)
-    blocks = build_ed_blocks(system)
-    keys = gen_keys(blocks, 1)
-    tlp = build_transformed_ed(masked_submissions(blocks, keys))
-    sol = solve_lp(masking.eliminate_slacks(tlp), SolverConfig(backend="highs"))
-    assert sol.objective == pytest.approx(64.0)
-    rec = recover_primal(keys, sol, tlp)
-    np.testing.assert_allclose(rec["GENCO1"], [8.0, 8.0], atol=1e-6)
 
 
 def _assert_diagonal_blocks(M, want):
@@ -671,34 +682,24 @@ def test_sparse_slack_cancellation_matches_dense_solve():
 
 @pytest.mark.parametrize("case", ["threebus", "hourly-14"])
 def test_eliminate_slacks_equals_dense_cancellation(case, threebus):
-    # owner by owner, S⁻¹ times the owner's row block of the slack form,
-    # with S and the row block sliced out of the assembled slack form
+    # owner by owner, the agent's cancellation kernel gives S⁻¹ times the
+    # owner's row block of the slack form, as the oracle's dense solves do
     if case == "threebus":
         blocks, config = build_ed_blocks(threebus), MaskConfig()
     else:
         blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
         config = MaskConfig(hourly_block_masks=True)
-    keys = gen_keys(blocks, 2, config)
+    keys = party_keys(blocks, 2, config)
     assert sp.issparse(keys.iso.X_l1) == (case != "threebus")
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
-    A, b = tlp.problem.A_eq, tlp.problem.b_eq
-    A = A.toarray() if sp.issparse(A) else A
-    n, bal = tlp.n_structural, tlp.row_spans["balance"][0]
-    want_A, want_b = A[:, :n].copy(), np.zeros(bal)
-    for owner, (r0, r1) in tlp.row_spans.items():
-        if owner != "balance" and r1 > r0:
-            S = A[r0:r1, slice(*tlp.var_spans[f"slack:{owner}"])]
-            want_A[r0:r1] = np.linalg.solve(S, A[r0:r1, :n])
-            want_b[r0:r1] = np.linalg.solve(S, b[r0:r1])
-
-    got = masking.eliminate_slacks(tlp)
-    dense = [M.toarray() if sp.issparse(M) else M for M in (got.A_in, got.A_eq)]
-    np.testing.assert_allclose(dense[0], want_A[:bal], rtol=0, atol=1e-10)
-    np.testing.assert_allclose(dense[1], want_A[bal:], rtol=0, atol=1e-10)
-    np.testing.assert_allclose(got.b_in, want_b, rtol=0, atol=1e-10)
-    np.testing.assert_array_equal(got.b_eq, np.zeros(A.shape[0] - bal))
-    np.testing.assert_array_equal(got.c, tlp.problem.c[:n])
-    assert np.all(got.lb == -np.inf) and np.all(got.ub == np.inf)
+    want = cancelled_slack_form(tlp)
+    groups, b_in = masking._cancelled_groups(tlp)
+    got = np.zeros(want.A_in.shape)
+    for _, r0, col, parts in groups:
+        for q0, q1, cols, D, _ in parts:
+            got[r0 + q0:r0 + q1, col + cols] = D
+    np.testing.assert_allclose(got, want.A_in, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(b_in, want.b_in, rtol=0, atol=1e-10)
 
 
 def _case_submissions(case, seed, threebus):
@@ -713,7 +714,7 @@ def _case_submissions(case, seed, threebus):
     else:
         blocks = build_ed_blocks(gen_synthetic(30, 2, 2, 5, 4, seed=1, segments=3))
         config = MaskConfig()
-    keys = gen_keys(blocks, seed, config)
+    keys = party_keys(blocks, seed, config)
     if case != "hourly-14-coupled":
         return masked_submissions(blocks, keys), blocks.T
     # one entry of X_l2 couples the first line-hour row to the last hour,
@@ -752,7 +753,7 @@ def test_eliminated_angles_reproduce_cancelled_solve(case, seed, threebus):
         assert len(masking._diagonal_blocks(S_hi)) == T
         assert len(masking._diagonal_blocks(S_lo)) == 1
     config = SolverConfig(backend="highs")
-    cancelled = masking.eliminate_slacks(tlp)
+    cancelled = cancelled_slack_form(tlp)
     want = solve_lp(cancelled, config, presolve=False)
     reduced = masking.eliminate_angles(tlp)
     got = reduced.restore(solve_lp(reduced.problem, config, presolve=False))
@@ -859,9 +860,9 @@ def test_eliminated_angles_restore_lower_limit_duals(threebus):
     lines = list(threebus.lines)
     lines[2] = dataclasses.replace(lines[2], from_bus="3", to_bus="1")
     blocks = build_ed_blocks(dataclasses.replace(threebus, lines=lines))
-    tlp = build_transformed_ed(masked_submissions(blocks, gen_keys(blocks, 0)))
+    tlp = build_transformed_ed(masked_submissions(blocks, party_keys(blocks, 0)))
     config = SolverConfig(backend="highs")
-    want = solve_lp(masking.eliminate_slacks(tlp), config, presolve=False)
+    want = solve_lp(cancelled_slack_form(tlp), config, presolve=False)
     reduced = masking.eliminate_angles(tlp)
     got = reduced.restore(solve_lp(reduced.problem, config, presolve=False))
     assert np.max(np.abs(got.duals_in[reduced.lower])) > 1e-3
@@ -893,7 +894,7 @@ def test_eliminated_angles_refuse_unpaired_line_rows(case, tamper, threebus):
 def test_operator_line_slack_blocks_are_canonical_csr():
     # published sorted once, so the leak scan never copies them to sort
     blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
-    keys = gen_keys(blocks, 0, MaskConfig(hourly_block_masks=True))
+    keys = party_keys(blocks, 0, MaskConfig(hourly_block_masks=True))
     iso = masked_submissions(blocks, keys)[-1]
     for block, X, r in ((iso.line_slack_hi, keys.iso.X_l1, keys.iso.R_l1),
                         (iso.line_slack_lo, keys.iso.X_l2, keys.iso.R_l2)):
@@ -908,8 +909,8 @@ def test_operator_line_slack_blocks_are_canonical_csr():
 def test_audit_counts_for_first_entity(threebus):
     blocks, keys, tlp, sol = run_masked(threebus, seed=3)
     subs = masked_submissions(blocks, keys)
-    rec = recover_primal(keys, sol, tlp)
-    rep = leakage_audit(subs[0], published_recovery=rec["GENCO1"])
+    rec = recovered_point(keys, sol.x, tlp)[slice(*tlp.var_spans["GENCO1"])]
+    rep = leakage_audit(subs[0], published_recovery=rec)
     assert rep.linear_equations == 6
     assert rep.linear_unknowns == 9
     assert rep.bilinear_equations == 66

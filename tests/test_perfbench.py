@@ -1,6 +1,6 @@
-"""The benchmark's span wrappers still find what they wrap, the
-verification tools' config tables still build, and the round digest is
-deterministic.
+"""The benchmark's span wrappers still find what they wrap, the names the
+benchmark and verification tools import from the package still exist, their
+config tables still build, and the round digest is deterministic.
 
 ``perfbench/tracer.py`` replaces attributes of the package by name; a
 renamed function would silently lose its span.  ``perfbench/run.py`` and
@@ -60,6 +60,20 @@ def _table(path, name):
     return next(node.value for node in tree.body
                 if isinstance(node, ast.Assign)
                 and [getattr(t, "id", None) for t in node.targets] == [name])
+
+
+def test_tool_imports_exist_on_the_package():
+    # the scripts import from maskdispatch inside functions, so a name
+    # dropped from the package would only fail when they run
+    import maskdispatch
+    scripts = [ROOT / "perfbench" / "run.py", ROOT / "tools" / "round_digest.py",
+               ROOT / "tools" / "deviation_sweep.py"]
+    names = {alias.name for path in scripts
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ImportFrom) and node.module == "maskdispatch"
+             for alias in node.names}
+    assert {"run_market_round", "protocol"} <= names
+    assert [n for n in sorted(names) if not hasattr(maskdispatch, n)] == []
 
 
 def test_tool_config_tables_build():

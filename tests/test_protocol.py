@@ -483,6 +483,20 @@ def test_invalid_mode_rejected(threebus):
         run_market_round(threebus, 0, mode="plaintext")
 
 
+def test_entity_recover_rejects_a_slice_of_the_wrong_size(threebus):
+    # a party decodes only a slice of its own key's size, and only once it
+    # has drawn its keys
+    blocks = build_ed_blocks(threebus)
+    party = protocol.EntityParty(blocks.gencos[0], threebus.units_of("GENCO1"), 0)
+    with pytest.raises(ProtocolViolation, match="cannot decode"):
+        party.recover(np.zeros(3))
+    party.masked_submission(MaskConfig())
+    assert party.recover(np.zeros(3)).shape == (3,)
+    for size in (2, 4):
+        with pytest.raises(ProtocolViolation, match="cannot decode"):
+            party.recover(np.zeros(size))
+
+
 def test_messages_kinds_present(threebus):
     _, log = run_market_round(threebus, 0, mode="masked")
     kinds = {m.kind for m in log.messages}
