@@ -8,10 +8,10 @@ operator does the same for line-limit rows and additionally masks the
 nodal-balance rows with a square positive matrix applied on the left.
 Solving the masked LP and mapping each solution slice back through the
 owner's keys reproduces the clear-market dispatch, angles, and prices.
-With hourly masks the operator's keys are sparse block diagonals, applied
-one hour block at a time, and the entity incidences it re-masks are
-multiplied in one sparse product; the published blocks are bit for bit
-the whole products.  The clearing agent keeps the published blocks as
+The operator keeps each of its masks as the stack of its diagonal hour
+blocks (one block for a mask over all hours) and applies it one hour
+block at a time; under hourly masks it publishes block-diagonal CSR.
+The clearing agent keeps the published blocks as
 they arrive and builds only the LP its solver takes: the all-equality
 slack form for the bundled simplex or, for HiGHS, the LP with every
 owner's slack block cancelled, the free angle columns substituted out and
@@ -95,8 +95,8 @@ _MAX_RETRIES = 50
 @dataclass
 class MaskConfig:
     # the one mask setting; the condition gate (_COND_MAX, _MAX_RETRIES)
-    # is fixed.  hourly_block_masks samples the column masks and the
-    # operator's row masks as per-hour block diagonals instead of one
+    # is fixed.  hourly_block_masks draws the column masks and the
+    # operator's row masks in one positive block per hour instead of one
     # full positive matrix over all hours.  Identical to the default at a
     # one-hour horizon, and all equivalence and recovery arithmetic is
     # unchanged; without it the masked LP densifies quadratically in
@@ -121,15 +121,15 @@ class EntityKeys:
 
 @dataclass
 class IsoKeys:
-    Y_theta: np.ndarray  # (n_iso, n_iso) positive
-    X_l1: np.ndarray     # (T*L, T*L) positive
+    """The grid operator's keys.  Each mask is kept as the ``(H, k, k)``
+    stack of its diagonal blocks, ``H = MaskConfig.hours(horizon)``: a mask
+    over all hours is the stack of one block."""
+    Y_theta: np.ndarray  # (H, n_iso/H, n_iso/H) positive
+    X_l1: np.ndarray     # (H, T*L/H, T*L/H) positive
     X_l2: np.ndarray
     R_l1: np.ndarray     # (T*L,) positive
     R_l2: np.ndarray
-    X_b: np.ndarray      # (T*B, T*B) positive
-    # the masks are block diagonal over this many hour blocks (sparse when
-    # more than one); mask_iso applies them one hour block at a time
-    hours: int = 1
+    X_b: np.ndarray      # (H, T*B/H, T*B/H) positive
 
 
 def _frobenius_bound(M):
@@ -143,13 +143,8 @@ def _frobenius_bound(M):
     ed., ch. 6), so it is stricter than κ₂ by its ratio to κ₂: over 300
     positive draws each at n = 117 and 140 that ratio was 1.2 at the median
     and 2.2 at worst, and on the signed entity row masks of the pooled
-    30-bus 4-hour case (n = 120 and 150) it reached 5.5-6.4.  With one BLAS
-    thread on a 2-core x86 VM it took 0.32 ms at n = 117 and 0.51 ms at
-    n = 140, where an SVD took 0.82 and 1.81 ms, and 6-11 us at n = 2-6.
-    The inverse makes it dearer than a condition estimate at large n: 0.11,
-    0.82 and 8.2 s at n = 801, 1,600 and 3,360, where LAPACK's 1-norm
-    estimate, which bounds κ₂ neither above nor below, took 0.02, 0.13 and
-    1.1 s.  Only full-horizon keys are that large."""
+    30-bus 4-hour case (n = 120 and 150) it reached 5.5-6.4.  Its cost,
+    against an SVD and a condition estimate, is in the README (Numerics)."""
     if M.shape[0] == 1:   # |m|·|1/m| without LAPACK: hourly 1-column keys
         return 1.0 if M[0, 0] != 0.0 and np.isfinite(M[0, 0]) else np.inf
     lu, piv, info = scipy.linalg.lapack.dgetrf(M)
@@ -173,26 +168,26 @@ def _sample_mask(rng, n, lo, hi, what):
         f"no acceptable {what} mask of size {n} in {_MAX_RETRIES} draws")
 
 
-def _sample_hourly_mask(rng, n, T, lo, hi, what, sparse_out=False):
-    """Per-hour block-diagonal mask of T `_sample_mask` draws; hour-major
-    variable layout assumed.  One block is `_sample_mask`'s draw: the same
-    values from the same use of `rng`.
-
-    Dense unless `sparse_out`: filling the hour blocks in directly drew the
-    145 entity keys of the 118-bus, 2-hour case in 6.7-7.6 ms, where
-    ``sp.block_diag(...).toarray()`` took 25-33 ms.
-    """
+def _sample_hourly_mask(rng, n, T, lo, hi, what):
+    """The ``(T, n/T, n/T)`` stack of the T diagonal hour blocks of an
+    n x n mask, hour-major variable layout assumed: T `_sample_mask` draws
+    in hour order, each block the same values from the same use of `rng`."""
     if n % T:
         raise DimensionMismatch(f"{what}: {n} columns do not split into {T} hours")
-    k = n // T
-    parts = [_sample_mask(rng, k, lo, hi, what) for _ in range(T)]
-    if sparse_out:
-        return sp.block_diag(parts, format="csr")
-    if T == 1:
-        return parts[0]
-    out = np.zeros((n, n))
-    for t, blk in enumerate(parts):
-        out[t * k:(t + 1) * k, t * k:(t + 1) * k] = blk
+    return _stack([_sample_mask(rng, n // T, lo, hi, what) for _ in range(T)])
+
+
+def _stack(parts):
+    """``np.stack(parts)``, without its copy and call cost for one part."""
+    return parts[0][None] if len(parts) == 1 else np.stack(parts)
+
+
+def _block_diagonal(stack):
+    """The dense block-diagonal matrix of the ``(T, k, k)`` stack, its blocks
+    filled in directly (a third of the cost of ``sp.block_diag``)."""
+    T, k, _ = stack.shape
+    out, t = np.zeros((T * k, T * k)), np.arange(T)
+    out.reshape(T, k, T, k)[t, :, t, :] = stack
     return out
 
 
@@ -201,8 +196,8 @@ def entity_keys(rng, owner, kind, n, m, config: MaskConfig = None,
     """Draw one entity's private keys from its own random stream."""
     if config is None:
         config = MaskConfig()
-    Y = _sample_hourly_mask(rng, n, config.hours(horizon), *_POSITIVE_RANGE,
-                            f"{owner} column")
+    Y = _block_diagonal(_sample_hourly_mask(
+        rng, n, config.hours(horizon), *_POSITIVE_RANGE, f"{owner} column"))
     X = _sample_mask(rng, m, *_SIGNED_RANGE, f"{owner} row")
     R = rng.uniform(*_DIAG_RANGE, size=m)
     return EntityKeys(owner=owner, kind=kind, Y=Y, X=X, R=R)
@@ -216,8 +211,7 @@ def iso_keys(rng, n_iso, TL, TB, config: MaskConfig = None,
     hours = config.hours(horizon)
 
     def draw(size, what):
-        return _sample_hourly_mask(rng, size, hours, *_POSITIVE_RANGE, what,
-                                   sparse_out=hours > 1)
+        return _sample_hourly_mask(rng, size, hours, *_POSITIVE_RANGE, what)
     return IsoKeys(
         Y_theta=draw(n_iso, "angle column"),
         X_l1=draw(TL, "line row 1"),
@@ -225,7 +219,6 @@ def iso_keys(rng, n_iso, TL, TB, config: MaskConfig = None,
         R_l1=rng.uniform(*_DIAG_RANGE, size=TL),
         R_l2=rng.uniform(*_DIAG_RANGE, size=TL),
         X_b=draw(TB, "balance row"),
-        hours=hours,
     )
 
 
@@ -383,6 +376,8 @@ class EncryptedSubmission:
     masked line-limit rows, their slack blocks and bounds, the masked
     balance-row blocks (its own and one per entity, further masked with
     the balance-row key, keyed by owner), and the masked admittance block.
+    Below, a key stack stands for its block diagonal; the operator's
+    blocks are dense, or block-diagonal CSR under hourly keys.
     """
 
     owner: str
@@ -427,13 +422,6 @@ class EncryptedSubmission:
         return out
 
 
-def block_size(v):
-    """Scalar count of a transmitted block: the full shape, not the nnz."""
-    if sp.issparse(v):
-        return int(v.shape[0] * v.shape[1])
-    return int(np.asarray(v).size)
-
-
 def mask_entity(entity_blocks, keys: EntityKeys) -> EncryptedSubmission:
     """Build a GENCO/LSE submission from its blocks and private keys."""
     Y, X, R = keys.Y, keys.X, keys.R
@@ -452,81 +440,13 @@ def mask_entity(entity_blocks, keys: EntityKeys) -> EncryptedSubmission:
     )
 
 
-def _colscale(X, r):
-    """``X·diag(r)``; a sparse result is published in canonical CSR (each
-    row's column indices ascending), so the leak scan need not sort it."""
-    if sp.issparse(X):
-        out = (X @ sp.diags(r)).tocsr()
-        out.sum_duplicates()
-        return out
-    return X * r[None, :]
-
-
-def _mask_iso_hourly(blocks, keys: IsoKeys, entity_incidences: dict):
-    """The operator's masked blocks for sparse hour-block-diagonal keys.
-
-    The network blocks are block diagonal over the same hour-major
-    blocks, so each product is formed one hour at a time as a sparse key
-    block times a dense operand block.  A sparse row times a dense block
-    adds each entry's terms in the order scipy's sparse x sparse product
-    does, and exact zeros are dropped as that product drops them, so the
-    published CSR blocks hold exactly that product's values.  Nothing
-    dense spans more than one hour.
-    """
-    incidences = _mask_incidences(keys.X_b, entity_incidences)
-    T = keys.hours
-    lines = blocks.line_caps.size // T
-    buses = blocks.admittance.shape[0] // T
-    angles = blocks.n_iso // T
-    flow_rows = blocks.flow_rows.tocsr()
-
-    def hour(M, t, rows, cols):
-        return M[t * rows:(t + 1) * rows, t * cols:(t + 1) * cols]
-
-    hi, lo, bal = [], [], []
-    for t in range(T):
-        Y = hour(keys.Y_theta, t, angles, angles).toarray()
-        flow = hour(flow_rows, t, lines, angles) @ Y
-        hi.append(sp.csr_matrix(hour(keys.X_l1, t, lines, lines) @ flow))
-        lo.append(sp.csr_matrix(-(hour(keys.X_l2, t, lines, lines) @ flow)))
-        bal.append(sp.csr_matrix(hour(keys.X_b, t, buses, buses)
-                                 @ (hour(blocks.admittance, t, buses, angles) @ Y)))
-    return (sp.block_diag(hi, format="csr"), sp.block_diag(lo, format="csr"),
-            sp.block_diag(bal, format="csr"), incidences)
-
-
-def _mask_incidences(X_b, entity_incidences: dict) -> dict:
-    """owner -> ``X_b @ incidence`` as CSR, from one sparse product of X_b
-    with all owners' dense incidences stacked side by side as one CSR."""
-    owners = list(entity_incidences)
-    incs = [np.asarray(entity_incidences[o]) for o in owners]
-    edges = np.cumsum([0] + [a.shape[1] for a in incs])
-    TB, n = X_b.shape[0], edges[-1]
-    nz = [np.nonzero(a) for a in incs]
-    stacked = sp.csr_matrix(
-        (np.concatenate([a[i] for a, i in zip(incs, nz)]),
-         (np.concatenate([r for r, _ in nz]),
-          np.concatenate([c + e for (_, c), e in zip(nz, edges)]))),
-        shape=(TB, n))
-    prod = (X_b @ stacked).tocsc()
-    # regroup the entries owner by owner, each owner's rows in order and
-    # each row's columns ascending, as a CSR built from a dense block has
-    # them: a stable sort of the column-major entries by (owner, row)
-    col = np.repeat(np.arange(n), np.diff(prod.indptr))
-    owner = np.searchsorted(edges, col, side="right") - 1
-    key = owner * TB + prod.indices
-    order = np.argsort(key, kind="stable")
-    # the whole product's index dtype holds any one owner's indices
-    idx = prod.indices.dtype
-    ptr = np.zeros(len(owners) * TB + 1, dtype=idx)
-    np.cumsum(np.bincount(key, minlength=len(owners) * TB), out=ptr[1:])
-    data, cols = prod.data[order], (col - edges[owner])[order].astype(idx)
-    out = {}
-    for k, o in enumerate(owners):
-        p = ptr[k * TB:(k + 1) * TB + 1]
-        out[o] = sp.csr_matrix((data[p[0]:p[-1]], cols[p[0]:p[-1]], p - p[0]),
-                               shape=(TB, edges[k + 1] - edges[k]))
-    return out
+def _block_diagonal_csr(stack):
+    """The block-diagonal matrix of the ``(H, r, c)`` stack as canonical
+    CSR, every entry of each block stored."""
+    H, r, c = stack.shape
+    cols = np.broadcast_to(np.arange(H * c).reshape(H, 1, c), stack.shape)
+    return sp.csr_matrix((stack.ravel(), cols.ravel(), np.arange(H * r + 1) * c),
+                         shape=(H * r, H * c))
 
 
 def mask_iso(blocks, keys: IsoKeys,
@@ -537,30 +457,43 @@ def mask_iso(blocks, keys: IsoKeys,
     `entity_incidences` maps each entity to its published masked
     incidence block (already column-masked by the entity itself); the
     operator applies its balance-row mask on top and publishes each
-    result under the same owner in `balance`.  Sparse (hourly) keys
-    are applied hour block by hour block and to all incidences in one
-    product (`_mask_iso_hourly`); dense keys multiply each block whole.
+    result under the same owner in `balance`.
+
+    The network blocks, and each incidence under hourly keys, are block
+    diagonal over the hour blocks of the key stacks (`IsoKeys`), so every
+    product is formed block by block: the network's (CSR) times Y_theta's,
+    batched matmuls with the row keys', each incidence owner by owner.
+    With one block these are the whole products, published dense; with
+    more, each is published as block-diagonal CSR.
     """
     if np.any(keys.R_l1 <= 0) or np.any(keys.R_l2 <= 0):
         raise NonPositiveDiagonal("line slack coefficients")
-    if sp.issparse(keys.X_b):
-        flow_hi, flow_lo, bal_theta, masked = _mask_iso_hourly(
-            blocks, keys, entity_incidences)
-    else:
-        flow = np.asarray(blocks.flow_rows @ keys.Y_theta)
-        flow_hi, flow_lo = keys.X_l1 @ flow, -(keys.X_l2 @ flow)
-        bal_theta = np.asarray(keys.X_b @ (blocks.admittance @ keys.Y_theta))
-        masked = {owner: keys.X_b @ inc
-                  for owner, inc in entity_incidences.items()}
+    H = len(keys.X_b)
+
+    def angles(M):
+        """CSR `M` times Y_theta, hour block by hour block."""
+        r, c = M.shape[0] // H, M.shape[1] // H
+        return _stack([(M if H == 1 else M[h * r:(h + 1) * r, h * c:(h + 1) * c]) @ Y
+                       for h, Y in enumerate(keys.Y_theta)])
+
+    def hours(inc):
+        """The diagonal hour blocks of the dense incidence `inc`."""
+        t, n = np.arange(H), inc.shape[1] // H
+        return inc[None] if H == 1 else inc.reshape(H, -1, H, n)[t, :, t, :]
+
+    publish = _block_diagonal_csr if H > 1 else (lambda stack: stack[0])
+    flow, caps = angles(blocks.flow_rows), blocks.line_caps.reshape(H, -1, 1)
     return EncryptedSubmission(
         owner=ISO, kind="ISO",
-        line_flow_hi=flow_hi,
-        line_flow_lo=flow_lo,
-        line_slack_hi=_colscale(keys.X_l1, keys.R_l1),
-        line_slack_lo=_colscale(keys.X_l2, keys.R_l2),
-        line_rhs_hi=keys.X_l1 @ blocks.line_caps,
-        line_rhs_lo=keys.X_l2 @ blocks.line_caps,
-        balance=masked, balance_theta=bal_theta,
+        line_flow_hi=publish(keys.X_l1 @ flow),
+        line_flow_lo=publish(-(keys.X_l2 @ flow)),
+        line_slack_hi=publish(keys.X_l1 * keys.R_l1.reshape(H, 1, -1)),
+        line_slack_lo=publish(keys.X_l2 * keys.R_l2.reshape(H, 1, -1)),
+        line_rhs_hi=(keys.X_l1 @ caps).reshape(-1),
+        line_rhs_lo=(keys.X_l2 @ caps).reshape(-1),
+        balance={owner: publish(keys.X_b @ hours(inc))
+                 for owner, inc in entity_incidences.items()},
+        balance_theta=publish(keys.X_b @ angles(blocks.admittance)),
     )
 
 
@@ -1121,17 +1054,23 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
                             lower=lower, n_balance=TB, moved=moved)
 
 
+def apply_blocks(blocks, v) -> np.ndarray:
+    """The block-diagonal matrix of `blocks`, the ``(H, k, k)`` stack of its
+    diagonal blocks (`IsoKeys`) or one ``(k, k)`` matrix, times the vector
+    `v`, block by block."""
+    K, v = np.asarray(blocks, dtype=float), np.asarray(v, dtype=float).reshape(-1)
+    K = K[None] if K.ndim == 2 else K
+    if K.ndim != 3 or K.shape[1] != K.shape[2] or v.size != K.shape[0] * K.shape[1]:
+        raise DimensionMismatch(f"a slice of {v.size} entries does not fit "
+                                f"mask blocks of shape {K.shape}")
+    return (K @ v.reshape(K.shape[0], -1, 1)).reshape(-1)
+
+
 def recover_lmp(X_b, lambda_tilde) -> np.ndarray:
-    """Unmask prices from the balance-row duals of the masked problem."""
-    if not sp.issparse(X_b):
-        X_b = np.atleast_2d(np.asarray(X_b, dtype=float))
-    lam = np.asarray(lambda_tilde, dtype=float).reshape(-1)
-    if X_b.ndim != 2 or X_b.shape[0] != X_b.shape[1]:
-        raise DimensionMismatch(f"balance mask must be square, got {X_b.shape}")
-    if lam.size != X_b.shape[0]:
-        raise DimensionMismatch(
-            f"dual slice has {lam.size} entries, mask is {X_b.shape[0]}")
-    return -np.asarray(X_b.T @ lam).reshape(-1)
+    """Unmask prices from the balance-row duals of the masked problem,
+    ``-X_bᵀ·λ̃``, with `X_b` a stack of hour blocks or one matrix."""
+    return -apply_blocks(np.swapaxes(np.atleast_2d(np.asarray(X_b, dtype=float)),
+                                     -1, -2), lambda_tilde)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,8 @@ class Message:
 
     @classmethod
     def build(cls, sender, receiver, kind, payload):
-        count = int(sum(masking.block_size(v) for v in payload.values()))
+        # every block counts its full shape, a sparse one too, not its nnz
+        count = sum(int(np.prod(np.shape(v))) for v in payload.values())
         return cls(sender=sender, receiver=receiver, kind=kind,
                    payload=payload, scalar_count=count,
                    byte_size=count * SCALAR_BYTES + HEADER_BYTES)
@@ -176,7 +177,7 @@ class IsoParty:
                                    dtype=float)}
 
     def recover_angles(self, theta_slice):
-        return self._keys.Y_theta @ np.asarray(theta_slice, dtype=float)
+        return masking.apply_blocks(self._keys.Y_theta, theta_slice)
 
     def recover_lmp(self, lambda_slice):
         return recover_lmp(self._keys.X_b, lambda_slice)

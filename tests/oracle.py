@@ -9,7 +9,8 @@ it can certify solver results and optimum uniqueness.
 from the bid data, independently of the block assembler it cross-checks.
 
 `plain_iso_products` forms the grid operator's masked blocks as whole
-products of its keys, the reference for `masking.mask_iso`.
+products of its keys' full block diagonals, the reference for
+`masking.mask_iso`.
 
 `cancelled_slack_form` cancels each owner's slack block by a dense solve
 on the assembled slack form, the reference for the clearing agent's
@@ -22,6 +23,7 @@ a `lil_matrix`, the reference for `market.build_ed_blocks`.
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from maskdispatch.lp import LpProblem
@@ -204,17 +206,18 @@ def assemble_ed_lp_scalar(system: MarketSystem):
 
 
 def plain_iso_products(blocks, keys, entity_incidences):
-    """Name -> the operator's masked block, each a whole product: scipy
-    sparse x sparse for sparse (hourly) keys, ``K @ M`` for dense ones."""
-    if sp.issparse(keys.X_b):
-        incs = {o: sp.csr_matrix(a) for o, a in entity_incidences.items()}
-    else:
-        incs = dict(entity_incidences)
-    flow = blocks.flow_rows @ keys.Y_theta
-    out = {"line_flow_hi": keys.X_l1 @ flow,
-           "line_flow_lo": -(keys.X_l2 @ flow),
-           "balance_theta": keys.X_b @ (blocks.admittance @ keys.Y_theta)}
-    out.update({f"balance:{o}": keys.X_b @ a for o, a in incs.items()})
+    """Name -> the operator's masked block, each a whole dense product
+    ``K @ M`` of a key's full block diagonal, expanded from its stack of
+    hour blocks."""
+    Y, X1, X2, Xb = (scipy.linalg.block_diag(*K) for K in
+                     (keys.Y_theta, keys.X_l1, keys.X_l2, keys.X_b))
+    flow = blocks.flow_rows @ Y
+    out = {"line_flow_hi": X1 @ flow,
+           "line_flow_lo": -(X2 @ flow),
+           "line_slack_hi": X1 * keys.R_l1[None, :],
+           "line_slack_lo": X2 * keys.R_l2[None, :],
+           "balance_theta": Xb @ (blocks.admittance @ Y)}
+    out.update({f"balance:{o}": Xb @ a for o, a in entity_incidences.items()})
     return out
 
 

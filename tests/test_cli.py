@@ -271,6 +271,13 @@ def _assert_one_error_line(err):
     assert "Traceback" not in err
 
 
+# the error names the field as the case file spells it
+BAD_DOCUMENT_ERRORS = {
+    "nan-ramp-down": "ramp_down must be finite",
+    "negative-ramp-down": "ramp_down must not be negative",
+}
+
+
 @pytest.mark.parametrize("name", sorted(BAD_DOCUMENTS))
 def test_bad_input_is_one_error_line(tmp_path, capsys, name):
     doc = _threebus_doc()
@@ -278,6 +285,7 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, name):
     code, err = _solve_exit(tmp_path, capsys, doc)
     assert code == 1
     _assert_one_error_line(err)
+    assert BAD_DOCUMENT_ERRORS.get(name, "") in err
 
 
 @pytest.mark.parametrize("mode", ["clear", "masked"])

@@ -294,7 +294,9 @@ def test_negative_ramp_rejected(threebus, key):
     # hour, or make the market infeasible; a zero limit stays legal
     units = list(threebus.generators)
     units[0] = dataclasses.replace(units[0], **{key: -5.0})
-    with pytest.raises(ValueError, match=f"{key} must not be negative"):
+    # the message names the case-file field, ramp_down for ramp_dn
+    field = {"ramp_dn": "ramp_down"}.get(key, key)
+    with pytest.raises(ValueError, match=f"{field} must not be negative"):
         dataclasses.replace(threebus, generators=units, horizon=2)
     units[0] = dataclasses.replace(units[0], **{key: 0.0})
     assert dataclasses.replace(threebus, generators=units, horizon=2).horizon == 2

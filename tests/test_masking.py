@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
@@ -42,7 +43,7 @@ PartyKeys = collections.namedtuple("PartyKeys", "entities iso")
 def party_keys(blocks, seed, config=None):
     """Every party's keys for mask seed `seed`, drawn as `run_market_round`
     draws them, each from its own child of the seed: PartyKeys(owner ->
-    EntityKeys, IsoKeys)."""
+    EntityKeys, IsoKeys), the operator's masks as stacks of hour blocks."""
     entities = blocks.gencos + blocks.lses
     *rngs, iso = map(np.random.default_rng,
                      masking.spawn_party_seeds(seed, len(entities)))
@@ -60,8 +61,8 @@ def identity_keys(blocks):
     return PartyKeys(
         {e.owner: EntityKeys(e.owner, e.kind, np.eye(e.n), np.eye(e.m), np.ones(e.m))
          for e in blocks.gencos + blocks.lses},
-        IsoKeys(np.eye(blocks.n_iso), np.eye(TL), np.eye(TL), np.ones(TL),
-                np.ones(TL), np.eye(TB)))
+        IsoKeys(np.eye(blocks.n_iso)[None], np.eye(TL)[None], np.eye(TL)[None],
+                np.ones(TL), np.ones(TL), np.eye(TB)[None]))
 
 
 def masked_submissions(blocks, keys):
@@ -75,7 +76,7 @@ def masked_submissions(blocks, keys):
 def recovered_point(keys, x, tlp):
     """The clear LP's point from the masked solution `x`: each owner's slice
     mapped back through its column key, as its party does in a round."""
-    Ys = [k.Y for k in keys.entities.values()] + [keys.iso.Y_theta]
+    Ys = [k.Y for k in keys.entities.values()] + list(keys.iso.Y_theta)
     return sp.block_diag(Ys, format="csr") @ x[:tlp.n_structural]
 
 
@@ -93,9 +94,9 @@ def test_key_dimensions_match_entity_blocks(threebus):
     assert keys.entities["GENCO1"].Y.shape == (3, 3)
     assert keys.entities["GENCO1"].X.shape == (6, 6)
     assert keys.entities["LSE1"].Y.shape == (3, 3)
-    assert keys.iso.Y_theta.shape == (2, 2)
-    assert keys.iso.X_l1.shape == (3, 3)
-    assert keys.iso.X_b.shape == (3, 3)
+    assert keys.iso.Y_theta.shape == (1, 2, 2)
+    assert keys.iso.X_l1.shape == (1, 3, 3)
+    assert keys.iso.X_b.shape == (1, 3, 3)
 
 
 def test_keys_deterministic_per_seed(threebus):
@@ -113,7 +114,7 @@ def test_key_conditioning_and_positivity(threebus):
     cfg = MaskConfig()
     for seed in range(10):
         keys = party_keys(blocks, seed, cfg)
-        mats = [keys.iso.Y_theta, keys.iso.X_l1, keys.iso.X_l2, keys.iso.X_b]
+        mats = [*keys.iso.Y_theta, *keys.iso.X_l1, *keys.iso.X_l2, *keys.iso.X_b]
         positives = list(mats)
         for ek in keys.entities.values():
             mats.append(ek.X)
@@ -136,9 +137,8 @@ def test_impossible_conditioning_gate_fails(monkeypatch):
 
 
 def _assert_hour_blocks_within(M, hours, lo, hi):
-    """Entries of the `hours` diagonal blocks lie in [lo, hi]; every other
-    entry is a structural zero."""
-    M = M.toarray() if sp.issparse(M) else np.asarray(M)
+    """Entries of the `hours` diagonal blocks of the dense `M` lie in
+    [lo, hi]; every other entry is a structural zero."""
     k = M.shape[0] // hours
     on = np.kron(np.eye(hours, dtype=bool), np.ones((k, k), dtype=bool))
     assert np.all((M[on] >= lo) & (M[on] <= hi))
@@ -153,9 +153,11 @@ def test_key_draws_stay_in_documented_ranges(hourly):
     for seed in range(3):
         keys = party_keys(blocks, seed, MaskConfig(hourly_block_masks=hourly))
         iso = keys.iso
-        for M in [iso.Y_theta, iso.X_l1, iso.X_l2, iso.X_b] + [
-                ek.Y for ek in keys.entities.values()]:
-            _assert_hour_blocks_within(M, hours, 0.01, 1.0)
+        for K in (iso.Y_theta, iso.X_l1, iso.X_l2, iso.X_b):
+            assert K.shape[0] == hours and K.shape[1] == K.shape[2]
+            assert np.all((K >= 0.01) & (K <= 1.0))
+        for ek in keys.entities.values():
+            _assert_hour_blocks_within(ek.Y, hours, 0.01, 1.0)
         for ek in keys.entities.values():
             _assert_hour_blocks_within(ek.X, 1, -1.0, 1.0)
         for r in [iso.R_l1, iso.R_l2] + [ek.R for ek in keys.entities.values()]:
@@ -443,7 +445,7 @@ def test_hourly_block_masks_preserve_equivalence():
     ref = solve_lp(assemble_ed_lp(blocks)[0])
     cfg = MaskConfig(hourly_block_masks=True)
     keys = party_keys(blocks, 5, cfg)
-    assert sp.issparse(keys.iso.X_b)
+    assert keys.iso.X_b.shape[0] == 3
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
     sol = solve_lp(tlp.problem)
     assert sol.objective == pytest.approx(ref.objective, rel=1e-6)
@@ -451,37 +453,72 @@ def test_hourly_block_masks_preserve_equivalence():
     assert check_point(assemble_ed_lp(blocks)[0], x, 1e-6).feasible
 
 
-@pytest.mark.parametrize("case", ["hourly-14", "threebus"])
+@pytest.mark.parametrize("case", ["hourly-14", "threebus", "pooled30-4h"])
 def test_mask_iso_equals_plain_products(case, threebus):
-    # hourly keys take the per-hour and stacked-incidence products, full
-    # keys the per-entity ones; both must publish the whole products' values
+    # keys of one block (threebus; pooled30-4h, over 4 hours) publish each
+    # whole product exactly, the incidences owner by owner; hourly keys
+    # publish each hour block's product as canonical block-diagonal CSR,
+    # sorted once so that the leak scan never copies it to sort, to within
+    # rounding of the whole product's values
     if case == "threebus":
         system, config = threebus, MaskConfig()
+    elif case == "pooled30-4h":
+        system = gen_synthetic(30, 2, 2, 5, 4, seed=1, segments=3)
+        config = MaskConfig()
     else:
         system = gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2)
         config = MaskConfig(hourly_block_masks=True)
     blocks = build_ed_blocks(system)
     for seed in range(3):
         keys = party_keys(blocks, seed, config)
-        assert sp.issparse(keys.iso.X_b) == (case != "threebus")
+        H = keys.iso.X_b.shape[0]
+        assert H == (3 if case == "hourly-14" else 1)
         subs = masked_submissions(blocks, keys)
         iso = subs[-1]
         ref = plain_iso_products(blocks.network_only(), keys.iso,
                                  {s.owner: s.masked_incidence for s in subs[:-1]})
-        got = {"line_flow_hi": iso.line_flow_hi, "line_flow_lo": iso.line_flow_lo,
-               "balance_theta": iso.balance_theta}
-        got.update({f"balance:{o}": b for o, b in iso.balance.items()})
-        assert got.keys() == ref.keys()
+        got = iso.payload_arrays()
         for name, want in ref.items():
             have = got[name]
-            assert sp.issparse(have) == sp.issparse(want), name
-            if sp.issparse(want):
-                # published in canonical CSR form, as built from the dense block
-                want = sp.csr_matrix(want.toarray())
-                for a in ("indptr", "indices", "data"):
-                    assert np.array_equal(getattr(have, a), getattr(want, a)), name
-            else:
+            if H == 1:
+                assert type(have) is np.ndarray, name
                 assert np.array_equal(have, want), name
+                continue
+            assert have.format == "csr" and have.has_canonical_format, name
+            r, c = have.shape[0] // H, have.shape[1] // H
+            coo = have.tocoo()
+            assert np.array_equal(coo.row // r, coo.col // c), name
+            have = have.toarray()
+            for t in range(H):
+                hour = np.s_[t * r:(t + 1) * r, t * c:(t + 1) * c]
+                assert np.max(np.abs(have[hour] - want[hour]), initial=0.0) \
+                    <= 1e-14 * np.max(np.abs(want[hour]), initial=0.0), (name, t)
+
+
+def test_stacked_recovery_equals_block_diagonal_product():
+    # the operator recovers angles and prices through its keys' hour
+    # blocks one block at a time, as the full block diagonal would
+    system = gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2)
+    blocks = build_ed_blocks(system)
+    config = MaskConfig(hourly_block_masks=True)
+    rng = np.random.default_rng(8)
+    for seed in range(3):
+        keys = party_keys(blocks, seed, config)
+        assert keys.iso.Y_theta.shape[0] == keys.iso.X_b.shape[0] == 3
+        party = protocol.IsoParty(blocks, system.lines, {}, None, system.horizon, 0)
+        party._keys = keys.iso
+        theta, lam = rng.normal(size=blocks.n_iso), rng.normal(size=3 * 14)
+        for got, want in (
+                (party.recover_angles(theta),
+                 scipy.linalg.block_diag(*keys.iso.Y_theta) @ theta),
+                (recover_lmp(keys.iso.X_b, lam),
+                 -(scipy.linalg.block_diag(*keys.iso.X_b).T @ lam))):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-14 * np.max(np.abs(want)))
+        with pytest.raises(DimensionMismatch):
+            party.recover_angles(theta[:-1])
+        with pytest.raises(DimensionMismatch):
+            recover_lmp(keys.iso.X_b, np.append(lam, 0.0))
 
 
 def _with_condition(rng, n, kappa):
@@ -537,10 +574,9 @@ def test_drawn_keys_within_cond_max(name, threebus):
     for seed in seeds:
         keys = party_keys(blocks, seed, MaskConfig(hourly_block_masks=hourly))
         iso = keys.iso
-        mats = [iso.Y_theta, iso.X_l1, iso.X_l2, iso.X_b]
+        mats = [*iso.Y_theta, *iso.X_l1, *iso.X_l2, *iso.X_b]
         mats += [M for ek in keys.entities.values() for M in (ek.Y, ek.X)]
         for M in mats:
-            M = M.toarray() if sp.issparse(M) else M
             assert np.linalg.cond(M) <= masking._COND_MAX
 
 
@@ -690,7 +726,7 @@ def test_eliminate_slacks_equals_dense_cancellation(case, threebus):
         blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
         config = MaskConfig(hourly_block_masks=True)
     keys = party_keys(blocks, 2, config)
-    assert sp.issparse(keys.iso.X_l1) == (case != "threebus")
+    assert keys.iso.X_l1.shape[0] == (1 if case == "threebus" else blocks.T)
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
     want = cancelled_slack_form(tlp)
     groups, b_in = masking._cancelled_groups(tlp)
@@ -719,14 +755,16 @@ def _case_submissions(case, seed, threebus):
         return masked_submissions(blocks, keys), blocks.T
     # one entry of X_l2 couples the first line-hour row to the last hour,
     # so the lower-limit slack block no longer splits by hour while the
-    # upper-limit one still does; mask_iso applies the keys hour block by
-    # hour block, so the lower-limit flow block is the whole product
-    X = keys.iso.X_l2.tolil()
-    X[0, X.shape[1] - 1] = 0.5
-    keys.iso.X_l2 = X.tocsr()
+    # upper-limit one still does; a stack of hour blocks cannot hold that
+    # key, so the lower-limit group is published from the full matrix
     subs = masked_submissions(blocks, keys)
-    subs[-1].line_flow_lo = plain_iso_products(
-        blocks.network_only(), keys.iso, {})["line_flow_lo"]
+    X = scipy.linalg.block_diag(*keys.iso.X_l2)
+    X[0, -1] = 0.5
+    flow = blocks.flow_rows @ scipy.linalg.block_diag(*keys.iso.Y_theta)
+    iso = subs[-1]
+    iso.line_flow_lo = sp.csr_matrix(-(X @ flow))
+    iso.line_slack_lo = sp.csr_matrix(X * keys.iso.R_l2[None, :])
+    iso.line_rhs_lo = X @ blocks.line_caps
     return subs, blocks.T
 
 
@@ -889,17 +927,6 @@ def test_eliminated_angles_refuse_unpaired_line_rows(case, tamper, threebus):
     tlp = build_transformed_ed(subs)
     with pytest.raises(NumericalBreakdown, match="not antiparallel"):
         masking.eliminate_angles(tlp)
-
-
-def test_operator_line_slack_blocks_are_canonical_csr():
-    # published sorted once, so the leak scan never copies them to sort
-    blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
-    keys = party_keys(blocks, 0, MaskConfig(hourly_block_masks=True))
-    iso = masked_submissions(blocks, keys)[-1]
-    for block, X, r in ((iso.line_slack_hi, keys.iso.X_l1, keys.iso.R_l1),
-                        (iso.line_slack_lo, keys.iso.X_l2, keys.iso.R_l2)):
-        assert block.format == "csr" and block.has_canonical_format
-        np.testing.assert_array_equal(block.toarray(), X.toarray() * r[None, :])
 
 
 # ---------------------------------------------------------------------------
