@@ -175,17 +175,11 @@ class MarketSystem:
 
     @property
     def gencos(self):
-        seen = {}
-        for g in self.generators:
-            seen.setdefault(g.owner, None)
-        return list(seen)
+        return list(dict.fromkeys(g.owner for g in self.generators))
 
     @property
     def lses(self):
-        seen = {}
-        for d in self.loads:
-            seen.setdefault(d.owner, None)
-        return list(seen)
+        return list(dict.fromkeys(d.owner for d in self.loads))
 
     def units_of(self, owner):
         return [g for g in self.generators if g.owner == owner]
@@ -217,16 +211,19 @@ class EntityBlocks:
     """One bidding entity's slice of the dispatch LP.
 
     For a GENCO this is (c_i, E_i, M_i, KP_i); for an LSE (d_j, F_j,
-    N_j, KD_j).  `incidence` maps the entity's variables onto bus-hour
-    balance rows and is stored sparse.
+    N_j, KD_j).  The incidence KP_i maps the entity's variables onto the
+    `n_balance` bus-hour balance rows with one 1.0 per column; it is kept
+    as `bus_rows`, each column's balance row.
     """
 
     owner: str
     kind: str                 # "GENCO" | "LSE"
+    assets: list              # the entity's Generators or Loads, in column order
     cost: np.ndarray          # (n,)
     A: np.ndarray             # (m, n) rows of one-sided <= constraints
     rhs: np.ndarray           # (m,)
-    incidence: sp.csr_matrix  # (T*B, n), entries 0/1
+    bus_rows: np.ndarray      # (n,) int, column j's entry of KP_i is in row bus_rows[j]
+    n_balance: int            # T*B, the rows of KP_i
 
     @property
     def n(self):
@@ -301,69 +298,44 @@ def _connected(system: MarketSystem) -> bool:
 
 
 def _entity_blocks(system, owner, assets, kind, bus_idx):
-    """One entity's blocks; `bus_idx` maps each bus of `system` to its
-    index, built once by the caller for all entities."""
-    T = system.horizon
-    B = system.n_buses
-    segs = [len(a.segments) for a in assets]
-    n_per_hour = sum(segs)
-    n = T * n_per_hour
+    """One entity's blocks, each entry placed in all hours at once; `bus_idx`
+    maps each bus of `system` to its index, built once for all entities."""
+    T, B = system.horizon, system.n_buses
+    segs = [s for a in assets for s in a.segments]
+    k = len(segs)
+    n = T * k
+    # per column of an hour: its rows among the hour's bound rows (per asset
+    # the upper bounds, then the lower) and its bus; per ramp limit, up
+    # before down, (limit, column, sign) for each column of its asset
+    up, lo, bus, limits, ramp = [], [], [], [], []
+    for a in assets:
+        c, first = len(a.segments), len(bus)
+        up += range(2 * first, 2 * first + c)
+        lo += range(2 * first + c, 2 * first + 2 * c)
+        bus += [bus_idx[a.bus]] * c
+        for sign, v in ((1.0, a.ramp_up), (-1.0, a.ramp_dn)) if kind == "GENCO" else ():
+            if v is not None:
+                ramp += [(len(limits), j, sign) for j in range(first, first + c)]
+                limits.append(v)
 
-    col = {}
-    for t in range(T):
-        for a_i, a in enumerate(assets):
-            for k in range(len(a.segments)):
-                col[(t, a_i, k)] = len(col)
+    A = np.zeros((2 * n + (T - 1) * len(limits), n))
+    rhs = np.empty(A.shape[0])
+    t, cols = np.arange(T)[:, None], list(range(k))
+    bounds = A[:2 * n].reshape(T, 2 * k, T, k)
+    bounds[t, up, t, cols], bounds[t, lo, t, cols] = 1.0, -1.0
+    rhs[:2 * n].reshape(T, 2 * k)[:, up] = [s.hi for s in segs]
+    rhs[:2 * n].reshape(T, 2 * k)[:, lo] = [-s.lo for s in segs]
+    if ramp:
+        # the rows for hour t + 1 hold +sign at hour t + 1, -sign at hour t
+        r, j, sign = map(np.array, zip(*ramp))
+        rows = A[2 * n:].reshape(T - 1, len(limits), T, k)
+        rows[t[:-1], r, t[1:], j], rows[t[:-1], r, t[:-1], j] = sign, -sign
+        rhs[2 * n:] = limits * (T - 1)
 
-    rows = []
-    rhs = []
-    for t in range(T):
-        for a_i, a in enumerate(assets):
-            for k, seg in enumerate(a.segments):
-                r = np.zeros(n)
-                r[col[(t, a_i, k)]] = 1.0
-                rows.append(r)
-                rhs.append(seg.hi)
-            for k, seg in enumerate(a.segments):
-                r = np.zeros(n)
-                r[col[(t, a_i, k)]] = -1.0
-                rows.append(r)
-                rhs.append(-seg.lo)
-    if kind == "GENCO":
-        for t in range(1, T):
-            for a_i, a in enumerate(assets):
-                up, dn = a.ramp_up, a.ramp_dn
-                if up is not None:
-                    r = np.zeros(n)
-                    for k in range(len(a.segments)):
-                        r[col[(t, a_i, k)]] = 1.0
-                        r[col[(t - 1, a_i, k)]] = -1.0
-                    rows.append(r)
-                    rhs.append(up)
-                if dn is not None:
-                    r = np.zeros(n)
-                    for k in range(len(a.segments)):
-                        r[col[(t, a_i, k)]] = -1.0
-                        r[col[(t - 1, a_i, k)]] = 1.0
-                    rows.append(r)
-                    rhs.append(dn)
-
-    # columns run in the order col assigns them: hour, asset, segment
-    cost = np.array([seg.price for _ in range(T) for a in assets
-                     for seg in a.segments], dtype=float).reshape(n)
-    # one 1.0 per column, at its asset's bus-hour row, stored row by row
-    # with ascending columns as a lil_matrix would give it
-    bus_rows = np.array([t * B + bus_idx[a.bus] for t in range(T)
-                         for a in assets for _ in a.segments], dtype=np.int32)
-    indptr = np.zeros(T * B + 1, dtype=np.int32)
-    np.cumsum(np.bincount(bus_rows, minlength=T * B), out=indptr[1:])
-    inc = sp.csr_matrix((np.ones(n), np.argsort(bus_rows, kind="stable")
-                         .astype(np.int32), indptr), shape=(T * B, n))
-
-    return EntityBlocks(owner=owner, kind=kind, cost=cost,
-                        A=np.array(rows, dtype=float).reshape(len(rows), n),
-                        rhs=np.array(rhs, dtype=float),
-                        incidence=inc)
+    return EntityBlocks(owner=owner, kind=kind, assets=assets,
+                        cost=np.array([s.price for s in segs] * T, dtype=float),
+                        A=A, rhs=rhs, bus_rows=(t * B + bus).ravel(),
+                        n_balance=T * B)
 
 
 def build_ed_blocks(system: MarketSystem) -> EdBlocks:
@@ -380,9 +352,12 @@ def build_ed_blocks(system: MarketSystem) -> EdBlocks:
     ang_col_of = {b: j for j, b in enumerate(ang_cols)}
     n_iso = T * (B - 1)
 
-    gencos = [_entity_blocks(system, g, system.units_of(g), "GENCO", bus_idx)
+    assets = {}   # owner -> its assets in system order, in one pass
+    for a in list(system.generators) + list(system.loads):
+        assets.setdefault(a.owner, []).append(a)
+    gencos = [_entity_blocks(system, g, assets[g], "GENCO", bus_idx)
               for g in system.gencos]
-    lses = [_entity_blocks(system, d, system.loads_of(d), "LSE", bus_idx)
+    lses = [_entity_blocks(system, d, assets[d], "LSE", bus_idx)
             for d in system.lses]
 
     weights = np.tile([1.0 / ln.x for ln in system.lines], T)
@@ -517,12 +492,16 @@ def assemble_ed_lp(blocks: EdBlocks):
     vs, rs = layout.var_spans, layout.row_spans
     th, bal = vs["theta"][0], rs["balance"][0]
     flow = blocks.flow_rows
+    # every entity's balance entries in one piece: its columns run from 0,
+    # +1 for generation and -1 for load at each column's bus-hour
+    sign = np.repeat([1.0 if e.kind == "GENCO" else -1.0 for e in entities],
+                     [e.n for e in entities])
+    incidence = sp.coo_matrix(
+        (sign, (np.concatenate([e.bus_rows for e in entities]), np.arange(th))),
+        shape=(layout.n_rows - bal, th))
     pieces = [(rs["line_hi"][0], th, flow), (rs["line_lo"][0], th, -flow),
-              (bal, th, -blocks.admittance)]
-    for e in entities:
-        pieces += [(rs[e.owner][0], vs[e.owner][0], e.A),
-                   (bal, vs[e.owner][0],
-                    e.incidence if e.kind == "GENCO" else -e.incidence)]
+              (bal, th, -blocks.admittance), (bal, 0, incidence)]
+    pieces += [(rs[e.owner][0], vs[e.owner][0], e.A) for e in entities]
     A = place_blocks(pieces, (layout.n_rows, layout.n_vars))
 
     c = np.concatenate([-e.cost if e.kind == "GENCO" else e.cost

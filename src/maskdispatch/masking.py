@@ -423,29 +423,41 @@ class EncryptedSubmission:
 
 
 def mask_entity(entity_blocks, keys: EntityKeys) -> EncryptedSubmission:
-    """Build a GENCO/LSE submission from its blocks and private keys."""
+    """Build a GENCO/LSE submission from its blocks and private keys.  KP·Y
+    adds each row of Y to 0.0 in its column's balance row (`bus_rows`) in
+    column order, the sums of a CSR product with KP bit for bit."""
     Y, X, R = keys.Y, keys.X, keys.R
     if Y.shape != (entity_blocks.n, entity_blocks.n) or \
        X.shape != (entity_blocks.m, entity_blocks.m):
         raise DimensionMismatch(f"keys for {entity_blocks.owner} have wrong shape")
     if np.any(R <= 0):
         raise NonPositiveDiagonal(f"{entity_blocks.owner} slack coefficients")
+    incidence = np.zeros((entity_blocks.n_balance, entity_blocks.n))
+    np.add.at(incidence, entity_blocks.bus_rows, Y)
     return EncryptedSubmission(
         owner=entity_blocks.owner, kind=entity_blocks.kind,
         masked_cost=entity_blocks.cost @ Y,
         masked_constraints=X @ entity_blocks.A @ Y,
         masked_slack=X * R[None, :],
         masked_rhs=X @ entity_blocks.rhs,
-        masked_incidence=np.asarray(entity_blocks.incidence @ Y),
+        masked_incidence=incidence,
     )
 
 
-def _block_diagonal_csr(stack):
+def _block_diagonal_csr(stack, structure):
     """The block-diagonal matrix of the ``(H, r, c)`` stack as canonical
-    CSR, every entry of each block stored."""
+    CSR, every entry of each block stored.  Its read-only ``(indices,
+    indptr)``, in the dtype scipy picks, are ``structure[stack.shape]``,
+    added when missing, so the matrices of one shape share them."""
     H, r, c = stack.shape
-    cols = np.broadcast_to(np.arange(H * c).reshape(H, 1, c), stack.shape)
-    return sp.csr_matrix((stack.ravel(), cols.ravel(), np.arange(H * r + 1) * c),
+    if stack.shape not in structure:
+        dtype = np.int32 if stack.size < 2**31 else np.int64
+        cols = np.arange(H * c, dtype=dtype).reshape(H, 1, c)
+        arrays = (np.broadcast_to(cols, stack.shape).ravel(),
+                  np.arange(H * r + 1, dtype=dtype) * dtype(c))
+        arrays[0].flags.writeable = arrays[1].flags.writeable = False
+        structure[stack.shape] = arrays
+    return sp.csr_matrix((stack.ravel(), *structure[stack.shape]),
                          shape=(H * r, H * c))
 
 
@@ -464,7 +476,8 @@ def mask_iso(blocks, keys: IsoKeys,
     product is formed block by block: the network's (CSR) times Y_theta's,
     batched matmuls with the row keys', each incidence owner by owner.
     With one block these are the whole products, published dense; with
-    more, each is published as block-diagonal CSR.
+    more, each is published as block-diagonal CSR, the blocks of one shape
+    sharing one set of index arrays (`_block_diagonal_csr`).
     """
     if np.any(keys.R_l1 <= 0) or np.any(keys.R_l2 <= 0):
         raise NonPositiveDiagonal("line slack coefficients")
@@ -481,7 +494,8 @@ def mask_iso(blocks, keys: IsoKeys,
         t, n = np.arange(H), inc.shape[1] // H
         return inc[None] if H == 1 else inc.reshape(H, -1, H, n)[t, :, t, :]
 
-    publish = _block_diagonal_csr if H > 1 else (lambda stack: stack[0])
+    publish = (functools.partial(_block_diagonal_csr, structure={}) if H > 1
+               else (lambda stack: stack[0]))
     flow, caps = angles(blocks.flow_rows), blocks.line_caps.reshape(H, -1, 1)
     return EncryptedSubmission(
         owner=ISO, kind="ISO",
@@ -717,11 +731,19 @@ def _cancelled_groups(tlp: TransformedLp):
     return out, b_in
 
 
-def _block_triplets(r0, col, blocks):
-    """COO triplets of dense ``(r0', r1', cols, D, ...)`` blocks whose rows
-    start at row `r0` and whose columns start at column `col`."""
-    return [triplets(r0 + np.arange(q0, q1), col + cols, D)
-            for q0, q1, cols, D, *_ in blocks]
+def _block_triplets(placed):
+    """COO triplets of dense blocks ``(r0, col, (q0, q1, cols, D, ...))``,
+    each ``D`` at rows ``r0 + q0:r0 + q1`` by columns ``col + cols``: one
+    broadcast for all the blocks of one shape."""
+    by_shape = {}
+    for r0, col, (q0, _, cols, D, *_) in placed:
+        by_shape.setdefault(D.shape, []).append((r0 + q0, col + cols, D))
+    out = []
+    for (m, w), items in by_shape.items():
+        r0s, cols, Ds = zip(*items)
+        out.append((np.repeat(np.add.outer(r0s, np.arange(m)), w),
+                    np.tile(np.stack(cols), m).ravel(), np.stack(Ds).ravel()))
+    return out
 
 
 def _merge_line_rows(hi, lo):
@@ -1013,8 +1035,8 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
                                       lines.get("line_lo", []))
     b_in[lower] /= k
     flow = nz + np.arange(TL)
-    ineq = [t for owner, r0, col, blocks in groups if owner not in lines
-            for t in _block_triplets(r0, col, blocks)]
+    ineq = _block_triplets([(r0, col, block) for owner, r0, col, blocks in groups
+                            if owner not in lines for block in blocks])
     ineq += [(l0 + np.arange(TL), flow, np.ones(TL)),
              (np.arange(lower.start, lower.stop), flow, -np.ones(TL))]
     (_, Bt, _), *entities = tlp.balance
@@ -1049,7 +1071,8 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
         b_eq=np.zeros(e + TL),
         A_in=coo_csr(ineq, (bal, nz + TL), tiny=1e-9), b_in=b_in))
     # exact zeros left out, as sparse arithmetic leaves them out
-    L = coo_csr(_block_triplets(0, 0, line_blocks), (TL, n_iso), tiny=0.0)
+    L = coo_csr(_block_triplets([(0, 0, b) for b in line_blocks]), (TL, n_iso),
+                tiny=0.0)
     return AngleElimination(problem=problem, components=components, L=L, k=k,
                             lower=lower, n_balance=TB, moved=moved)
 

@@ -41,6 +41,7 @@ simplex takes the all-equality slack form.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,7 @@ class Message:
     @classmethod
     def build(cls, sender, receiver, kind, payload):
         # every block counts its full shape, a sparse one too, not its nnz
-        count = sum(int(np.prod(np.shape(v))) for v in payload.values())
+        count = sum(math.prod(v.shape) for v in payload.values())
         return cls(sender=sender, receiver=receiver, kind=kind,
                    payload=payload, scalar_count=count,
                    byte_size=count * SCALAR_BYTES + HEADER_BYTES)
@@ -106,9 +107,8 @@ class CommLog:
 class EntityParty:
     """A GENCO or LSE: owns its assets and blocks, creates and keeps its keys."""
 
-    def __init__(self, blocks_slice, assets, seed, horizon=1):
+    def __init__(self, blocks_slice, seed, horizon=1):
         self.blocks = blocks_slice
-        self.assets = assets
         self.owner = blocks_slice.owner
         self.kind = blocks_slice.kind
         self.horizon = horizon
@@ -127,11 +127,12 @@ class EntityParty:
         return sub
 
     def clear_payload(self) -> dict:
-        prices = [s.price for a in self.assets for s in a.segments]
-        bounds = [v for a in self.assets for s in a.segments for v in (s.lo, s.hi)]
+        assets = self.blocks.assets
+        prices = [s.price for a in assets for s in a.segments]
+        bounds = [v for a in assets for s in a.segments for v in (s.lo, s.hi)]
         payload = {"prices": np.asarray(prices, dtype=float),
                    "bounds": np.asarray(bounds, dtype=float)}
-        ramps = [v for a in self.assets
+        ramps = [v for a in assets
                  for v in (getattr(a, "ramp_up", None), getattr(a, "ramp_dn", None))
                  if v is not None]
         if ramps:
@@ -380,11 +381,8 @@ def run_market_round(system: MarketSystem, seed: int, mode: str = "masked",
     blocks = build_ed_blocks(system)
     entities = blocks.gencos + blocks.lses
     seeds = masking.spawn_party_seeds(seed, len(entities))
-    parties = []
-    for e, s in zip(entities, seeds[:-1]):
-        assets = (system.units_of(e.owner) if e.kind == "GENCO"
-                  else system.loads_of(e.owner))
-        parties.append(EntityParty(e, assets, s, horizon=system.horizon))
+    parties = [EntityParty(e, s, horizon=system.horizon)
+               for e, s in zip(entities, seeds[:-1])]
     bus_index = {b: i for i, b in enumerate(system.buses)}
     iso = IsoParty(blocks.network_only(), system.lines, bus_index,
                    system.reference_bus, system.horizon, seeds[-1])

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from maskdispatch import masking
 from maskdispatch.lp import solve_lp, DimensionMismatch
 from maskdispatch.market import (
     MarketSystem, Line, Generator, Load, BidSegment,
@@ -29,8 +30,9 @@ def test_threebus_blocks_shape(threebus):
     assert g1.owner == "GENCO1"
     assert (g1.n, g1.m) == (3, 6)
     np.testing.assert_array_equal(g1.rhs, [90, 90, 90, -10, 0, 0])
-    np.testing.assert_array_equal(
-        g1.incidence.toarray(), [[1, 1, 1], [0, 0, 0], [0, 0, 0]])
+    # the incidence [[1, 1, 1], [0, 0, 0], [0, 0, 0]]: each column's 1.0 in row 0
+    assert g1.n_balance == 3
+    np.testing.assert_array_equal(g1.bus_rows, [0, 0, 0])
     # three lines, one hour, all reactances 0.1
     np.testing.assert_allclose(blocks.susceptance, [10.0, 10.0, 10.0])
     assert blocks.n_iso == 2
@@ -193,9 +195,9 @@ def test_cleared_market_invariants_on_synthetics():
         inj = blocks.admittance @ theta
         net = -inj
         for e in blocks.gencos:
-            net += e.incidence @ cm.gen_dispatch[e.owner]
+            np.add.at(net, e.bus_rows, cm.gen_dispatch[e.owner])
         for e in blocks.lses:
-            net -= e.incidence @ cm.load_dispatch[e.owner]
+            np.add.at(net, e.bus_rows, -cm.load_dispatch[e.owner])
         assert np.max(np.abs(net)) <= 1e-6
         # lossless: total generation equals total load every hour
         gen_hour = np.zeros(system.horizon)
@@ -323,28 +325,53 @@ def test_zero_point_violates_load_minimum(threebus):
     assert rep.max_inequality_violation == pytest.approx(100.0)
 
 
-@pytest.mark.parametrize("case", ["threebus", "grid118-2h", "one-bus"])
+@pytest.mark.parametrize("case", ["threebus", "grid118-2h", "one-bus",
+                                  "shared-bus"])
 def test_incidences_equal_lil_built_csr(case, threebus):
-    # built from index arrays, the incidences keep the exact CSR arrays a
+    # each entity's bus_rows hold the entries of the incidence a lil_matrix
+    # builds entry by entry, and its masked incidence is that CSR times Y
+    # bit for bit; the line incidence keeps the exact CSR arrays a
     # lil_matrix gives, so the clear LP is placed bit for bit as before
     if case == "threebus":
         system = threebus
     elif case == "grid118-2h":
         system = gen_synthetic(118, 54, 91, 1, 2, seed=7, segments=1)
-    else:
+    elif case == "one-bus":
         system = MarketSystem(
             name="one", buses=["1"], reference_bus="1", lines=[],
             generators=[Generator("G", "GENCO1", "1", [BidSegment(5.0, 0.0, 10.0)])],
             loads=[Load("L", "LSE1", "1", [BidSegment(9.0, 0.0, 8.0)])],
             horizon=2)
+    else:
+        # two multi-segment units of one owner at one bus: a balance row
+        # sums several columns of Y
+        segs = [BidSegment(5.0, 0.0, 10.0), BidSegment(7.0, 0.0, 10.0)]
+        system = MarketSystem(
+            name="shared", buses=["1", "2", "3"], reference_bus="1",
+            lines=[Line("1", "2", 0.1, 50.0), Line("2", "3", 0.2, 50.0)],
+            generators=[Generator("G1", "GENCO1", "3", segs, 20.0, 20.0),
+                        Generator("G2", "GENCO1", "1", segs[:1]),
+                        Generator("G3", "GENCO1", "3", segs + segs[:1])],
+            loads=[Load("L", "LSE1", "2", [BidSegment(20.0, 0.0, 8.0)] * 2)],
+            horizon=2)
     blocks = build_ed_blocks(system)
     want_inc, want_KL = lil_incidences(system)
-    pairs = [(e.incidence, want_inc[e.owner]) for e in blocks.gencos + blocks.lses]
-    pairs.append((blocks.incidence_lines, want_KL))
-    for got, want in pairs:
-        assert got.format == "csr" and got.shape == want.shape
-        assert got.has_canonical_format and want.has_canonical_format
-        for a, b in ((got.data, want.data), (got.indices, want.indices),
-                     (got.indptr, want.indptr)):
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
+    rng = np.random.default_rng(0)
+    for e in blocks.gencos + blocks.lses:
+        want = want_inc[e.owner]
+        assert want.shape == (e.n_balance, e.n) and e.bus_rows.shape == (e.n,)
+        got = np.zeros(want.shape)
+        np.add.at(got, (e.bus_rows, np.arange(e.n)), 1.0)
+        np.testing.assert_array_equal(got, want.toarray())
+        keys = masking.entity_keys(rng, e.owner, e.kind, e.n, e.m)
+        masked = masking.mask_entity(e, keys).masked_incidence
+        product = want @ keys.Y
+        assert masked.shape == product.shape and masked.dtype == product.dtype
+        assert masked.tobytes() == product.tobytes()
+    got, want = blocks.incidence_lines, want_KL
+    assert got.format == "csr" and got.shape == want.shape
+    assert got.has_canonical_format and want.has_canonical_format
+    for a, b in ((got.data, want.data), (got.indices, want.indices),
+                 (got.indptr, want.indptr)):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)

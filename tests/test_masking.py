@@ -388,7 +388,7 @@ def test_recover_primal_identity_passthrough(threebus):
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
     sol = solve_lp(tlp.problem)
     for e in blocks.gencos + blocks.lses:
-        party = protocol.EntityParty(e, [], seed=0)
+        party = protocol.EntityParty(e, seed=0)
         party._keys = keys.entities[e.owner]
         lo, hi = tlp.var_spans[e.owner]
         np.testing.assert_array_equal(party.recover(sol.x[lo:hi]), sol.x[lo:hi])

@@ -120,6 +120,35 @@ def test_counts_helper_matches_round_on_regrouped_system():
         assert comm_cost(log).total_down_count == counts["down_total"]
 
 
+def test_sparse_objects_do_not_grow_with_the_number_of_parties(monkeypatch):
+    # a round builds the network's and the LP's scipy.sparse objects, none
+    # per entity: the clear round of hourly14-3h builds as many with its 10
+    # single-unit entities as with its units pooled into 2, and an entity's
+    # masked submission builds none
+    built = []
+    init = sp._base._spbase.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(sp._base._spbase, "__init__", counted)
+    system = gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2)
+    counts = []
+    for s in (system, regroup_entities(system, 5)):
+        built.clear()
+        run_market_round(s, 0, mode="clear")
+        counts.append(len(built))
+    assert counts[0] > 0 and counts[0] == counts[1]
+    blocks = build_ed_blocks(system)
+    seeds = masking.spawn_party_seeds(0, 10)
+    built.clear()
+    for e, seed in zip(blocks.gencos + blocks.lses, seeds):
+        party = protocol.EntityParty(e, seed, horizon=blocks.T)
+        party.masked_submission(MaskConfig(hourly_block_masks=True))
+    assert built == []
+
+
 def test_leak_scanner_catches_raw_rows(threebus):
     blocks = build_ed_blocks(threebus)
     private = _private_row_hashes(blocks)
@@ -487,7 +516,7 @@ def test_entity_recover_rejects_a_slice_of_the_wrong_size(threebus):
     # a party decodes only a slice of its own key's size, and only once it
     # has drawn its keys
     blocks = build_ed_blocks(threebus)
-    party = protocol.EntityParty(blocks.gencos[0], threebus.units_of("GENCO1"), 0)
+    party = protocol.EntityParty(blocks.gencos[0], 0)
     with pytest.raises(ProtocolViolation, match="cannot decode"):
         party.recover(np.zeros(3))
     party.masked_submission(MaskConfig())
