@@ -35,7 +35,9 @@ from maskdispatch.market import (
     ISO, ClearingFailed, EmptyMarket, InvalidCounts, IslandedNetwork,
     gen_synthetic,
 )
-from maskdispatch.masking import KeyGenerationFailed, leakage_audit
+from maskdispatch.masking import (
+    EncryptedSubmission, KeyGenerationFailed, leakage_audit,
+)
 from maskdispatch.protocol import ProtocolViolation, comm_cost, run_market_round
 
 EXIT_OK = 0
@@ -193,19 +195,13 @@ def cmd_audit(args) -> int:
     submissions = [m for m in log.messages if m.kind == "Submission"]
     published = {**cleared.gen_dispatch, **cleared.load_dispatch}
     # replay the audit from the public submissions alone
-    from maskdispatch.masking import EncryptedSubmission
-
     for msg in submissions:
         if msg.sender == ISO:
             continue
         sub = EncryptedSubmission(
             owner=msg.sender,
             kind="GENCO" if msg.sender in cleared.gen_dispatch else "LSE",
-            masked_cost=msg.payload["masked_cost"],
-            masked_constraints=msg.payload["masked_constraints"],
-            masked_slack=msg.payload["masked_slack"],
-            masked_rhs=msg.payload["masked_rhs"],
-            masked_incidence=msg.payload["masked_incidence"])
+            **msg.payload)
         rep = leakage_audit(sub, published_recovery=published.get(msg.sender))
         print(f"{rep.owner} ({rep.kind}) "
               f"linear: {rep.linear_equations} eq / {rep.linear_unknowns} unk -> "

@@ -10,18 +10,20 @@ Solving the masked LP and mapping each solution slice back through the
 owner's keys reproduces the clear-market dispatch, angles, and prices.
 The operator keeps each of its masks as the stack of its diagonal hour
 blocks (one block for a mask over all hours) and applies it one hour
-block at a time; under hourly masks it publishes block-diagonal CSR.
-The clearing agent keeps the published blocks as
-they arrive and builds only the LP its solver takes: the all-equality
-slack form for the bundled simplex or, for HiGHS, the LP with every
-owner's slack block cancelled, the free angle columns substituted out and
-each line-hour stated once (``eliminate_angles``, the shift-factor form
-in flow form: the entity columns plus one masked-flow column per
-line-hour, one balance equality per hour and one flow equality per
-line-hour).  One kernel cancels the slack blocks (``_cancel_slacks``):
-owners' dense blocks of one shape in one stacked solve, and the two
-sparse line-slack blocks of hourly keys one diagonal block of their
-common split (an hour) at a time.  The agent works on each hour's
+block at a time; under hourly masks it publishes block-diagonal CSR.  It
+publishes its balance-row mask over every entity's masked incidence as
+one block, its columns in the layout's entity order.  The clearing agent
+keeps the published blocks as they arrive, signs the two balance blocks
+as they enter the rows and builds only the LP its solver takes: the
+all-equality slack form for the bundled simplex or, for HiGHS, the LP
+with every owner's slack block cancelled, the free angle columns
+substituted out and each line-hour stated once (``eliminate_angles``,
+the shift-factor form in flow form: the entity columns plus one
+masked-flow column per line-hour, one balance equality per hour and one
+flow equality per line-hour).  One kernel cancels the slack blocks
+(``_cancel_slacks``): owners' dense blocks of one shape in one stacked
+solve, and the two sparse line-slack blocks of hourly keys one diagonal
+block of their common split (an hour) at a time.  The agent works on each hour's
 blocks as dense arrays and builds CSR only for the matrices it hands
 on.  After cancellation a line-hour's upper and lower limit rows are one
 row up to a positive factor; the agent checks that they are antiparallel
@@ -374,10 +376,12 @@ class EncryptedSubmission:
     block, the masked slack block, the masked bounds vector, and the
     masked bus incidence.  The grid operator's submission carries the
     masked line-limit rows, their slack blocks and bounds, the masked
-    balance-row blocks (its own and one per entity, further masked with
-    the balance-row key, keyed by owner), and the masked admittance block.
-    Below, a key stack stands for its block diagonal; the operator's
-    blocks are dense, or block-diagonal CSR under hourly keys.
+    admittance block, and one balance block: every entity's masked
+    incidence side by side in the layout's entity order (GENCOs, then
+    LSEs), further masked with the balance-row key.  Below, a key stack
+    stands for its block diagonal; the operator's blocks are dense, or
+    block-diagonal CSR under hourly keys.  The payload is every block
+    that is set, named by its field, in field order.
     """
 
     owner: str
@@ -394,9 +398,9 @@ class EncryptedSubmission:
     line_slack_lo: np.ndarray = None      # X_l2 R_l2
     line_rhs_hi: np.ndarray = None        # X_l1 PL           (T*L,)
     line_rhs_lo: np.ndarray = None        # X_l2 PL
-    balance: dict = None                  # owner -> X_b KP_i Y_i (T*B, n_i)
-                                          # or X_b KD_j Y_j
     balance_theta: np.ndarray = None      # X_b B Y_theta     (T*B, n_iso)
+    balance: np.ndarray = None            # X_b [KP_1 Y_1 ... KD_N Y_N]
+                                          #                   (T*B, sum n)
 
     @property
     def n(self):
@@ -407,19 +411,11 @@ class EncryptedSubmission:
         return self.masked_rhs.size
 
     def payload_arrays(self):
-        """Name -> array for every transmitted block."""
-        out = {}
-        names = ["masked_cost", "masked_constraints", "masked_slack",
-                 "masked_rhs", "masked_incidence", "line_flow_hi",
-                 "line_flow_lo", "line_slack_hi", "line_slack_lo",
-                 "line_rhs_hi", "line_rhs_lo", "balance_theta"]
-        for nm in names:
-            v = getattr(self, nm)
-            if v is not None:
-                out[nm] = v
-        for owner, v in (self.balance or {}).items():
-            out[f"balance:{owner}"] = v
-        return out
+        """Name -> array for every transmitted block: each field after
+        `owner` and `kind` that is set."""
+        return {f.name: getattr(self, f.name)
+                for f in dataclasses.fields(self)[2:]
+                if getattr(self, f.name) is not None}
 
 
 def mask_entity(entity_blocks, keys: EntityKeys) -> EncryptedSubmission:
@@ -444,20 +440,18 @@ def mask_entity(entity_blocks, keys: EntityKeys) -> EncryptedSubmission:
     )
 
 
-def _block_diagonal_csr(stack, structure):
-    """The block-diagonal matrix of the ``(H, r, c)`` stack as canonical
-    CSR, every entry of each block stored.  Its read-only ``(indices,
-    indptr)``, in the dtype scipy picks, are ``structure[stack.shape]``,
-    added when missing, so the matrices of one shape share them."""
+def _block_diagonal_csr(stack, cols=None):
+    """The ``(H·r, H·c)`` CSR matrix of the ``(H, r, c)`` stack whose rows
+    of hour h hold ``stack[h]`` at the ``(H, c)`` column indices
+    ``cols[h]``, every entry stored: by default hour h's own columns, the
+    block diagonal.  Canonical when each ``cols[h]`` ascends."""
     H, r, c = stack.shape
-    if stack.shape not in structure:
-        dtype = np.int32 if stack.size < 2**31 else np.int64
-        cols = np.arange(H * c, dtype=dtype).reshape(H, 1, c)
-        arrays = (np.broadcast_to(cols, stack.shape).ravel(),
-                  np.arange(H * r + 1, dtype=dtype) * dtype(c))
-        arrays[0].flags.writeable = arrays[1].flags.writeable = False
-        structure[stack.shape] = arrays
-    return sp.csr_matrix((stack.ravel(), *structure[stack.shape]),
+    dtype = np.int32 if stack.size < 2**31 else np.int64
+    if cols is None:
+        cols = np.arange(H * c).reshape(H, c)
+    indices = np.broadcast_to(cols.astype(dtype)[:, None, :], stack.shape).ravel()
+    return sp.csr_matrix((stack.ravel(), indices,
+                          np.arange(H * r + 1, dtype=dtype) * dtype(c)),
                          shape=(H * r, H * c))
 
 
@@ -466,18 +460,21 @@ def mask_iso(blocks, keys: IsoKeys,
     """Build the grid operator's submission from network-only blocks.
 
     `blocks` needs only the network fields (GridBlocks or EdBlocks).
-    `entity_incidences` maps each entity to its published masked
-    incidence block (already column-masked by the entity itself); the
-    operator applies its balance-row mask on top and publishes each
-    result under the same owner in `balance`.
+    `entity_incidences` maps each entity, in the layout's entity order
+    (GENCOs, then LSEs), to its published masked incidence block (already
+    column-masked by the entity itself); the operator applies its
+    balance-row mask on top and publishes the results side by side as one
+    block, `balance`.
 
     The network blocks, and each incidence under hourly keys, are block
     diagonal over the hour blocks of the key stacks (`IsoKeys`), so every
     product is formed block by block: the network's (CSR) times Y_theta's,
-    batched matmuls with the row keys', each incidence owner by owner.
+    batched matmuls with the row keys', each incidence entity by entity.
+    The entities' products are joined along their hour blocks' columns.
     With one block these are the whole products, published dense; with
-    more, each is published as block-diagonal CSR, the blocks of one shape
-    sharing one set of index arrays (`_block_diagonal_csr`).
+    more, each is published as CSR built from its stack
+    (`_block_diagonal_csr`), the balance block with each hour's columns
+    at their entities' columns of that hour.
     """
     if np.any(keys.R_l1 <= 0) or np.any(keys.R_l2 <= 0):
         raise NonPositiveDiagonal("line slack coefficients")
@@ -494,8 +491,16 @@ def mask_iso(blocks, keys: IsoKeys,
         t, n = np.arange(H), inc.shape[1] // H
         return inc[None] if H == 1 else inc.reshape(H, -1, H, n)[t, :, t, :]
 
-    publish = (functools.partial(_block_diagonal_csr, structure={}) if H > 1
-               else (lambda stack: stack[0]))
+    def publish(stack, cols=None):
+        return stack[0] if H == 1 else _block_diagonal_csr(stack, cols)
+
+    products = [keys.X_b @ hours(inc) for inc in entity_incidences.values()]
+    widths = np.array([p.shape[2] for p in products])   # columns an hour
+    # column j of an hour block belongs to the entity whose `width` columns
+    # start at `start` there; in hour h it is H·start + (j - start) + h·width
+    start = np.repeat(np.cumsum(widths) - widths, widths)
+    width = np.repeat(widths, widths)
+    cols = (H - 1) * start + np.arange(start.size) + np.arange(H)[:, None] * width
     flow, caps = angles(blocks.flow_rows), blocks.line_caps.reshape(H, -1, 1)
     return EncryptedSubmission(
         owner=ISO, kind="ISO",
@@ -505,9 +510,8 @@ def mask_iso(blocks, keys: IsoKeys,
         line_slack_lo=publish(keys.X_l2 * keys.R_l2.reshape(H, 1, -1)),
         line_rhs_hi=(keys.X_l1 @ caps).reshape(-1),
         line_rhs_lo=(keys.X_l2 @ caps).reshape(-1),
-        balance={owner: publish(keys.X_b @ hours(inc))
-                 for owner, inc in entity_incidences.items()},
         balance_theta=publish(keys.X_b @ angles(blocks.admittance)),
+        balance=publish(np.concatenate(products, axis=2), cols),
     )
 
 
@@ -537,11 +541,11 @@ class TransformedLp:
     `groups` holds each owner's row group ``(owner, col, C, S, b)``, read
     ``C z + S s = b`` with ``s >= 0`` and ``C`` at structural column
     ``col``: the entities, then the operator's upper and lower line limits.
-    `balance` holds the ``(col, block, sign)`` pieces of the balance rows
-    (zero right-hand side): each block as published, entering the rows
-    times ``sign`` (-1 for the angle block and the loads' blocks), `c` the
-    structural costs.  Only the form a solver asks for is assembled:
-    `problem` (the slack form) or `eliminate_angles`.
+    `balance` holds the two ``(col, block)`` pieces of the balance rows
+    (zero right-hand side), signed as they enter the rows: the entities'
+    published block with the loads' columns negated, then the negated
+    angle block.  `c` holds the structural costs.  Only the form a solver
+    asks for is assembled: `problem` (the slack form) or `eliminate_angles`.
     """
 
     groups: list
@@ -558,8 +562,7 @@ class TransformedLp:
     def problem(self) -> LpProblem:
         """The masked LP in all-equality slack form, assembled on first access."""
         vs, bal = self.var_spans, self.row_spans["balance"][0]
-        pieces = [(bal, col, block if sign > 0 else -block)
-                  for col, block, sign in self.balance]
+        pieces = [(bal, col, block) for col, block in self.balance]
         for owner, col, C, S, _ in self.groups:
             r0 = self.row_spans[owner][0]
             pieces += [(r0, col, C), (r0, vs[SLACK_PREFIX + owner][0], S)]
@@ -580,7 +583,9 @@ def build_transformed_ed(submissions) -> TransformedLp:
     the blocks from their public dimensions alone, in the clear LP's
     order plus slack columns: entity dispatch columns, angle columns,
     then entity slacks and the two line-slack groups.  No matrix is
-    assembled here.
+    assembled here.  The operator's balance block names no owner, so only
+    its shape is checked: the GENCO and LSE submissions must come in the
+    order whose incidences `mask_iso` joined.
     """
     isos = [s for s in submissions if s.kind == "ISO"]
     gencos = [s for s in submissions if s.kind == "GENCO"]
@@ -591,11 +596,12 @@ def build_transformed_ed(submissions) -> TransformedLp:
         raise MissingSubmission("need at least one GENCO and one LSE submission")
     iso = isos[0]
     entities = gencos + lses
-    if set(iso.balance) != {s.owner for s in entities}:
-        raise MissingSubmission("ISO balance blocks do not match entity submissions")
     n_iso = iso.balance_theta.shape[1]
     TL = iso.line_rhs_hi.size
     TB = iso.balance_theta.shape[0]
+    if iso.balance.shape != (TB, sum(s.n for s in entities)):
+        raise MissingSubmission(
+            "ISO balance block does not span the entity submissions")
     for s in entities:
         if s.masked_constraints.shape != (s.m, s.n) or \
            s.masked_slack.shape != (s.m, s.m) or \
@@ -609,9 +615,17 @@ def build_transformed_ed(submissions) -> TransformedLp:
                s.masked_rhs) for s in entities]
     groups += [("line_hi", th, iso.line_flow_hi, iso.line_slack_hi, iso.line_rhs_hi),
                ("line_lo", th, iso.line_flow_lo, iso.line_slack_lo, iso.line_rhs_lo)]
-    balance = [(th, iso.balance_theta, -1.0)]
-    balance += [(vs[s.owner][0], iso.balance[s.owner],
-                 1.0 if s.kind == "GENCO" else -1.0) for s in entities]
+    # +1 for generation and -1 for load in each entity column, exact
+    sign = np.repeat([1.0 if s.kind == "GENCO" else -1.0 for s in entities],
+                     [s.n for s in entities])
+    Bz = iso.balance
+    if sp.issparse(Bz):
+        Bz = Bz.tocsr()
+        Bz = sp.csr_matrix((Bz.data * sign[Bz.indices], Bz.indices, Bz.indptr),
+                           shape=Bz.shape)
+    else:
+        Bz = Bz * sign
+    balance = [(0, Bz), (th, -iso.balance_theta)]
     c = np.concatenate([-s.masked_cost if s.kind == "GENCO" else s.masked_cost
                         for s in entities] + [np.zeros(n_iso)])
     return TransformedLp(groups=groups, balance=balance, c=c, var_spans=vs,
@@ -754,19 +768,7 @@ def _merge_line_rows(hi, lo):
     symmetric merge ``a = (hi - lo/k)/2``, as ``[(r0, r1, cols, a)]``.
     Raises NumericalBreakdown unless every pair is antiparallel (``k > 0``)
     to a relative residual ``|lo + k·hi| / |lo|`` of at most 1e-6."""
-    def dots(A, B):
-        """Row-wise inner products over the nonzero terms only, summed
-        pairwise in column order (``np.add.reduceat``, as scipy sums a CSR
-        row), so the zero columns a block carries for the other group do
-        not change the rounding."""
-        terms = A * B
-        keep = terms != 0
-        count = keep.sum(axis=1)
-        filled = count > 0
-        out = np.zeros(terms.shape[0])
-        out[filled] = np.add.reduceat(terms[keep], (np.cumsum(count) - count)[filled])
-        return out
-
+    dots = functools.partial(np.einsum, "ij,ij->i")   # row-wise inner products
     blocks, ks, fits = [], [np.zeros(0)], [np.zeros((2, 0))]
     with np.errstate(divide="ignore", invalid="ignore"):
         for (r0, r1, cols, h, _), (*_, l, _) in zip(hi, lo):
@@ -970,8 +972,8 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     cancellation of ROADMAP item 4(a).
 
     The masked balance rows read ``Bz·z + Bθ·θ' = 0``, with
-    ``Bθ = -X_b·B·Y_θ`` and ``Bz`` the entities' published balance blocks,
-    stacked once, each signed as it enters the rows.  `Bθ` is split into
+    ``Bθ = -X_b·B·Y_θ`` and ``Bz`` the entities' published balance block,
+    both as signed in ``tlp.balance``.  `Bθ` is split into
     its diagonal blocks (`_diagonal_blocks`: one per hour under hourly
     keys, one under dense keys).  For each, a full QR
     ``Bθ = [Q1 Q2]·[R; 0]`` turns the rows into ``θ' = P·z`` with
@@ -1039,17 +1041,13 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
                             if owner not in lines for block in blocks])
     ineq += [(l0 + np.arange(TL), flow, np.ones(TL)),
              (np.arange(lower.start, lower.stop), flow, -np.ones(TL))]
-    (_, Bt, _), *entities = tlp.balance
-    Bz = [block for _, block, _ in entities]
-    Bz = sp.hstack(Bz, format="csr") if any(map(sp.issparse, Bz)) else np.hstack(Bz)
-    sign = np.repeat([s for *_, s in entities], [b.shape[1] for _, b, _ in entities])
+    (_, Bz), (_, Bt) = tlp.balance
 
     components, flow_parts, eq_parts, e = [], [], [], 0
     for r0, r1, c0, c1 in _diagonal_blocks(Bt):
         rows, cols = np.arange(r0, r1), np.arange(c0, c1)
         zcols, Bz_k = _dense_rows(Bz, r0, r1)
-        Bz_k = Bz_k * sign[zcols]
-        Q, R = np.linalg.qr(-_dense_rows(Bt, r0, r1, cols)[1], mode="complete")
+        Q, R = np.linalg.qr(_dense_rows(Bt, r0, r1, cols)[1], mode="complete")
         R = R[:cols.size]
         P = -scipy.linalg.solve_triangular(R, Q[:, :cols.size].T @ Bz_k)
         eq = Q[:, cols.size:].T @ Bz_k

@@ -190,7 +190,6 @@ class IsoParty:
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 _SIGN_BIT = np.uint64(1 << 63)
-_ZERO_VALUE = np.zeros(1)
 _BATCH = 1 << 16    # values digested per pass, which bounds the scan's copies
 
 
@@ -230,7 +229,7 @@ def _digests(blocks, counts, widths):
         values.append(a.data)
         ends[r + 1:r + 1 + a.shape[0]] = a.indptr[1:] + ends[r]
         r += a.shape[0]
-    v = np.concatenate([_ZERO_VALUE] + values)
+    v = np.concatenate([np.zeros(1)] + values)
     if dense < len(blocks):
         v[first_sparse:] += 0.0
     bits = v.view(np.uint64)
@@ -582,10 +581,10 @@ def masked_submission_counts(system: MarketSystem) -> dict:
     Pure dimension arithmetic, no solving: an entity sends its masked
     cost row (n), constraint block (m*n), slack block (m*m), bounds
     (m), and incidence (T*B*n); the operator sends the two line-flow
-    blocks, two line-slack blocks, two line bounds, the further-masked
-    incidence blocks, and the masked admittance block.  The return path
-    carries each owner's solution slice and the operator's angle and
-    dual slices.
+    blocks, two line-slack blocks, two line bounds, the masked admittance
+    block, and the further-masked incidences as one balance block.  The
+    return path carries each owner's solution slice and the operator's
+    angle and dual slices.
     """
     blocks = build_ed_blocks(system)
     TB = blocks.admittance.shape[0]

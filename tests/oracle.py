@@ -208,7 +208,7 @@ def assemble_ed_lp_scalar(system: MarketSystem):
 def plain_iso_products(blocks, keys, entity_incidences):
     """Name -> the operator's masked block, each a whole dense product
     ``K @ M`` of a key's full block diagonal, expanded from its stack of
-    hour blocks."""
+    hour blocks; ``"balance"`` over the incidences side by side."""
     Y, X1, X2, Xb = (scipy.linalg.block_diag(*K) for K in
                      (keys.Y_theta, keys.X_l1, keys.X_l2, keys.X_b))
     flow = blocks.flow_rows @ Y
@@ -216,8 +216,8 @@ def plain_iso_products(blocks, keys, entity_incidences):
            "line_flow_lo": -(X2 @ flow),
            "line_slack_hi": X1 * keys.R_l1[None, :],
            "line_slack_lo": X2 * keys.R_l2[None, :],
-           "balance_theta": Xb @ (blocks.admittance @ Y)}
-    out.update({f"balance:{o}": Xb @ a for o, a in entity_incidences.items()})
+           "balance_theta": Xb @ (blocks.admittance @ Y),
+           "balance": Xb @ np.hstack(list(entity_incidences.values()))}
     return out
 
 

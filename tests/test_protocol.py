@@ -122,9 +122,9 @@ def test_counts_helper_matches_round_on_regrouped_system():
 
 def test_sparse_objects_do_not_grow_with_the_number_of_parties(monkeypatch):
     # a round builds the network's and the LP's scipy.sparse objects, none
-    # per entity: the clear round of hourly14-3h builds as many with its 10
-    # single-unit entities as with its units pooled into 2, and an entity's
-    # masked submission builds none
+    # per entity: the clear round of hourly14-3h, and its masked round under
+    # hourly masks, build as many with its 10 single-unit entities as with
+    # its units pooled into 2, and an entity's masked submission builds none
     built = []
     init = sp._base._spbase.__init__
 
@@ -134,12 +134,14 @@ def test_sparse_objects_do_not_grow_with_the_number_of_parties(monkeypatch):
 
     monkeypatch.setattr(sp._base._spbase, "__init__", counted)
     system = gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2)
-    counts = []
-    for s in (system, regroup_entities(system, 5)):
-        built.clear()
-        run_market_round(s, 0, mode="clear")
-        counts.append(len(built))
-    assert counts[0] > 0 and counts[0] == counts[1]
+    for mode, config in (("clear", MaskConfig()),
+                         ("masked", MaskConfig(hourly_block_masks=True))):
+        counts = []
+        for s in (system, regroup_entities(system, 5)):
+            built.clear()
+            run_market_round(s, 0, mode=mode, mask_config=config)
+            counts.append(len(built))
+        assert counts[0] > 0 and counts[0] == counts[1], (mode, counts)
     blocks = build_ed_blocks(system)
     seeds = masking.spawn_party_seeds(0, 10)
     built.clear()

@@ -1,11 +1,15 @@
-"""Print one SHA-256 per case over everything a masked round produces.
+"""Print two SHA-256 digests per case: one over everything a masked round
+produces, and one over its outcome alone.
 
-Each digest covers, for every round of the case: the objective, the
-recovered dispatch, LMPs, angles and flows, the iteration count of every
-LP solve, and every logged message's sender, receiver, byte size and
-payload (each block's type, shape, dtype and values; for a sparse block
-its CSR data, indices and indptr as stored).  Two source trees that print
-the same lines produce bit-identical rounds on these cases.
+The outcome digest covers, for every round of the case: the objective,
+the iteration count of every LP solve, and the recovered dispatch, LMPs,
+angles and flows.  The full digest covers the same and every logged
+message's sender, receiver, byte size and payload (each block's type,
+shape, dtype and values; for a sparse block its CSR data, indices and
+indptr as stored).  Two source trees that print the same lines produce
+bit-identical rounds on these cases; two whose outcome digests agree
+clear every round bit for bit, whatever their wire format.  Each line
+reads ``case full-digest outcome-digest``.
 
     python3 tools/round_digest.py                 # this checkout's src/
     python3 tools/round_digest.py --root OTHER    # OTHER/src, e.g. a parent checkout
@@ -36,25 +40,27 @@ CASES = {
 }
 
 
-def feed(h, value):
-    """Hash a block with its type, so equal values of another type differ."""
+def chunks(value):
+    """The bytes hashed for a block, its type first, so equal values of
+    another type differ."""
     import numpy as np
     import scipy.sparse as sp
 
-    h.update(type(value).__name__.encode())
+    yield type(value).__name__.encode()
     if sp.issparse(value):
         m = value.tocsr() if value.format != "csr" else value
-        h.update(repr(m.shape).encode())
+        yield repr(m.shape).encode()
         for a in (m.data, m.indices, m.indptr):
-            h.update(a.dtype.str.encode())
-            h.update(np.ascontiguousarray(a).tobytes())
+            yield a.dtype.str.encode()
+            yield np.ascontiguousarray(a).tobytes()
         return
     a = np.asarray(value)
-    h.update(f"{a.dtype.str}{a.shape}".encode())
-    h.update(np.ascontiguousarray(a).tobytes())
+    yield f"{a.dtype.str}{a.shape}".encode()
+    yield np.ascontiguousarray(a).tobytes()
 
 
 def digest(name, run_market_round, iterations):
+    """``(full, outcome)``, the hex digests of the case's masked rounds."""
     from maskdispatch import MaskConfig, SolverConfig, gen_synthetic, load_case
 
     case, solver, mask, seeds = CASES[name]
@@ -64,26 +70,29 @@ def digest(name, run_market_round, iterations):
                                         "cases", "threebus.case"))
     else:
         system = gen_synthetic(**case)
-    h = hashlib.sha256()
+    full, outcome = hashlib.sha256(), hashlib.sha256()
     for seed in seeds:
         iterations.clear()
         cleared, log = run_market_round(system, seed, mode="masked",
                                         config=SolverConfig(**solver),
                                         mask_config=MaskConfig(**mask))
-        h.update(f"seed {seed} objective {cleared.objective!r} "
-                 f"iterations {iterations}".encode())
+        parts = [f"seed {seed} objective {cleared.objective!r} "
+                 f"iterations {iterations}".encode()]
         for d in (cleared.gen_dispatch, cleared.load_dispatch):
             for owner, x in d.items():
-                h.update(owner.encode())
-                feed(h, x)
+                parts += [owner.encode(), *chunks(x)]
         for a in (cleared.lmp, cleared.angles, cleared.flows):
-            feed(h, a)
+            parts += chunks(a)
+        for part in parts:
+            full.update(part)
+            outcome.update(part)
         for m in log.messages:
-            h.update(f"{m.sender}>{m.receiver} {m.kind} {m.byte_size}".encode())
+            full.update(f"{m.sender}>{m.receiver} {m.kind} {m.byte_size}".encode())
             for key, value in m.payload.items():
-                h.update(key.encode())
-                feed(h, value)
-    return h.hexdigest()
+                full.update(key.encode())
+                for part in chunks(value):
+                    full.update(part)
+    return full.hexdigest(), outcome.hexdigest()
 
 
 def main():
@@ -109,7 +118,7 @@ def main():
 
     protocol.solve_lp = counted
     for name in args.cases:
-        print(name, digest(name, protocol.run_market_round, iterations), flush=True)
+        print(name, *digest(name, protocol.run_market_round, iterations), flush=True)
 
 
 if __name__ == "__main__":
