@@ -154,8 +154,7 @@ class MarketSystem:
             if not asset.segments:
                 raise ValueError(f"asset {asset.name} has no bid segments")
             # named as in the case file
-            ramps = {"ramp_up": getattr(asset, "ramp_up", None),
-                     "ramp_down": getattr(asset, "ramp_dn", None)}
+            ramps = dict(zip(("ramp_up", "ramp_down"), ramp_limits(asset)))
             _require_finite(f"asset {asset.name}", **ramps)
             for key, v in ramps.items():
                 if v is not None and v < 0:
@@ -194,6 +193,12 @@ class MarketSystem:
     @property
     def n_lines(self):
         return len(self.lines)
+
+
+def ramp_limits(asset):
+    """``(up, down)``: a generator's ramp limits, None where not given; a
+    load has none."""
+    return getattr(asset, "ramp_up", None), getattr(asset, "ramp_dn", None)
 
 
 def _require_finite(what, **values):
@@ -297,49 +302,47 @@ def _connected(system: MarketSystem) -> bool:
     return len(seen) == len(system.buses)
 
 
-def _entity_blocks(system, owner, assets, kind, bus_idx):
-    """One entity's blocks, each entry placed in all hours at once; `bus_idx`
-    maps each bus of `system` to its index, built once for all entities."""
-    T, B = system.horizon, system.n_buses
-    segs = [s for a in assets for s in a.segments]
-    k = len(segs)
+def _entity_structure(structure, T):
+    """``(A, pick)`` shared by every entity whose assets have `structure`:
+    per asset its segment count and whether it has an up and a down ramp
+    limit.  `A` is read-only; the entity's ``rhs`` is ``values[pick]``, with
+    `values` its segments' upper bounds, their negated lower bounds, then
+    its ramp limits (per asset up before down)."""
+    k = sum(c for c, _, _ in structure)
     n = T * k
     # per column of an hour: its rows among the hour's bound rows (per asset
-    # the upper bounds, then the lower) and its bus; per ramp limit, up
-    # before down, (limit, column, sign) for each column of its asset
-    up, lo, bus, limits, ramp = [], [], [], [], []
-    for a in assets:
-        c, first = len(a.segments), len(bus)
+    # the upper bounds, then the lower); per ramp limit, up before down,
+    # (limit, column, sign) for each column of its asset
+    up, lo, ramp, first, limits = [], [], [], 0, 0
+    for c, *ramps in structure:
         up += range(2 * first, 2 * first + c)
         lo += range(2 * first + c, 2 * first + 2 * c)
-        bus += [bus_idx[a.bus]] * c
-        for sign, v in ((1.0, a.ramp_up), (-1.0, a.ramp_dn)) if kind == "GENCO" else ():
-            if v is not None:
-                ramp += [(len(limits), j, sign) for j in range(first, first + c)]
-                limits.append(v)
+        for sign, given in zip((1.0, -1.0), ramps):
+            if given:
+                ramp += [(limits, j, sign) for j in range(first, first + c)]
+                limits += 1
+        first += c
 
-    A = np.zeros((2 * n + (T - 1) * len(limits), n))
-    rhs = np.empty(A.shape[0])
-    t, cols = np.arange(T)[:, None], list(range(k))
+    A = np.zeros((2 * n + (T - 1) * limits, n))
+    pick = np.empty(A.shape[0], dtype=np.intp)
+    t, cols = np.arange(T)[:, None], np.arange(k)
     bounds = A[:2 * n].reshape(T, 2 * k, T, k)
     bounds[t, up, t, cols], bounds[t, lo, t, cols] = 1.0, -1.0
-    rhs[:2 * n].reshape(T, 2 * k)[:, up] = [s.hi for s in segs]
-    rhs[:2 * n].reshape(T, 2 * k)[:, lo] = [-s.lo for s in segs]
+    pick[:2 * n].reshape(T, 2 * k)[:, up] = cols
+    pick[:2 * n].reshape(T, 2 * k)[:, lo] = k + cols
     if ramp:
         # the rows for hour t + 1 hold +sign at hour t + 1, -sign at hour t
         r, j, sign = map(np.array, zip(*ramp))
-        rows = A[2 * n:].reshape(T - 1, len(limits), T, k)
+        rows = A[2 * n:].reshape(T - 1, limits, T, k)
         rows[t[:-1], r, t[1:], j], rows[t[:-1], r, t[:-1], j] = sign, -sign
-        rhs[2 * n:] = limits * (T - 1)
-
-    return EntityBlocks(owner=owner, kind=kind, assets=assets,
-                        cost=np.array([s.price for s in segs] * T, dtype=float),
-                        A=A, rhs=rhs, bus_rows=(t * B + bus).ravel(),
-                        n_balance=T * B)
+        pick[2 * n:] = np.tile(2 * k + np.arange(limits), T - 1)
+    A.flags.writeable = False
+    return A, pick
 
 
 def build_ed_blocks(system: MarketSystem) -> EdBlocks:
-    """Assemble the per-entity and network blocks of the dispatch LP."""
+    """Assemble the per-entity and network blocks of the dispatch LP.
+    Entities whose assets have one structure share one read-only `A`."""
     if not system.generators or not system.loads:
         raise EmptyMarket("market needs at least one generator and one load")
     if not _connected(system):
@@ -348,48 +351,68 @@ def build_ed_blocks(system: MarketSystem) -> EdBlocks:
     T, B, L = system.horizon, system.n_buses, system.n_lines
     bus_idx = {b: i for i, b in enumerate(system.buses)}
     ref = bus_idx[system.reference_bus]
-    ang_cols = [i for i in range(B) if i != ref]
-    ang_col_of = {b: j for j, b in enumerate(ang_cols)}
     n_iso = T * (B - 1)
 
     assets = {}   # owner -> its assets in system order, in one pass
     for a in list(system.generators) + list(system.loads):
         assets.setdefault(a.owner, []).append(a)
-    gencos = [_entity_blocks(system, g, assets[g], "GENCO", bus_idx)
-              for g in system.gencos]
-    lses = [_entity_blocks(system, d, assets[d], "LSE", bus_idx)
-            for d in system.lses]
+    kinds = {**dict.fromkeys(system.gencos, "GENCO"),
+             **dict.fromkeys(system.lses, "LSE")}
+    alike = {}    # structure -> owners
+    for owner in kinds:
+        structure = tuple((len(a.segments), *(v is not None for v in ramp_limits(a)))
+                          for a in assets[owner])
+        alike.setdefault(structure, []).append(owner)
+    entities = {}
+    for structure, owners in alike.items():
+        A, pick = _entity_structure(structure, T)
+        segs = [[s for a in assets[o] for s in a.segments] for o in owners]
+        values = np.array([[s.hi for s in ss] + [-s.lo for s in ss]
+                           + [v for a in assets[o] for v in ramp_limits(a)
+                              if v is not None]
+                           for o, ss in zip(owners, segs)], dtype=float)
+        prices = np.array([[s.price for s in ss] for ss in segs], dtype=float)
+        bus = np.array([[bus_idx[a.bus] for a in assets[o] for _ in a.segments]
+                        for o in owners])
+        cost, rhs = np.tile(prices, T), values[:, pick]
+        bus_rows = (np.arange(T)[:, None] * B + bus[:, None]).reshape(len(owners), -1)
+        for i, o in enumerate(owners):
+            entities[o] = EntityBlocks(owner=o, kind=kinds[o], assets=assets[o],
+                                       cost=cost[i], A=A, rhs=rhs[i],
+                                       bus_rows=bus_rows[i], n_balance=T * B)
 
-    weights = np.tile([1.0 / ln.x for ln in system.lines], T)
-    caps = np.tile([float(ln.capacity) for ln in system.lines], T)
+    frm = np.array([bus_idx[ln.from_bus] for ln in system.lines], dtype=np.intp)
+    to = np.array([bus_idx[ln.to_bus] for ln in system.lines], dtype=np.intp)
+    w = 1.0 / np.array([ln.x for ln in system.lines], dtype=float)
+    caps = np.tile(np.array([ln.capacity for ln in system.lines], dtype=float), T)
     # per line-hour row, +1 at the from bus's angle column and -1 at the to
-    # bus's, columns ascending as a lil_matrix would store them
-    kl_cols, kl_vals, kl_ptr = [], [], [0]
-    for t in range(T):
-        for ln in system.lines:
-            ends = sorted((t * (B - 1) + ang_col_of[bus_idx[bus]], sign)
-                          for bus, sign in ((ln.from_bus, 1.0), (ln.to_bus, -1.0))
-                          if bus_idx[bus] != ref)
-            kl_cols += [c for c, _ in ends]
-            kl_vals += [v for _, v in ends]
-            kl_ptr.append(len(kl_cols))
-    KL = sp.csr_matrix((np.array(kl_vals, dtype=float),
-                        np.array(kl_cols, dtype=np.int32),
-                        np.array(kl_ptr, dtype=np.int32)), shape=(T * L, n_iso))
+    # bus's, columns ascending; the reference bus has no angle column
+    ends = np.tile(np.stack([frm, to], 1), (T, 1))
+    cols = ends - (ends > ref) + np.repeat(np.arange(T) * (B - 1), L)[:, None]
+    order = np.argsort(cols, axis=1)
+    ends, cols = (np.take_along_axis(a, order, 1) for a in (ends, cols))
+    keep = ends != ref
+    KL = sp.csr_matrix((np.array([1.0, -1.0])[order][keep], cols[keep],
+                        np.concatenate([[0], np.cumsum(keep.sum(1))])),
+                       shape=(T * L, n_iso))
 
     Bfull = np.zeros((B, B))
-    for ln in system.lines:
-        a, b = bus_idx[ln.from_bus], bus_idx[ln.to_bus]
-        w = 1.0 / ln.x
-        Bfull[a, a] += w
-        Bfull[b, b] += w
-        Bfull[a, b] -= w
-        Bfull[b, a] -= w
-    Bred = Bfull[:, ang_cols]
-    admittance = sp.block_diag([sp.csr_matrix(Bred)] * T, format="csr")
+    # added in line order, as a loop over the lines would
+    np.add.at(Bfull, (np.stack([frm, to, frm, to], 1), np.stack([frm, to, to, frm], 1)),
+              np.stack([w, w, -w, -w], 1))
+    # B without the reference column, once per hour on the diagonal, each
+    # row's nonzeros in column order
+    Bred = np.delete(Bfull, ref, axis=1)
+    r, c = np.nonzero(Bred)
+    admittance = sp.csr_matrix(
+        (np.tile(Bred[r, c], T), (c + np.arange(T)[:, None] * (B - 1)).ravel(),
+         np.concatenate([[0], np.cumsum(np.tile(np.bincount(r, minlength=B), T))])),
+        shape=(T * B, n_iso))
 
-    return EdBlocks(system=system, gencos=gencos, lses=lses,
-                    susceptance=weights, incidence_lines=KL,
+    return EdBlocks(system=system,
+                    gencos=[entities[g] for g in system.gencos],
+                    lses=[entities[d] for d in system.lses],
+                    susceptance=np.tile(w, T), incidence_lines=KL,
                     admittance=admittance, line_caps=caps)
 
 

@@ -36,6 +36,11 @@ masked angles, the row duals of the moved rows, the line-limit duals and
 the balance duals before recovery, so the solution slices and the
 messages are those of the clear LP's layout.
 
+The entities' identical local work runs in stacked passes, one per
+block shape, not once per entity: their key draws are gated together
+(`draw_entity_keys`) and their blocks masked together (`mask_entities`),
+bit for bit what each entity's own draw and products give.
+
 The module also provides the two generic single-sided transforms
 (column-wise and row-wise masking of an arbitrary partitioned LP) and a
 counting audit of what an adversary could infer from one entity's
@@ -203,6 +208,54 @@ def entity_keys(rng, owner, kind, n, m, config: MaskConfig = None,
     X = _sample_mask(rng, m, *_SIGNED_RANGE, f"{owner} row")
     R = rng.uniform(*_DIAG_RANGE, size=m)
     return EntityKeys(owner=owner, kind=kind, Y=Y, X=X, R=R)
+
+
+def _passes_gate(stack):
+    """Per matrix of the ``(N, k, k)`` stack, whether ``_frobenius_bound(M)
+    <= _COND_MAX``.  One stacked inverse prefilters: its bound is the exact
+    one up to rounding (about κ·eps ≤ 1e-10 relative), so a matrix passes on
+    it 1e-6 below the limit.  The rest, and all of a stack that holds a
+    singular matrix, go to `_frobenius_bound`."""
+    passed = np.zeros(len(stack), dtype=bool)
+    try:
+        with np.errstate(all="ignore"):
+            bound = (np.linalg.norm(stack, axis=(1, 2))
+                     * np.linalg.norm(np.linalg.inv(stack), axis=(1, 2)))
+        passed = bound <= _COND_MAX * (1 - 1e-6)
+    except np.linalg.LinAlgError:
+        pass
+    for i in np.flatnonzero(~passed):
+        passed[i] = _frobenius_bound(stack[i]) <= _COND_MAX
+    return passed
+
+
+def draw_entity_keys(parties, config: MaskConfig = None) -> list:
+    """Each party's keys, bit for bit ``entity_keys(np.random.default_rng(seed),
+    owner, kind, n, m, config, horizon)`` for its ``(seed, owner, kind, n, m,
+    horizon)`` in `parties`.  Each stream draws its hour blocks of Y, then X,
+    then R, as if every draw passed; the blocks of one size are gated
+    together (`_passes_gate`), and a party with a rejected block is redrawn
+    by `entity_keys` from a fresh generator.  Keys own their arrays."""
+    if config is None:
+        config = MaskConfig()
+    drawn, blocks, redraw = [], {}, set()
+    for i, (seed, _, _, n, m, horizon) in enumerate(parties):
+        H = config.hours(horizon)
+        rng = np.random.default_rng(seed)
+        Y = rng.uniform(*_POSITIVE_RANGE, size=(H, n // H, n // H))
+        X = rng.uniform(*_SIGNED_RANGE, size=(m, m))
+        drawn.append((Y, X, rng.uniform(*_DIAG_RANGE, size=m)))
+        blocks.setdefault(n // H, []).append((i, Y))
+        blocks.setdefault(m, []).append((i, X[None]))
+    for items in blocks.values():
+        passed = _passes_gate(np.concatenate([b for _, b in items]))
+        party = np.repeat([i for i, _ in items], [len(b) for _, b in items])
+        redraw.update(party[~passed].tolist())
+    return [entity_keys(np.random.default_rng(seed), owner, kind, n, m, config,
+                        horizon) if i in redraw
+            else EntityKeys(owner, kind, _block_diagonal(Y), X, R)
+            for i, ((seed, owner, kind, n, m, horizon), (Y, X, R))
+            in enumerate(zip(parties, drawn))]
 
 
 def iso_keys(rng, n_iso, TL, TB, config: MaskConfig = None,
@@ -381,11 +434,14 @@ class EncryptedSubmission:
     LSEs), further masked with the balance-row key.  Below, a key stack
     stands for its block diagonal; the operator's blocks are dense, or
     block-diagonal CSR under hourly keys.  The payload is every block
-    that is set, named by its field, in field order.
+    that is set, named by its field, in field order.  The operator's
+    submission also names the owners whose incidences `balance` joins, in
+    order: public metadata, like `owner` and `kind`, not a payload block.
     """
 
     owner: str
     kind: str                         # GENCO | LSE | ISO
+    balance_owners: tuple = None      # ISO: the owners of balance's columns
     masked_cost: np.ndarray = None        # c_i Y_i           (n,)
     masked_constraints: np.ndarray = None  # X_i E_i Y_i      (m, n)
     masked_slack: np.ndarray = None       # X_i R_i           (m, m)
@@ -412,32 +468,57 @@ class EncryptedSubmission:
 
     def payload_arrays(self):
         """Name -> array for every transmitted block: each field after
-        `owner` and `kind` that is set."""
+        the metadata that is set."""
         return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)[2:]
+                for f in dataclasses.fields(self)[3:]
                 if getattr(self, f.name) is not None}
 
 
+def mask_entities(entity_blocks, keys):
+    """Every GENCO/LSE submission from its blocks and keys, and per entity
+    whether none of its published blocks equals its unmasked source (a raw
+    block with no nonzero entry says nothing about a mask and is skipped).
+    Entities of one ``(n, m)`` shape are masked together: ``c·Y``, ``X·E·Y``,
+    ``X·R`` and ``X·M`` as ``np.matmul`` of stacks, bit for bit each entity's
+    own product, and KP·Y as one ``np.add.at`` adding each row of Y to 0.0 in
+    its column's balance row (`bus_rows`) in column order, as a CSR product
+    with KP sums."""
+    groups = {}
+    for i, (e, k) in enumerate(zip(entity_blocks, keys)):
+        if k.Y.shape != (e.n, e.n) or k.X.shape != (e.m, e.m):
+            raise DimensionMismatch(f"keys for {e.owner} have wrong shape")
+        groups.setdefault((e.n, e.m), []).append(i)
+    subs, verified = [None] * len(keys), np.ones(len(keys), dtype=bool)
+    for idx in groups.values():
+        es = [entity_blocks[i] for i in idx]
+        Y, X, R = (np.array([getattr(keys[i], f) for i in idx]) for f in "YXR")
+        bad = np.flatnonzero((R <= 0).any(axis=1))
+        if bad.size:
+            raise NonPositiveDiagonal(f"{es[bad[0]].owner} slack coefficients")
+        cost, A, rhs = (np.array([getattr(e, f) for e in es])
+                        for f in ("cost", "A", "rhs"))
+        incidence = np.zeros((len(es), es[0].n_balance, Y.shape[1]))
+        np.add.at(incidence, (np.arange(len(es))[:, None],
+                              np.array([e.bus_rows for e in es])), Y)
+        published = (np.matmul(cost[:, None], Y)[:, 0],
+                     np.matmul(np.matmul(X, A), Y),
+                     X * R[:, None, :],
+                     np.matmul(X, rhs[..., None])[..., 0])
+        sources = (cost, A, np.eye(X.shape[1])[None], rhs)
+        for p, s in zip(published, sources):
+            axes = tuple(range(1, s.ndim))
+            verified[idx] &= ~((p == s).all(axis=axes) & s.any(axis=axes))
+        for i, e, cY, XEY, XR, XM, KPY in zip(idx, es, *published, incidence):
+            subs[i] = EncryptedSubmission(
+                owner=e.owner, kind=e.kind, masked_cost=cY,
+                masked_constraints=XEY, masked_slack=XR, masked_rhs=XM,
+                masked_incidence=KPY)
+    return subs, verified
+
+
 def mask_entity(entity_blocks, keys: EntityKeys) -> EncryptedSubmission:
-    """Build a GENCO/LSE submission from its blocks and private keys.  KP·Y
-    adds each row of Y to 0.0 in its column's balance row (`bus_rows`) in
-    column order, the sums of a CSR product with KP bit for bit."""
-    Y, X, R = keys.Y, keys.X, keys.R
-    if Y.shape != (entity_blocks.n, entity_blocks.n) or \
-       X.shape != (entity_blocks.m, entity_blocks.m):
-        raise DimensionMismatch(f"keys for {entity_blocks.owner} have wrong shape")
-    if np.any(R <= 0):
-        raise NonPositiveDiagonal(f"{entity_blocks.owner} slack coefficients")
-    incidence = np.zeros((entity_blocks.n_balance, entity_blocks.n))
-    np.add.at(incidence, entity_blocks.bus_rows, Y)
-    return EncryptedSubmission(
-        owner=entity_blocks.owner, kind=entity_blocks.kind,
-        masked_cost=entity_blocks.cost @ Y,
-        masked_constraints=X @ entity_blocks.A @ Y,
-        masked_slack=X * R[None, :],
-        masked_rhs=X @ entity_blocks.rhs,
-        masked_incidence=incidence,
-    )
+    """One GENCO/LSE submission: `mask_entities` for a batch of one."""
+    return mask_entities([entity_blocks], [keys])[0][0]
 
 
 def _block_diagonal_csr(stack, cols=None):
@@ -464,7 +545,7 @@ def mask_iso(blocks, keys: IsoKeys,
     (GENCOs, then LSEs), to its published masked incidence block (already
     column-masked by the entity itself); the operator applies its
     balance-row mask on top and publishes the results side by side as one
-    block, `balance`.
+    block, `balance`, and names them, in order, as `balance_owners`.
 
     The network blocks, and each incidence under hourly keys, are block
     diagonal over the hour blocks of the key stacks (`IsoKeys`), so every
@@ -503,7 +584,7 @@ def mask_iso(blocks, keys: IsoKeys,
     cols = (H - 1) * start + np.arange(start.size) + np.arange(H)[:, None] * width
     flow, caps = angles(blocks.flow_rows), blocks.line_caps.reshape(H, -1, 1)
     return EncryptedSubmission(
-        owner=ISO, kind="ISO",
+        owner=ISO, kind="ISO", balance_owners=tuple(entity_incidences),
         line_flow_hi=publish(keys.X_l1 @ flow),
         line_flow_lo=publish(-(keys.X_l2 @ flow)),
         line_slack_hi=publish(keys.X_l1 * keys.R_l1.reshape(H, 1, -1)),
@@ -513,25 +594,6 @@ def mask_iso(blocks, keys: IsoKeys,
         balance_theta=publish(keys.X_b @ angles(blocks.admittance)),
         balance=publish(np.concatenate(products, axis=2), cols),
     )
-
-
-def verify_masked(submission: EncryptedSubmission, entity_blocks) -> bool:
-    """True when no published block equals its unmasked source.
-
-    A raw block with no nonzero entry is skipped: every mask maps it to
-    zero, so equality with it says nothing about the mask.
-    """
-    pairs = [
-        (submission.masked_cost, entity_blocks.cost),
-        (submission.masked_constraints, entity_blocks.A),
-        (submission.masked_rhs, entity_blocks.rhs),
-        (submission.masked_slack, np.eye(entity_blocks.m)),
-    ]
-    for masked, raw in pairs:
-        if masked.shape == raw.shape and np.array_equal(masked, raw) \
-                and np.any(raw):
-            return False
-    return True
 
 
 @dataclass
@@ -583,9 +645,9 @@ def build_transformed_ed(submissions) -> TransformedLp:
     the blocks from their public dimensions alone, in the clear LP's
     order plus slack columns: entity dispatch columns, angle columns,
     then entity slacks and the two line-slack groups.  No matrix is
-    assembled here.  The operator's balance block names no owner, so only
-    its shape is checked: the GENCO and LSE submissions must come in the
-    order whose incidences `mask_iso` joined.
+    assembled here.  The GENCO and LSE submissions must come in the order
+    whose incidences `mask_iso` joined into the operator's balance block,
+    the order it names (`balance_owners`).
     """
     isos = [s for s in submissions if s.kind == "ISO"]
     gencos = [s for s in submissions if s.kind == "GENCO"]
@@ -599,9 +661,10 @@ def build_transformed_ed(submissions) -> TransformedLp:
     n_iso = iso.balance_theta.shape[1]
     TL = iso.line_rhs_hi.size
     TB = iso.balance_theta.shape[0]
-    if iso.balance.shape != (TB, sum(s.n for s in entities)):
+    if iso.balance_owners != tuple(s.owner for s in entities) or \
+       iso.balance.shape != (TB, sum(s.n for s in entities)):
         raise MissingSubmission(
-            "ISO balance block does not span the entity submissions")
+            "ISO balance block does not span the entity submissions in order")
     for s in entities:
         if s.masked_constraints.shape != (s.m, s.n) or \
            s.masked_slack.shape != (s.m, s.m) or \

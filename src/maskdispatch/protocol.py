@@ -54,12 +54,12 @@ from maskdispatch.lp import (
 from maskdispatch.market import (
     AGENT, ISO, MarketSystem, EdBlocks, ClearedMarket,
     build_ed_blocks, assemble_ed_lp, extract_cleared, full_angles, line_flows,
-    require_optimal,
+    ramp_limits, require_optimal,
 )
 from maskdispatch import masking
 from maskdispatch.masking import (
     MaskConfig, EncryptedSubmission, build_transformed_ed,
-    recover_lmp, verify_masked,
+    recover_lmp,
 )
 
 SCALAR_BYTES = 8
@@ -115,16 +115,24 @@ class EntityParty:
         self._seed = seed
         self._keys = None
 
+    @staticmethod
+    def masked_submissions(parties, config: MaskConfig) -> list:
+        """Each party's keys, drawn from its own seed, and its submission,
+        for all `parties` in one stacked pass (`masking.draw_entity_keys`,
+        `masking.mask_entities`)."""
+        keys = masking.draw_entity_keys(
+            [(p._seed, p.owner, p.kind, p.blocks.n, p.blocks.m, p.horizon)
+             for p in parties], config)
+        subs, verified = masking.mask_entities([p.blocks for p in parties], keys)
+        for p, k, ok in zip(parties, keys, verified):
+            p._keys = k
+            if not ok:
+                raise ProtocolViolation(
+                    f"submission of {p.owner} leaks an unmasked block")
+        return subs
+
     def masked_submission(self, config: MaskConfig) -> EncryptedSubmission:
-        rng = np.random.default_rng(self._seed)
-        self._keys = masking.entity_keys(rng, self.owner, self.kind,
-                                         self.blocks.n, self.blocks.m, config,
-                                         horizon=self.horizon)
-        sub = masking.mask_entity(self.blocks, self._keys)
-        if not verify_masked(sub, self.blocks):
-            raise ProtocolViolation(
-                f"submission of {self.owner} leaks an unmasked block")
-        return sub
+        return self.masked_submissions([self], config)[0]
 
     def clear_payload(self) -> dict:
         assets = self.blocks.assets
@@ -132,9 +140,7 @@ class EntityParty:
         bounds = [v for a in assets for s in a.segments for v in (s.lo, s.hi)]
         payload = {"prices": np.asarray(prices, dtype=float),
                    "bounds": np.asarray(bounds, dtype=float)}
-        ramps = [v for a in assets
-                 for v in (getattr(a, "ramp_up", None), getattr(a, "ramp_dn", None))
-                 if v is not None]
+        ramps = [v for a in assets for v in ramp_limits(a) if v is not None]
         if ramps:
             payload["ramp_limits"] = np.asarray(ramps, dtype=float)
         return payload
@@ -446,11 +452,9 @@ def _solve_screened(reduced, config):
 
 
 def _run_masked(system, blocks, parties, iso, log, config, mask_config):
-    submissions = []
-    for p in parties:
-        sub = p.masked_submission(mask_config)
-        submissions.append(sub)
-        log.add(Message.build(p.owner, AGENT, SUBMISSION, sub.payload_arrays()))
+    submissions = EntityParty.masked_submissions(parties, mask_config)
+    for sub in submissions:
+        log.add(Message.build(sub.owner, AGENT, SUBMISSION, sub.payload_arrays()))
 
     incidences = {s.owner: s.masked_incidence for s in submissions}
     iso_sub = iso.masked_submission(mask_config, incidences)
@@ -607,16 +611,13 @@ def clear_submission_counts(system: MarketSystem) -> dict:
     # an entity sends one price and two bound values per bid segment; a
     # GENCO adds any ramp limits it declares; the operator sends four
     # scalars per line plus horizon, bus count, and reference index
-    up = {}
-    for owner in system.gencos:
-        units = system.units_of(owner)
-        up[owner] = sum(3 * len(u.segments) for u in units) + sum(
-            (1 if u.ramp_up is not None else 0)
-            + (1 if u.ramp_dn is not None else 0) for u in units)
-    for owner in system.lses:
-        up[owner] = sum(3 * len(d.segments) for d in system.loads_of(owner))
+    entities = blocks.gencos + blocks.lses
+    up = {e.owner: sum(3 * len(a.segments)
+                       + sum(v is not None for v in ramp_limits(a))
+                       for a in e.assets)
+          for e in entities}
     up[ISO] = 4 * system.n_lines + 3
-    down = {e.owner: e.n for e in blocks.gencos + blocks.lses}
+    down = {e.owner: e.n for e in entities}
     down[ISO] = blocks.n_iso + blocks.admittance.shape[0]
     return {"up": up, "down": down,
             "up_total": sum(up.values()), "down_total": sum(down.values())}

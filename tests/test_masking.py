@@ -19,7 +19,7 @@ from maskdispatch.masking import (
     MaskConfig, EntityKeys, IsoKeys, EncryptedSubmission,
     vertical_mask_generic, horizontal_mask_generic,
     build_transformed_ed, recover_lmp, leakage_audit,
-    mask_entity, mask_iso, verify_masked,
+    mask_entities, mask_entity, mask_iso,
     KeyGenerationFailed, SingularMask, NonPositiveDiagonal,
     MissingSubmission,
 )
@@ -129,11 +129,14 @@ def test_key_conditioning_and_positivity(threebus):
 
 
 def test_impossible_conditioning_gate_fails(monkeypatch):
-    blocks = build_ed_blocks(gen_synthetic(3, 1, 1, 1, 1, seed=3))
+    system = gen_synthetic(3, 1, 1, 1, 1, seed=3)
+    blocks = build_ed_blocks(system)
     monkeypatch.setattr(masking, "_COND_MAX", 1.0 + 1e-9)
     monkeypatch.setattr(masking, "_MAX_RETRIES", 5)
     with pytest.raises(KeyGenerationFailed):
         party_keys(blocks, seed=0)
+    with pytest.raises(KeyGenerationFailed):
+        run_market_round(system, 0, mode="masked")
 
 
 def _assert_hour_blocks_within(M, hours, lo, hi):
@@ -396,14 +399,21 @@ def test_recover_primal_identity_passthrough(threebus):
 
 def test_submissions_disclose_nothing(threebus):
     blocks = build_ed_blocks(threebus)
+    entities = blocks.gencos + blocks.lses
     for seed in range(10):
         keys = party_keys(blocks, seed)
-        for e in blocks.gencos + blocks.lses:
-            sub = mask_entity(e, keys.entities[e.owner])
-            assert verify_masked(sub, e)
+        subs, verified = mask_entities(
+            entities, [keys.entities[e.owner] for e in entities])
+        assert verified.all()
+        for e, sub in zip(entities, subs):
             assert np.max(np.abs(sub.masked_constraints - e.A)) > 0
             assert np.max(np.abs(sub.masked_rhs - e.rhs)) > 0
             assert np.max(np.abs(sub.masked_cost - e.cost)) > 0
+    # the no-op keys publish every block as it is, and the test says so
+    keys = identity_keys(blocks)
+    _, verified = mask_entities(
+        entities, [keys.entities[e.owner] for e in entities])
+    assert not verified.any()
 
 
 def test_missing_submission_rejected(threebus):
@@ -420,6 +430,14 @@ def test_missing_submission_rejected(threebus):
     short = dataclasses.replace(iso, balance=iso.balance[:, :-1])
     with pytest.raises(MissingSubmission):
         build_transformed_ed(subs[:-1] + [short])   # ISO lacks LSE1's column
+    # the operator names the order in which its balance block joins the
+    # entities, outside the payload; in another order one entity's balance
+    # columns would sit under another's dispatch (a wrong optimum)
+    assert iso.balance_owners == ("GENCO1", "GENCO2", "LSE1")
+    assert "balance_owners" not in iso.payload_arrays()
+    by_owner = {s.owner: s for s in subs}
+    with pytest.raises(MissingSubmission):
+        build_transformed_ed([by_owner[o] for o in ("GENCO2", "GENCO1", "LSE1", "ISO")])
 
 
 def test_constraint_count_conservation_random_systems():
@@ -607,6 +625,30 @@ def test_party_keys_give_the_round_payloads(name, threebus):
         subs = masked_submissions(blocks, party_keys(blocks, seed, config))
         assert len(subs) == len(sent)
         for sub, payload in zip(subs, sent):
+            drawn = sub.payload_arrays()
+            assert list(drawn) == list(payload)
+            for key, value in payload.items():
+                assert _bits(drawn[key]) == _bits(value), (seed, sub.owner, key)
+
+
+def test_redrawn_keys_give_the_round_payloads(monkeypatch):
+    # a gate of 100 rejects some, not all, first draws of hourly14-3h's
+    # parties: those parties are redrawn one draw at a time by entity_keys,
+    # and the round still sends what party_keys draws, bit for bit
+    system = gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2)
+    blocks, config = build_ed_blocks(system), MaskConfig(hourly_block_masks=True)
+    monkeypatch.setattr(masking, "_COND_MAX", 100.0)
+    redrawn, entity_keys = [], masking.entity_keys
+    monkeypatch.setattr(masking, "entity_keys",
+                        lambda rng, owner, *a, **k: redrawn.append(owner)
+                        or entity_keys(rng, owner, *a, **k))
+    for seed in range(3):
+        redrawn.clear()
+        _, log = run_market_round(system, seed, mode="masked", mask_config=config)
+        assert 0 < len(redrawn) < 10, (seed, redrawn)
+        sent = [m.payload for m in log.messages if m.kind == protocol.SUBMISSION]
+        subs = masked_submissions(blocks, party_keys(blocks, seed, config))
+        for sub, payload in zip(subs, sent, strict=True):
             drawn = sub.payload_arrays()
             assert list(drawn) == list(payload)
             for key, value in payload.items():

@@ -90,9 +90,9 @@ def test_tool_config_tables_build():
 
 def test_round_digest_is_deterministic():
     # the digests are how two source trees show bit-identical rounds, the
-    # outcome one whatever their wire format
+    # outcome one whatever their wire format, the clear one in clear mode
     round_digest = _load("round_digest", ROOT / "tools" / "round_digest.py")
     first = round_digest.digest("threebus-auto", run_market_round, [])
     assert first == round_digest.digest("threebus-auto", run_market_round, [])
-    assert len(first) == 2 and first[0] != first[1]
+    assert len(first) == 3 and len(set(first)) == 3
     assert all(re.fullmatch("[0-9a-f]{64}", d) for d in first)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -78,6 +79,22 @@ def test_clear_message_counts_match_hand_arithmetic(threebus):
     assert cost.total_down_count == counts["down_total"]
 
 
+def test_clear_counts_match_the_round_with_ramps_and_pooled_owners():
+    # per owner, three scalars per bid segment and one per declared ramp
+    # limit, whether an owner holds one unit or five
+    system = gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2)
+    for s in (system, regroup_entities(system, 5)):
+        cost = comm_cost(run_market_round(s, 0, mode="clear")[1])
+        counts = clear_submission_counts(s)
+        assert counts["up"] == {o: c for o, (c, _) in cost.per_party_up.items()}
+        ramps = sum((g.ramp_up is not None) + (g.ramp_dn is not None)
+                    for g in s.generators)
+        assert ramps > 0
+        assert counts["up_total"] == (
+            3 * sum(len(a.segments) for a in s.generators + s.loads)
+            + ramps + 4 * s.n_lines + 3)
+
+
 def test_byte_accounting_and_aggregates(threebus):
     _, log = run_market_round(threebus, 0, mode="masked")
     for m in log.messages:
@@ -149,6 +166,33 @@ def test_sparse_objects_do_not_grow_with_the_number_of_parties(monkeypatch):
         party = protocol.EntityParty(e, seed, horizon=blocks.T)
         party.masked_submission(MaskConfig(hourly_block_masks=True))
     assert built == []
+
+
+def test_key_gating_does_not_grow_with_the_number_of_parties(monkeypatch):
+    # the parties' key draws are gated in one stack per block size: a masked
+    # hourly14-3h round takes as many exact Frobenius bounds with its 10
+    # single-unit entities as with its units pooled into 2 (the operator's,
+    # and none for a draw the stacked gate passes), and no party's key
+    # arrays share memory with another party's
+    calls, drawn = [], []
+    bound, draw = masking._frobenius_bound, masking.draw_entity_keys
+    monkeypatch.setattr(masking, "_frobenius_bound",
+                        lambda M: calls.append(M.shape) or bound(M))
+    monkeypatch.setattr(masking, "draw_entity_keys",
+                        lambda *a, **k: drawn.append(draw(*a, **k)) or drawn[-1])
+    system = gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2)
+    counts = []
+    for s in (system, regroup_entities(system, 5)):
+        calls.clear()
+        run_market_round(s, 0, mode="masked",
+                         mask_config=MaskConfig(hourly_block_masks=True))
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[0] == counts[1], counts
+    for keys in drawn:
+        assert len(keys) in (10, 2)
+        for a, b in itertools.combinations(keys, 2):
+            assert not any(np.shares_memory(x, y) for x in (a.Y, a.X, a.R)
+                           for y in (b.Y, b.X, b.R)), (a.owner, b.owner)
 
 
 def test_leak_scanner_catches_raw_rows(threebus):

@@ -1,15 +1,18 @@
-"""Print two SHA-256 digests per case: one over everything a masked round
-produces, and one over its outcome alone.
+"""Print three SHA-256 digests per case: one over everything its masked
+rounds produce, one over their outcome alone, and one over its clear
+round's outcome.
 
-The outcome digest covers, for every round of the case: the objective,
-the iteration count of every LP solve, and the recovered dispatch, LMPs,
-angles and flows.  The full digest covers the same and every logged
-message's sender, receiver, byte size and payload (each block's type,
-shape, dtype and values; for a sparse block its CSR data, indices and
-indptr as stored).  Two source trees that print the same lines produce
-bit-identical rounds on these cases; two whose outcome digests agree
-clear every round bit for bit, whatever their wire format.  Each line
-reads ``case full-digest outcome-digest``.
+An outcome is the objective, the iteration count of every LP solve, and
+the recovered dispatch, LMPs, angles and flows.  The outcome digest covers
+the outcome of every masked round of the case, the clear digest that of
+one clear round.  The full digest covers the masked outcomes and every
+logged message's sender, receiver, byte size and payload (each block's
+type, shape, dtype and values; for a sparse block its CSR data, indices
+and indptr as stored).  Two source trees that print the same lines
+produce bit-identical rounds on these cases; two whose outcome digests
+agree clear every masked round bit for bit, whatever their wire format,
+and two whose clear digests agree clear the case bit for bit in clear
+mode.  Each line reads ``case full-digest outcome-digest clear-digest``.
 
     python3 tools/round_digest.py                 # this checkout's src/
     python3 tools/round_digest.py --root OTHER    # OTHER/src, e.g. a parent checkout
@@ -59,8 +62,20 @@ def chunks(value):
     yield np.ascontiguousarray(a).tobytes()
 
 
+def outcome(label, cleared, iterations):
+    """The bytes hashed for one round's outcome."""
+    parts = [f"{label} objective {cleared.objective!r} "
+             f"iterations {iterations}".encode()]
+    for d in (cleared.gen_dispatch, cleared.load_dispatch):
+        for owner, x in d.items():
+            parts += [owner.encode(), *chunks(x)]
+    for a in (cleared.lmp, cleared.angles, cleared.flows):
+        parts += chunks(a)
+    return parts
+
+
 def digest(name, run_market_round, iterations):
-    """``(full, outcome)``, the hex digests of the case's masked rounds."""
+    """``(full, outcome, clear)``, the hex digests of the case's rounds."""
     from maskdispatch import MaskConfig, SolverConfig, gen_synthetic, load_case
 
     case, solver, mask, seeds = CASES[name]
@@ -70,29 +85,26 @@ def digest(name, run_market_round, iterations):
                                         "cases", "threebus.case"))
     else:
         system = gen_synthetic(**case)
-    full, outcome = hashlib.sha256(), hashlib.sha256()
+    full, masked = hashlib.sha256(), hashlib.sha256()
     for seed in seeds:
         iterations.clear()
         cleared, log = run_market_round(system, seed, mode="masked",
                                         config=SolverConfig(**solver),
                                         mask_config=MaskConfig(**mask))
-        parts = [f"seed {seed} objective {cleared.objective!r} "
-                 f"iterations {iterations}".encode()]
-        for d in (cleared.gen_dispatch, cleared.load_dispatch):
-            for owner, x in d.items():
-                parts += [owner.encode(), *chunks(x)]
-        for a in (cleared.lmp, cleared.angles, cleared.flows):
-            parts += chunks(a)
-        for part in parts:
+        for part in outcome(f"seed {seed}", cleared, iterations):
             full.update(part)
-            outcome.update(part)
+            masked.update(part)
         for m in log.messages:
             full.update(f"{m.sender}>{m.receiver} {m.kind} {m.byte_size}".encode())
             for key, value in m.payload.items():
                 full.update(key.encode())
                 for part in chunks(value):
                     full.update(part)
-    return full.hexdigest(), outcome.hexdigest()
+    iterations.clear()
+    cleared, _ = run_market_round(system, 0, mode="clear",
+                                  config=SolverConfig(**solver))
+    clear = hashlib.sha256(b"".join(outcome("clear", cleared, iterations)))
+    return full.hexdigest(), masked.hexdigest(), clear.hexdigest()
 
 
 def main():
