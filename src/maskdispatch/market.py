@@ -463,11 +463,6 @@ def ed_layout(parties, n_iso, TL, TB, slacks=False) -> EdLpLayout:
                       n_vars=col, n_rows=row + 2 * TL + TB)
 
 
-def triplets(rows, cols, block):
-    """COO triplets of a dense `block` sitting at `rows` x `cols`."""
-    return (np.repeat(rows, cols.size), np.tile(cols, rows.size), block.ravel())
-
-
 def coo_csr(parts, shape, tiny=None):
     """CSR from (rows, cols, values) triplets; repeated positions are added.
     With `tiny`, entries of magnitude at most `tiny` are left out first."""

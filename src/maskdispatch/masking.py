@@ -12,22 +12,26 @@ The operator keeps each of its masks as the stack of its diagonal hour
 blocks (one block for a mask over all hours) and applies it one hour
 block at a time; under hourly masks it publishes block-diagonal CSR.  It
 publishes its balance-row mask over every entity's masked incidence as
-one block, its columns in the layout's entity order.  The clearing agent
-keeps the published blocks as they arrive, signs the two balance blocks
-as they enter the rows and builds only the LP its solver takes: the
-all-equality slack form for the bundled simplex or, for HiGHS, the LP
+one block, its columns in the layout's entity order, and names how many
+hour blocks each of its blocks holds (`hours`).  The clearing agent reads
+every published block as the ``(H, r, c)`` stack of its hour blocks and
+their columns (`_hour_stack`: a dense block is one, a CSR block's entries
+are the stack) and refuses any other layout.  It signs the two balance
+blocks as they enter the rows and builds only the LP its solver takes:
+the all-equality slack form for the bundled simplex or, for HiGHS, the LP
 with every owner's slack block cancelled, the free angle columns
 substituted out and each line-hour stated once (``eliminate_angles``,
 the shift-factor form in flow form: the entity columns plus one
 masked-flow column per line-hour, one balance equality per hour and one
-flow equality per line-hour).  One kernel cancels the slack blocks
-(``_cancel_slacks``): owners' dense blocks of one shape in one stacked
-solve, and the two sparse line-slack blocks of hourly keys one diagonal
-block of their common split (an hour) at a time.  The agent works on each hour's
-blocks as dense arrays and builds CSR only for the matrices it hands
-on.  After cancellation a line-hour's upper and lower limit rows are one
-row up to a positive factor; the agent checks that they are antiparallel
-and raises NumericalBreakdown if not.  The factor and the
+flow equality per line-hour).  Every step of that is a stacked call over
+the hour blocks: one stacked solve per shape of slack and constraint
+stacks cancels the slack blocks (``_cancel_slacks``), and the QR, the
+triangular solves and the flow rows run over the hours of the balance
+and line stacks, hour h's line block over hour h's angle columns.  The
+agent builds CSR only for the matrices it hands on.  After cancellation
+a line-hour's upper and lower limit rows are one row up to a positive
+factor; the agent checks that they are antiparallel and raises
+NumericalBreakdown if not.  The factor and the
 flows were already computable from the published blocks, and nothing
 new is sent.  Every inequality row left with a single entry (the flow
 limits, and the bound rows of entities with a diagonal column mask) is
@@ -61,7 +65,7 @@ from maskdispatch.lp import (
     LpProblem, DimensionMismatch, NumericalBreakdown,
 )
 from maskdispatch.market import (
-    ISO, SLACK_PREFIX, coo_csr, ed_layout, place_blocks, triplets,
+    ISO, SLACK_PREFIX, coo_csr, ed_layout, place_blocks,
 )
 
 
@@ -436,12 +440,14 @@ class EncryptedSubmission:
     block-diagonal CSR under hourly keys.  The payload is every block
     that is set, named by its field, in field order.  The operator's
     submission also names the owners whose incidences `balance` joins, in
-    order: public metadata, like `owner` and `kind`, not a payload block.
+    order, and how many hour blocks each of its blocks holds: public
+    metadata, like `owner` and `kind`, not payload blocks.
     """
 
     owner: str
     kind: str                         # GENCO | LSE | ISO
     balance_owners: tuple = None      # ISO: the owners of balance's columns
+    hours: int = None                 # ISO: the hour blocks of each block
     masked_cost: np.ndarray = None        # c_i Y_i           (n,)
     masked_constraints: np.ndarray = None  # X_i E_i Y_i      (m, n)
     masked_slack: np.ndarray = None       # X_i R_i           (m, m)
@@ -467,11 +473,11 @@ class EncryptedSubmission:
         return self.masked_rhs.size
 
     def payload_arrays(self):
-        """Name -> array for every transmitted block: each field after
-        the metadata that is set."""
-        return {f.name: getattr(self, f.name)
-                for f in dataclasses.fields(self)[3:]
-                if getattr(self, f.name) is not None}
+        """Name -> array for every transmitted block: each field that is
+        set, but the metadata."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+                if f.name not in ("owner", "kind", "balance_owners", "hours")
+                and getattr(self, f.name) is not None}
 
 
 def mask_entities(entity_blocks, keys):
@@ -536,6 +542,41 @@ def _block_diagonal_csr(stack, cols=None):
                          shape=(H * r, H * c))
 
 
+def _hour_stack(M, hours=1):
+    """``(stack, cols)``: the received block `M` as `_block_diagonal_csr`
+    builds it, the ``(H, r, c)`` stack of its hour blocks and their ``(H,
+    c)`` column indices.  A dense `M` is one block (``hours`` must be 1),
+    its stack a view.  A CSR `M` holds ``H = hours`` blocks: every row
+    stores ``c = M.shape[1]/H`` entries, at the same ascending columns in
+    each row of an hour (rows stored out of order are sorted first), and
+    its entries are the stack, not copied.  Anything else raises
+    DimensionMismatch."""
+    if not sp.issparse(M):
+        if hours != 1:
+            raise DimensionMismatch(f"a dense block cannot hold {hours} hour blocks")
+        return M[None], np.arange(M.shape[1])[None]
+    (n_rows, n_cols), H = M.shape, hours
+    r, c = n_rows // H, n_cols // H
+    if M.format != "csr" or n_rows % H or n_cols % H or \
+       not np.array_equal(M.indptr, np.arange(n_rows + 1) * c):
+        raise DimensionMismatch(f"a {M.format} block of shape {M.shape} does "
+                                f"not store {H} full hour blocks")
+    if not M.has_sorted_indices:
+        M = M.sorted_indices()
+    at = M.indices.reshape(H, r, c)
+    cols = at[:, 0] if r else np.arange(n_cols).reshape(H, c)
+    if not ((at == cols[:, None]).all() and (np.diff(cols) > 0).all()
+            and (cols[:, :1] >= 0).all() and (cols[:, -1:] < n_cols).all()):
+        raise DimensionMismatch("a block's rows of one hour store different columns")
+    return M.data.reshape(H, r, c), cols
+
+
+def _matrix(stack, cols=None):
+    """The matrix whose `_hour_stack` is ``(stack, cols)``, by default
+    block diagonal: one block as it is, more as CSR."""
+    return stack[0] if len(stack) == 1 else _block_diagonal_csr(stack, cols)
+
+
 def mask_iso(blocks, keys: IsoKeys,
              entity_incidences: dict) -> EncryptedSubmission:
     """Build the grid operator's submission from network-only blocks.
@@ -584,7 +625,7 @@ def mask_iso(blocks, keys: IsoKeys,
     cols = (H - 1) * start + np.arange(start.size) + np.arange(H)[:, None] * width
     flow, caps = angles(blocks.flow_rows), blocks.line_caps.reshape(H, -1, 1)
     return EncryptedSubmission(
-        owner=ISO, kind="ISO", balance_owners=tuple(entity_incidences),
+        owner=ISO, kind="ISO", balance_owners=tuple(entity_incidences), hours=H,
         line_flow_hi=publish(keys.X_l1 @ flow),
         line_flow_lo=publish(-(keys.X_l2 @ flow)),
         line_slack_hi=publish(keys.X_l1 * keys.R_l1.reshape(H, 1, -1)),
@@ -600,14 +641,16 @@ def mask_iso(blocks, keys: IsoKeys,
 class TransformedLp:
     """The masked dispatch LP, kept as the blocks the parties published.
 
-    `groups` holds each owner's row group ``(owner, col, C, S, b)``, read
-    ``C z + S s = b`` with ``s >= 0`` and ``C`` at structural column
-    ``col``: the entities, then the operator's upper and lower line limits.
-    `balance` holds the two ``(col, block)`` pieces of the balance rows
-    (zero right-hand side), signed as they enter the rows: the entities'
-    published block with the loads' columns negated, then the negated
-    angle block.  `c` holds the structural costs.  Only the form a solver
-    asks for is assembled: `problem` (the slack form) or `eliminate_angles`.
+    Every block is kept as its `_hour_stack` ``(stack, cols)``.  `groups`
+    holds each owner's row group ``(owner, col, C, cols, S, b)``, read
+    ``C z + S s = b`` with ``s >= 0``, ``C`` at structural column ``col``
+    and S block diagonal: the entities, then the operator's upper and
+    lower line limits.  `balance` holds the two ``(col, block, cols)``
+    pieces of the balance rows (zero right-hand side), signed as they
+    enter the rows: the entities' published block with the loads' columns
+    negated, then the negated angle block.  `c` holds the structural
+    costs.  Only the form a solver asks for is assembled: `problem` (the
+    slack form) or `eliminate_angles`.
     """
 
     groups: list
@@ -624,10 +667,11 @@ class TransformedLp:
     def problem(self) -> LpProblem:
         """The masked LP in all-equality slack form, assembled on first access."""
         vs, bal = self.var_spans, self.row_spans["balance"][0]
-        pieces = [(bal, col, block) for col, block in self.balance]
-        for owner, col, C, S, _ in self.groups:
+        pieces = [(bal, col, _matrix(B, cols)) for col, B, cols in self.balance]
+        for owner, col, C, cols, S, _ in self.groups:
             r0 = self.row_spans[owner][0]
-            pieces += [(r0, col, C), (r0, vs[SLACK_PREFIX + owner][0], S)]
+            pieces += [(r0, col, _matrix(C, cols)),
+                       (r0, vs[SLACK_PREFIX + owner][0], _matrix(S))]
         return LpProblem(
             sense="max", c=np.concatenate([self.c, np.zeros(self.n_slack)]),
             A_eq=place_blocks(pieces, (self.n_rows, self.n_vars)),
@@ -647,7 +691,9 @@ def build_transformed_ed(submissions) -> TransformedLp:
     then entity slacks and the two line-slack groups.  No matrix is
     assembled here.  The GENCO and LSE submissions must come in the order
     whose incidences `mask_iso` joined into the operator's balance block,
-    the order it names (`balance_owners`).
+    the order it names (`balance_owners`).  Each block is read as its
+    `_hour_stack`, the operator's in its `hours` blocks, every one but
+    `balance` on their diagonal; one that is not raises DimensionMismatch.
     """
     isos = [s for s in submissions if s.kind == "ISO"]
     gencos = [s for s in submissions if s.kind == "GENCO"]
@@ -674,21 +720,26 @@ def build_transformed_ed(submissions) -> TransformedLp:
     layout = ed_layout(entities, n_iso, TL, TB, slacks=True)
     vs = layout.var_spans
     th, n_structural = vs["theta"]
-    groups = [(s.owner, vs[s.owner][0], s.masked_constraints, s.masked_slack,
-               s.masked_rhs) for s in entities]
-    groups += [("line_hi", th, iso.line_flow_hi, iso.line_slack_hi, iso.line_rhs_hi),
-               ("line_lo", th, iso.line_flow_lo, iso.line_slack_lo, iso.line_rhs_lo)]
+
+    def diagonal(M, shape):
+        if M.shape == shape:
+            stack, cols = _hour_stack(M, iso.hours)
+            if np.array_equal(cols.ravel(), np.arange(cols.size)):
+                return stack, cols
+        raise DimensionMismatch(f"an ISO block of shape {M.shape} is not "
+                                f"the {shape} block diagonal of its hours")
+    groups = [(s.owner, vs[s.owner][0], *_hour_stack(s.masked_constraints),
+               _hour_stack(s.masked_slack)[0], s.masked_rhs) for s in entities]
+    groups += [(owner, th, *diagonal(flow, (TL, n_iso)), diagonal(S, (TL, TL))[0], b)
+               for owner, flow, S, b in (
+                   ("line_hi", iso.line_flow_hi, iso.line_slack_hi, iso.line_rhs_hi),
+                   ("line_lo", iso.line_flow_lo, iso.line_slack_lo, iso.line_rhs_lo))]
     # +1 for generation and -1 for load in each entity column, exact
     sign = np.repeat([1.0 if s.kind == "GENCO" else -1.0 for s in entities],
                      [s.n for s in entities])
-    Bz = iso.balance
-    if sp.issparse(Bz):
-        Bz = Bz.tocsr()
-        Bz = sp.csr_matrix((Bz.data * sign[Bz.indices], Bz.indices, Bz.indptr),
-                           shape=Bz.shape)
-    else:
-        Bz = Bz * sign
-    balance = [(0, Bz), (th, -iso.balance_theta)]
+    Bz, zcols = _hour_stack(iso.balance, iso.hours)
+    Bt, tcols = diagonal(iso.balance_theta, (TB, n_iso))
+    balance = [(0, Bz * sign[zcols][:, None], zcols), (th, -Bt, tcols)]
     c = np.concatenate([-s.masked_cost if s.kind == "GENCO" else s.masked_cost
                         for s in entities] + [np.zeros(n_iso)])
     return TransformedLp(groups=groups, balance=balance, c=c, var_spans=vs,
@@ -697,157 +748,83 @@ def build_transformed_ed(submissions) -> TransformedLp:
                          n_rows=layout.n_rows, n_vars=layout.n_vars)
 
 
-def _diagonal_blocks(*Ms):
-    """``[(r0, r1, c0, c1)]``, the finest common split of the same-shape
-    matrices `Ms` into contiguous diagonal blocks of rows ``r0:r1`` by
-    columns ``c0:c1``: a cut before row i at column j needs, in each of
-    `Ms`, the rows above i to touch only columns below j and the rest only
-    columns from j on.  A sparse matrix touches its stored entries, a dense
-    one its nonzeros.  An empty row is a block of no columns.
-    """
-    n_rows, n_cols = Ms[0].shape
-    lo, hi = np.full(n_rows, n_cols), np.full(n_rows, -1)
-    for M in Ms:
-        if sp.issparse(M):
-            M = M.tocsr()
-            ptr, idx = M.indptr, M.indices
-        else:
-            row, idx = np.nonzero(M)
-            ptr = np.searchsorted(row, np.arange(n_rows + 1))
-        filled = np.flatnonzero(np.diff(ptr))
-        lo[filled] = np.minimum(lo[filled], np.minimum.reduceat(idx, ptr[filled]))
-        hi[filled] = np.maximum(hi[filled], np.maximum.reduceat(idx, ptr[filled]))
-    end = np.maximum.accumulate(hi)[:-1] + 1  # rows <= i: columns < end[i]
-    start = np.minimum.accumulate(lo[::-1])[::-1][1:]  # rows > i: >= start[i]
-    cut = np.flatnonzero(end <= start)
-    r = np.concatenate([[0], cut + 1, [n_rows]])
-    c = np.concatenate([[0], end[cut], [n_cols]])
-    return list(zip(r[:-1], r[1:], c[:-1], c[1:]))
-
-
-def _dense_rows(M, r0, r1, cols=None):
-    """``(cols, D)``: rows ``r0:r1`` of dense or sparse `M` as a dense ``D``
-    over the columns `cols`, by default those the rows touch, ascending (all
-    of a dense M's).  A CSR matrix is read from its arrays, not sliced."""
-    if not sp.issparse(M):
-        if cols is None:
-            return np.arange(M.shape[1]), M[r0:r1]
-        return cols, M[r0:r1, cols]
-    M = M.tocsr()
-    if not M.has_canonical_format:  # repeated entries are summed
-        M = M.copy()
-        M.sum_duplicates()
-    p = M.indptr[r0:r1 + 1]
-    idx = M.indices[p[0]:p[-1]]
-    if cols is None:
-        cols = np.unique(idx)
-    where = np.empty(M.shape[1], dtype=np.intp)
-    where[cols] = np.arange(cols.size)
-    D = np.zeros((r1 - r0, cols.size))
-    D[np.repeat(np.arange(r1 - r0), np.diff(p)), where[idx]] = M.data[p[0]:p[-1]]
-    return cols, D
-
-
 def _cancel_slacks(groups):
-    """Every row group ``(C, S, b)`` of `groups` with its slack block S
-    cancelled: per group a list of ``(r0, r1, cols, S⁻¹C, S⁻¹b)``, one per
-    diagonal block of S, with ``S⁻¹C`` dense over the block's rows ``r0:r1``
-    and the columns ``cols`` of C that they touch (all of a dense C's).
-
-    Groups are solved in batches of one shape of S and C.  A batch of dense
-    S (the entities; the line limits under dense keys) is solved whole, in
-    one stacked ``np.linalg.solve``, which gives each group's own solve bit
-    for bit.  A batch holding a sparse S (the two line-limit groups under
-    hourly keys) is split on one common split of its S's patterns
-    (`_diagonal_blocks`), and each block is solved for the whole batch in
-    one stacked solve, against the columns that its rows touch in any of
-    the batch's C.  This is the cancellation kernel of `eliminate_angles`.
+    """Every row group ``(C, S, b)`` of `groups` with its slack block
+    cancelled: per group ``(S⁻¹C, S⁻¹b)`` hour block by hour block, an
+    ``(H, r, c)`` stack and an ``(H, r)`` array, for C and S the ``(H, r,
+    c)`` and ``(H, r, r)`` stacks of their hour blocks (`_hour_stack`) and
+    b the ``H·r`` right-hand sides.  The groups of one shape of S and C
+    stacks (entities as ``H = 1`` stacks, the two line-limit groups as
+    ``(H, L, L)`` stacks) are solved in one stacked ``np.linalg.solve``,
+    which gives each hour block's own solve bit for bit.  This is the
+    cancellation kernel of `eliminate_angles`.
     """
     batches = {}
     for i, (C, S, _) in enumerate(groups):
         batches.setdefault((S.shape, C.shape), []).append(i)
-    out = [[] for _ in groups]
-    for ((m, _), (_, width)), idx in batches.items():
+    out = [None] * len(groups)
+    for ((H, m, _), (*_, width)), idx in batches.items():
         Cs, Ss, bs = zip(*(groups[i] for i in idx))
-        if not any(map(sp.issparse, Ss)):
-            rhs = np.empty((len(idx), m, width + 1))
-            rhs[:, :, :-1], rhs[:, :, -1] = Cs, bs
-            sol = np.linalg.solve(np.stack(Ss), rhs)
-            for i, x in zip(idx, sol):
-                out[i].append((0, m, np.arange(width), x[:, :-1], x[:, -1]))
-            continue
-        Cs = [C.tocsr() if sp.issparse(C) else sp.csr_matrix(C) for C in Cs]
-        for r0, r1, c0, c1 in _diagonal_blocks(*Ss):
-            cols = np.unique(np.concatenate(
-                [C.indices[C.indptr[r0]:C.indptr[r1]] for C in Cs]))
-            sol = np.linalg.solve(
-                np.stack([_dense_rows(S, r0, r1, np.arange(c0, c1))[1]
-                          for S in Ss]),
-                np.stack([np.column_stack([_dense_rows(C, r0, r1, cols)[1],
-                                           b[r0:r1]])
-                          for C, b in zip(Cs, bs)]))
-            for i, x in zip(idx, sol):
-                out[i].append((r0, r1, cols, x[:, :-1], x[:, -1]))
+        rhs = np.empty((len(idx), H, m, width + 1))
+        rhs[..., :-1], rhs[..., -1] = Cs, [b.reshape(H, m) for b in bs]
+        for i, x in zip(idx, np.linalg.solve(np.stack(Ss), rhs)):
+            out[i] = (x[..., :-1], x[..., -1])
     return out
 
 
 def _cancelled_groups(tlp: TransformedLp):
-    """``[(owner, row offset, column, blocks)]`` for every nonempty row
-    group of `tlp`, with its `_cancel_slacks` blocks, and ``S⁻¹b`` over all
-    of them, in the inequality rows of the clear LP's layout (see
-    `eliminate_angles`)."""
-    groups = [(owner, tlp.row_spans[owner][0], col, (C, S, b))
-              for owner, col, C, S, b in tlp.groups if b.size]
+    """``[(owner, row offset, column, S⁻¹C, cols)]`` for every row group of
+    `tlp`, with its `_cancel_slacks` stack over the columns ``cols`` of its
+    hour blocks, and ``S⁻¹b`` over all of them, in the inequality rows of
+    the clear LP's layout (see `eliminate_angles`)."""
     b_in = np.zeros(tlp.row_spans["balance"][0])
     out = []
-    for (owner, r0, col, _), blocks in zip(
-            groups, _cancel_slacks([g for *_, g in groups])):
-        for q0, q1, *_, x in blocks:
-            b_in[r0 + q0:r0 + q1] = x
-        out.append((owner, r0, col, blocks))
+    for (owner, col, _, cols, _, _), (D, x) in zip(
+            tlp.groups, _cancel_slacks([(C, S, b) for *_, C, _, S, b in tlp.groups])):
+        r0 = tlp.row_spans[owner][0]
+        b_in[r0:r0 + x.size] = x.ravel()
+        out.append((owner, r0, col, D, cols))
     return out, b_in
 
 
 def _block_triplets(placed):
-    """COO triplets of dense blocks ``(r0, col, (q0, q1, cols, D, ...))``,
-    each ``D`` at rows ``r0 + q0:r0 + q1`` by columns ``col + cols``: one
-    broadcast for all the blocks of one shape."""
+    """COO triplets of ``(r0, col, stack, cols)``, each ``(H, r, c)`` stack
+    of hour blocks with ``stack[h]`` at rows ``r0 + h·r`` on by columns
+    ``col + cols[h]``: one broadcast for all the stacks of one shape."""
     by_shape = {}
-    for r0, col, (q0, _, cols, D, *_) in placed:
-        by_shape.setdefault(D.shape, []).append((r0 + q0, col + cols, D))
+    for r0, col, D, cols in placed:
+        by_shape.setdefault(D.shape, []).append((r0, col + cols, D))
     out = []
-    for (m, w), items in by_shape.items():
+    for (H, r, c), items in by_shape.items():
         r0s, cols, Ds = zip(*items)
-        out.append((np.repeat(np.add.outer(r0s, np.arange(m)), w),
-                    np.tile(np.stack(cols), m).ravel(), np.stack(Ds).ravel()))
+        Ds = np.stack(Ds)
+        out.append((np.repeat(np.add.outer(r0s, np.arange(H * r)), c),
+                    np.broadcast_to(np.stack(cols)[:, :, None], Ds.shape).ravel(),
+                    Ds.ravel()))
     return out
 
 
 def _merge_line_rows(hi, lo):
-    """``(blocks, k)`` for the cancelled upper- and lower-limit rows of the
-    line-hours, ``hi = R_l1⁻¹·F`` and ``lo = -R_l2⁻¹·F``, given as
-    `_cancel_slacks` blocks on one common split: per row the ratio
-    ``k = r1/r2`` fitted by least squares, ``lo ≈ -k·hi``, and the
-    symmetric merge ``a = (hi - lo/k)/2``, as ``[(r0, r1, cols, a)]``.
-    Raises NumericalBreakdown unless every pair is antiparallel (``k > 0``)
-    to a relative residual ``|lo + k·hi| / |lo|`` of at most 1e-6."""
-    dots = functools.partial(np.einsum, "ij,ij->i")   # row-wise inner products
-    blocks, ks, fits = [], [np.zeros(0)], [np.zeros((2, 0))]
+    """``(a, k)`` for the cancelled upper- and lower-limit rows of the
+    line-hours, ``hi = R_l1⁻¹·F`` and ``lo = -R_l2⁻¹·F``, given as ``(H, L,
+    c)`` stacks of hour blocks: per row the ratio ``k = r1/r2`` fitted by
+    least squares, ``lo ≈ -k·hi``, hour-major, and the stack of the
+    symmetric merge ``a = (hi - lo/k)/2``.  Raises NumericalBreakdown
+    unless every pair is antiparallel (``k > 0``) to a relative residual
+    ``|lo + k·hi| / |lo|`` of at most 1e-6."""
+    dots = functools.partial(np.einsum, "...j,...j->...")   # row-wise
     with np.errstate(divide="ignore", invalid="ignore"):
-        for (r0, r1, cols, h, _), (*_, l, _) in zip(hi, lo):
-            k = -dots(h, l) / dots(h, h)
-            res = l + k[:, None] * h
-            # |lo + k·hi| <= 1e-6·|lo|, squared
-            fits.append(np.array([dots(res, res), 1e-12 * dots(l, l)]))
-            blocks.append((r0, r1, cols, (h - l * (1.0 / k)[:, None]) * 0.5))
-            ks.append(k)
-    k, (rr, ll) = np.concatenate(ks), np.concatenate(fits, axis=1)
-    bad = np.flatnonzero(~((k > 0) & (rr <= ll)))
+        k = -dots(hi, lo) / dots(hi, hi)
+        res = lo + k[..., None] * hi
+        # |lo + k·hi| <= 1e-6·|lo|, squared
+        fit = dots(res, res) <= 1e-12 * dots(lo, lo)
+        a = (hi - lo * (1.0 / k)[..., None]) * 0.5
+    bad = np.flatnonzero(~((k > 0) & fit))
     if bad.size:
         raise NumericalBreakdown(
             f"{bad.size} of {k.size} line-hour limit pairs are not "
             f"antiparallel (first: row {bad[0]})")
-    return blocks, k
+    return a, k.ravel()
 
 
 def _rows_as_bounds(problem):
@@ -909,12 +886,13 @@ class AngleElimination:
     inequality row's dual in its row (the moved rows' from
     their bounds' duals), the lower-limit duals divided by `k` and the
     masked balance duals in place of the reduced LP's equality duals.
-    `components` holds ``(rows, cols, zcols, Q, R, P)`` per diagonal block
-    of the balance block (`_diagonal_blocks`); `L` is the merged line
-    block ``a`` over the angle columns, `k` the lower-to-upper row ratios,
-    `lower` the rows of the lower limits and `moved` the ``(rows, cols,
-    coef)`` of the rows stated as bounds (`_rows_as_bounds`), both in the
-    inequality rows of that layout.
+    `components` holds ``(zcols, Q, R, P)``, the stacks over the hour
+    blocks of the balance rows: each hour's entity columns and its QR and
+    ``P`` (see `eliminate_angles`).  `L` is the merged line block ``a``
+    over the angle columns, `k` the lower-to-upper row ratios, `lower` the
+    rows of the lower limits and `moved` the ``(rows, cols, coef)`` of the
+    rows stated as bounds (`_rows_as_bounds`), both in the inequality rows
+    of that layout.
 
     `screened`, `lift` and `flows_in_rows` state `problem` with only some of
     its line-hours monitored, for a solve that adds line limits lazily.
@@ -929,11 +907,10 @@ class AngleElimination:
     """
 
     problem: LpProblem
-    components: list
+    components: tuple
     L: sp.csr_matrix
     k: np.ndarray
     lower: slice
-    n_balance: int
     moved: tuple
 
     def _screen_index(self, monitored):
@@ -1000,20 +977,17 @@ class AngleElimination:
         duals_in = _row_duals(sol, self.moved)
         duals_in[self.lower] /= self.k
         n_eq = sol.duals_eq.size - TL
-        theta = np.zeros(self.L.shape[1])
-        lam = np.zeros(self.n_balance)
+        zcols, Q, R, P = self.components
+        H, c = P.shape[:2]
         # dual feasibility of the eliminated columns, Bθᵀλ + Lθᵀμ = 0, with
         # Lθᵀμ = aᵀη from the flow equalities' duals η
-        g = self.L.T @ sol.duals_eq[n_eq:]
-        e = 0
-        for rows, cols, zcols, Q, R, P in self.components:
-            theta[cols] = P @ z[zcols]
-            nu = sol.duals_eq[e:e + rows.size - cols.size]
-            e += nu.size
-            lam[rows] = Q @ np.concatenate(
-                [-scipy.linalg.solve_triangular(R, g[cols], trans="T"), nu])
-        x = np.concatenate([z, theta])
-        return dataclasses.replace(sol, x=x, duals_in=duals_in, duals_eq=lam,
+        g = (self.L.T @ sol.duals_eq[n_eq:]).reshape(H, c, 1)
+        lam = Q @ np.concatenate(
+            [-scipy.linalg.solve_triangular(R, g, trans="T"),
+             sol.duals_eq[:n_eq].reshape(H, -1, 1)], axis=1)
+        x = np.concatenate([z, (P @ z[zcols][..., None]).ravel()])
+        return dataclasses.replace(sol, x=x, duals_in=duals_in,
+                                   duals_eq=lam.ravel(),
                                    duals_lb=np.zeros(x.size),
                                    duals_ub=np.zeros(x.size))
 
@@ -1036,24 +1010,25 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
 
     The masked balance rows read ``Bz·z + Bθ·θ' = 0``, with
     ``Bθ = -X_b·B·Y_θ`` and ``Bz`` the entities' published balance block,
-    both as signed in ``tlp.balance``.  `Bθ` is split into
-    its diagonal blocks (`_diagonal_blocks`: one per hour under hourly
-    keys, one under dense keys).  For each, a full QR
-    ``Bθ = [Q1 Q2]·[R; 0]`` turns the rows into ``θ' = P·z`` with
-    ``P = -R⁻¹·Q1ᵀ·Bz`` and the equalities ``Q2ᵀ·Bz·z = 0`` (one per hour
-    for a connected network).  The entity rows are unchanged.
+    both as signed in ``tlp.balance``: stacks of hour blocks (one per hour
+    under hourly keys, one under dense keys), ``Bz`` over each hour's
+    entity columns.  For each hour a full QR ``Bθ = [Q1 Q2]·[R; 0]``,
+    taken for all hours in one stacked call, turns the rows into
+    ``θ' = P·z`` with ``P = -R⁻¹·Q1ᵀ·Bz`` and the equalities
+    ``Q2ᵀ·Bz·z = 0`` (one per hour for a connected network).  The entity
+    rows are unchanged.
 
     Each line-hour's cancelled rows are ``hi = R_l1⁻¹·F`` and
     ``lo = -R_l2⁻¹·F`` (``F = G·KL·Y_θ``), one shift-factor row twice.
     `_merge_line_rows` finds ``k = r1/r2`` from the two rows alone, checks
     that they are antiparallel (NumericalBreakdown if not, rather than
-    solving another LP) and merges them into ``a``, block by block of the
-    line-slack blocks' common split (one per hour under hourly keys).
-    The line-hour then gets a column ``f``, the equality ``a·P·z - f = 0``
-    after the balance equalities, and the limits ``f <= b_hi`` and
-    ``-f <= b_lo/k`` in the rows the two line limits held, so the
-    inequality rows keep the clear LP's order.  Each block is built
-    densely over its own rows and columns, and the LP is placed once as
+    solving another LP) and merges them into ``a``, a stack of hour blocks
+    whose hour h lies over hour h's angle columns.  The line-hour then
+    gets a column ``f``, the equality ``a·P·z - f = 0`` after the balance
+    equalities, and the limits ``f <= b_hi`` and ``-f <= b_lo/k`` in the
+    rows the two line limits held, so the inequality rows keep the clear
+    LP's order.  Each block is built densely as a stack over its hours,
+    and the LP is placed once as
     CSR from its triplets, without the entries of magnitude at most 1e-9
     (cancellation residue that HiGHS drops on input, its
     ``small_matrix_value``).
@@ -1077,7 +1052,7 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     already derive.  It relies on each owner's slack block being
     invertible (a condition-gated ``X`` times a positive diagonal; a
     mitigation of item 4(a) that changes that must revisit it) and on each
-    diagonal block of ``Bθ`` having full column rank (a connected network, a
+    hour block of ``Bθ`` having full column rank (a connected network, a
     condition-gated ``X_b`` and ``Y_θ``).  ``k`` and the flows
     ``f = hi·θ'`` were already computable from what the agent received;
     nothing new is sent.  The entity part of the move exists only because
@@ -1090,41 +1065,25 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     """
     bal = tlp.row_spans["balance"][0]
     nz, n = tlp.var_spans["theta"]
-    n_iso, TB = n - nz, tlp.n_rows - bal
-    groups, b_in = _cancelled_groups(tlp)
-    (l0, l1), lower = tlp.row_spans["line_hi"], slice(*tlp.row_spans["line_lo"])
-    TL = l1 - l0
-    lines = {owner: blocks for owner, _, _, blocks in groups
-             if owner in ("line_hi", "line_lo")}
-    line_blocks, k = _merge_line_rows(lines.get("line_hi", []),
-                                      lines.get("line_lo", []))
+    # the entities' groups, then the upper and lower line limits
+    (*groups, (*_, hi, cols), (*_, lo, _)), b_in = _cancelled_groups(tlp)
+    l0, lower = tlp.row_spans["line_hi"][0], slice(*tlp.row_spans["line_lo"])
+    a, k = _merge_line_rows(hi, lo)
+    TL = k.size
     b_in[lower] /= k
     flow = nz + np.arange(TL)
-    ineq = _block_triplets([(r0, col, block) for owner, r0, col, blocks in groups
-                            if owner not in lines for block in blocks])
+    ineq = _block_triplets([placed for _, *placed in groups])
     ineq += [(l0 + np.arange(TL), flow, np.ones(TL)),
              (np.arange(lower.start, lower.stop), flow, -np.ones(TL))]
-    (_, Bz), (_, Bt) = tlp.balance
-
-    components, flow_parts, eq_parts, e = [], [], [], 0
-    for r0, r1, c0, c1 in _diagonal_blocks(Bt):
-        rows, cols = np.arange(r0, r1), np.arange(c0, c1)
-        zcols, Bz_k = _dense_rows(Bz, r0, r1)
-        Q, R = np.linalg.qr(_dense_rows(Bt, r0, r1, cols)[1], mode="complete")
-        R = R[:cols.size]
-        P = -scipy.linalg.solve_triangular(R, Q[:, :cols.size].T @ Bz_k)
-        eq = Q[:, cols.size:].T @ Bz_k
-        eq_parts.append(triplets(e + np.arange(eq.shape[0]), zcols, eq))
-        e += eq.shape[0]
-        # the flow rows a·P of the line blocks over these angle columns
-        for q0, q1, lcols, a in line_blocks:
-            inside = (c0 <= lcols) & (lcols < c1)
-            if inside.any():
-                ak = np.zeros((q1 - q0, cols.size))
-                ak[:, lcols[inside] - c0] = a[:, inside]
-                flow_parts.append(triplets(np.arange(q0, q1), zcols, ak @ P))
-        components.append((rows, cols, zcols, Q, R, P))
-    eq_parts += [(e + r, c, v) for r, c, v in flow_parts]
+    (_, Bz, zcols), (_, Bt, _) = tlp.balance
+    c = Bt.shape[2]
+    Q, R = np.linalg.qr(Bt, mode="complete")
+    R = R[:, :c]
+    P = -scipy.linalg.solve_triangular(R, np.swapaxes(Q[..., :c], 1, 2) @ Bz)
+    eq = np.swapaxes(Q[..., c:], 1, 2) @ Bz
+    e = eq.shape[0] * eq.shape[1]
+    # the flow rows a·P: hour h's line block lies over hour h's angle columns
+    eq_parts = _block_triplets([(0, 0, eq, zcols), (e, 0, a @ P, zcols)])
     eq_parts.append((e + np.arange(TL), flow, -np.ones(TL)))
     problem, moved = _rows_as_bounds(LpProblem(
         sense="max", c=np.concatenate([tlp.c[:nz], np.zeros(TL)]),
@@ -1132,10 +1091,9 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
         b_eq=np.zeros(e + TL),
         A_in=coo_csr(ineq, (bal, nz + TL), tiny=1e-9), b_in=b_in))
     # exact zeros left out, as sparse arithmetic leaves them out
-    L = coo_csr(_block_triplets([(0, 0, b) for b in line_blocks]), (TL, n_iso),
-                tiny=0.0)
-    return AngleElimination(problem=problem, components=components, L=L, k=k,
-                            lower=lower, n_balance=TB, moved=moved)
+    L = coo_csr(_block_triplets([(0, 0, a, cols)]), (TL, n - nz), tiny=0.0)
+    return AngleElimination(problem=problem, components=(zcols, Q, R, P), L=L,
+                            k=k, lower=lower, moved=moved)
 
 
 def apply_blocks(blocks, v) -> np.ndarray:

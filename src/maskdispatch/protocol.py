@@ -57,10 +57,7 @@ from maskdispatch.market import (
     ramp_limits, require_optimal,
 )
 from maskdispatch import masking
-from maskdispatch.masking import (
-    MaskConfig, EncryptedSubmission, build_transformed_ed,
-    recover_lmp,
-)
+from maskdispatch.masking import MaskConfig, build_transformed_ed, recover_lmp
 
 SCALAR_BYTES = 8
 HEADER_BYTES = 32
@@ -130,9 +127,6 @@ class EntityParty:
                 raise ProtocolViolation(
                     f"submission of {p.owner} leaks an unmasked block")
         return subs
-
-    def masked_submission(self, config: MaskConfig) -> EncryptedSubmission:
-        return self.masked_submissions([self], config)[0]
 
     def clear_payload(self) -> dict:
         assets = self.blocks.assets

@@ -434,7 +434,8 @@ def test_missing_submission_rejected(threebus):
     # entities, outside the payload; in another order one entity's balance
     # columns would sit under another's dispatch (a wrong optimum)
     assert iso.balance_owners == ("GENCO1", "GENCO2", "LSE1")
-    assert "balance_owners" not in iso.payload_arrays()
+    assert iso.hours == 1
+    assert {"balance_owners", "hours"}.isdisjoint(iso.payload_arrays())
     by_owner = {s.owner: s for s in subs}
     with pytest.raises(MissingSubmission):
         build_transformed_ed([by_owner[o] for o in ("GENCO2", "GENCO1", "LSE1", "ISO")])
@@ -705,64 +706,49 @@ def test_presolve_does_not_change_masked_multi_hour_solve():
     np.testing.assert_array_equal(without.duals_eq, with_presolve.duals_eq)
 
 
-def _assert_diagonal_blocks(M, want):
-    got = masking._diagonal_blocks(M)
-    assert [tuple(map(int, blk)) for blk in got] == want
-    # every entry lies in the block of its row
-    coo = sp.coo_matrix(M)
-    for r0, r1, c0, c1 in got:
-        rows = (r0 <= coo.row) & (coo.row < r1)
-        assert np.all((c0 <= coo.col[rows]) & (coo.col[rows] < c1))
-
-
-def test_diagonal_blocks_split_contiguous_blocks():
+def test_hour_stack_reads_dense_and_published_blocks():
+    # a dense block is one hour block, as a view; the operator's CSR is its
+    # stack of hour blocks, read from its entries without a copy, whether
+    # block diagonal or at each hour's own columns (the balance block's)
     rng = np.random.default_rng(3)
-    # Bθ-like: rectangular hour blocks, more buses than angles
-    hours = sp.block_diag([rng.uniform(0.01, 1.0, (4, 3)) for _ in range(3)],
-                          format="csr")
-    _assert_diagonal_blocks(hours, [(0, 4, 0, 3), (4, 8, 3, 6), (8, 12, 6, 9)])
-    # an empty middle row is a block of its own with no columns
-    gap = sp.vstack([sp.hstack([rng.uniform(0.01, 1.0, (2, 2)), sp.csr_matrix((2, 3))]),
-                     sp.csr_matrix((1, 5)),
-                     sp.hstack([sp.csr_matrix((2, 2)), rng.uniform(0.01, 1.0, (2, 3))])],
-                    format="csr")
-    _assert_diagonal_blocks(gap, [(0, 2, 0, 2), (2, 3, 2, 2), (3, 5, 2, 5)])
-    # one bus: no angle columns, one block per hour row
-    _assert_diagonal_blocks(sp.csr_matrix((2, 0)), [(0, 1, 0, 0), (1, 2, 0, 0)])
-    # a dense block and one entry coupling two blocks do not split
-    _assert_diagonal_blocks(rng.uniform(0.01, 1.0, (3, 3)), [(0, 3, 0, 3)])
-    coupled = hours.tolil()
-    coupled[1, 7] = 1.0
-    _assert_diagonal_blocks(coupled.tocsr(), [(0, 12, 0, 9)])
+    D = rng.uniform(0.01, 1.0, (4, 3))
+    stack, cols = masking._hour_stack(D)
+    assert np.shares_memory(stack, D) and stack.shape == (1, 4, 3)
+    np.testing.assert_array_equal(cols, [[0, 1, 2]])
+    hours = rng.uniform(0.01, 1.0, (3, 4, 2))
+    at = np.array([[0, 5], [1, 3], [2, 4]])
+    for want in (np.arange(6).reshape(3, 2), at):
+        M = masking._block_diagonal_csr(hours, want)
+        stack, cols = masking._hour_stack(M, 3)
+        assert np.shares_memory(stack, M.data)
+        np.testing.assert_array_equal(stack, hours)
+        np.testing.assert_array_equal(cols, want)
+    # rows stored out of order are the same matrix
+    M = masking._block_diagonal_csr(hours)
+    shuffled = sp.csr_matrix((M.data.reshape(-1, 2)[:, ::-1].ravel(),
+                              M.indices.reshape(-1, 2)[:, ::-1].ravel(), M.indptr),
+                             shape=M.shape)
+    np.testing.assert_array_equal(masking._hour_stack(shuffled, 3)[0], hours)
+    # no lines, or one bus: empty hour blocks
+    for shape in ((0, 6), (6, 0)):
+        M = masking._block_diagonal_csr(np.zeros((3, shape[0] // 3, shape[1] // 3)))
+        stack, cols = masking._hour_stack(M, 3)
+        assert stack.shape == (3, shape[0] // 3, shape[1] // 3)
+        assert cols.shape == (3, shape[1] // 3)
 
 
-def test_sparse_slack_cancellation_matches_dense_solve():
-    # hourly line keys give a block-diagonal slack block, cancelled one
-    # diagonal block at a time; one entry couples the last two blocks, so
-    # they must be solved as one
-    rng = np.random.default_rng(5)
-    sizes = [1, 3, 6, 3]
-    S = sp.block_diag([rng.uniform(0.01, 1.0, (k, k)) + k * np.eye(k)
-                       for k in sizes], format="lil")
-    S[4, 11] = 0.5
-    S = S.tocsr()
-    assert [blk[:2] for blk in masking._diagonal_blocks(S)] == [(0, 1), (1, 4), (4, 13)]
-    # the blocks' rows of C touch different column sets, one block none
-    C = sp.random(13, 20, density=0.3, random_state=6, format="lil")
-    C[0, :] = 0.0
-    C[0, 17] = 2.0
-    C[1:4, :] = 0.0
-    C = C.tocsr()
-    b = rng.normal(size=13)
-    (blocks,) = masking._cancel_slacks([(C, S, b)])
-    got_C, got_b = np.zeros(C.shape), np.zeros(b.size)
-    for r0, r1, cols, SC, Sb in blocks:
-        got_C[r0:r1, cols], got_b[r0:r1] = SC, Sb
-    np.testing.assert_allclose(got_C,
-                               np.linalg.solve(S.toarray(), C.toarray()),
-                               rtol=0, atol=1e-12)
-    np.testing.assert_allclose(got_b, np.linalg.solve(S.toarray(), b),
-                               rtol=0, atol=1e-12)
+def test_hour_stack_refuses_other_layouts():
+    rng = np.random.default_rng(4)
+    M = masking._block_diagonal_csr(rng.uniform(0.01, 1.0, (3, 4, 2)))
+    outside = M.copy()
+    outside.indices[1] = 4           # one entry of hour 0 moved into hour 2
+    dropped = M.toarray()
+    dropped[5, 2] = 0.0              # one stored entry left out
+    for bad, hours in ((outside, 3), (sp.csr_matrix(dropped), 3),
+                       (M, 5),       # 12 rows do not split into 5 hours
+                       (M.tocoo(), 3), (M.toarray(), 3)):
+        with pytest.raises(DimensionMismatch):
+            masking._hour_stack(bad, hours)
 
 
 @pytest.mark.parametrize("case", ["threebus", "hourly-14"])
@@ -780,9 +766,10 @@ def test_eliminate_slacks_equals_dense_cancellation(case, threebus):
     want = cancelled_slack_form(tlp)
     groups, b_in = masking._cancelled_groups(tlp)
     got = np.zeros(want.A_in.shape)
-    for _, r0, col, parts in groups:
-        for q0, q1, cols, D, _ in parts:
-            got[r0 + q0:r0 + q1, col + cols] = D
+    for _, r0, col, D, cols in groups:
+        rows = r0 + np.arange(D.shape[0] * D.shape[1]).reshape(D.shape[:2])
+        for block, at, hour_rows in zip(D, cols, rows):
+            got[np.ix_(hour_rows, col + at)] = block
     np.testing.assert_allclose(got, want.A_in, rtol=0, atol=1e-10)
     np.testing.assert_allclose(b_in, want.b_in, rtol=0, atol=1e-10)
 
@@ -791,7 +778,7 @@ def _case_submissions(case, seed, threebus):
     """(published submissions, hours) for a named case at mask seed `seed`."""
     if case == "threebus":
         blocks, config = build_ed_blocks(threebus), MaskConfig()
-    elif case in ("hourly-14", "hourly-14-1seg", "hourly-14-coupled"):
+    elif case in ("hourly-14", "hourly-14-1seg"):
         segments = 1 if case == "hourly-14-1seg" else 2
         blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3,
                                                segments=segments))
@@ -799,22 +786,7 @@ def _case_submissions(case, seed, threebus):
     else:
         blocks = build_ed_blocks(gen_synthetic(30, 2, 2, 5, 4, seed=1, segments=3))
         config = MaskConfig()
-    keys = party_keys(blocks, seed, config)
-    if case != "hourly-14-coupled":
-        return masked_submissions(blocks, keys), blocks.T
-    # one entry of X_l2 couples the first line-hour row to the last hour,
-    # so the lower-limit slack block no longer splits by hour while the
-    # upper-limit one still does; a stack of hour blocks cannot hold that
-    # key, so the lower-limit group is published from the full matrix
-    subs = masked_submissions(blocks, keys)
-    X = scipy.linalg.block_diag(*keys.iso.X_l2)
-    X[0, -1] = 0.5
-    flow = blocks.flow_rows @ scipy.linalg.block_diag(*keys.iso.Y_theta)
-    iso = subs[-1]
-    iso.line_flow_lo = sp.csr_matrix(-(X @ flow))
-    iso.line_slack_lo = sp.csr_matrix(X * keys.iso.R_l2[None, :])
-    iso.line_rhs_lo = X @ blocks.line_caps
-    return subs, blocks.T
+    return masked_submissions(blocks, party_keys(blocks, seed, config)), blocks.T
 
 
 def _case_tlp(case, seed, threebus):
@@ -826,19 +798,12 @@ def _case_tlp(case, seed, threebus):
 @pytest.mark.parametrize("case, seed", [("hourly-14", 0), ("hourly-14", 1),
                                         ("hourly-14", 2), ("threebus", 0),
                                         ("pooled30-4h", 44), ("pooled30-4h", 73),
-                                        ("hourly-14-1seg", 0),
-                                        ("hourly-14-coupled", 0)])
+                                        ("hourly-14-1seg", 0)])
 def test_eliminated_angles_reproduce_cancelled_solve(case, seed, threebus):
     # substituting the angles out and mapping the solution back gives an
     # optimal point and duals of the cancelled LP: its entity and angle
     # slices and balance duals match the cancelled LP's own solve
-    tlp, T = _case_tlp(case, seed, threebus)
-    if case == "hourly-14-coupled":
-        # the two line-slack blocks split differently, so the kernel
-        # cancels both line-limit groups on one common split
-        (_, _, _, S_hi, _), (_, _, _, S_lo, _) = tlp.groups[-2:]
-        assert len(masking._diagonal_blocks(S_hi)) == T
-        assert len(masking._diagonal_blocks(S_lo)) == 1
+    tlp, _ = _case_tlp(case, seed, threebus)
     config = SolverConfig(backend="highs")
     cancelled = cancelled_slack_form(tlp)
     want = solve_lp(cancelled, config, presolve=False)
@@ -869,6 +834,33 @@ def test_eliminated_angles_reproduce_cancelled_solve(case, seed, threebus):
         assert binding[coef > 0].any() and binding[coef < 0].any()
 
 
+@pytest.mark.parametrize("backend", ["auto", "highs"])
+def test_coupled_hour_blocks_are_refused(backend, monkeypatch):
+    # one entry of X_l2 couples the first line-hour row to the last hour,
+    # so the operator publishes its lower-limit group from the full matrix
+    # (a stack of hour blocks cannot hold that key): the agent refuses the
+    # blocks that do not lie on their hour blocks before any LP is solved
+    mask_iso, solved = masking.mask_iso, []
+
+    def coupled(blocks, keys, incidences):
+        iso = mask_iso(blocks, keys, incidences)
+        X = scipy.linalg.block_diag(*keys.X_l2)
+        X[0, -1] = 0.5
+        flow = blocks.flow_rows @ scipy.linalg.block_diag(*keys.Y_theta)
+        iso.line_flow_lo = sp.csr_matrix(-(X @ flow))
+        iso.line_slack_lo = sp.csr_matrix(X * keys.R_l2[None, :])
+        iso.line_rhs_lo = X @ blocks.line_caps
+        return iso
+
+    monkeypatch.setattr(masking, "mask_iso", coupled)
+    monkeypatch.setattr(protocol, "solve_lp", lambda *a, **k: solved.append(a))
+    with pytest.raises(DimensionMismatch):
+        run_market_round(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2), 0,
+                         mode="masked", config=SolverConfig(backend=backend),
+                         mask_config=MaskConfig(hourly_block_masks=True))
+    assert solved == []
+
+
 @pytest.mark.parametrize("case", ["threebus", "hourly-14", "pooled30-4h"])
 def test_eliminated_angles_keep_one_equality_per_hour(case, threebus):
     # hourly keys leave one balance component per hour and dense keys one
@@ -883,13 +875,14 @@ def test_eliminated_angles_keep_one_equality_per_hour(case, threebus):
     n_iso = tlp.n_structural - nz
     bal = tlp.row_spans["balance"][0]
     TL = tlp.row_spans["line_hi"][1] - tlp.row_spans["line_hi"][0]
-    assert len(reduced.components) == (T if case == "hourly-14" else 1)
+    zcols, Q, R, P = reduced.components
+    assert len(P) == len(zcols) == (T if case == "hourly-14" else 1)
     moved = reduced.moved[0].size
     assert moved >= 2 * TL
     assert (reduced.problem.n_vars, reduced.problem.A_in.shape[0]) == (nz + TL,
                                                                       bal - moved)
     assert reduced.problem.A_eq.shape[0] == T + TL
-    assert sum(cols.size for _, cols, *_ in reduced.components) == n_iso
+    assert P.shape[0] * P.shape[1] == n_iso
     assert reduced.L.shape == (TL, n_iso)
 
 

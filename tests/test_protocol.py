@@ -107,6 +107,21 @@ def test_byte_accounting_and_aggregates(threebus):
     assert as_json["entities_to_agent"]["count"] == cost.total_up_count
 
 
+@pytest.mark.parametrize("name, up, down", [("threebus", 2_408, 240),
+                                            ("grid118-2h", 3_894_736, 10_752)])
+def test_masked_round_wire_bytes(threebus, name, up, down):
+    # every block goes out at its full shape, and no submission's metadata
+    # (its owner and kind, the operator's balance owners and hour count)
+    # is a payload block
+    system, config, mask_config, seed, _ = _screening_case(name, threebus)
+    _, log = run_market_round(system, seed, mode="masked", config=config,
+                              mask_config=mask_config)
+    cost = comm_cost(log)
+    assert (cost.total_up_bytes, cost.total_down_bytes) == (up, down)
+    metadata = {"owner", "kind", "balance_owners", "hours"}
+    assert all(metadata.isdisjoint(m.payload) for m in log.messages)
+
+
 def test_empty_log_zero_report():
     report = comm_cost(CommLog())
     assert report.total_up_count == 0
@@ -164,7 +179,8 @@ def test_sparse_objects_do_not_grow_with_the_number_of_parties(monkeypatch):
     built.clear()
     for e, seed in zip(blocks.gencos + blocks.lses, seeds):
         party = protocol.EntityParty(e, seed, horizon=blocks.T)
-        party.masked_submission(MaskConfig(hourly_block_masks=True))
+        protocol.EntityParty.masked_submissions(
+            [party], MaskConfig(hourly_block_masks=True))
     assert built == []
 
 
@@ -565,7 +581,7 @@ def test_entity_recover_rejects_a_slice_of_the_wrong_size(threebus):
     party = protocol.EntityParty(blocks.gencos[0], 0)
     with pytest.raises(ProtocolViolation, match="cannot decode"):
         party.recover(np.zeros(3))
-    party.masked_submission(MaskConfig())
+    protocol.EntityParty.masked_submissions([party], MaskConfig())
     assert party.recover(np.zeros(3)).shape == (3,)
     for size in (2, 4):
         with pytest.raises(ProtocolViolation, match="cannot decode"):
