@@ -20,15 +20,18 @@ problems whose rows plus columns exceed ``_SIMPLEX_SIZE_LIMIT`` go to
 scipy's HiGHS solver, which accepts the same data and is mapped onto the
 same dual convention.  The masked round asks it before assembling
 anything, because only the simplex takes the slack form; HiGHS gets the
-flow-form LP that ``masking.eliminate_angles`` builds as CSR, with its
-single-entry rows (the flow limits and, under hourly masks, the bound rows
-of single-segment entities) stated as column bounds.  What stays a row is
+flow-form LP of ``masking.eliminate_angles``, with its single-entry rows
+(the flow limits and, under hourly masks, the bound rows of
+single-segment entities) stated as column bounds.  What stays a row is
 an equality or a ramp row over two columns, a dense combination that
 presolve cannot reduce, so that LP is solved without presolve: on the
 118-bus, 2-hour case (mask seeds 1000-1002) presolve costs time, 61-83 ms
 a solve against 51-67 ms without.  The agent solves it with its line
-limits screened (``protocol._solve_screened``), and certifies the last
-solution on the whole LP through ``_finish``.
+limits screened (``protocol._solve_screened``): each screened LP, built
+as CSR with flow rows for its monitored line-hours only, is certified
+through ``_finish`` as it is solved, and the last certificate with the
+bound check of the flows left out certifies the whole LP, which is
+built only should a screened solve fail.
 """
 
 from __future__ import annotations

@@ -25,10 +25,12 @@ the shift-factor form in flow form: the entity columns plus one
 masked-flow column per line-hour, one balance equality per hour and one
 flow equality per line-hour).  Every step of that is a stacked call over
 the hour blocks: one stacked solve per shape of slack and constraint
-stacks cancels the slack blocks (``_cancel_slacks``), and the QR, the
-triangular solves and the flow rows run over the hours of the balance
-and line stacks, hour h's line block over hour h's angle columns.  The
-agent builds CSR only for the matrices it hands on.  After cancellation
+stacks cancels the slack blocks (``_cancel_slacks``), and the QR runs
+over the hours of the balance stack.  The flow form is kept as stacks,
+hour h's line block over hour h's angle columns: the agent builds each
+LP it solves straight from them, with the flow rows of the line-hours
+it monitors only (``AngleElimination.screened``), and builds CSR only
+for the matrices it hands on.  After cancellation
 a line-hour's upper and lower limit rows are one row up to a positive
 factor; the agent checks that they are antiparallel and raises
 NumericalBreakdown if not.  The factor and the
@@ -827,36 +829,37 @@ def _merge_line_rows(hi, lo):
     return a, k.ravel()
 
 
-def _rows_as_bounds(problem):
-    """`problem`, whose columns are free, with single-entry inequality rows
-    stated as column bounds, and ``(rows, cols, coef)`` of the rows moved.
-    Row ``a·x_j <= b`` of CSR ``A_in`` becomes ``ub_j = b/a`` when
-    ``a > 0`` and ``lb_j = b/a`` when ``a < 0``.  Only the first such row
-    per column and direction moves; a later one stays a row, as do all
-    rows with other counts.  A lower bound above its column's new upper
-    bound stays a row too: a fixed quantity (``lo == hi``) gives two rows
-    from separate cancellations, whose bounds can cross by rounding, and
-    an infeasible one is left for the solver to report."""
-    A, b = problem.A_in, problem.b_in
-    rows = np.flatnonzero(np.diff(A.indptr) == 1)
-    cols, coef = A.indices[A.indptr[rows]], A.data[A.indptr[rows]]
+def _single_entry_bounds(r, c, v, b, lb, ub):
+    """``(kept, lb, ub, (rows, cols, coef))`` for the inequality rows
+    ``A x <= b`` stored as the triplets ``(r, c, v)``, their columns free
+    but for `lb` and `ub`: the single-entry rows stated as column bounds.
+    Row ``a·x_j <= b`` becomes ``ub_j = b/a`` when ``a > 0`` and
+    ``lb_j = b/a`` when ``a < 0``.  Only the first such row per column and
+    direction moves; a later one stays a row, as do all rows with other
+    counts.  A lower bound above its column's new upper bound stays a row
+    too: a fixed quantity (``lo == hi``) gives two rows from separate
+    cancellations, whose bounds can cross by rounding, and an infeasible
+    one is left for the solver to report.  `kept` marks the rows that
+    stay; ``(rows, cols, coef)`` are the rows moved."""
+    single = np.flatnonzero(np.bincount(r, minlength=b.size)[r] == 1)
+    single = single[np.argsort(r[single], kind="stable")]
+    rows, cols, coef = r[single], c[single], v[single]
     # np.unique's indices are those of each key's first occurrence
     _, first = np.unique(2 * cols + (coef < 0), return_index=True)
     rows, cols, coef = rows[first], cols[first], coef[first]
     bound, up = b[rows] / coef, coef > 0
-    lb, ub = problem.lb.copy(), problem.ub.copy()
+    lb, ub = lb.copy(), ub.copy()
     ub[cols[up]] = bound[up]
     move = up | (bound <= ub[cols])
     rows, cols, coef, bound = rows[move], cols[move], coef[move], bound[move]
     lb[cols[coef < 0]] = bound[coef < 0]
     kept = np.ones(b.size, dtype=bool)
     kept[rows] = False
-    return dataclasses.replace(problem, A_in=A[kept], b_in=b[kept],
-                               lb=lb, ub=ub), (rows, cols, coef)
+    return kept, lb, ub, (rows, cols, coef)
 
 
 def _row_duals(sol, moved):
-    """The inequality duals of the problem before `_rows_as_bounds` from
+    """The inequality duals of the rows before `_single_entry_bounds` from
     `sol` of the problem after it: a moved row's dual is its bound's dual
     divided by the row's coefficient."""
     rows, cols, coef = moved
@@ -875,117 +878,174 @@ _SCREEN_TOL = 1e-9
 
 @dataclass
 class AngleElimination:
-    """The masked LP in flow form over the entity columns, and the way back.
+    """The masked LP in flow form over the entity columns, kept as the
+    stacks it is built from, and the way back.
 
-    `problem` is what `eliminate_angles` hands the solver: the entity
-    columns ``z``, then one masked-flow column ``f`` per line-hour, with
-    its single-entry rows stated as column bounds.  `restore` maps its
-    optimal solution to the clear LP's layout (``ed_layout(slacks=False)``,
-    the structural columns and rows of ``tlp.problem``): the masked angles
-    ``θ' = P·z`` after the entity columns (``f`` is dropped), every
-    inequality row's dual in its row (the moved rows' from
-    their bounds' duals), the lower-limit duals divided by `k` and the
-    masked balance duals in place of the reduced LP's equality duals.
-    `components` holds ``(zcols, Q, R, P)``, the stacks over the hour
-    blocks of the balance rows: each hour's entity columns and its QR and
-    ``P`` (see `eliminate_angles`).  `L` is the merged line block ``a``
-    over the angle columns, `k` the lower-to-upper row ratios, `lower` the
-    rows of the lower limits and `moved` the ``(rows, cols, coef)`` of the
-    rows stated as bounds (`_rows_as_bounds`), both in the inequality rows
-    of that layout.
+    The flow form (see `eliminate_angles`) has the entity columns ``z``,
+    then one masked-flow column ``f`` per line-hour; the balance
+    equalities ``Q2ᵀ·Bz·z = 0``, then one flow equality ``a·P·z - f = 0``
+    per line-hour, with ``P = -R⁻¹·Q1ᵀ·Bz``; and the inequality rows, the
+    single-entry ones stated as column bounds.  It is kept as `c`, the
+    entity columns' costs (a flow costs nothing); `A_in` and `b_in`, the
+    inequality rows left rows, CSR over ``z`` and ``f``; `lb` and `ub`,
+    the bounds of ``z`` and ``f``; and the stacks over the hour blocks of
+    the balance rows: each hour's entity columns `zcols` and balance block
+    `Bz`, the full QR `Q`, `R` of its angle block, its balance equalities
+    ``eq = Q2ᵀ·Bz`` and its merged line block `a` over its angle columns.
+    `k` holds the lower-to-upper row ratios, `lower` the rows of the lower
+    limits and `moved` the ``(rows, cols, coef)`` of the rows stated as
+    bounds (`_single_entry_bounds`), both in the inequality rows of the
+    clear LP's layout.  ``P`` is never formed.
 
-    `screened`, `lift` and `flows_in_rows` state `problem` with only some of
-    its line-hours monitored, for a solve that adds line limits lazily.
-    An unmonitored line-hour loses its flow row and flow column, and with
-    them its limits: the balance equalities, every inequality row and the
-    other column bounds stay, so the screened LP is a relaxation of
-    `problem`.  Its optimum lifted back (``f = F_z·z`` from the flow rows'
-    entity part ``F_z = a·P``, zero duals on the dropped rows and bounds)
-    is optimal for `problem` whenever every lifted flow lies within its
-    bounds: the point is feasible, and the zero duals leave the dual
-    solution feasible with the same objective.
+    `screened` builds the flow form with only some line-hours monitored,
+    the LP the agent solves; `problem`, the whole flow form, is built on
+    first access only (by the round's fallback when a screened solve is
+    not optimal, and by tests).  An unmonitored line-hour loses its flow row and flow column,
+    and with them its limits: the balance equalities, every inequality
+    row and the other column bounds stay, so the screened LP is a
+    relaxation of `problem`.  `lift` maps its optimum onto `problem`: each
+    unmonitored flow ``f = a·θ'`` from the angles ``θ' = P·z``
+    (`angles`), zero duals on the dropped rows and bounds.  That point is
+    optimal for `problem` whenever every lifted flow lies within its
+    bounds: the dropped flow rows hold by construction, and the zero duals
+    leave the dual solution feasible with the same objective.  So the
+    screened solve's certificate and the lift's bound check certify it on
+    `problem`.  `restore` maps an optimal solution of `problem` to the
+    clear LP's layout (``ed_layout(slacks=False)``, the structural columns
+    and rows of ``tlp.problem``): the masked angles ``θ'`` after the
+    entity columns (``f`` is dropped), every inequality row's dual in its
+    row (the moved rows' from their bounds' duals), the lower-limit duals
+    divided by `k` and the masked balance duals in place of the flow
+    form's equality duals.
     """
 
-    problem: LpProblem
-    components: tuple
-    L: sp.csr_matrix
+    c: np.ndarray
+    A_in: sp.csr_matrix
+    b_in: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    moved: tuple
     k: np.ndarray
     lower: slice
-    moved: tuple
+    a: np.ndarray
+    Q: np.ndarray
+    R: np.ndarray
+    Bz: np.ndarray
+    zcols: np.ndarray
+    eq: np.ndarray
 
-    def _screen_index(self, monitored):
-        """(rows of ``problem.A_eq``, columns of `problem`) that
-        ``screened(monitored)`` keeps, in order."""
-        TL = self.k.size
-        nz, n_eq = self.problem.n_vars - TL, self.problem.A_eq.shape[0] - TL
-        return (np.concatenate([np.arange(n_eq), n_eq + monitored]),
-                np.concatenate([np.arange(nz), nz + monitored]))
+    @functools.cached_property
+    def problem(self) -> LpProblem:
+        """The whole flow form, every line-hour monitored, built on first
+        access."""
+        return self.screened(np.arange(self.k.size))
 
     def flows_in_rows(self):
         """The line-hours whose flow column an inequality row touches,
-        sorted: a flow limit that `_rows_as_bounds` left a row because its
-        bounds crossed.  They are monitored from the first solve on, so
-        every inequality row of `problem` is a row of each screened LP."""
-        nz = self.problem.n_vars - self.k.size
-        cols = self.problem.A_in.indices
+        sorted: a flow limit that `_single_entry_bounds` left a row because
+        its bounds crossed.  They are monitored from the first solve on, so
+        every inequality row is a row of each screened LP."""
+        nz, cols = self.c.size, self.A_in.indices
         return np.unique(cols[cols >= nz]) - nz
 
+    def _flow_rows(self, monitored, r0):
+        """COO triplets of the flow rows ``a_i·P·z - f_i`` of the sorted
+        line-hours `monitored`, the i-th in row ``r0 + i`` with its flow at
+        column ``c.size + i``.  Per hour, ``a_i·P = -(Q1·R⁻ᵀ·a_iᵀ)ᵀ·Bz``:
+        a solve and products with the monitored rows of ``a`` only."""
+        H, L, n = self.a.shape
+        hour, line = np.divmod(monitored, L)
+        out, r = [], r0
+        for h in np.unique(hour):
+            at = line[hour == h]
+            W = scipy.linalg.solve_triangular(self.R[h], self.a[h, at].T, trans="T")
+            rows = -((self.Q[h, :, :n] @ W).T @ self.Bz[h])
+            out.append((np.repeat(r + np.arange(at.size), rows.shape[1]),
+                        np.tile(self.zcols[h], at.size), rows.ravel()))
+            r += at.size
+        m = monitored.size
+        return out + [(r0 + np.arange(m), self.c.size + np.arange(m), -np.ones(m))]
+
     def screened(self, monitored) -> LpProblem:
-        """`problem` with the flow rows and flow columns of the line-hours
-        in sorted `monitored` only (a superset of `flows_in_rows`): the entity
-        columns, then those flow columns in order; the balance equalities,
-        then those flow rows; every inequality row."""
-        p = self.problem
-        rows, cols = self._screen_index(monitored)
-        return LpProblem(sense=p.sense, c=p.c[cols], A_eq=p.A_eq[rows][:, cols],
-                         b_eq=p.b_eq[rows], A_in=p.A_in[:, cols], b_in=p.b_in,
-                         lb=p.lb[cols], ub=p.ub[cols])
+        """The flow form with the flow rows and flow columns of the
+        line-hours in sorted `monitored` only (a superset of
+        `flows_in_rows`): the entity columns, then those flow columns in
+        order; the balance equalities, then those flow rows; every
+        inequality row.  It is built from the stacks, each flow row only
+        for a monitored line-hour (`_flow_rows`), as CSR from its triplets
+        without the entries of magnitude at most 1e-9 (cancellation
+        residue that HiGHS drops on input, its ``small_matrix_value``)."""
+        nz, m = self.c.size, monitored.size
+        e = self.eq.shape[0] * self.eq.shape[1]
+        cols = np.concatenate([np.arange(nz), nz + monitored])
+        # each kept column's position; the rows touch no other
+        at = np.full(self.lb.size, -1)
+        at[cols] = np.arange(cols.size)
+        A = self.A_in
+        return LpProblem(
+            sense="max", c=np.concatenate([self.c, np.zeros(m)]),
+            A_eq=coo_csr(_block_triplets([(0, 0, self.eq, self.zcols)])
+                         + self._flow_rows(monitored, e), (e + m, nz + m),
+                         tiny=1e-9),
+            b_eq=np.zeros(e + m),
+            A_in=sp.csr_matrix((A.data, at[A.indices], A.indptr),
+                               shape=(A.shape[0], nz + m)),
+            b_in=self.b_in, lb=self.lb[cols], ub=self.ub[cols])
+
+    def angles(self, z):
+        """The masked angles ``θ' = P·z = -R⁻¹·Q1ᵀ·(Bz·z)`` at the entity
+        columns' values `z`, as the ``(H, c, 1)`` stack of the hours:
+        products and a solve with vectors."""
+        n = self.R.shape[1]
+        y = np.swapaxes(self.Q[..., :n], 1, 2) @ (self.Bz @ z[self.zcols][..., None])
+        return -scipy.linalg.solve_triangular(self.R, y)
 
     def lift(self, sol, monitored):
         """``(lifted, violated)`` for the optimal `sol` of
         ``screened(monitored)``: `lifted` is `sol` in the layout of
-        `problem`, with each unmonitored flow ``f = F_z·z`` and a zero dual
-        on each unmonitored flow row and bound, and `violated` the
-        unmonitored line-hours whose flow lies outside its bounds by more
-        than ``_SCREEN_TOL`` relative to ``1 + |bound|``, sorted."""
-        p = self.problem
-        nz, n_eq = p.n_vars - self.k.size, p.A_eq.shape[0] - self.k.size
-        rows, cols = self._screen_index(monitored)
-        x = np.zeros(p.n_vars)
-        x[:nz] = sol.x[:nz]
-        # with every flow column at 0 the flow rows give F_z·z
-        x[nz:] = (p.A_eq @ x)[n_eq:]
-        f, lb, ub = x[nz:].copy(), p.lb[nz:], p.ub[nz:]
+        `problem`, with each unmonitored flow ``f = a·θ'``, a zero dual on
+        each unmonitored flow row and bound and the largest bound
+        violation of those flows in its primal residual, and `violated`
+        the unmonitored line-hours whose flow lies outside its bounds by
+        more than ``_SCREEN_TOL`` relative to ``1 + |bound|``, sorted."""
+        nz, TL = self.c.size, self.k.size
+        e = sol.duals_eq.size - monitored.size
+        cols = np.concatenate([np.arange(nz), nz + monitored])
+        x = np.concatenate([sol.x[:nz], (self.a @ self.angles(sol.x[:nz])).ravel()])
+        f, lb, ub = x[nz:].copy(), self.lb[nz:], self.ub[nz:]
         x[cols] = sol.x
+        over = np.maximum(f - ub, lb - f)
         out = (f - ub > _SCREEN_TOL * (1.0 + np.abs(ub))) \
             | (lb - f > _SCREEN_TOL * (1.0 + np.abs(lb)))
-        out[monitored] = False
-        duals_eq, duals_lb, duals_ub = (np.zeros(p.A_eq.shape[0]),
-                                        np.zeros(p.n_vars), np.zeros(p.n_vars))
-        duals_eq[rows], duals_lb[cols], duals_ub[cols] = (
-            sol.duals_eq, sol.duals_lb, sol.duals_ub)
+        over[monitored], out[monitored] = 0.0, False
+        duals_eq, duals_lb, duals_ub = (np.zeros(e + TL), np.zeros(nz + TL),
+                                        np.zeros(nz + TL))
+        duals_eq[np.concatenate([np.arange(e), e + monitored])] = sol.duals_eq
+        duals_lb[cols], duals_ub[cols] = sol.duals_lb, sol.duals_ub
+        residual = max(sol.max_primal_residual, float(np.max(over, initial=0.0)))
         return dataclasses.replace(sol, x=x, duals_eq=duals_eq, duals_lb=duals_lb,
-                                   duals_ub=duals_ub), np.flatnonzero(out)
+                                   duals_ub=duals_ub,
+                                   max_primal_residual=residual), np.flatnonzero(out)
 
     def restore(self, sol):
-        """`sol` with ``x``, ``duals_in`` and ``duals_eq`` in the clear
-        LP's layout; a non-optimal `sol` is returned as it is."""
+        """`sol`, optimal for `problem`, with ``x``, ``duals_in`` and
+        ``duals_eq`` in the clear LP's layout; a non-optimal `sol` is
+        returned as it is."""
         if sol.x is None:
             return sol
-        TL = self.k.size
-        z = sol.x[:sol.x.size - TL]
+        nz = self.c.size
+        H, L, _ = self.a.shape
+        z = sol.x[:nz]
         duals_in = _row_duals(sol, self.moved)
         duals_in[self.lower] /= self.k
-        n_eq = sol.duals_eq.size - TL
-        zcols, Q, R, P = self.components
-        H, c = P.shape[:2]
+        e = sol.duals_eq.size - self.k.size
         # dual feasibility of the eliminated columns, Bθᵀλ + Lθᵀμ = 0, with
         # Lθᵀμ = aᵀη from the flow equalities' duals η
-        g = (self.L.T @ sol.duals_eq[n_eq:]).reshape(H, c, 1)
-        lam = Q @ np.concatenate(
-            [-scipy.linalg.solve_triangular(R, g, trans="T"),
-             sol.duals_eq[:n_eq].reshape(H, -1, 1)], axis=1)
-        x = np.concatenate([z, (P @ z[zcols][..., None]).ravel()])
+        g = np.swapaxes(self.a, 1, 2) @ sol.duals_eq[e:].reshape(H, L, 1)
+        lam = self.Q @ np.concatenate(
+            [-scipy.linalg.solve_triangular(self.R, g, trans="T"),
+             sol.duals_eq[:e].reshape(H, -1, 1)], axis=1)
+        x = np.concatenate([z, self.angles(z).ravel()])
         return dataclasses.replace(sol, x=x, duals_in=duals_in,
                                    duals_eq=lam.ravel(),
                                    duals_lb=np.zeros(x.size),
@@ -996,7 +1056,7 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     """The masked LP with every slack block cancelled, the free angle
     columns substituted out and each line-hour stated once through a
     masked-flow column: the shift-factor (PTDF) form of the dispatch,
-    computed on masked data.
+    computed on masked data, kept as the stacks its LPs are built from.
 
     Each owner's row group reads ``C z + S s = b`` with ``s >= 0``, where
     ``C = X·E·Y``, ``S = X·diag(R)`` and ``b = X·M`` are what the owner
@@ -1027,26 +1087,27 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     gets a column ``f``, the equality ``a·P·z - f = 0`` after the balance
     equalities, and the limits ``f <= b_hi`` and ``-f <= b_lo/k`` in the
     rows the two line limits held, so the inequality rows keep the clear
-    LP's order.  Each block is built densely as a stack over its hours,
-    and the LP is placed once as
-    CSR from its triplets, without the entries of magnitude at most 1e-9
-    (cancellation residue that HiGHS drops on input, its
-    ``small_matrix_value``).
+    LP's order.
 
-    Last, the inequality rows left with one entry are stated as bounds
-    of their columns (`_rows_as_bounds`), which an interior-point solver
-    treats far more cheaply than a row: the flow limits, and the bound
-    rows of every entity whose column mask is diagonal.  The other rows
-    stay in ``problem.A_in`` in their order.  `restore` puts each bound's
-    dual back in its row (`_row_duals`), so ``duals_in`` keeps the clear
-    LP's layout.  On the 118-bus, 2-hour case with hourly keys, 1,140 of
-    1,248 inequality rows move and the 108 two-entry ramp rows stay.
+    The inequality rows are placed as triplets, without the entries of
+    magnitude at most 1e-9 (cancellation residue that HiGHS drops on
+    input, its ``small_matrix_value``), and those left with one entry are
+    stated as bounds of their columns (`_single_entry_bounds`) before any
+    CSR is built: an interior-point solver treats a bound far more cheaply
+    than a row.  They are the flow limits, and the bound rows of every
+    entity whose column mask is diagonal.  The other rows become
+    ``A_in`` in their order.  `restore` puts each bound's dual back in its
+    row (`_row_duals`), so ``duals_in`` keeps the clear LP's layout.  On
+    the 118-bus, 2-hour case with hourly keys, 1,140 of 1,248 inequality
+    rows move and the 108 two-entry ramp rows stay.
 
-    The agent does not solve `problem` whole in one go: the flow rows hold
-    almost all of its nonzeros and few line-hours bind, so it solves
+    The flow rows would hold almost all of the flow form's nonzeros, and
+    few line-hours bind, so none is formed here: the agent solves
     ``AngleElimination.screened`` LPs that monitor a growing set of
-    line-hours and certifies the lifted last one on `problem` (see
-    `protocol._solve_screened`).
+    line-hours, each built with the flow rows of its monitored line-hours
+    only, and lifts the last one onto the whole flow form (see
+    `protocol._solve_screened`).  Neither ``P`` nor the whole flow form is
+    formed unless the fallback asks for ``AngleElimination.problem``.
 
     Only published data is read, so the agent learns nothing it could not
     already derive.  It relies on each owner's slack block being
@@ -1063,10 +1124,9 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     mixes an entity's hours makes them dense again, and this part of the
     saving goes with it.
     """
-    bal = tlp.row_spans["balance"][0]
-    nz, n = tlp.var_spans["theta"]
+    nz = tlp.var_spans["theta"][0]
     # the entities' groups, then the upper and lower line limits
-    (*groups, (*_, hi, cols), (*_, lo, _)), b_in = _cancelled_groups(tlp)
+    (*groups, (*_, hi, _), (*_, lo, _)), b_in = _cancelled_groups(tlp)
     l0, lower = tlp.row_spans["line_hi"][0], slice(*tlp.row_spans["line_lo"])
     a, k = _merge_line_rows(hi, lo)
     TL = k.size
@@ -1075,25 +1135,21 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     ineq = _block_triplets([placed for _, *placed in groups])
     ineq += [(l0 + np.arange(TL), flow, np.ones(TL)),
              (np.arange(lower.start, lower.stop), flow, -np.ones(TL))]
+    r, col, v = (np.concatenate(t) for t in zip(*ineq))
+    keep = np.abs(v) > 1e-9
+    r, col, v = r[keep], col[keep], v[keep]
+    kept, lb, ub, moved = _single_entry_bounds(
+        r, col, v, b_in, np.full(nz + TL, -np.inf), np.full(nz + TL, np.inf))
+    row, stay = np.cumsum(kept) - 1, kept[r]
+    A_in = coo_csr([(row[r[stay]], col[stay], v[stay])],
+                   (int(kept.sum()), nz + TL))
     (_, Bz, zcols), (_, Bt, _) = tlp.balance
-    c = Bt.shape[2]
+    n = Bt.shape[2]
     Q, R = np.linalg.qr(Bt, mode="complete")
-    R = R[:, :c]
-    P = -scipy.linalg.solve_triangular(R, np.swapaxes(Q[..., :c], 1, 2) @ Bz)
-    eq = np.swapaxes(Q[..., c:], 1, 2) @ Bz
-    e = eq.shape[0] * eq.shape[1]
-    # the flow rows a·P: hour h's line block lies over hour h's angle columns
-    eq_parts = _block_triplets([(0, 0, eq, zcols), (e, 0, a @ P, zcols)])
-    eq_parts.append((e + np.arange(TL), flow, -np.ones(TL)))
-    problem, moved = _rows_as_bounds(LpProblem(
-        sense="max", c=np.concatenate([tlp.c[:nz], np.zeros(TL)]),
-        A_eq=coo_csr(eq_parts, (e + TL, nz + TL), tiny=1e-9),
-        b_eq=np.zeros(e + TL),
-        A_in=coo_csr(ineq, (bal, nz + TL), tiny=1e-9), b_in=b_in))
-    # exact zeros left out, as sparse arithmetic leaves them out
-    L = coo_csr(_block_triplets([(0, 0, a, cols)]), (TL, n - nz), tiny=0.0)
-    return AngleElimination(problem=problem, components=(zcols, Q, R, P), L=L,
-                            k=k, lower=lower, moved=moved)
+    return AngleElimination(
+        c=tlp.c[:nz], A_in=A_in, b_in=b_in[kept], lb=lb, ub=ub, moved=moved,
+        k=k, lower=lower, a=a, Q=Q, R=R[:, :n], Bz=Bz, zcols=zcols,
+        eq=np.swapaxes(Q[..., n:], 1, 2) @ Bz)
 
 
 def apply_blocks(blocks, v) -> np.ndarray:

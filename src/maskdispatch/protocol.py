@@ -31,11 +31,14 @@ out, states each line-hour once through a masked-flow column and its
 single-entry rows as column bounds (`masking.eliminate_angles`).  It
 solves that LP with the line limits added lazily (`_solve_screened`):
 first without the flow rows, then with every line-hour whose flow the
-last solution overloads, until none is, and certifies the last solution
-on the whole flow-form LP.  Should a screened solve not be optimal, the
-whole LP is solved as it is.  The solution is mapped back to masked
-angles, row duals and balance duals before any slice is sent.  The
-simplex takes the all-equality slack form.
+last solution overloads, until none is.  Each screened LP is built
+straight from the stacks, with flow rows for its monitored line-hours
+only, and the last one's certificate, with the bound check of every
+flow it left out, certifies the solution on the whole flow-form LP,
+which is never built.  Should a screened solve not be optimal, the
+whole LP is built and solved as it is.  The solution is mapped back to
+masked angles, row duals and balance duals before any slice is sent.
+The simplex takes the all-equality slack form.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from maskdispatch import lp
 from maskdispatch.lp import (
     OPTIMAL, NumericalBreakdown, SolverConfig, choose_backend, solve_lp,
 )
@@ -414,18 +416,22 @@ def _run_clear(system, blocks, parties, iso, log, config):
 
 
 def _solve_screened(reduced, config):
-    """The optimal solution of the flow-form LP ``reduced.problem``, found
-    with its line limits added lazily and certified on it, or None when a
-    solve on the way is not optimal.
+    """The optimal solution of the whole flow-form LP ``reduced.problem``,
+    found with its line limits added lazily and never building that LP, or
+    None when a solve on the way is not optimal.
 
     The first LP monitors no line-hour but those an inequality row
     touches (`masking.AngleElimination.flows_in_rows`); each solve's lifted
-    flows ``F_z·z`` name the line-hours to add, and the next solve
-    monitors them too.  The monitored set only grows, so at most TL + 1
-    LPs are solved.  The last solution, lifted onto ``reduced.problem``,
-    goes through ``lp._finish`` like any solve, with the iterations of
-    every solve.  No presolve: the singleton rows it would remove are
-    bounds already, and on the flow form it costs time.
+    flows ``a·θ'`` name the line-hours to add, and the next solve monitors
+    them too.  The monitored set only grows, so at most TL + 1 LPs are
+    solved.  The last solution is returned lifted onto the layout of
+    ``reduced.problem``, with the iterations of every solve.  Its
+    certificate is that of the last screened solve (``lp._finish``), its
+    primal residual raised to the worst bound violation of the lifted
+    flows: the flow rows it dropped hold by construction and their duals
+    are zero, so that certifies it on the whole LP too.  No presolve: the
+    singleton rows it would remove are bounds already, and on the flow
+    form it costs time.
     """
     monitored = reduced.flows_in_rows()
     iterations = 0
@@ -437,9 +443,7 @@ def _solve_screened(reduced, config):
             iterations += sol.iterations
             sol, violated = reduced.lift(sol, monitored)
             if not violated.size:
-                return lp._finish(reduced.problem, sol.x, sol.duals_eq,
-                                  sol.duals_in, iterations, sol.backend,
-                                  duals_lb=sol.duals_lb, duals_ub=sol.duals_ub)
+                return dataclasses.replace(sol, iterations=iterations)
             monitored = np.union1d(monitored, violated)
     except NumericalBreakdown:
         return None
@@ -473,8 +477,9 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
         # leaving an LP over the entity and flow columns with one balance
         # equality per hour and dense or two-entry rows; it stays on HiGHS
         # however small that LP is, is solved with its line limits screened
-        # and, should a screened solve not be optimal, whole as it is, and
-        # its solution is mapped back to angles and row duals
+        # and, should a screened solve not be optimal, built whole and
+        # solved as it is, and its solution is mapped back to angles and
+        # row duals
         reduced = masking.eliminate_angles(tlp)
         highs = dataclasses.replace(config, backend="highs")
         sol = _solve_screened(reduced, highs)

@@ -875,15 +875,56 @@ def test_eliminated_angles_keep_one_equality_per_hour(case, threebus):
     n_iso = tlp.n_structural - nz
     bal = tlp.row_spans["balance"][0]
     TL = tlp.row_spans["line_hi"][1] - tlp.row_spans["line_hi"][0]
-    zcols, Q, R, P = reduced.components
-    assert len(P) == len(zcols) == (T if case == "hourly-14" else 1)
+    H = T if case == "hourly-14" else 1
+    assert len(reduced.R) == len(reduced.zcols) == len(reduced.eq) == H
     moved = reduced.moved[0].size
     assert moved >= 2 * TL
+    assert reduced.A_in.shape == (bal - moved, nz + TL)
     assert (reduced.problem.n_vars, reduced.problem.A_in.shape[0]) == (nz + TL,
                                                                       bal - moved)
+    assert reduced.eq.shape[0] * reduced.eq.shape[1] == T
     assert reduced.problem.A_eq.shape[0] == T + TL
-    assert P.shape[0] * P.shape[1] == n_iso
-    assert reduced.L.shape == (TL, n_iso)
+    # the angle columns of each hour, and its line-hours over them
+    assert reduced.R.shape[0] * reduced.R.shape[1] == n_iso
+    assert reduced.a.shape == (H, TL // H, n_iso // H)
+
+
+@pytest.mark.parametrize("case", ["threebus", "hourly-14", "pooled30-4h"])
+def test_screened_lp_is_a_slice_of_the_whole_flow_form(case, threebus):
+    # each screened LP, built from the stacks, is the whole flow form with
+    # the flow rows and columns of its monitored line-hours only.  A flow
+    # row formed with fewer rows of its hour goes through other BLAS
+    # kernels, so it agrees to rounding (about 1e-13 relative), not bit
+    # for bit
+    tlp, _ = _case_tlp(case, 1, threebus)
+    reduced = masking.eliminate_angles(tlp)
+    whole = reduced.problem
+    nz, TL = reduced.c.size, reduced.k.size
+    e = whole.A_eq.shape[0] - TL
+    for monitored in (reduced.flows_in_rows(), np.array([0, TL // 2, TL - 1]),
+                      np.arange(TL)):
+        got = reduced.screened(monitored)
+        rows = np.concatenate([np.arange(e), e + monitored])
+        cols = np.concatenate([np.arange(nz), nz + monitored])
+        want = whole.A_eq[rows][:, cols]
+        assert got.A_eq.shape == want.shape and got.A_eq.nnz == want.nnz
+        assert abs(got.A_eq - want).max() <= 1e-12 * abs(want).max()
+        assert (got.A_in != whole.A_in[:, cols]).nnz == 0
+        for name in ("c", "lb", "ub"):
+            np.testing.assert_array_equal(getattr(got, name),
+                                          getattr(whole, name)[cols])
+        np.testing.assert_array_equal(got.b_eq, whole.b_eq[rows])
+        np.testing.assert_array_equal(got.b_in, whole.b_in)
+
+
+def _rows_as_bounds(p):
+    """`p` with the single-entry rows of its CSR ``A_in`` stated as column
+    bounds by `masking._single_entry_bounds`, and the rows moved."""
+    coo = p.A_in.tocoo()
+    kept, lb, ub, moved = masking._single_entry_bounds(
+        coo.row, coo.col, coo.data, p.b_in, p.lb, p.ub)
+    return dataclasses.replace(p, A_in=p.A_in[kept], b_in=p.b_in[kept],
+                               lb=lb, ub=ub), moved
 
 
 @pytest.mark.parametrize("caps", [(4.0, 3.0), (3.0, 4.0)],
@@ -897,7 +938,7 @@ def test_repeated_single_entry_row_stays_a_row(caps):
                   A_in=sp.csr_matrix([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                                       [1.0, 1.0, 0.0], [0.0, 0.0, -1.0]]),
                   b_in=[caps[0], caps[1], 10.0, -2.0])
-    bounded, moved = masking._rows_as_bounds(p)
+    bounded, moved = _rows_as_bounds(p)
     rows, cols, coef = moved
     np.testing.assert_array_equal(rows, [0, 3])
     np.testing.assert_array_equal(cols, [0, 2])
@@ -923,7 +964,7 @@ def test_crossing_lower_bound_stays_a_row():
     # tolerance; the duals restore as for any kept row
     p = LpProblem(sense="max", c=[1.0],
                   A_in=sp.csr_matrix([[1.0], [-1.0]]), b_in=[1.0, -(1.0 + 1e-12)])
-    bounded, moved = masking._rows_as_bounds(p)
+    bounded, moved = _rows_as_bounds(p)
     rows, cols, coef = moved
     np.testing.assert_array_equal(rows, [0])
     np.testing.assert_array_equal(bounded.b_in, [-(1.0 + 1e-12)])

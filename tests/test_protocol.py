@@ -373,17 +373,19 @@ def test_pooled_multi_hour_masked_round_matches_clear(seed):
                                                   ("highs", (22, 12), 4)])
 def test_masked_round_solves_slack_form_only_on_simplex(threebus, monkeypatch,
                                                         backend, shape, n_eq):
-    # the simplex gets the all-equality masked LP; HiGHS gets it with every
-    # slack block cancelled, the 2 angle columns substituted out and each
-    # of the 3 lines stated once: the clear LP's 24 inequality rows over
-    # its 9 entity columns and 3 flow columns, less the 6 flow limits that
-    # become the flow columns' bounds, plus one system balance row and 3
-    # flow rows.  That LP is certified; threebus is congested, so HiGHS
-    # first solves it without any flow row or column and then once more
-    # with the binding line-hour.  The agent places only the matrix it
-    # solves, so HiGHS never sees a 27 x 35 slack form built
-    seen, placed, tlps, certified = [], [], [], []
-    finish = lp._finish
+    # the simplex gets the all-equality masked LP, and that LP is
+    # certified; HiGHS gets it with every slack block cancelled, the 2
+    # angle columns substituted out and each of the 3 lines stated once:
+    # the clear LP's 24 inequality rows over its 9 entity columns and 3
+    # flow columns, less the 6 flow limits that become the flow columns'
+    # bounds, plus one system balance row and 3 flow rows.  threebus is
+    # congested, so HiGHS first solves it without any flow row or column
+    # and then once more with the binding line-hour, and that last
+    # screened LP is certified.  The agent places only the matrices it
+    # solves, so HiGHS never sees a 27 x 35 slack form built, and the
+    # whole flow form is built only when asked for after the round
+    seen, placed, tlps, reduced, certified = [], [], [], [], []
+    finish, eliminate = lp._finish, masking.eliminate_angles
 
     def spy(problem, config=None, **kwargs):
         seen.append(problem)
@@ -401,23 +403,34 @@ def test_masked_round_solves_slack_form_only_on_simplex(threebus, monkeypatch,
         tlps.append(masking.build_transformed_ed(submissions))
         return tlps[-1]
 
+    def eliminate_spy(tlp):
+        reduced.append(eliminate(tlp))
+        return reduced[-1]
+
     monkeypatch.setattr(protocol, "solve_lp", spy)
     monkeypatch.setattr(lp, "_finish", finish_spy)
     monkeypatch.setattr(protocol, "build_transformed_ed", build_spy)
     monkeypatch.setattr(masking, "place_blocks", place_spy)
+    monkeypatch.setattr(masking, "eliminate_angles", eliminate_spy)
     run_market_round(threebus, 0, mode="masked",
                      config=SolverConfig(backend=backend))
     problem, (tlp,) = certified[-1], tlps
-    assert (problem.n_rows, problem.n_vars) == shape
-    assert problem.A_eq.shape[0] == n_eq
     if backend == "auto":
+        assert (problem.n_rows, problem.n_vars) == shape
+        assert problem.A_eq.shape[0] == n_eq
         assert len(seen) == 1 and seen[0] is problem
-        assert placed == [shape]
+        assert placed == [shape] and reduced == []
     else:
-        first = seen[0]
-        assert len(seen) == 2
+        (first, last), (flow_form,) = seen, reduced
         assert first.A_eq.shape == (1, 9) and first.A_in.shape[1] == 9
+        assert problem is last
+        assert (last.n_rows, last.n_vars) == (shape[0] - 2, shape[1] - 2)
+        assert last.A_eq.shape[0] == n_eq - 2
         assert placed == [] and "problem" not in tlp.__dict__
+        assert "problem" not in flow_form.__dict__
+        whole = flow_form.problem
+        assert (whole.n_rows, whole.n_vars) == shape
+        assert whole.A_eq.shape[0] == n_eq
 
 
 def _screening_case(name, threebus):
@@ -498,9 +511,10 @@ def test_binding_line_hour_is_monitored_with_its_dual(threebus, threebus_golden,
 
 def test_flow_limit_left_a_row_is_monitored_from_the_first_solve(threebus,
                                                                   monkeypatch):
-    # `_rows_as_bounds` leaves a flow limit a row when its bounds cross; a
-    # row over line 2's flow column keeps that column and its flow row in
-    # every screened LP, and the screened solve still gives the whole LP's
+    # `_single_entry_bounds` leaves a flow limit a row when its bounds
+    # cross; a row over line 2's flow column keeps that column and its flow
+    # row in every screened LP, and the screened solve still gives the
+    # whole LP's
     reduced = []
     eliminate = masking.eliminate_angles
 
@@ -512,12 +526,12 @@ def test_flow_limit_left_a_row_is_monitored_from_the_first_solve(threebus,
     config = SolverConfig(backend="highs")
     run_market_round(threebus, 0, mode="masked", config=config)
     (flow_form,) = reduced
-    p = flow_form.problem
-    nz = p.n_vars - flow_form.k.size
-    row = sp.csr_matrix(([1.0], ([0], [nz + 1])), shape=(1, p.n_vars))
-    flow_form.problem = dataclasses.replace(
-        p, A_in=sp.vstack([p.A_in, row], format="csr"),
-        b_in=np.append(p.b_in, p.ub[nz + 1]))
+    A, nz = flow_form.A_in, flow_form.c.size
+    row = sp.csr_matrix(([1.0], ([0], [nz + 1])), shape=(1, A.shape[1]))
+    flow_form.A_in = sp.vstack([A, row], format="csr")
+    flow_form.b_in = np.append(flow_form.b_in, flow_form.ub[nz + 1])
+    # the whole flow form, built below, has the row too
+    assert "problem" not in flow_form.__dict__
     assert flow_form.flows_in_rows().tolist() == [1]
     first = flow_form.screened(flow_form.flows_in_rows())
     assert first.n_vars == nz + 1 and first.A_eq.shape[0] == 2
@@ -528,23 +542,117 @@ def test_flow_limit_left_a_row_is_monitored_from_the_first_solve(threebus,
 
 
 def test_last_certificate_of_a_round_is_on_the_flow_form(threebus, monkeypatch):
-    reduced, certified = [], []
+    # each screened LP is certified as it is solved, the last one with the
+    # binding line-hour; the whole flow form is not built, let alone
+    # certified, in the round (its certificate follows from the last one,
+    # see test_lifted_solution_is_certified_on_the_whole_flow_form)
+    reduced, seen, certified = [], [], []
     eliminate, finish = masking.eliminate_angles, lp._finish
 
     def eliminate_spy(tlp):
         reduced.append(eliminate(tlp))
         return reduced[-1]
 
+    def spy(problem, config=None, **kwargs):
+        seen.append(problem)
+        return solve_lp(problem, config, **kwargs)
+
     def finish_spy(problem, *args, **kwargs):
         certified.append(problem)
         return finish(problem, *args, **kwargs)
 
     monkeypatch.setattr(masking, "eliminate_angles", eliminate_spy)
+    monkeypatch.setattr(protocol, "solve_lp", spy)
     monkeypatch.setattr(lp, "_finish", finish_spy)
     run_market_round(threebus, 0, mode="masked",
                      config=SolverConfig(backend="highs"))
     (flow_form,) = reduced
-    assert len(certified) == 3 and certified[-1] is flow_form.problem
+    assert len(certified) == 2 and certified == seen
+    assert flow_form.problem.n_vars > certified[-1].n_vars
+
+
+@pytest.mark.parametrize("name", ["threebus", "hourly14-3h", "grid118-2h"])
+def test_highs_round_never_builds_the_whole_flow_form(threebus, monkeypatch, name):
+    system, config, mask_config, seed, _ = _screening_case(name, threebus)
+    reduced, eliminate = [], masking.eliminate_angles
+
+    def eliminate_spy(tlp):
+        reduced.append(eliminate(tlp))
+        return reduced[-1]
+
+    monkeypatch.setattr(masking, "eliminate_angles", eliminate_spy)
+    run_market_round(system, seed, mode="masked", config=config,
+                     mask_config=mask_config)
+    (flow_form,) = reduced
+    assert "problem" not in flow_form.__dict__
+
+
+@pytest.mark.parametrize("name, seeds", [("threebus", range(10)),
+                                         ("hourly14-3h", range(3)),
+                                         ("grid118-2h", range(1000, 1003))])
+def test_lifted_solution_is_certified_on_the_whole_flow_form(threebus,
+                                                            monkeypatch,
+                                                            name, seeds):
+    # the round's certificate is the last screened solve's plus the lift's
+    # bound check; the whole flow form's own certificate at the lifted
+    # solution passes and agrees with it
+    system, config, mask_config, _, _ = _screening_case(name, threebus)
+    rounds, eliminate = [], masking.eliminate_angles
+    solve_screened = protocol._solve_screened
+
+    def eliminate_spy(tlp):
+        rounds.append([eliminate(tlp)])
+        return rounds[-1][0]
+
+    def screened_spy(reduced, config):
+        rounds[-1].append(solve_screened(reduced, config))
+        return rounds[-1][-1]
+
+    monkeypatch.setattr(masking, "eliminate_angles", eliminate_spy)
+    monkeypatch.setattr(protocol, "_solve_screened", screened_spy)
+    for seed in seeds:
+        run_market_round(system, seed, mode="masked", config=config,
+                         mask_config=mask_config)
+    assert len(rounds) == len(seeds)
+    for reduced, sol in rounds:
+        assert "problem" not in reduced.__dict__
+        whole = lp._finish(reduced.problem, sol.x, sol.duals_eq, sol.duals_in,
+                           sol.iterations, sol.backend,
+                           duals_lb=sol.duals_lb, duals_ub=sol.duals_ub)
+        scale = 1.0 + abs(sol.objective)
+        assert abs(whole.objective - sol.objective) <= 1e-9 * scale
+        assert abs(whole.gap - sol.gap) <= 1e-9 * scale
+        assert abs(whole.max_cs_violation - sol.max_cs_violation) <= 1e-9 * scale
+        assert abs(whole.max_primal_residual
+                   - sol.max_primal_residual) <= 1e-9 * scale
+
+
+def test_screened_solve_not_optimal_solves_the_whole_flow_form(threebus,
+                                                              monkeypatch):
+    # a screened solve that ends infeasible hands the round to the whole
+    # flow form, built then, which clears the market as the clear round does
+    clear, _ = run_market_round(threebus, 0, mode="clear")
+    seen, reduced = [], []
+    eliminate = masking.eliminate_angles
+
+    def spy(problem, config=None, **kwargs):
+        seen.append(problem)
+        if len(seen) == 1:
+            return lp.LpSolution(status=lp.INFEASIBLE, backend="highs")
+        return solve_lp(problem, config, **kwargs)
+
+    def eliminate_spy(tlp):
+        reduced.append(eliminate(tlp))
+        return reduced[-1]
+
+    monkeypatch.setattr(protocol, "solve_lp", spy)
+    monkeypatch.setattr(masking, "eliminate_angles", eliminate_spy)
+    masked, _ = run_market_round(threebus, 0, mode="masked",
+                                 config=SolverConfig(backend="highs"))
+    (flow_form,) = reduced
+    assert len(seen) == 2 and seen[-1] is flow_form.problem
+    assert masked.objective == pytest.approx(clear.objective, abs=1e-6)
+    assert clear.max_dispatch_diff(masked) <= 1e-6
 
 
 @pytest.mark.parametrize("backend", ["auto", "highs"])

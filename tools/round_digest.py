@@ -14,13 +14,23 @@ agree clear every masked round bit for bit, whatever their wire format,
 and two whose clear digests agree clear the case bit for bit in clear
 mode.  Each line reads ``case full-digest outcome-digest clear-digest``.
 
+With ``--against OTHER`` it prints, in place of the digests, how far
+this tree's rounds lie from those of OTHER's ``src/`` (run in a
+subprocess): per case, the worst deviation over its masked rounds and
+that of its clear round, in objective (relative to 1 + |objective|),
+dispatch, angles, flows and LMPs (absolute).  Each line reads ``case
+mode objective dispatch angles flows lmp``.
+
     python3 tools/round_digest.py                 # this checkout's src/
     python3 tools/round_digest.py --root OTHER    # OTHER/src, e.g. a parent checkout
+    python3 tools/round_digest.py --against OTHER grid118-2h
 """
 
 import argparse
 import hashlib
 import os
+import pickle
+import subprocess
 import sys
 
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -74,8 +84,9 @@ def outcome(label, cleared, iterations):
     return parts
 
 
-def digest(name, run_market_round, iterations):
-    """``(full, outcome, clear)``, the hex digests of the case's rounds."""
+def rounds(name, run_market_round, iterations):
+    """``(label, cleared, iterations, log)`` for each masked round of the
+    case in seed order, then for its clear round."""
     from maskdispatch import MaskConfig, SolverConfig, gen_synthetic, load_case
 
     case, solver, mask, seeds = CASES[name]
@@ -85,13 +96,26 @@ def digest(name, run_market_round, iterations):
                                         "cases", "threebus.case"))
     else:
         system = gen_synthetic(**case)
-    full, masked = hashlib.sha256(), hashlib.sha256()
     for seed in seeds:
         iterations.clear()
         cleared, log = run_market_round(system, seed, mode="masked",
                                         config=SolverConfig(**solver),
                                         mask_config=MaskConfig(**mask))
-        for part in outcome(f"seed {seed}", cleared, iterations):
+        yield f"seed {seed}", cleared, iterations, log
+    iterations.clear()
+    cleared, log = run_market_round(system, 0, mode="clear",
+                                    config=SolverConfig(**solver))
+    yield "clear", cleared, iterations, log
+
+
+def digest(name, run_market_round, iterations):
+    """``(full, outcome, clear)``, the hex digests of the case's rounds."""
+    full, masked = hashlib.sha256(), hashlib.sha256()
+    for label, cleared, counts, log in rounds(name, run_market_round, iterations):
+        if label == "clear":
+            clear = hashlib.sha256(b"".join(outcome("clear", cleared, counts)))
+            break
+        for part in outcome(label, cleared, counts):
             full.update(part)
             masked.update(part)
         for m in log.messages:
@@ -100,24 +124,13 @@ def digest(name, run_market_round, iterations):
                 full.update(key.encode())
                 for part in chunks(value):
                     full.update(part)
-    iterations.clear()
-    cleared, _ = run_market_round(system, 0, mode="clear",
-                                  config=SolverConfig(**solver))
-    clear = hashlib.sha256(b"".join(outcome("clear", cleared, iterations)))
     return full.hexdigest(), masked.hexdigest(), clear.hexdigest()
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--root", default=HERE,
-                    help="repository whose src/ is imported (default: this one)")
-    ap.add_argument("cases", nargs="*", default=list(CASES),
-                    help=f"cases to run (default: all of {', '.join(CASES)})")
-    args = ap.parse_args()
-    unknown = sorted(set(args.cases) - set(CASES))
-    if unknown:
-        ap.error(f"unknown case(s): {', '.join(unknown)}")
-    sys.path.insert(0, os.path.join(os.path.abspath(args.root), "src"))
+def load(root):
+    """``(run_market_round, iterations)`` from `root`'s ``src/``, with the
+    iteration count of every LP solve appended to `iterations`."""
+    sys.path.insert(0, os.path.join(os.path.abspath(root), "src"))
     from maskdispatch import protocol
 
     iterations = []
@@ -129,8 +142,71 @@ def main():
         return sol
 
     protocol.solve_lp = counted
+    return protocol.run_market_round, iterations
+
+
+def outcomes(root, names):
+    """Case name -> ``[(label, objective, dispatch, angles, flows, lmp)]``
+    over its rounds (`rounds`) in `root`'s ``src/``, dispatch joined over
+    the owners in order."""
+    import numpy as np
+
+    run, iterations = load(root)
+    return {name: [(label, c.objective,
+                    np.concatenate([*c.gen_dispatch.values(),
+                                    *c.load_dispatch.values()]),
+                    c.angles, c.flows, c.lmp)
+                   for label, c, _, _ in rounds(name, run, iterations)]
+            for name in names}
+
+
+def deviations(mine, theirs):
+    """Per case and mode (masked, clear), the worst deviation of `mine`
+    from `theirs` (`outcomes` of both trees) in objective, relative to
+    1 + |objective|, and in dispatch, angles, flows and LMPs, absolute."""
+    import numpy as np
+
+    out = {}
+    for name, rows in mine.items():
+        for a, b in zip(rows, theirs[name]):
+            if a[0] != b[0]:
+                raise ValueError(f"{name}: round {a[0]} against {b[0]}")
+            mode = "clear" if a[0] == "clear" else "masked"
+            dev = [abs(a[1] - b[1]) / (1.0 + abs(b[1]))]
+            dev += [float(np.max(np.abs(x - y), initial=0.0))
+                    for x, y in zip(a[2:], b[2:])]
+            worst = out.setdefault((name, mode), dev)
+            out[name, mode] = [max(u, v) for u, v in zip(worst, dev)]
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--root", default=HERE,
+                    help="repository whose src/ is imported (default: this one)")
+    ap.add_argument("--against", metavar="OTHER",
+                    help="print the deviations from OTHER's src/ instead")
+    ap.add_argument("cases", nargs="*", default=list(CASES),
+                    help=f"cases to run (default: all of {', '.join(CASES)})")
+    args = ap.parse_args()
+    unknown = sorted(set(args.cases) - set(CASES))
+    if unknown:
+        ap.error(f"unknown case(s): {', '.join(unknown)}")
+    if args.against:
+        code = ("import pickle, sys; sys.path.insert(0, sys.argv[1]); "
+                "import round_digest as r; sys.stdout.buffer.write("
+                "pickle.dumps(r.outcomes(sys.argv[2], sys.argv[3:])))")
+        theirs = pickle.loads(subprocess.run(
+            [sys.executable, "-c", code, os.path.dirname(os.path.abspath(__file__)),
+             args.against, *args.cases],
+            check=True, stdout=subprocess.PIPE).stdout)
+        mine = outcomes(args.root, args.cases)
+        for (name, mode), dev in deviations(mine, theirs).items():
+            print(name, mode, *(f"{d:.3e}" for d in dev), flush=True)
+        return
+    run, iterations = load(args.root)
     for name in args.cases:
-        print(name, *digest(name, protocol.run_market_round, iterations), flush=True)
+        print(name, *digest(name, run, iterations), flush=True)
 
 
 if __name__ == "__main__":
