@@ -12,35 +12,37 @@ The operator keeps each of its masks as the stack of its diagonal hour
 blocks (one block for a mask over all hours) and applies it one hour
 block at a time; under hourly masks it publishes block-diagonal CSR.  It
 publishes its balance-row mask over every entity's masked incidence as
-one block, its columns in the layout's entity order, and names how many
-hour blocks each of its blocks holds (`hours`).  The clearing agent reads
-every published block as the ``(H, r, c)`` stack of its hour blocks and
-their columns (`_hour_stack`: a dense block is one, a CSR block's entries
-are the stack) and refuses any other layout.  It signs the two balance
-blocks as they enter the rows and builds only the LP its solver takes:
-the all-equality slack form for the bundled simplex or, for HiGHS, the LP
-with every owner's slack block cancelled, the free angle columns
-substituted out and each line-hour stated once (``eliminate_angles``,
-the shift-factor form in flow form: the entity columns plus one
-masked-flow column per line-hour, one balance equality per hour and one
-flow equality per line-hour).  Every step of that is a stacked call over
-the hour blocks: one stacked solve per shape of slack and constraint
-stacks cancels the slack blocks (``_cancel_slacks``), and the QR runs
-over the hours of the balance stack.  The flow form is kept as stacks,
-hour h's line block over hour h's angle columns: the agent builds each
-LP it solves straight from them, with the flow rows of the line-hours
-it monitors only (``AngleElimination.screened``), and builds CSR only
-for the matrices it hands on.  After cancellation
-a line-hour's upper and lower limit rows are one row up to a positive
+one block, its columns in the layout's entity order, formed in one
+stacked matmul over the entities' hour blocks joined side by side, and
+names how many hour blocks each of its blocks holds (`hours`).  The
+clearing agent stacks the entities' dense blocks per ``(m, n)`` shape
+(`RowStack`) and reads each of the operator's blocks as the ``(H, r,
+c)`` stack of its hour blocks and their columns (`_hour_stack`: a CSR
+block's entries are the stack), and refuses any other layout.  It signs
+the two balance blocks as they enter the rows and builds only the LP its
+solver takes: the all-equality slack form for the bundled simplex or,
+for HiGHS, the LP with every owner's slack block cancelled, the free
+angle columns substituted out and each line-hour stated once
+(``eliminate_angles``, the shift-factor form in flow form: the entity
+columns plus one masked-flow column per line-hour, one balance equality
+per hour and one flow equality per line-hour).  Every step of that is a
+stacked call: one solve per stack cancels the slack blocks
+(``_cancel_slacks``), each stack's cancelled rows are placed in one
+broadcast, and the QR runs over the hours of the balance stack.  The flow
+form is kept as stacks, hour h's line block over hour h's angle columns:
+the agent builds each LP it solves straight from them, with the flow
+rows of the line-hours it monitors only (``AngleElimination.screened``),
+and builds CSR only for the matrices it hands on.  After cancellation a
+line-hour's upper and lower limit rows are one row up to a positive
 factor; the agent checks that they are antiparallel and raises
-NumericalBreakdown if not.  The factor and the
-flows were already computable from the published blocks, and nothing
-new is sent.  Every inequality row left with a single entry (the flow
-limits, and the bound rows of entities with a diagonal column mask) is
-handed to HiGHS as a column bound.  The solution is mapped back to the
-masked angles, the row duals of the moved rows, the line-limit duals and
-the balance duals before recovery, so the solution slices and the
-messages are those of the clear LP's layout.
+NumericalBreakdown if not.  The factor and the flows were already
+computable from the published blocks, and nothing new is sent.  Every
+inequality row left with a single entry (the flow limits, and the bound
+rows of entities with a diagonal column mask) is handed to HiGHS as a
+column bound.  The solution is mapped back to the masked angles, the row
+duals of the moved rows, the line-limit duals and the balance duals
+before recovery, so the solution slices and the messages are those of
+the clear LP's layout.
 
 The entities' identical local work runs in stacked passes, one per
 block shape, not once per entity: their key draws are gated together
@@ -55,6 +57,7 @@ published blocks.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 from dataclasses import dataclass
@@ -67,7 +70,7 @@ from maskdispatch.lp import (
     LpProblem, DimensionMismatch, NumericalBreakdown,
 )
 from maskdispatch.market import (
-    ISO, SLACK_PREFIX, coo_csr, ed_layout, place_blocks,
+    ISO, coo_csr, ed_layout, place_blocks,
 )
 
 
@@ -477,9 +480,13 @@ class EncryptedSubmission:
     def payload_arrays(self):
         """Name -> array for every transmitted block: each field that is
         set, but the metadata."""
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-                if f.name not in ("owner", "kind", "balance_owners", "hours")
-                and getattr(self, f.name) is not None}
+        return {name: a for name in _PAYLOAD_FIELDS
+                if (a := getattr(self, name)) is not None}
+
+
+# the fields of EncryptedSubmission that are payload blocks, in field order
+_PAYLOAD_FIELDS = tuple(f.name for f in dataclasses.fields(EncryptedSubmission)
+                        if f.name not in ("owner", "kind", "balance_owners", "hours"))
 
 
 def mask_entities(entity_blocks, keys):
@@ -592,11 +599,12 @@ def mask_iso(blocks, keys: IsoKeys,
 
     The network blocks, and each incidence under hourly keys, are block
     diagonal over the hour blocks of the key stacks (`IsoKeys`), so every
-    product is formed block by block: the network's (CSR) times Y_theta's,
-    batched matmuls with the row keys', each incidence entity by entity.
-    The entities' products are joined along their hour blocks' columns.
-    With one block these are the whole products, published dense; with
-    more, each is published as CSR built from its stack
+    product is formed block by block: the network's (CSR) times Y_theta's
+    and batched matmuls with the row keys'.  The entities' diagonal hour
+    blocks are joined along their columns and masked in one stacked
+    matmul, under one block the whole-key product ``X_b·[KP_1Y_1 …
+    KD_NY_N]``.  With one block these are the whole products, published
+    dense; with more, each is published as CSR built from its stack
     (`_block_diagonal_csr`), the balance block with each hour's columns
     at their entities' columns of that hour.
     """
@@ -611,15 +619,12 @@ def mask_iso(blocks, keys: IsoKeys,
                        for h, Y in enumerate(keys.Y_theta)])
 
     def hours(inc):
-        """The diagonal hour blocks of the dense incidence `inc`."""
-        t, n = np.arange(H), inc.shape[1] // H
-        return inc[None] if H == 1 else inc.reshape(H, -1, H, n)[t, :, t, :]
+        """The diagonal hour blocks of the dense incidence `inc`, as the
+        ``(rows, columns, H)`` view of hour h's columns in its rows."""
+        return inc.reshape(H, -1, H, inc.shape[1] // H).diagonal(axis1=0, axis2=2)
 
-    def publish(stack, cols=None):
-        return stack[0] if H == 1 else _block_diagonal_csr(stack, cols)
-
-    products = [keys.X_b @ hours(inc) for inc in entity_incidences.values()]
-    widths = np.array([p.shape[2] for p in products])   # columns an hour
+    incidences = [hours(inc) for inc in entity_incidences.values()]
+    widths = np.array([inc.shape[1] for inc in incidences])   # columns an hour
     # column j of an hour block belongs to the entity whose `width` columns
     # start at `start` there; in hour h it is H·start + (j - start) + h·width
     start = np.repeat(np.cumsum(widths) - widths, widths)
@@ -628,34 +633,49 @@ def mask_iso(blocks, keys: IsoKeys,
     flow, caps = angles(blocks.flow_rows), blocks.line_caps.reshape(H, -1, 1)
     return EncryptedSubmission(
         owner=ISO, kind="ISO", balance_owners=tuple(entity_incidences), hours=H,
-        line_flow_hi=publish(keys.X_l1 @ flow),
-        line_flow_lo=publish(-(keys.X_l2 @ flow)),
-        line_slack_hi=publish(keys.X_l1 * keys.R_l1.reshape(H, 1, -1)),
-        line_slack_lo=publish(keys.X_l2 * keys.R_l2.reshape(H, 1, -1)),
+        line_flow_hi=_matrix(keys.X_l1 @ flow),
+        line_flow_lo=_matrix(-(keys.X_l2 @ flow)),
+        line_slack_hi=_matrix(keys.X_l1 * keys.R_l1.reshape(H, 1, -1)),
+        line_slack_lo=_matrix(keys.X_l2 * keys.R_l2.reshape(H, 1, -1)),
         line_rhs_hi=(keys.X_l1 @ caps).reshape(-1),
         line_rhs_lo=(keys.X_l2 @ caps).reshape(-1),
-        balance_theta=publish(keys.X_b @ angles(blocks.admittance)),
-        balance=publish(np.concatenate(products, axis=2), cols),
+        balance_theta=_matrix(keys.X_b @ angles(blocks.admittance)),
+        balance=_matrix(keys.X_b @ np.ascontiguousarray(
+            np.moveaxis(np.concatenate(incidences, axis=1), 2, 0)), cols),
     )
+
+
+# K row blocks of one shape of the masked LP, block k of owner owners[k]
+# reading ``C[k]·z + S[k]·s = b[k]`` (s >= 0, S[k] its rows' slack block)
+# in the (K, r) rows rows[k] over the (K, c) structural columns cols[k]
+RowStack = collections.namedtuple("RowStack", "owners rows cols C S b")
+
+
+def _triplets(rows, cols, D):
+    """COO triplets of the ``(K, r, c)`` stack `D` whose block k lies at the
+    ``(K, r)`` rows ``rows[k]`` and ``(K, c)`` columns ``cols[k]``: one
+    broadcast."""
+    return (np.repeat(rows, D.shape[2]),
+            np.broadcast_to(cols[:, None, :], D.shape).ravel(), D.ravel())
 
 
 @dataclass
 class TransformedLp:
     """The masked dispatch LP, kept as the blocks the parties published.
 
-    Every block is kept as its `_hour_stack` ``(stack, cols)``.  `groups`
-    holds each owner's row group ``(owner, col, C, cols, S, b)``, read
-    ``C z + S s = b`` with ``s >= 0``, ``C`` at structural column ``col``
-    and S block diagonal: the entities, then the operator's upper and
-    lower line limits.  `balance` holds the two ``(col, block, cols)``
-    pieces of the balance rows (zero right-hand side), signed as they
-    enter the rows: the entities' published block with the loads' columns
-    negated, then the negated angle block.  `c` holds the structural
-    costs.  Only the form a solver asks for is assembled: `problem` (the
-    slack form) or `eliminate_angles`.
+    `stacks` holds the rows above the balance rows as `RowStack`s: one
+    per ``(m, n)`` shape of the entity submissions, in the order of each
+    shape's first entity, then the operator's upper and lower line limits,
+    each the stack of its published hour blocks (`_hour_stack`).
+    `balance` holds the two ``(col, block, cols)`` pieces of the balance
+    rows (zero right-hand side), each block an `_hour_stack` ``(stack,
+    cols)`` signed as it enters the rows: the entities' published block
+    with the loads' columns negated, then the negated angle block.  `c`
+    holds the structural costs.  Only the form a solver asks for is
+    assembled: `problem` (the slack form) or `eliminate_angles`.
     """
 
-    groups: list
+    stacks: list
     balance: list
     c: np.ndarray
     var_spans: dict
@@ -667,18 +687,21 @@ class TransformedLp:
 
     @functools.cached_property
     def problem(self) -> LpProblem:
-        """The masked LP in all-equality slack form, assembled on first access."""
-        vs, bal = self.var_spans, self.row_spans["balance"][0]
+        """The masked LP in all-equality slack form, placed from the stacks
+        on first access.  A block lies on consecutive rows and columns
+        (an empty one, of a market without lines, places nothing), and row
+        i's slack is column ``n_structural + i``."""
+        bal, ns = self.row_spans["balance"][0], self.n_structural
         pieces = [(bal, col, _matrix(B, cols)) for col, B, cols in self.balance]
-        for owner, col, C, cols, S, _ in self.groups:
-            r0 = self.row_spans[owner][0]
-            pieces += [(r0, col, _matrix(C, cols)),
-                       (r0, vs[SLACK_PREFIX + owner][0], _matrix(S))]
+        b_eq = np.zeros(self.n_rows)
+        for st in self.stacks:
+            pieces += [(r[0], c[0], C) for r, c, C in zip(st.rows, st.cols, st.C)
+                       if r.size]
+            pieces += [(r[0], ns + r[0], S) for r, S in zip(st.rows, st.S) if r.size]
+            b_eq[st.rows] = st.b
         return LpProblem(
             sense="max", c=np.concatenate([self.c, np.zeros(self.n_slack)]),
-            A_eq=place_blocks(pieces, (self.n_rows, self.n_vars)),
-            b_eq=np.concatenate([b for *_, b in self.groups]
-                                + [np.zeros(self.n_rows - bal)]),
+            A_eq=place_blocks(pieces, (self.n_rows, self.n_vars)), b_eq=b_eq,
             A_in=None, b_in=None,
             lb=np.concatenate([np.full(self.n_structural, -np.inf),
                                np.zeros(self.n_slack)]))
@@ -693,9 +716,12 @@ def build_transformed_ed(submissions) -> TransformedLp:
     then entity slacks and the two line-slack groups.  No matrix is
     assembled here.  The GENCO and LSE submissions must come in the order
     whose incidences `mask_iso` joined into the operator's balance block,
-    the order it names (`balance_owners`).  Each block is read as its
-    `_hour_stack`, the operator's in its `hours` blocks, every one but
-    `balance` on their diagonal; one that is not raises DimensionMismatch.
+    the order it names (`balance_owners`).  Every entity's blocks must be
+    dense and of its shape, which is checked before anything is stacked;
+    the entities of one ``(m, n)`` shape are stacked together
+    (`RowStack`).  The operator's blocks are read as their `_hour_stack`
+    in its `hours` blocks, every one but `balance` on their diagonal; a
+    block that is not raises DimensionMismatch.
     """
     isos = [s for s in submissions if s.kind == "ISO"]
     gencos = [s for s in submissions if s.kind == "GENCO"]
@@ -713,14 +739,19 @@ def build_transformed_ed(submissions) -> TransformedLp:
        iso.balance.shape != (TB, sum(s.n for s in entities)):
         raise MissingSubmission(
             "ISO balance block does not span the entity submissions in order")
+    # the entities by the types and shapes of their blocks, each of which
+    # is checked once: a valid one groups the entities of one (m, n)
+    shapes = {}
     for s in entities:
-        if s.masked_constraints.shape != (s.m, s.n) or \
-           s.masked_slack.shape != (s.m, s.m) or \
-           s.masked_incidence.shape != (TB, s.n):
-            raise DimensionMismatch(f"submission of {s.owner} is inconsistent")
+        C, S = s.masked_constraints, s.masked_slack
+        shapes.setdefault((type(C), type(S), C.shape, S.shape, s.masked_rhs.size,
+                           s.masked_cost.size, s.masked_incidence.shape), []).append(s)
+    for (tC, tS, C, S, m, n, inc), group in shapes.items():
+        if (tC, tS, C, S, inc) != (np.ndarray, np.ndarray, (m, n), (m, m), (TB, n)):
+            raise DimensionMismatch(f"submission of {group[0].owner} is inconsistent")
 
     layout = ed_layout(entities, n_iso, TL, TB, slacks=True)
-    vs = layout.var_spans
+    vs, rs = layout.var_spans, layout.row_spans
     th, n_structural = vs["theta"]
 
     def diagonal(M, shape):
@@ -730,12 +761,20 @@ def build_transformed_ed(submissions) -> TransformedLp:
                 return stack, cols
         raise DimensionMismatch(f"an ISO block of shape {M.shape} is not "
                                 f"the {shape} block diagonal of its hours")
-    groups = [(s.owner, vs[s.owner][0], *_hour_stack(s.masked_constraints),
-               _hour_stack(s.masked_slack)[0], s.masked_rhs) for s in entities]
-    groups += [(owner, th, *diagonal(flow, (TL, n_iso)), diagonal(S, (TL, TL))[0], b)
-               for owner, flow, S, b in (
-                   ("line_hi", iso.line_flow_hi, iso.line_slack_hi, iso.line_rhs_hi),
-                   ("line_lo", iso.line_flow_lo, iso.line_slack_lo, iso.line_rhs_lo))]
+    stacks = [RowStack(tuple(s.owner for s in group),
+                       np.add.outer([rs[s.owner][0] for s in group], np.arange(m)),
+                       np.add.outer([vs[s.owner][0] for s in group], np.arange(n)),
+                       *(np.array([getattr(s, f) for s in group]) for f in
+                         ("masked_constraints", "masked_slack", "masked_rhs")))
+              for (_, _, _, _, m, n, _), group in shapes.items()]
+    for owner, F, S, b in (
+            ("line_hi", iso.line_flow_hi, iso.line_slack_hi, iso.line_rhs_hi),
+            ("line_lo", iso.line_flow_lo, iso.line_slack_lo, iso.line_rhs_lo)):
+        (F, cols), (S, _) = diagonal(F, (TL, n_iso)), diagonal(S, (TL, TL))
+        H, L, _ = F.shape
+        stacks.append(RowStack((owner,) * H,
+                               rs[owner][0] + np.arange(TL).reshape(H, L),
+                               th + cols, F, S, b.reshape(H, L)))
     # +1 for generation and -1 for load in each entity column, exact
     sign = np.repeat([1.0 if s.kind == "GENCO" else -1.0 for s in entities],
                      [s.n for s in entities])
@@ -744,65 +783,23 @@ def build_transformed_ed(submissions) -> TransformedLp:
     balance = [(0, Bz * sign[zcols][:, None], zcols), (th, -Bt, tcols)]
     c = np.concatenate([-s.masked_cost if s.kind == "GENCO" else s.masked_cost
                         for s in entities] + [np.zeros(n_iso)])
-    return TransformedLp(groups=groups, balance=balance, c=c, var_spans=vs,
-                         row_spans=layout.row_spans, n_structural=n_structural,
+    return TransformedLp(stacks=stacks, balance=balance, c=c, var_spans=vs,
+                         row_spans=rs, n_structural=n_structural,
                          n_slack=layout.n_vars - n_structural,
                          n_rows=layout.n_rows, n_vars=layout.n_vars)
 
 
-def _cancel_slacks(groups):
-    """Every row group ``(C, S, b)`` of `groups` with its slack block
-    cancelled: per group ``(S⁻¹C, S⁻¹b)`` hour block by hour block, an
-    ``(H, r, c)`` stack and an ``(H, r)`` array, for C and S the ``(H, r,
-    c)`` and ``(H, r, r)`` stacks of their hour blocks (`_hour_stack`) and
-    b the ``H·r`` right-hand sides.  The groups of one shape of S and C
-    stacks (entities as ``H = 1`` stacks, the two line-limit groups as
-    ``(H, L, L)`` stacks) are solved in one stacked ``np.linalg.solve``,
-    which gives each hour block's own solve bit for bit.  This is the
+def _cancel_slacks(stacks):
+    """Each `RowStack` of `stacks` with its slack blocks cancelled, as a
+    stack: the ``(K, r, c)`` stack of ``S⁻¹C`` and the ``(K, r)`` array of
+    ``S⁻¹b``, block by block, from one stacked ``np.linalg.solve`` per
+    stack, which gives each block's own solve bit for bit.  This is the
     cancellation kernel of `eliminate_angles`.
     """
-    batches = {}
-    for i, (C, S, _) in enumerate(groups):
-        batches.setdefault((S.shape, C.shape), []).append(i)
-    out = [None] * len(groups)
-    for ((H, m, _), (*_, width)), idx in batches.items():
-        Cs, Ss, bs = zip(*(groups[i] for i in idx))
-        rhs = np.empty((len(idx), H, m, width + 1))
-        rhs[..., :-1], rhs[..., -1] = Cs, [b.reshape(H, m) for b in bs]
-        for i, x in zip(idx, np.linalg.solve(np.stack(Ss), rhs)):
-            out[i] = (x[..., :-1], x[..., -1])
-    return out
-
-
-def _cancelled_groups(tlp: TransformedLp):
-    """``[(owner, row offset, column, S⁻¹C, cols)]`` for every row group of
-    `tlp`, with its `_cancel_slacks` stack over the columns ``cols`` of its
-    hour blocks, and ``S⁻¹b`` over all of them, in the inequality rows of
-    the clear LP's layout (see `eliminate_angles`)."""
-    b_in = np.zeros(tlp.row_spans["balance"][0])
     out = []
-    for (owner, col, _, cols, _, _), (D, x) in zip(
-            tlp.groups, _cancel_slacks([(C, S, b) for *_, C, _, S, b in tlp.groups])):
-        r0 = tlp.row_spans[owner][0]
-        b_in[r0:r0 + x.size] = x.ravel()
-        out.append((owner, r0, col, D, cols))
-    return out, b_in
-
-
-def _block_triplets(placed):
-    """COO triplets of ``(r0, col, stack, cols)``, each ``(H, r, c)`` stack
-    of hour blocks with ``stack[h]`` at rows ``r0 + h·r`` on by columns
-    ``col + cols[h]``: one broadcast for all the stacks of one shape."""
-    by_shape = {}
-    for r0, col, D, cols in placed:
-        by_shape.setdefault(D.shape, []).append((r0, col + cols, D))
-    out = []
-    for (H, r, c), items in by_shape.items():
-        r0s, cols, Ds = zip(*items)
-        Ds = np.stack(Ds)
-        out.append((np.repeat(np.add.outer(r0s, np.arange(H * r)), c),
-                    np.broadcast_to(np.stack(cols)[:, :, None], Ds.shape).ravel(),
-                    Ds.ravel()))
+    for st in stacks:
+        x = np.linalg.solve(st.S, np.concatenate([st.C, st.b[..., None]], axis=2))
+        out.append((x[..., :-1], x[..., -1]))
     return out
 
 
@@ -984,7 +981,8 @@ class AngleElimination:
         A = self.A_in
         return LpProblem(
             sense="max", c=np.concatenate([self.c, np.zeros(m)]),
-            A_eq=coo_csr(_block_triplets([(0, 0, self.eq, self.zcols)])
+            A_eq=coo_csr([_triplets(np.arange(e).reshape(self.eq.shape[:2]),
+                                    self.zcols, self.eq)]
                          + self._flow_rows(monitored, e), (e + m, nz + m),
                          tiny=1e-9),
             b_eq=np.zeros(e + m),
@@ -995,23 +993,27 @@ class AngleElimination:
     def angles(self, z):
         """The masked angles ``θ' = P·z = -R⁻¹·Q1ᵀ·(Bz·z)`` at the entity
         columns' values `z`, as the ``(H, c, 1)`` stack of the hours:
-        products and a solve with vectors."""
+        products and a triangular solve per hour with vectors (scipy's
+        stacked call loops over the hours in Python too)."""
         n = self.R.shape[1]
         y = np.swapaxes(self.Q[..., :n], 1, 2) @ (self.Bz @ z[self.zcols][..., None])
-        return -scipy.linalg.solve_triangular(self.R, y)
+        return -np.stack([scipy.linalg.solve_triangular(R, v)
+                          for R, v in zip(self.R, y)])
 
     def lift(self, sol, monitored):
-        """``(lifted, violated)`` for the optimal `sol` of
+        """``(lifted, violated, theta)`` for the optimal `sol` of
         ``screened(monitored)``: `lifted` is `sol` in the layout of
         `problem`, with each unmonitored flow ``f = a·θ'``, a zero dual on
         each unmonitored flow row and bound and the largest bound
-        violation of those flows in its primal residual, and `violated`
-        the unmonitored line-hours whose flow lies outside its bounds by
-        more than ``_SCREEN_TOL`` relative to ``1 + |bound|``, sorted."""
+        violation of those flows in its primal residual, `violated` the
+        unmonitored line-hours whose flow lies outside its bounds by more
+        than ``_SCREEN_TOL`` relative to ``1 + |bound|``, sorted, and
+        `theta` the masked angles ``θ'`` (`angles`), for `restore`."""
         nz, TL = self.c.size, self.k.size
         e = sol.duals_eq.size - monitored.size
         cols = np.concatenate([np.arange(nz), nz + monitored])
-        x = np.concatenate([sol.x[:nz], (self.a @ self.angles(sol.x[:nz])).ravel()])
+        theta = self.angles(sol.x[:nz])
+        x = np.concatenate([sol.x[:nz], (self.a @ theta).ravel()])
         f, lb, ub = x[nz:].copy(), self.lb[nz:], self.ub[nz:]
         x[cols] = sol.x
         over = np.maximum(f - ub, lb - f)
@@ -1023,14 +1025,15 @@ class AngleElimination:
         duals_eq[np.concatenate([np.arange(e), e + monitored])] = sol.duals_eq
         duals_lb[cols], duals_ub[cols] = sol.duals_lb, sol.duals_ub
         residual = max(sol.max_primal_residual, float(np.max(over, initial=0.0)))
-        return dataclasses.replace(sol, x=x, duals_eq=duals_eq, duals_lb=duals_lb,
-                                   duals_ub=duals_ub,
-                                   max_primal_residual=residual), np.flatnonzero(out)
+        return (dataclasses.replace(sol, x=x, duals_eq=duals_eq, duals_lb=duals_lb,
+                                    duals_ub=duals_ub, max_primal_residual=residual),
+                np.flatnonzero(out), theta.ravel())
 
-    def restore(self, sol):
+    def restore(self, sol, theta=None):
         """`sol`, optimal for `problem`, with ``x``, ``duals_in`` and
         ``duals_eq`` in the clear LP's layout; a non-optimal `sol` is
-        returned as it is."""
+        returned as it is.  `theta`, the masked angles at its entity
+        columns as `lift` returns them, is computed if not given."""
         if sol.x is None:
             return sol
         nz = self.c.size
@@ -1043,9 +1046,10 @@ class AngleElimination:
         # Lθᵀμ = aᵀη from the flow equalities' duals η
         g = np.swapaxes(self.a, 1, 2) @ sol.duals_eq[e:].reshape(H, L, 1)
         lam = self.Q @ np.concatenate(
-            [-scipy.linalg.solve_triangular(self.R, g, trans="T"),
+            [-np.stack([scipy.linalg.solve_triangular(R, v, trans="T")
+                        for R, v in zip(self.R, g)]),
              sol.duals_eq[:e].reshape(H, -1, 1)], axis=1)
-        x = np.concatenate([z, self.angles(z).ravel()])
+        x = np.concatenate([z, self.angles(z).ravel() if theta is None else theta])
         return dataclasses.replace(sol, x=x, duals_in=duals_in,
                                    duals_eq=lam.ravel(),
                                    duals_lb=np.zeros(x.size),
@@ -1066,7 +1070,9 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     columns drop out: an LP in the clear LP's layout whose entity and
     angle slices and balance duals equal, in exact arithmetic, those of
     ``tlp.problem``, so recovery is unchanged.  This is the row-mask
-    cancellation of ROADMAP item 4(a).
+    cancellation of ROADMAP item 4(a), one stacked solve per stack of
+    ``tlp.stacks``; each stack's ``S⁻¹b`` and cancelled rows are placed in
+    one broadcast, with no walk over the owners.
 
     The masked balance rows read ``Bz·z + Bθ·θ' = 0``, with
     ``Bθ = -X_b·B·Y_θ`` and ``Bz`` the entities' published balance block,
@@ -1125,14 +1131,18 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     saving goes with it.
     """
     nz = tlp.var_spans["theta"][0]
-    # the entities' groups, then the upper and lower line limits
-    (*groups, (*_, hi, _), (*_, lo, _)), b_in = _cancelled_groups(tlp)
+    cancelled = _cancel_slacks(tlp.stacks)
+    b_in = np.zeros(tlp.row_spans["balance"][0])
+    for st, (_, x) in zip(tlp.stacks, cancelled):
+        b_in[st.rows] = x
+    # the entities' stacks, then the upper and lower line limits'
+    ineq = [_triplets(st.rows, st.cols, D)
+            for st, (D, _) in zip(tlp.stacks[:-2], cancelled)]
     l0, lower = tlp.row_spans["line_hi"][0], slice(*tlp.row_spans["line_lo"])
-    a, k = _merge_line_rows(hi, lo)
+    a, k = _merge_line_rows(cancelled[-2][0], cancelled[-1][0])
     TL = k.size
     b_in[lower] /= k
     flow = nz + np.arange(TL)
-    ineq = _block_triplets([placed for _, *placed in groups])
     ineq += [(l0 + np.arange(TL), flow, np.ones(TL)),
              (np.arange(lower.start, lower.stop), flow, -np.ones(TL))]
     r, col, v = (np.concatenate(t) for t in zip(*ineq))

@@ -337,10 +337,11 @@ class _PrivateRows(_Rows):
 def _private_row_hashes(blocks: EdBlocks):
     """The private rows no submission may carry, for `_scan_for_leaks`:
     every entity's constraint rows, bounds and costs, the line capacities
-    and the admittance rows."""
-    labelled = []
-    for e in blocks.gencos + blocks.lses:
-        labelled += [(e.owner, e.A), (e.owner, e.rhs), (e.owner, e.cost)]
+    and the admittance rows.  The read-only constraint block `A` that the
+    entities of one asset structure share is digested once."""
+    entities = blocks.gencos + blocks.lses
+    labelled = list({id(e.A): (e.owner, e.A) for e in entities}.values())
+    labelled += [(e.owner, v) for e in entities for v in (e.rhs, e.cost)]
     labelled += [(ISO, blocks.line_caps), (ISO, blocks.admittance)]
     return _PrivateRows(labelled)
 
@@ -381,7 +382,8 @@ def run_market_round(system: MarketSystem, seed: int, mode: str = "masked",
         mask_config = MaskConfig()
     blocks = build_ed_blocks(system)
     entities = blocks.gencos + blocks.lses
-    seeds = masking.spawn_party_seeds(seed, len(entities))
+    seeds = (masking.spawn_party_seeds(seed, len(entities)) if mode == "masked"
+             else [None] * (len(entities) + 1))   # a clear round draws no keys
     parties = [EntityParty(e, s, horizon=system.horizon)
                for e, s in zip(entities, seeds[:-1])]
     bus_index = {b: i for i, b in enumerate(system.buses)}
@@ -416,9 +418,10 @@ def _run_clear(system, blocks, parties, iso, log, config):
 
 
 def _solve_screened(reduced, config):
-    """The optimal solution of the whole flow-form LP ``reduced.problem``,
-    found with its line limits added lazily and never building that LP, or
-    None when a solve on the way is not optimal.
+    """``(sol, theta)``: the optimal solution of the whole flow-form LP
+    ``reduced.problem``, found with its line limits added lazily and never
+    building that LP, and its masked angles (`masking.AngleElimination.lift`);
+    or None when a solve on the way is not optimal.
 
     The first LP monitors no line-hour but those an inequality row
     touches (`masking.AngleElimination.flows_in_rows`); each solve's lifted
@@ -441,9 +444,9 @@ def _solve_screened(reduced, config):
             if sol.status != OPTIMAL:
                 return None
             iterations += sol.iterations
-            sol, violated = reduced.lift(sol, monitored)
+            sol, violated, theta = reduced.lift(sol, monitored)
             if not violated.size:
-                return dataclasses.replace(sol, iterations=iterations)
+                return dataclasses.replace(sol, iterations=iterations), theta
             monitored = np.union1d(monitored, violated)
     except NumericalBreakdown:
         return None
@@ -482,10 +485,9 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
         # row duals
         reduced = masking.eliminate_angles(tlp)
         highs = dataclasses.replace(config, backend="highs")
-        sol = _solve_screened(reduced, highs)
-        if sol is None:
-            sol = solve_lp(reduced.problem, highs, presolve=False)
-        sol = reduced.restore(sol)
+        sol, theta = (_solve_screened(reduced, highs)
+                      or (solve_lp(reduced.problem, highs, presolve=False), None))
+        sol = reduced.restore(sol, theta)
         balance_rows = slice(None)
     else:
         sol = solve_lp(tlp.problem, config, presolve=False)

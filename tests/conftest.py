@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from maskdispatch import lp
+from maskdispatch.market import gen_synthetic
 from maskdispatch.casefile import load_case
 from importlib.resources import files
 
@@ -37,6 +40,17 @@ def optimality_certificates():
 def threebus():
     path = files("maskdispatch").joinpath("cases/threebus.case")
     return load_case(str(path))
+
+
+@pytest.fixture(scope="session")
+def interleaved():
+    """The 14-bus, 3-hour case with GENCO2's and GENCO4's units cut to one
+    segment, so that the GENCOs' two block shapes interleave in the
+    layout."""
+    system = gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2)
+    return dataclasses.replace(system, generators=[
+        dataclasses.replace(g, segments=g.segments[:1])
+        if g.owner in ("GENCO2", "GENCO4") else g for g in system.generators])
 
 
 @pytest.fixture(scope="session")

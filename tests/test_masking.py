@@ -441,6 +441,24 @@ def test_missing_submission_rejected(threebus):
         build_transformed_ed([by_owner[o] for o in ("GENCO2", "GENCO1", "LSE1", "ISO")])
 
 
+def test_inconsistent_entity_blocks_are_refused(interleaved):
+    # every entity's blocks are checked for their type and shape before the
+    # agent stacks them: a bad block of GENCO3, stacked with GENCO1 and
+    # GENCO5, is refused by its owner's name
+    blocks = build_ed_blocks(interleaved)
+    subs = masked_submissions(blocks, party_keys(blocks, 0, MaskConfig(
+        hourly_block_masks=True)))
+    at = [s.owner for s in subs].index("GENCO3")
+    bad = subs[at]
+    for tampered in (
+            dataclasses.replace(bad, masked_slack=bad.masked_slack[:-1]),
+            dataclasses.replace(bad, masked_incidence=bad.masked_incidence[:-1]),
+            dataclasses.replace(bad, masked_constraints=sp.csr_matrix(
+                bad.masked_constraints))):
+        with pytest.raises(DimensionMismatch, match="GENCO3"):
+            build_transformed_ed(subs[:at] + [tampered] + subs[at + 1:])
+
+
 def test_constraint_count_conservation_random_systems():
     for seed in (0, 1, 2):
         system = gen_synthetic(4, 2, 2, 1, 2, seed=seed, segments=2)
@@ -474,8 +492,8 @@ def test_hourly_block_masks_preserve_equivalence():
 @pytest.mark.parametrize("case", ["hourly-14", "threebus", "pooled30-4h"])
 def test_mask_iso_equals_plain_products(case, threebus):
     # keys of one block (threebus; pooled30-4h, over 4 hours) publish each
-    # whole product exactly, but the balance block, whose entities' products
-    # are joined, to within rounding of the whole product; hourly keys
+    # whole product exactly, the balance block too, which is one stacked
+    # product over the entities' joined incidences; hourly keys
     # publish each hour block's product as canonical CSR, sorted once so
     # that the leak scan never copies it to sort, to within rounding of the
     # whole product's values: block diagonal, but for the balance block's
@@ -502,10 +520,8 @@ def test_mask_iso_equals_plain_products(case, threebus):
             have = got[name]
             if H == 1:
                 assert type(have) is np.ndarray, name
-                if name != "balance":
-                    assert np.array_equal(have, want), name
-                    continue
-                have = sp.csr_matrix(have)
+                assert np.array_equal(have, want), name
+                continue
             assert have.format == "csr" and have.has_canonical_format, name
             r = have.shape[0] // H
             col_hour = (np.arange(have.shape[1]) // (have.shape[1] // H)
@@ -751,27 +767,38 @@ def test_hour_stack_refuses_other_layouts():
             masking._hour_stack(bad, hours)
 
 
-@pytest.mark.parametrize("case", ["threebus", "hourly-14"])
-def test_eliminate_slacks_equals_dense_cancellation(case, threebus):
-    # owner by owner, the agent's cancellation kernel gives S⁻¹ times the
-    # owner's row block of the slack form, as the oracle's dense solves do
+@pytest.mark.parametrize("case", ["threebus", "hourly-14", "interleaved"])
+def test_eliminate_slacks_equals_dense_cancellation(case, threebus, interleaved):
+    # stack by stack, the agent's cancellation kernel gives S⁻¹ times each
+    # block's rows of the slack form, as the oracle's owner-by-owner dense
+    # solves do.  The entities come in one stack per block shape, in the
+    # order of each shape's first entity, so the interleaved case's
+    # stacks are not in row order
+    config = MaskConfig(hourly_block_masks=True)
     if case == "threebus":
         blocks, config = build_ed_blocks(threebus), MaskConfig()
+    elif case == "interleaved":
+        blocks = build_ed_blocks(interleaved)
     else:
         blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
-        config = MaskConfig(hourly_block_masks=True)
     keys = party_keys(blocks, 2, config)
     assert keys.iso.X_l1.shape[0] == (1 if case == "threebus" else blocks.T)
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
     want = cancelled_slack_form(tlp)
-    groups, b_in = masking._cancelled_groups(tlp)
-    got = np.zeros(want.A_in.shape)
-    for _, r0, col, D, cols in groups:
-        rows = r0 + np.arange(D.shape[0] * D.shape[1]).reshape(D.shape[:2])
-        for block, at, hour_rows in zip(D, cols, rows):
-            got[np.ix_(hour_rows, col + at)] = block
+    got, b_in = np.zeros(want.A_in.shape), np.zeros(want.b_in.shape)
+    placed = np.zeros(want.b_in.shape, dtype=int)
+    for st, (D, x) in zip(tlp.stacks, masking._cancel_slacks(tlp.stacks)):
+        assert D.shape == st.C.shape and x.shape == st.b.shape
+        got[st.rows[:, :, None], st.cols[:, None, :]] = D
+        b_in[st.rows] = x
+        np.add.at(placed, st.rows, 1)
+    assert (placed == 1).all()
     np.testing.assert_allclose(got, want.A_in, rtol=0, atol=1e-10)
     np.testing.assert_allclose(b_in, want.b_in, rtol=0, atol=1e-10)
+    if case == "interleaved":
+        assert [st.owners for st in tlp.stacks[:-2]] == [
+            ("GENCO1", "GENCO3", "GENCO5"), ("GENCO2", "GENCO4"),
+            tuple(f"LSE{i}" for i in range(1, 6))]
 
 
 def _case_submissions(case, seed, threebus):

@@ -120,6 +120,11 @@ def test_masked_round_wire_bytes(threebus, name, up, down):
     assert (cost.total_up_bytes, cost.total_down_bytes) == (up, down)
     metadata = {"owner", "kind", "balance_owners", "hours"}
     assert all(metadata.isdisjoint(m.payload) for m in log.messages)
+    # a submission's blocks go out in field order
+    fields = [f.name for f in dataclasses.fields(masking.EncryptedSubmission)]
+    for m in log.messages:
+        if m.kind == "Submission":
+            assert list(m.payload) == [f for f in fields if f in m.payload]
 
 
 def test_empty_log_zero_report():
@@ -209,6 +214,90 @@ def test_key_gating_does_not_grow_with_the_number_of_parties(monkeypatch):
         for a, b in itertools.combinations(keys, 2):
             assert not any(np.shares_memory(x, y) for x in (a.Y, a.X, a.R)
                            for y in (b.Y, b.X, b.R)), (a.owner, b.owner)
+
+
+def test_stacked_work_does_not_grow_with_the_number_of_parties(monkeypatch):
+    # the operator masks every entity's incidence in one stacked matmul
+    # with its balance-row key, and the agent cancels the entities' slack
+    # blocks in one stacked solve per block shape: a masked hourly14-3h
+    # round makes as many of each with its 10 single-unit entities as with
+    # its units pooled into 2 (one GENCO and one LSE shape either way,
+    # then the upper and lower line limits; the other matmul is the angle
+    # block's)
+    solves, matmuls = [], []
+    cancel, iso_keys, solve = masking._cancel_slacks, masking.iso_keys, np.linalg.solve
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            matmuls.append(other.shape)
+            return np.asarray(self) @ other
+
+    def counted_keys(*args, **kwargs):
+        keys = iso_keys(*args, **kwargs)
+        keys.X_b = keys.X_b.view(Counted)
+        return keys
+
+    def counted_cancel(stacks):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(np.linalg, "solve",
+                      lambda S, b: solves.append(S.shape) or solve(S, b))
+            return cancel(stacks)
+
+    monkeypatch.setattr(masking, "iso_keys", counted_keys)
+    monkeypatch.setattr(masking, "_cancel_slacks", counted_cancel)
+    system = gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2)
+    counts = []
+    for s in (system, regroup_entities(system, 5)):
+        solves.clear()
+        matmuls.clear()
+        run_market_round(s, 0, mode="masked", config=SolverConfig(backend="highs"),
+                         mask_config=MaskConfig(hourly_block_masks=True))
+        counts.append((len(solves), len(matmuls)))
+    assert counts[0] == counts[1] == (4, 2), counts
+
+
+@pytest.mark.parametrize("backend", ["auto", "highs"])
+def test_interleaved_block_shapes_match_clear(interleaved, backend):
+    # GENCO2 and GENCO4 bid one segment and the other GENCOs two, so each
+    # of the agent's GENCO stacks holds entities that are not neighbours in
+    # the layout.  "auto" solves the slack form placed from the stacks (571
+    # rows and columns), "highs" the flow form
+    config = SolverConfig(backend=backend)
+    clear, _ = run_market_round(interleaved, 0, mode="clear", config=config)
+    for seed in range(3):
+        masked, _ = run_market_round(interleaved, seed, mode="masked", config=config,
+                                     mask_config=MaskConfig(hourly_block_masks=True))
+        assert masked.objective == pytest.approx(clear.objective, abs=1e-6)
+        assert clear.max_dispatch_diff(masked) <= 1e-6
+        np.testing.assert_allclose(masked.lmp, clear.lmp, atol=1e-6)
+
+
+def test_clear_round_draws_no_seeds(threebus, monkeypatch):
+    spawned, spawn = [], masking.spawn_party_seeds
+    monkeypatch.setattr(masking, "spawn_party_seeds",
+                        lambda *a: spawned.append(a) or spawn(*a))
+    run_market_round(threebus, 0, mode="clear")
+    assert spawned == []
+    run_market_round(threebus, 0, mode="masked")
+    assert spawned == [(0, 3)]
+
+
+def test_leak_scanner_digests_a_shared_constraint_block_once():
+    # the 10 single-unit entities of hourly14-3h share two constraint
+    # blocks, the GENCOs' and the LSEs': each is digested once, and a row
+    # of it is still caught in the payload of every entity that shares it
+    blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2))
+    entities = blocks.gencos + blocks.lses
+    private = _private_row_hashes(blocks)
+    shared = [b for b in private.blocks if any(b is e.A for e in entities)]
+    assert len(shared) == len({id(e.A) for e in entities}) == 2
+    rng = np.random.default_rng(5)
+    for e in entities:
+        leaky = rng.uniform(0.1, 1.0, size=e.A.shape)
+        leaky[3] = e.A[3]
+        msg = Message.build(e.owner, AGENT, "Submission", {"masked_constraints": leaky})
+        with pytest.raises(ProtocolViolation, match="contains a private row"):
+            _scan_for_leaks([msg], private)
 
 
 def test_leak_scanner_catches_raw_rows(threebus):
@@ -486,8 +575,8 @@ def test_binding_line_hour_is_monitored_with_its_dual(threebus, threebus_golden,
         monitored.append(lines)
         return screened(self, lines)
 
-    def restore_spy(self, sol):
-        restored.append(restore(self, sol))
+    def restore_spy(self, sol, theta=None):
+        restored.append(restore(self, sol, theta))
         return restored[-1]
 
     def build_spy(submissions):
@@ -535,7 +624,7 @@ def test_flow_limit_left_a_row_is_monitored_from_the_first_solve(threebus,
     assert flow_form.flows_in_rows().tolist() == [1]
     first = flow_form.screened(flow_form.flows_in_rows())
     assert first.n_vars == nz + 1 and first.A_eq.shape[0] == 2
-    screened = protocol._solve_screened(flow_form, config)
+    screened, _ = protocol._solve_screened(flow_form, config)
     direct = solve_lp(flow_form.problem, config, presolve=False)
     assert screened.objective == pytest.approx(direct.objective, abs=1e-9)
     np.testing.assert_allclose(screened.x[:nz], direct.x[:nz], rtol=0, atol=1e-9)
@@ -595,7 +684,9 @@ def test_lifted_solution_is_certified_on_the_whole_flow_form(threebus,
                                                             name, seeds):
     # the round's certificate is the last screened solve's plus the lift's
     # bound check; the whole flow form's own certificate at the lifted
-    # solution passes and agrees with it
+    # solution passes and agrees with it.  The masked angles the lift
+    # hands on for the restore are those of the lifted solution, bit for
+    # bit
     system, config, mask_config, _, _ = _screening_case(name, threebus)
     rounds, eliminate = [], masking.eliminate_angles
     solve_screened = protocol._solve_screened
@@ -614,8 +705,10 @@ def test_lifted_solution_is_certified_on_the_whole_flow_form(threebus,
         run_market_round(system, seed, mode="masked", config=config,
                          mask_config=mask_config)
     assert len(rounds) == len(seeds)
-    for reduced, sol in rounds:
+    for reduced, (sol, theta) in rounds:
         assert "problem" not in reduced.__dict__
+        np.testing.assert_array_equal(
+            theta, reduced.angles(sol.x[:reduced.c.size]).ravel())
         whole = lp._finish(reduced.problem, sol.x, sol.duals_eq, sol.duals_in,
                            sol.iterations, sol.backend,
                            duals_lb=sol.duals_lb, duals_ub=sol.duals_ub)

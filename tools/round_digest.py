@@ -27,6 +27,7 @@ mode objective dispatch angles flows lmp``.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -37,7 +38,8 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# name -> (case, solver settings, mask settings, mask seeds)
+# name -> (case, solver settings, mask settings, mask seeds); a case's
+# "one_segment" owners have their units cut to their first bid segment
 CASES = {
     "threebus-auto": (None, {}, {}, range(30)),
     "threebus-highs": (None, {"backend": "highs"}, {}, range(10)),
@@ -50,6 +52,11 @@ CASES = {
     "hourly14-3h": ({"buses": 14, "gencos": 5, "lses": 5, "entity_size": 1,
                      "T": 3, "seed": 3, "segments": 2}, {},
                     {"hourly_block_masks": True}, range(3)),
+    # hourly14-3h with two GENCOs of another block shape between the others
+    "interleaved14-3h": ({"buses": 14, "gencos": 5, "lses": 5, "entity_size": 1,
+                          "T": 3, "seed": 3, "segments": 2,
+                          "one_segment": ("GENCO2", "GENCO4")}, {},
+                         {"hourly_block_masks": True}, range(3)),
 }
 
 
@@ -95,7 +102,12 @@ def rounds(name, run_market_round, iterations):
         system = load_case(os.path.join(os.path.dirname(maskdispatch.__file__),
                                         "cases", "threebus.case"))
     else:
+        case = dict(case)
+        cut = case.pop("one_segment", ())
         system = gen_synthetic(**case)
+        system = dataclasses.replace(system, generators=[
+            dataclasses.replace(g, segments=g.segments[:1]) if g.owner in cut else g
+            for g in system.generators])
     for seed in seeds:
         iterations.clear()
         cleared, log = run_market_round(system, seed, mode="masked",
