@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
-from maskdispatch import lp
+from maskdispatch import lp, protocol
 from maskdispatch.lp import (
     LpProblem, SolverConfig, solve_lp, check_point,
     DimensionMismatch, NumericalBreakdown,
@@ -260,3 +263,116 @@ def test_solution_carries_certificates():
     assert sol.gap <= 1e-9
     assert sol.max_primal_residual <= 1e-9
     assert sol.max_cs_violation <= 1e-9
+
+
+def _same(a, b):
+    """Equal bit for bit: dtype, shape and every byte, so -0.0 != 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _simplex_bases(system, monkeypatch):
+    """Every basis the simplex factors in a clear and a masked round."""
+    bases = []
+    factor = lp._lu_factor
+
+    def recording(B):
+        bases.append(B.copy())
+        return factor(B)
+
+    monkeypatch.setattr(lp, "_lu_factor", recording)
+    for mode in ("clear", "masked"):
+        protocol.run_market_round(system, 0, mode=mode)
+        assert bases, f"the {mode} round factored no basis"
+    monkeypatch.undo()
+    return bases
+
+
+def test_lu_helpers_match_scipy_bit_for_bit(threebus, monkeypatch):
+    rng = np.random.default_rng(29)
+    bases = [rng.normal(size=(m, m)) for m in range(1, 41)]
+    bases += _simplex_bases(threebus, monkeypatch)
+    for B in bases:
+        lu_piv = lp._lu_factor(B)
+        ref = scipy.linalg.lu_factor(B, check_finite=False)
+        assert _same(lu_piv[0], ref[0]) and _same(lu_piv[1], ref[1])
+        # a fresh vector and a strided column, as the simplex passes A[:, j]
+        for rhs in (rng.normal(size=B.shape[0]), B[:, -1]):
+            for trans in (0, 1):
+                assert _same(lp._lu_solve(lu_piv, rhs, trans),
+                             scipy.linalg.lu_solve(ref, rhs, trans,
+                                                   check_finite=False))
+
+
+def test_singular_basis_breaks_down_without_warning():
+    B = np.array([[1.0, 2.0], [2.0, 4.0]])   # U[1, 1] is exactly 0
+    with pytest.warns(scipy.linalg.LinAlgWarning):
+        scipy.linalg.lu_factor(B)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalBreakdown, match="singular basis"):
+            lp._lu_factor(B)
+
+
+def _reference_standard_form(problem):
+    """``(A, b, c, flip, cols)`` of `problem`'s standard form, built one
+    column at a time; ``cols`` lists ``(variable, sign)`` per structural
+    column."""
+    A_user = np.vstack([problem.A_eq, problem.A_in])
+    m_eq, m_in = problem.A_eq.shape[0], problem.A_in.shape[0]
+    cols = []
+    for j in range(problem.n_vars):
+        cols.append((j, 1.0))
+        if problem.lb[j] == -np.inf:
+            cols.append((j, -1.0))
+    A = np.zeros((m_eq + m_in, len(cols) + m_in))
+    for k, (j, sgn) in enumerate(cols):
+        A[:, k] = sgn * A_user[:, j]
+    for r in range(m_in):
+        A[m_eq + r, len(cols) + r] = 1.0
+    b = np.concatenate([problem.b_eq, problem.b_in])
+    flip = np.ones(b.size)
+    for r in range(b.size):
+        if b[r] < 0:
+            flip[r] = -1.0
+            A[r, :] *= -1.0
+    sign = -1.0 if problem.sense == "max" else 1.0
+    c = np.zeros(A.shape[1])
+    for k, (j, sgn) in enumerate(cols):
+        c[k] = sign * sgn * problem.c[j]
+    return A, b * flip, c, flip, cols
+
+
+def test_standard_form_matches_per_column_reference():
+    rng = np.random.default_rng(30)
+    for k in range(200):
+        n, m_eq, m_in = (int(v) for v in rng.integers((1, 0, 0), (7, 4, 5)))
+        A = rng.normal(size=(m_eq + m_in, n))
+        A[rng.random(A.shape) < 0.3] = 0.0     # signed zeros under the flip
+        p = LpProblem(sense="max" if k % 2 else "min", c=rng.normal(size=n),
+                      A_eq=A[:m_eq], b_eq=rng.normal(size=m_eq),
+                      A_in=A[m_eq:], b_in=rng.normal(size=m_in),
+                      lb=np.where(rng.random(n) < 0.5, -np.inf, 0.0))
+        std = lp._StandardForm(p)
+        A_ref, b_ref, c_ref, flip_ref, cols = _reference_standard_form(p)
+        for got, want in ((std.A, A_ref), (std.b, b_ref), (std.c, c_ref),
+                          (std.flip, flip_ref)):
+            assert _same(got, want)
+
+        z = rng.normal(size=A_ref.shape[1])
+        x_ref = np.zeros(n)
+        for i, (j, sgn) in enumerate(cols):
+            x_ref[j] += sgn * z[i]
+        assert _same(std.recover_x(z), x_ref)
+
+        kept = np.flatnonzero(rng.random(m_eq + m_in) < 0.8)
+        y_std = rng.normal(size=kept.size)
+        y_ref = np.zeros(m_eq + m_in)
+        for i, r in enumerate(kept):
+            y_ref[r] = y_std[i]
+        for r in range(y_ref.size):
+            y_ref[r] *= flip_ref[r]
+            if p.sense == "max":
+                y_ref[r] = -y_ref[r]
+        duals_eq, duals_in = std.recover_duals(y_std, kept)
+        assert _same(duals_eq, y_ref[:m_eq]) and _same(duals_in, y_ref[m_eq:])

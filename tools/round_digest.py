@@ -38,10 +38,15 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-# name -> (case, solver settings, mask settings, mask seeds); a case's
-# "one_segment" owners have their units cut to their first bid segment
+# name -> (case, solver settings, mask settings, mask seeds); a case is
+# threebus or gen_synthetic's arguments, and its "one_segment" owners have
+# their units cut to their first bid segment and its "zero_price" owners
+# bid every segment at 0
 CASES = {
     "threebus-auto": (None, {}, {}, range(30)),
+    # every price in [10, 12] is optimal, so this pins which optimal dual
+    # the simplex picks
+    "threebus-zero-lse": ({"zero_price": ("LSE1",)}, {}, {}, range(10)),
     "threebus-highs": (None, {"backend": "highs"}, {}, range(10)),
     "grid118-2h": ({"buses": 118, "gencos": 54, "lses": 91, "entity_size": 1,
                     "T": 2, "seed": 7, "segments": 1},
@@ -97,17 +102,24 @@ def rounds(name, run_market_round, iterations):
     from maskdispatch import MaskConfig, SolverConfig, gen_synthetic, load_case
 
     case, solver, mask, seeds = CASES[name]
-    if case is None:
+    case = dict(case or {})
+    cut = case.pop("one_segment", ())
+    zero = case.pop("zero_price", ())
+    if case:
+        system = gen_synthetic(**case)
+    else:
         import maskdispatch
         system = load_case(os.path.join(os.path.dirname(maskdispatch.__file__),
                                         "cases", "threebus.case"))
-    else:
-        case = dict(case)
-        cut = case.pop("one_segment", ())
-        system = gen_synthetic(**case)
-        system = dataclasses.replace(system, generators=[
-            dataclasses.replace(g, segments=g.segments[:1]) if g.owner in cut else g
-            for g in system.generators])
+
+    def bid(unit):
+        segments = unit.segments[:1] if unit.owner in cut else unit.segments
+        if unit.owner in zero:
+            segments = [dataclasses.replace(s, price=0.0) for s in segments]
+        return dataclasses.replace(unit, segments=segments)
+
+    system = dataclasses.replace(system, generators=list(map(bid, system.generators)),
+                                 loads=list(map(bid, system.loads)))
     for seed in seeds:
         iterations.clear()
         cleared, log = run_market_round(system, seed, mode="masked",
