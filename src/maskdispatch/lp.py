@@ -15,10 +15,11 @@ nonnegative and for a min problem it is nonpositive.
 
 The default backend is a two-phase primal revised simplex (Bland's rule
 engaged after a run of degenerate pivots); it takes only lower bounds of 0
-or -inf and no upper bounds, and reports no bound duals.  It calls LAPACK
-``getrf``/``getrs`` directly, as scipy's wrappers cost more than the work
-on its small bases: 10.6 against 5.8 µs a factorisation, 8.8-9.6 against
-1.0-1.5 µs a solve (``_Simplex``).  ``choose_backend`` reads only the size:
+or -inf and no upper bounds, and reports no bound duals.  A pivot copies
+one column into the basis matrix it keeps, factors it and makes three
+solves, calling LAPACK ``getrf``/``getrs`` directly, as scipy's wrappers
+cost more than the work on small bases (``_Simplex``).
+``choose_backend`` reads only the size:
 problems whose rows plus columns exceed ``_SIMPLEX_SIZE_LIMIT`` go to
 scipy's HiGHS solver, which accepts the same data and is mapped onto the
 same dual convention.  The masked round asks it before assembling
@@ -290,10 +291,14 @@ def _lu_solve(lu_piv, rhs, trans=0):
 class _Simplex:
     """Revised primal simplex on min c'z, Az=b, z>=0 with a known basis.
 
-    A pivot factors its basis and makes three solves on it, calling LAPACK
-    directly: on a 27-row basis (scipy 1.17, one BLAS thread) ``getrf``
-    takes 5.8 µs a call against ``lu_factor``'s 10.6, and ``getrs`` 1.0-1.5
-    µs against ``lu_solve``'s 8.8-9.6.
+    `run` keeps the basis matrix current: a pivot copies the entering
+    column over the leaving one, factors the matrix, makes three solves and
+    runs the ratio test over the rows whose direction is positive.  On
+    threebus's 27-row bases (scipy 1.17, one BLAS thread) a pivot takes
+    26 µs of CPU time, 13 of them in ``getrf`` and ``getrs``, called
+    directly at 5.8 and 1.0-1.5 µs a call (``lu_factor`` 10.6, ``lu_solve``
+    8.8-9.6); gathering the matrix from a list and a ratio for every row
+    made it 34 µs.
     """
 
     def __init__(self, A, b, c):
@@ -308,10 +313,8 @@ class _Simplex:
         (status, x, y, basis) where status is OPTIMAL or UNBOUNDED.
         """
         A, b, c = self.A, self.b, self.c
-        m, n_total = A.shape
-        basis = list(basis)
-        in_basis = np.zeros(n_total, dtype=bool)
-        in_basis[basis] = True
+        basis = np.array(basis, dtype=np.intp)
+        B = A[:, basis]
         degen_run = 0
 
         while True:
@@ -320,44 +323,40 @@ class _Simplex:
                     f"iteration limit {_MAX_ITER} exceeded")
             self.iterations += 1
 
-            lu_piv = _lu_factor(A[:, basis])
+            lu_piv = _lu_factor(B)
             xB = _lu_solve(lu_piv, b)
             y = _lu_solve(lu_piv, c[basis], trans=1)
 
             rc = c - y @ A
-            rc[in_basis] = 0.0
+            rc[basis] = 0.0
             cand = ((rc < -_DUAL_TOL) & allowed).nonzero()[0]
             if cand.size == 0:
-                x = np.zeros(n_total)
+                x = np.zeros_like(c)
                 x[basis] = xB
-                return OPTIMAL, x, y, basis
+                return OPTIMAL, x, y, basis.tolist()
 
             bland = degen_run >= _DEGEN_THRESHOLD
-            if bland:
-                enter = int(cand[0])
-            else:
-                enter = int(cand[rc[cand].argmin()])
+            enter = cand[0] if bland else cand[rc[cand].argmin()]
 
-            d = _lu_solve(lu_piv, A[:, enter])
-            pos = d > _PIVOT_TOL
-            if not pos.any():
-                return UNBOUNDED, None, y, basis
+            column = A[:, enter]
+            d = _lu_solve(lu_piv, column)
+            rows = (d > _PIVOT_TOL).nonzero()[0]
+            if rows.size == 0:
+                return UNBOUNDED, None, y, basis.tolist()
 
-            ratios = np.full(m, np.inf)
-            ratios[pos] = np.maximum(xB[pos], 0.0) / d[pos]
+            ratios = np.maximum(xB[rows], 0.0) / d[rows]
             theta = ratios.min()
-            ties = (ratios - theta <= 1e-9 * (1.0 + abs(theta))).nonzero()[0]
+            ties = rows[ratios - theta <= 1e-9 * (1.0 + abs(theta))]
             if bland:
-                leave_pos = min(ties, key=lambda r: basis[r])
+                leave_pos = ties[basis[ties].argmin()]
             else:
                 leave_pos = ties[d[ties].argmax()]
 
             degen_run = degen_run + 1 if theta <= 1e-11 else 0
 
             leaving = basis[leave_pos]
-            in_basis[leaving] = False
-            in_basis[enter] = True
             basis[leave_pos] = enter
+            B[:, leave_pos] = column
             if bar_reentry_from is not None and leaving >= bar_reentry_from:
                 allowed[leaving] = False
 
@@ -367,58 +366,58 @@ def _solve_simplex(problem: LpProblem) -> LpSolution:
     A, b, c = std.A, std.b, std.c
     m, n = A.shape
 
-    if m == 0:
-        # no constraints at all: optimal iff no improving direction exists
-        if np.any(c < -_DUAL_TOL):
-            return LpSolution(status=UNBOUNDED, backend="simplex")
-        x = std.recover_x(np.zeros(n))
-        return _finish(problem, x, np.zeros(0), np.zeros(0), 0, "simplex")
+    kept_rows, iterations = list(range(m)), 0
+    if m:
+        # phase 1: artificial basis
+        A1 = np.hstack([A, np.eye(m)])
+        c1 = np.concatenate([np.zeros(n), np.ones(m)])
+        engine = _Simplex(A1, b, c1)
+        allowed = np.ones(n + m, dtype=bool)
+        status, z, y, basis = engine.run(range(n, n + m), allowed,
+                                         bar_reentry_from=n)
+        iterations = engine.iterations
+        if status != OPTIMAL:
+            raise NumericalBreakdown("phase-1 subproblem reported unbounded")
+        phase1_obj = float(c1 @ z)
+        if phase1_obj > _FEAS_TOL * (1.0 + np.max(np.abs(b), initial=0.0)):
+            return LpSolution(status=INFEASIBLE, backend="simplex",
+                              iterations=iterations)
 
-    # phase 1: artificial basis
-    A1 = np.hstack([A, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    engine = _Simplex(A1, b, c1)
-    allowed = np.ones(n + m, dtype=bool)
-    status, z, y, basis = engine.run(basis, allowed, bar_reentry_from=n)
-    if status != OPTIMAL:
-        raise NumericalBreakdown("phase-1 subproblem reported unbounded")
-    phase1_obj = float(c1 @ z)
-    if phase1_obj > _FEAS_TOL * (1.0 + np.max(np.abs(b), initial=0.0)):
-        return LpSolution(status=INFEASIBLE, backend="simplex",
-                          iterations=engine.iterations)
-
-    # drive artificials out of the basis; rows that cannot pivot are redundant
-    kept_rows = list(range(m))
-    drop_rows = []
-    for pos in range(m):
-        if basis[pos] < n:
-            continue
-        lu_piv = _lu_factor(A1[:, basis])
-        row_ok = False
-        for j in range(n):
-            if j in basis:
+        # drive artificials out; rows that cannot pivot are redundant
+        drop_rows = set()
+        for pos in range(m):
+            if basis[pos] < n:
                 continue
-            d = _lu_solve(lu_piv, A1[:, j])
-            if abs(d[pos]) > _PIVOT_TOL:
-                basis[pos] = j
-                row_ok = True
-                break
-        if not row_ok:
-            drop_rows.append(pos)
+            lu_piv = _lu_factor(A1[:, basis])
+            for j in range(n):
+                if j in basis:
+                    continue
+                d = _lu_solve(lu_piv, A1[:, j])
+                if abs(d[pos]) > _PIVOT_TOL:
+                    basis[pos] = j
+                    break
+            else:
+                drop_rows.add(pos)
 
-    if drop_rows:
-        keep = [r for r in range(m) if r not in set(drop_rows)]
-        A = A[keep, :]
-        b = b[keep]
-        basis = [basis[pos] for pos in keep]
-        kept_rows = keep
+        if drop_rows:
+            kept_rows = [r for r in kept_rows if r not in drop_rows]
+            A, b = A[kept_rows, :], b[kept_rows]
+            basis = [basis[pos] for pos in kept_rows]
+
+    if not kept_rows:
+        # no rows, or only redundant ones: optimal at z = 0 iff no
+        # improving direction exists
+        if np.any(c < -_DUAL_TOL):
+            return LpSolution(status=UNBOUNDED, backend="simplex",
+                              iterations=iterations)
+        x = std.recover_x(np.zeros(n))
+        duals_eq, duals_in = std.recover_duals(np.zeros(0), kept_rows)
+        return _finish(problem, x, duals_eq, duals_in, iterations, "simplex")
 
     # phase 2
     engine2 = _Simplex(A, b, c)
-    engine2.iterations = engine.iterations
-    allowed2 = np.ones(n, dtype=bool)
-    status, z, y, basis = engine2.run(basis, allowed2)
+    engine2.iterations = iterations
+    status, z, y, basis = engine2.run(basis, np.ones(n, dtype=bool))
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, backend="simplex",
                           iterations=engine2.iterations)

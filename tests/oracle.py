@@ -18,6 +18,11 @@ cancellation kernel and for `masking.eliminate_angles`.
 
 `lil_incidences` builds the entity and line incidences entry by entry in
 a `lil_matrix`, the reference for `market.build_ed_blocks`.
+
+`reference_simplex_run` is a second pivot loop for `lp._Simplex`, the
+reference for `lp._Simplex.run`: it keeps its basis as a list, gathers
+the basis matrix from it and runs the ratio test over every row on each
+pivot.
 """
 
 from itertools import combinations
@@ -26,6 +31,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from maskdispatch import lp
 from maskdispatch.lp import LpProblem
 from maskdispatch.market import SLACK_PREFIX, MarketSystem
 
@@ -266,3 +272,68 @@ def lil_incidences(system: MarketSystem):
             if bus[ln.to_bus] != ref:
                 KL[t * L + l_i, t * (B - 1) + angle[bus[ln.to_bus]]] = -1.0
     return out, KL.tocsr()
+
+
+def reference_simplex_run(self, basis, allowed, bar_reentry_from=None):
+    """`lp._Simplex.run`'s pivots the plain way, for an engine `self`.
+
+    Same contract, pivot rule, tolerances and Bland's tie-break.  Each
+    pivot gathers ``A[:, basis]`` from the basis list and fills a ratio
+    for every row, infinite where the direction is not positive.  The
+    module's names are read from `lp` when called, so a test that
+    patches ``lp._lu_factor`` or ``lp._DEGEN_THRESHOLD`` patches both
+    loops.
+    """
+    A, b, c = self.A, self.b, self.c
+    m, n_total = A.shape
+    basis = list(basis)
+    in_basis = np.zeros(n_total, dtype=bool)
+    in_basis[basis] = True
+    degen_run = 0
+
+    while True:
+        if self.iterations >= lp._MAX_ITER:
+            raise lp.NumericalBreakdown(
+                f"iteration limit {lp._MAX_ITER} exceeded")
+        self.iterations += 1
+
+        lu_piv = lp._lu_factor(A[:, basis])
+        xB = lp._lu_solve(lu_piv, b)
+        y = lp._lu_solve(lu_piv, c[basis], trans=1)
+
+        rc = c - y @ A
+        rc[in_basis] = 0.0
+        cand = ((rc < -lp._DUAL_TOL) & allowed).nonzero()[0]
+        if cand.size == 0:
+            x = np.zeros(n_total)
+            x[basis] = xB
+            return lp.OPTIMAL, x, y, basis
+
+        bland = degen_run >= lp._DEGEN_THRESHOLD
+        if bland:
+            enter = int(cand[0])
+        else:
+            enter = int(cand[rc[cand].argmin()])
+
+        d = lp._lu_solve(lu_piv, A[:, enter])
+        pos = d > lp._PIVOT_TOL
+        if not pos.any():
+            return lp.UNBOUNDED, None, y, basis
+
+        ratios = np.full(m, np.inf)
+        ratios[pos] = np.maximum(xB[pos], 0.0) / d[pos]
+        theta = ratios.min()
+        ties = (ratios - theta <= 1e-9 * (1.0 + abs(theta))).nonzero()[0]
+        if bland:
+            leave_pos = min(ties, key=lambda r: basis[r])
+        else:
+            leave_pos = ties[d[ties].argmax()]
+
+        degen_run = degen_run + 1 if theta <= 1e-11 else 0
+
+        leaving = basis[leave_pos]
+        in_basis[leaving] = False
+        in_basis[enter] = True
+        basis[leave_pos] = enter
+        if bar_reentry_from is not None and leaving >= bar_reentry_from:
+            allowed[leaving] = False

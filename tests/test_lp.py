@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from maskdispatch.lp import (
     LpProblem, SolverConfig, solve_lp, check_point,
     DimensionMismatch, NumericalBreakdown,
 )
-from oracle import best_vertex_objective
+from oracle import best_vertex_objective, reference_simplex_run
 
 
 def simple_bound_problem():
@@ -125,14 +126,18 @@ def test_bit_identical_determinism():
     assert np.array_equal(r1.x, r2.x)
 
 
+# classic cycling-prone data (Beale's example)
+_CYCLING = dict(sense="min", c=[-0.75, 150.0, -0.02, 6.0],
+                A_in=[[0.25, -60.0, -0.04, 9.0],
+                      [0.5, -90.0, -0.02, 3.0],
+                      [0.0, 0.0, 1.0, 0.0]],
+                b_in=[0.0, 0.0, 1.0], lb=[0.0] * 4)
+
+
 def test_degenerate_problem_terminates():
-    # classic cycling-prone data; Bland's rule must still terminate
-    c = [-0.75, 150.0, -0.02, 6.0]
-    A = [[0.25, -60.0, -0.04, 9.0],
-         [0.5, -90.0, -0.02, 3.0],
-         [0.0, 0.0, 1.0, 0.0]]
-    b = [0.0, 0.0, 1.0]
-    p = LpProblem(sense="min", c=c, A_in=A, b_in=b, lb=[0.0] * 4)
+    # it solves in 7 pivots without Bland's rule; the rule itself is
+    # covered by test_blands_rule_matches_reference_and_highs
+    p = LpProblem(**_CYCLING)
     sol = solve_lp(p)
     assert sol.status == "optimal"
     ref = best_vertex_objective(p)
@@ -258,6 +263,23 @@ def test_redundant_equality_rows_handled():
     assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("sense, status", [("min", "optimal"),
+                                           ("max", "unbounded")])
+def test_all_rows_redundant(sense, status, capfd):
+    # phase 1 drops the only row, 0 = 0; what is left has no rows
+    p = LpProblem(sense=sense, c=[1.0, 1.0], A_eq=[[0.0, 0.0]], b_eq=[0.0],
+                  lb=[0.0] * 2)
+    sol = solve_lp(p, SolverConfig(backend="simplex"))
+    ref = solve_lp(p, SolverConfig(backend="highs"))
+    assert sol.status == ref.status == status
+    if status == "optimal":
+        np.testing.assert_array_equal(sol.x, [0.0, 0.0])
+        np.testing.assert_array_equal(sol.duals_eq, [0.0])
+        assert sol.objective == 0.0 == pytest.approx(ref.objective, abs=1e-9)
+    # LAPACK reports an illegal argument on stderr
+    assert capfd.readouterr() == ("", "")
+
+
 def test_solution_carries_certificates():
     sol = solve_lp(simple_bound_problem())
     assert sol.gap <= 1e-9
@@ -302,6 +324,129 @@ def test_lu_helpers_match_scipy_bit_for_bit(threebus, monkeypatch):
                 assert _same(lp._lu_solve(lu_piv, rhs, trans),
                              scipy.linalg.lu_solve(ref, rhs, trans,
                                                    check_finite=False))
+
+
+def _pivot_trace(problem, run):
+    """How the simplex solves `problem` with `run` as `_Simplex.run`:
+    ``(outcome, bases, runs)``, where the outcome is the status, iteration
+    count and objective, or ``("breakdown", message)``, `bases` every
+    basis `_lu_factor` saw and `runs` each run's (status, x, y, basis)."""
+    bases, runs = [], []
+    factor = lp._lu_factor
+
+    def recording_factor(B):
+        bases.append(B.copy())
+        return factor(B)
+
+    def recording_run(engine, *args, **kwargs):
+        runs.append(run(engine, *args, **kwargs))
+        return runs[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_lu_factor", recording_factor)
+        mp.setattr(lp._Simplex, "run", recording_run)
+        try:
+            sol = lp._solve_simplex(problem)
+            outcome = (sol.status, sol.iterations, sol.objective)
+        except NumericalBreakdown as err:
+            outcome = ("breakdown", str(err))
+    return outcome, bases, runs
+
+
+def _assert_pivots_match_reference(problem):
+    """The pivot loop solves `problem` along the reference loop's path, bit
+    for bit; returns the outcome."""
+    outcome, bases, runs = _pivot_trace(problem, lp._Simplex.run)
+    want, want_bases, want_runs = _pivot_trace(problem, reference_simplex_run)
+    assert outcome == want
+    assert len(bases) == len(want_bases)
+    assert all(_same(B, W) for B, W in zip(bases, want_bases))
+    assert len(runs) == len(want_runs)
+    for (status, x, y, basis), ref in zip(runs, want_runs):
+        assert (status, basis) == (ref[0], ref[3])
+        assert (x is None and ref[1] is None) or _same(x, ref[1])
+        assert _same(y, ref[2])
+    return outcome
+
+
+def _simplex_lps(system, seeds):
+    """The LP of `system`'s clear round and the slack form of its masked
+    round on each mask seed in `seeds`, as the simplex receives them."""
+    lps = []
+    solve = lp._solve_simplex
+
+    def recording(problem):
+        lps.append(problem)
+        return solve(problem)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_solve_simplex", recording)
+        protocol.run_market_round(system, 0, mode="clear")
+        for seed in seeds:
+            protocol.run_market_round(system, seed, mode="masked")
+    assert len(lps) == 1 + len(seeds)
+    return lps
+
+
+def _random_lp(rng, k):
+    """A small LP with free and nonnegative columns.  Every third has a zero
+    right-hand side, so it is degenerate at the origin.  By ``k % 4``: 0
+    adds two equality rows that contradict each other (infeasible), 1 and 2
+    box every column by rows (optimal), 3 leaves the columns unboxed (often
+    unbounded)."""
+    n, m_eq, m_in = (int(v) for v in rng.integers((1, 0, 0), (7, 3, 6)))
+    A = rng.normal(size=(m_eq + m_in, n))
+    A[rng.random(A.shape) < 0.3] = 0.0
+    lb = np.where(rng.random(n) < 0.4, -np.inf, 0.0)
+    x0 = np.where(lb == 0.0, 1.0, rng.choice([-1.0, 1.0], n)) * rng.random(n)
+    b = A @ x0
+    b[m_eq:] += rng.random(m_in) * (rng.random(m_in) < 0.5)
+    if k % 3 == 0:
+        b[:] = 0.0
+    A_eq, b_eq, A_in, b_in = A[:m_eq], b[:m_eq], A[m_eq:], b[m_eq:]
+    if k % 4 == 0:
+        a = rng.normal(size=(1, n))
+        A_eq, b_eq = np.vstack([A_eq, a, a]), np.append(b_eq, [0.0, 1.0])
+    elif k % 4 < 3:
+        A_in = np.vstack([A_in, np.eye(n), -np.eye(n)])
+        b_in = np.append(b_in, np.full(2 * n, 2.0))
+    return LpProblem(sense="max" if k % 2 else "min", c=rng.normal(size=n),
+                     A_eq=A_eq, b_eq=b_eq, A_in=A_in, b_in=b_in, lb=lb)
+
+
+def _zero_priced(system, owner):
+    """`system` with every bid segment of `owner`'s loads priced at 0."""
+    return dataclasses.replace(system, loads=[
+        dataclasses.replace(d, segments=[dataclasses.replace(s, price=0.0)
+                                         for s in d.segments])
+        if d.owner == owner else d for d in system.loads])
+
+
+def test_pivot_loop_matches_reference_bit_for_bit(threebus):
+    lps = (_simplex_lps(threebus, range(10))
+           + _simplex_lps(_zero_priced(threebus, "LSE1"), range(10))[1:])
+    rng = np.random.default_rng(31)
+    random_lps = [_random_lp(rng, k) for k in range(200)]
+    for p in lps:
+        assert _assert_pivots_match_reference(p)[0] == "optimal"
+    outcomes = [_assert_pivots_match_reference(p) for p in random_lps]
+    assert {o[0] for o in outcomes} == {"optimal", "unbounded", "infeasible"}
+
+
+@pytest.mark.parametrize("threshold", [0, 2])
+def test_blands_rule_matches_reference_and_highs(threebus, threshold,
+                                                 monkeypatch):
+    lps = [LpProblem(**_CYCLING)] + _simplex_lps(threebus, range(5))
+    highs = [solve_lp(p, SolverConfig(backend="highs")).objective
+             for p in lps]
+    pivots = [solve_lp(p).iterations for p in lps]
+    monkeypatch.setattr(lp, "_DEGEN_THRESHOLD", threshold)
+    outcomes = [_assert_pivots_match_reference(p) for p in lps]
+    for (status, _, objective), want in zip(outcomes, highs):
+        assert status == "optimal"
+        assert objective == pytest.approx(want, abs=1e-6)
+    # Bland's rule took over on some path
+    assert [o[1] for o in outcomes] != pivots
 
 
 def test_singular_basis_breaks_down_without_warning():
