@@ -40,14 +40,17 @@ HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # name -> (case, solver settings, mask settings, mask seeds); a case is
 # threebus or gen_synthetic's arguments, and its "one_segment" owners have
-# their units cut to their first bid segment and its "zero_price" owners
-# bid every segment at 0
+# their units cut to their first bid segment, its "zero_price" owners bid
+# every segment at 0 and its "reversed_lines" (indices) swap their ends
 CASES = {
     "threebus-auto": (None, {}, {}, range(30)),
     # every price in [10, 12] is optimal, so this pins which optimal dual
     # the simplex picks
     "threebus-zero-lse": ({"zero_price": ("LSE1",)}, {}, {}, range(10)),
     "threebus-highs": (None, {"backend": "highs"}, {}, range(10)),
+    # line 1-3 entered as 3-1, so the congested line binds at its lower limit
+    "threebus-highs-lower": ({"reversed_lines": (2,)}, {"backend": "highs"}, {},
+                             range(10)),
     "grid118-2h": ({"buses": 118, "gencos": 54, "lses": 91, "entity_size": 1,
                     "T": 2, "seed": 7, "segments": 1},
                    {"highs_method": "highs-ipm"}, {"hourly_block_masks": True},
@@ -105,6 +108,7 @@ def rounds(name, run_market_round, iterations):
     case = dict(case or {})
     cut = case.pop("one_segment", ())
     zero = case.pop("zero_price", ())
+    reversed_lines = case.pop("reversed_lines", ())
     if case:
         system = gen_synthetic(**case)
     else:
@@ -118,8 +122,10 @@ def rounds(name, run_market_round, iterations):
             segments = [dataclasses.replace(s, price=0.0) for s in segments]
         return dataclasses.replace(unit, segments=segments)
 
+    lines = [dataclasses.replace(ln, from_bus=ln.to_bus, to_bus=ln.from_bus)
+             if i in reversed_lines else ln for i, ln in enumerate(system.lines)]
     system = dataclasses.replace(system, generators=list(map(bid, system.generators)),
-                                 loads=list(map(bid, system.loads)))
+                                 loads=list(map(bid, system.loads)), lines=lines)
     for seed in seeds:
         iterations.clear()
         cleared, log = run_market_round(system, seed, mode="masked",
