@@ -481,9 +481,10 @@ def place_blocks(pieces, shape):
     Blocks may be dense or sparse and must not overlap.  Up to
     `_DENSE_CELL_LIMIT` cells the result is a dense array; above it, a
     CSR matrix from the blocks' nonzero triplets (`coo_csr`).  The dense
-    branch stays because it is faster on small LPs: on the 3-bus case the
-    clear LP assembles in 0.5-0.6 ms dense against 1.6-1.9 ms as CSR, the
-    slack form in 0.1 ms against 0.7-1.3 ms (of an 11-14 ms masked round).
+    branch stays because it is faster on small LPs: on the 3-bus case,
+    with one BLAS thread, it places the clear LP in 0.016 ms dense against
+    0.35-0.40 ms as CSR, and the slack form in 0.012 ms against 0.45 ms
+    (of a 3.2-3.4 ms masked round).
     """
     if shape[0] * shape[1] <= _DENSE_CELL_LIMIT:
         out = np.zeros(shape)

@@ -4,8 +4,14 @@ Each bidding entity hides its data behind secret random matrices: a
 column mask Y (applied on the right of its blocks), a row mask X
 (applied on the left of its constraint block), and positive slack
 coefficients R that turn its inequality rows into equalities.  The grid
-operator does the same for line-limit rows and additionally masks the
-nodal-balance rows with a square positive matrix applied on the left.
+operator masks its angle columns with Y_θ and its nodal-balance rows
+with a square positive matrix X_b applied on the left.  Its line-limit
+rows go out row-scaled only: one block ``R_l⁻¹·G·KL·Y_θ`` and one
+right-hand side ``R_l⁻¹·PL`` serve both limits of every line-hour, with
+R_l a private positive diagonal.  A row mask sent with its slack block
+hides nothing, since anyone holding the message cancels it (ROADMAP item
+4(a)), so the operator sends neither: its line rows are what the
+clearing agent read from the masked line-limit groups it used to receive.
 Solving the masked LP and mapping each solution slice back through the
 owner's keys reproduces the clear-market dispatch, angles, and prices.
 The operator keeps each of its masks as the stack of its diagonal hour
@@ -20,29 +26,25 @@ clearing agent stacks the entities' dense blocks per ``(m, n)`` shape
 c)`` stack of its hour blocks and their columns (`_hour_stack`: a CSR
 block's entries are the stack), and refuses any other layout.  It signs
 the two balance blocks as they enter the rows and builds only the LP its
-solver takes: the all-equality slack form for the bundled simplex or,
-for HiGHS, the LP with every owner's slack block cancelled, the free
-angle columns substituted out and each line-hour stated once
+solver takes: the all-equality slack form for the bundled simplex, each
+line row with an identity slack column that nobody sends, or, for
+HiGHS, the LP with every entity's slack block cancelled, the free angle
+columns substituted out and each line-hour stated once
 (``eliminate_angles``, the shift-factor form in flow form: the entity
 columns plus one masked-flow column per line-hour, one balance equality
 per hour and one flow equality per line-hour).  Every step of that is a
-stacked call: one solve per stack cancels the slack blocks
+stacked call: one solve per entity stack cancels the slack blocks
 (``_cancel_slacks``), each stack's cancelled rows are placed in one
 broadcast, and the QR runs over the hours of the balance stack.  The flow
 form is kept as stacks, hour h's line block over hour h's angle columns:
 the agent builds each LP it solves straight from them, with the flow
 rows of the line-hours it monitors only (``AngleElimination.screened``),
-and builds CSR only for the matrices it hands on.  After cancellation a
-line-hour's upper and lower limit rows are one row up to a positive
-factor; the agent checks that they are antiparallel and raises
-NumericalBreakdown if not.  The factor and the flows were already
-computable from the published blocks, and nothing new is sent.  Every
-inequality row left with a single entry (the flow limits, and the bound
-rows of entities with a diagonal column mask) is handed to HiGHS as a
-column bound.  The solution is mapped back to the masked angles, the row
-duals of the moved rows, the line-limit duals and the balance duals
-before recovery, so the solution slices and the messages are those of
-the clear LP's layout.
+and builds CSR only for the matrices it hands on.  Every inequality row
+left with a single entry (the flow limits, and the bound rows of
+entities with a diagonal column mask) is handed to HiGHS as a column
+bound.  The solution is mapped back to the masked angles, the row duals
+of the moved rows and the balance duals before recovery, so the
+solution slices and the messages are those of the clear LP's layout.
 
 The entities' identical local work runs in stacked passes, one per
 block shape, not once per entity: their key draws are gated together
@@ -94,9 +96,12 @@ class SpanMismatch(ValueError):
     """A solution slice does not match the owner's key dimensions."""
 
 
-_POSITIVE_RANGE = (0.01, 1.0)   # entries of Y, Y_theta, X_l1/X_l2, X_b
+_POSITIVE_RANGE = (0.01, 1.0)   # entries of Y, Y_theta, X_b
 _SIGNED_RANGE = (-1.0, 1.0)     # entries of entity X masks
-_DIAG_RANGE = (0.5, 2.0)        # slack coefficient diagonals
+# slack coefficient diagonals, and the operator's line row scales R_l: a
+# positive diagonal is all a line row mask amounts to once its published
+# slack block is cancelled, so R_l is the operator's whole line row key
+_DIAG_RANGE = (0.5, 2.0)
 # a matrix serves as a mask, drawn as a key or supplied to the generic
 # transforms, when its Frobenius bound ‖M‖_F·‖M⁻¹‖_F (_frobenius_bound) is
 # at most _COND_MAX.  The bound is at least the 2-norm condition number, so
@@ -112,12 +117,14 @@ _MAX_RETRIES = 50
 class MaskConfig:
     # the one mask setting; the condition gate (_COND_MAX, _MAX_RETRIES)
     # is fixed.  hourly_block_masks draws the column masks and the
-    # operator's row masks in one positive block per hour instead of one
-    # full positive matrix over all hours.  Identical to the default at a
-    # one-hour horizon, and all equivalence and recovery arithmetic is
-    # unchanged; without it the masked LP densifies quadratically in
-    # hours*lines and multi-day cases stop being solvable in reasonable
-    # time.  Transmission accounting always charges full blocks either way.
+    # operator's balance-row mask in one positive block per hour instead
+    # of one full positive matrix over all hours (its line rows are only
+    # row-scaled, and their scales are per row either way).  Identical to
+    # the default at a one-hour horizon, and all equivalence and recovery
+    # arithmetic is unchanged; without it the masked LP densifies
+    # quadratically in hours*lines and multi-day cases stop being solvable
+    # in reasonable time.  Transmission accounting always charges full
+    # blocks either way.
     hourly_block_masks: bool = False
 
     def hours(self, horizon):
@@ -141,10 +148,7 @@ class IsoKeys:
     stack of its diagonal blocks, ``H = MaskConfig.hours(horizon)``: a mask
     over all hours is the stack of one block."""
     Y_theta: np.ndarray  # (H, n_iso/H, n_iso/H) positive
-    X_l1: np.ndarray     # (H, T*L/H, T*L/H) positive
-    X_l2: np.ndarray
-    R_l1: np.ndarray     # (T*L,) positive
-    R_l2: np.ndarray
+    R_l: np.ndarray      # (T*L,) positive line row scales
     X_b: np.ndarray      # (H, T*B/H, T*B/H) positive
 
 
@@ -276,14 +280,9 @@ def iso_keys(rng, n_iso, TL, TB, config: MaskConfig = None,
 
     def draw(size, what):
         return _sample_hourly_mask(rng, size, hours, *_POSITIVE_RANGE, what)
-    return IsoKeys(
-        Y_theta=draw(n_iso, "angle column"),
-        X_l1=draw(TL, "line row 1"),
-        X_l2=draw(TL, "line row 2"),
-        R_l1=rng.uniform(*_DIAG_RANGE, size=TL),
-        R_l2=rng.uniform(*_DIAG_RANGE, size=TL),
-        X_b=draw(TB, "balance row"),
-    )
+    return IsoKeys(Y_theta=draw(n_iso, "angle column"),
+                   R_l=rng.uniform(*_DIAG_RANGE, size=TL),
+                   X_b=draw(TB, "balance row"))
 
 
 def spawn_party_seeds(seed: int, n_entities: int):
@@ -436,11 +435,13 @@ class EncryptedSubmission:
 
     Entity submissions carry the masked cost row, the masked constraint
     block, the masked slack block, the masked bounds vector, and the
-    masked bus incidence.  The grid operator's submission carries the
-    masked line-limit rows, their slack blocks and bounds, the masked
-    admittance block, and one balance block: every entity's masked
-    incidence side by side in the layout's entity order (GENCOs, then
-    LSEs), further masked with the balance-row key.  Below, a key stack
+    masked bus incidence.  The grid operator's submission carries its
+    line rows, row-scaled only, with their one right-hand side for both
+    limits; no line row mask or slack block, which the agent would cancel
+    (ROADMAP item 4(a)).  It also carries the masked admittance block and
+    one balance block: every entity's masked incidence side by side in
+    the layout's entity order (GENCOs, then LSEs), further masked with
+    the balance-row key.  Below, a key stack
     stands for its block diagonal; the operator's blocks are dense, or
     block-diagonal CSR under hourly keys.  The payload is every block
     that is set, named by its field, in field order.  The operator's
@@ -459,12 +460,8 @@ class EncryptedSubmission:
     masked_rhs: np.ndarray = None         # X_i M_i           (m,)
     masked_incidence: np.ndarray = None   # KP_i Y_i          (T*B, n)
     # ISO fields
-    line_flow_hi: np.ndarray = None       # X_l1 G KL Y_theta (T*L, n_iso)
-    line_flow_lo: np.ndarray = None       # -X_l2 G KL Y_theta
-    line_slack_hi: np.ndarray = None      # X_l1 R_l1         (T*L, T*L)
-    line_slack_lo: np.ndarray = None      # X_l2 R_l2
-    line_rhs_hi: np.ndarray = None        # X_l1 PL           (T*L,)
-    line_rhs_lo: np.ndarray = None        # X_l2 PL
+    line_flow: np.ndarray = None          # R_l⁻¹ G KL Y_theta (T*L, n_iso)
+    line_rhs: np.ndarray = None           # R_l⁻¹ PL          (T*L,)
     balance_theta: np.ndarray = None      # X_b B Y_theta     (T*B, n_iso)
     balance: np.ndarray = None            # X_b [KP_1 Y_1 ... KD_N Y_N]
                                           #                   (T*B, sum n)
@@ -600,16 +597,17 @@ def mask_iso(blocks, keys: IsoKeys,
     The network blocks, and each incidence under hourly keys, are block
     diagonal over the hour blocks of the key stacks (`IsoKeys`), so every
     product is formed block by block: the network's (CSR) times Y_theta's
-    and batched matmuls with the row keys'.  The entities' diagonal hour
-    blocks are joined along their columns and masked in one stacked
-    matmul, under one block the whole-key product ``X_b·[KP_1Y_1 …
-    KD_NY_N]``.  With one block these are the whole products, published
+    and batched matmuls with X_b's.  The line rows are divided by their
+    scales R_l and published once for both limits.  The entities'
+    diagonal hour blocks are joined along their columns and masked in one
+    stacked matmul, under one block the whole-key product ``X_b·[KP_1Y_1
+    … KD_NY_N]``.  With one block these are the whole products, published
     dense; with more, each is published as CSR built from its stack
     (`_block_diagonal_csr`), the balance block with each hour's columns
     at their entities' columns of that hour.
     """
-    if np.any(keys.R_l1 <= 0) or np.any(keys.R_l2 <= 0):
-        raise NonPositiveDiagonal("line slack coefficients")
+    if np.any(keys.R_l <= 0):
+        raise NonPositiveDiagonal("line row scales")
     H = len(keys.X_b)
 
     def angles(M):
@@ -630,24 +628,19 @@ def mask_iso(blocks, keys: IsoKeys,
     start = np.repeat(np.cumsum(widths) - widths, widths)
     width = np.repeat(widths, widths)
     cols = (H - 1) * start + np.arange(start.size) + np.arange(H)[:, None] * width
-    flow, caps = angles(blocks.flow_rows), blocks.line_caps.reshape(H, -1, 1)
     return EncryptedSubmission(
         owner=ISO, kind="ISO", balance_owners=tuple(entity_incidences), hours=H,
-        line_flow_hi=_matrix(keys.X_l1 @ flow),
-        line_flow_lo=_matrix(-(keys.X_l2 @ flow)),
-        line_slack_hi=_matrix(keys.X_l1 * keys.R_l1.reshape(H, 1, -1)),
-        line_slack_lo=_matrix(keys.X_l2 * keys.R_l2.reshape(H, 1, -1)),
-        line_rhs_hi=(keys.X_l1 @ caps).reshape(-1),
-        line_rhs_lo=(keys.X_l2 @ caps).reshape(-1),
+        line_flow=_matrix(angles(blocks.flow_rows) / keys.R_l.reshape(H, -1, 1)),
+        line_rhs=blocks.line_caps / keys.R_l,
         balance_theta=_matrix(keys.X_b @ angles(blocks.admittance)),
         balance=_matrix(keys.X_b @ np.ascontiguousarray(
             np.moveaxis(np.concatenate(incidences, axis=1), 2, 0)), cols),
     )
 
 
-# K row blocks of one shape of the masked LP, block k of owner owners[k]
-# reading ``C[k]·z + S[k]·s = b[k]`` (s >= 0, S[k] its rows' slack block)
-# in the (K, r) rows rows[k] over the (K, c) structural columns cols[k]
+# K entity row blocks of one shape of the masked LP, block k of owner
+# owners[k] reading ``C[k]·z + S[k]·s = b[k]`` (s >= 0, S[k] its rows' slack
+# block) in the (K, r) rows rows[k] over the (K, c) structural columns cols[k]
 RowStack = collections.namedtuple("RowStack", "owners rows cols C S b")
 
 
@@ -663,19 +656,24 @@ def _triplets(rows, cols, D):
 class TransformedLp:
     """The masked dispatch LP, kept as the blocks the parties published.
 
-    `stacks` holds the rows above the balance rows as `RowStack`s: one
-    per ``(m, n)`` shape of the entity submissions, in the order of each
-    shape's first entity, then the operator's upper and lower line limits,
-    each the stack of its published hour blocks (`_hour_stack`).
-    `balance` holds the two ``(col, block, cols)`` pieces of the balance
-    rows (zero right-hand side), each block an `_hour_stack` ``(stack,
-    cols)`` signed as it enters the rows: the entities' published block
-    with the loads' columns negated, then the negated angle block.  `c`
-    holds the structural costs.  Only the form a solver asks for is
-    assembled: `problem` (the slack form) or `eliminate_angles`.
+    `stacks` holds the entities' rows as `RowStack`s, one per ``(m, n)``
+    shape of the entity submissions, in the order of each shape's first
+    entity.  `line_flow` is the operator's line block as the ``(H, L, c)``
+    stack of its published hour blocks (`_hour_stack`), hour h's over hour
+    h's angle columns, and `line_rhs` the right-hand side of its ``TL``
+    rows: the upper limits read ``line_flow·θ' <= line_rhs`` and the lower
+    ones ``-line_flow·θ' <= line_rhs``.  `balance` holds the two ``(col,
+    block, cols)`` pieces of the balance rows (zero right-hand side), each
+    block an `_hour_stack` ``(stack, cols)`` signed as it enters the rows:
+    the entities' published block with the loads' columns negated, then
+    the negated angle block.  `c` holds the structural costs.  Only the
+    form a solver asks for is assembled: `problem` (the slack form) or
+    `eliminate_angles`.
     """
 
     stacks: list
+    line_flow: np.ndarray
+    line_rhs: np.ndarray
     balance: list
     c: np.ndarray
     var_spans: dict
@@ -690,8 +688,11 @@ class TransformedLp:
         """The masked LP in all-equality slack form, placed from the stacks
         on first access.  A block lies on consecutive rows and columns
         (an empty one, of a market without lines, places nothing), and row
-        i's slack is column ``n_structural + i``."""
+        i's slack is column ``n_structural + i``: an entity's published
+        slack block, or for a line row a slack of coefficient one, which
+        nobody sends."""
         bal, ns = self.row_spans["balance"][0], self.n_structural
+        th, (H, L, _) = self.var_spans["theta"][0], self.line_flow.shape
         pieces = [(bal, col, _matrix(B, cols)) for col, B, cols in self.balance]
         b_eq = np.zeros(self.n_rows)
         for st in self.stacks:
@@ -699,6 +700,11 @@ class TransformedLp:
                        if r.size]
             pieces += [(r[0], ns + r[0], S) for r, S in zip(st.rows, st.S) if r.size]
             b_eq[st.rows] = st.b
+        eye = _matrix(np.repeat(np.eye(L)[None], H, axis=0))
+        for name, sign in (("line_hi", 1.0), ("line_lo", -1.0)):
+            r0 = self.row_spans[name][0]
+            pieces += [(r0, th, _matrix(sign * self.line_flow)), (r0, ns + r0, eye)]
+            b_eq[r0:r0 + H * L] = self.line_rhs
         return LpProblem(
             sense="max", c=np.concatenate([self.c, np.zeros(self.n_slack)]),
             A_eq=place_blocks(pieces, (self.n_rows, self.n_vars)), b_eq=b_eq,
@@ -721,7 +727,8 @@ def build_transformed_ed(submissions) -> TransformedLp:
     the entities of one ``(m, n)`` shape are stacked together
     (`RowStack`).  The operator's blocks are read as their `_hour_stack`
     in its `hours` blocks, every one but `balance` on their diagonal; a
-    block that is not raises DimensionMismatch.
+    block that is not raises DimensionMismatch.  Its line block is placed
+    twice, for the upper and the lower limits.
     """
     isos = [s for s in submissions if s.kind == "ISO"]
     gencos = [s for s in submissions if s.kind == "GENCO"]
@@ -733,7 +740,7 @@ def build_transformed_ed(submissions) -> TransformedLp:
     iso = isos[0]
     entities = gencos + lses
     n_iso = iso.balance_theta.shape[1]
-    TL = iso.line_rhs_hi.size
+    TL = iso.line_rhs.size
     TB = iso.balance_theta.shape[0]
     if iso.balance_owners != tuple(s.owner for s in entities) or \
        iso.balance.shape != (TB, sum(s.n for s in entities)):
@@ -767,14 +774,6 @@ def build_transformed_ed(submissions) -> TransformedLp:
                        *(np.array([getattr(s, f) for s in group]) for f in
                          ("masked_constraints", "masked_slack", "masked_rhs")))
               for (_, _, _, _, m, n, _), group in shapes.items()]
-    for owner, F, S, b in (
-            ("line_hi", iso.line_flow_hi, iso.line_slack_hi, iso.line_rhs_hi),
-            ("line_lo", iso.line_flow_lo, iso.line_slack_lo, iso.line_rhs_lo)):
-        (F, cols), (S, _) = diagonal(F, (TL, n_iso)), diagonal(S, (TL, TL))
-        H, L, _ = F.shape
-        stacks.append(RowStack((owner,) * H,
-                               rs[owner][0] + np.arange(TL).reshape(H, L),
-                               th + cols, F, S, b.reshape(H, L)))
     # +1 for generation and -1 for load in each entity column, exact
     sign = np.repeat([1.0 if s.kind == "GENCO" else -1.0 for s in entities],
                      [s.n for s in entities])
@@ -783,16 +782,18 @@ def build_transformed_ed(submissions) -> TransformedLp:
     balance = [(0, Bz * sign[zcols][:, None], zcols), (th, -Bt, tcols)]
     c = np.concatenate([-s.masked_cost if s.kind == "GENCO" else s.masked_cost
                         for s in entities] + [np.zeros(n_iso)])
-    return TransformedLp(stacks=stacks, balance=balance, c=c, var_spans=vs,
+    return TransformedLp(stacks=stacks,
+                         line_flow=diagonal(iso.line_flow, (TL, n_iso))[0],
+                         line_rhs=iso.line_rhs, balance=balance, c=c, var_spans=vs,
                          row_spans=rs, n_structural=n_structural,
                          n_slack=layout.n_vars - n_structural,
                          n_rows=layout.n_rows, n_vars=layout.n_vars)
 
 
 def _cancel_slacks(stacks):
-    """Each `RowStack` of `stacks` with its slack blocks cancelled, as a
-    stack: the ``(K, r, c)`` stack of ``S⁻¹C`` and the ``(K, r)`` array of
-    ``S⁻¹b``, block by block, from one stacked ``np.linalg.solve`` per
+    """Each entity `RowStack` of `stacks` with its slack blocks cancelled,
+    as a stack: the ``(K, r, c)`` stack of ``S⁻¹C`` and the ``(K, r)`` array
+    of ``S⁻¹b``, block by block, from one stacked ``np.linalg.solve`` per
     stack, which gives each block's own solve bit for bit.  This is the
     cancellation kernel of `eliminate_angles`.
     """
@@ -801,29 +802,6 @@ def _cancel_slacks(stacks):
         x = np.linalg.solve(st.S, np.concatenate([st.C, st.b[..., None]], axis=2))
         out.append((x[..., :-1], x[..., -1]))
     return out
-
-
-def _merge_line_rows(hi, lo):
-    """``(a, k)`` for the cancelled upper- and lower-limit rows of the
-    line-hours, ``hi = R_l1⁻¹·F`` and ``lo = -R_l2⁻¹·F``, given as ``(H, L,
-    c)`` stacks of hour blocks: per row the ratio ``k = r1/r2`` fitted by
-    least squares, ``lo ≈ -k·hi``, hour-major, and the stack of the
-    symmetric merge ``a = (hi - lo/k)/2``.  Raises NumericalBreakdown
-    unless every pair is antiparallel (``k > 0``) to a relative residual
-    ``|lo + k·hi| / |lo|`` of at most 1e-6."""
-    dots = functools.partial(np.einsum, "...j,...j->...")   # row-wise
-    with np.errstate(divide="ignore", invalid="ignore"):
-        k = -dots(hi, lo) / dots(hi, hi)
-        res = lo + k[..., None] * hi
-        # |lo + k·hi| <= 1e-6·|lo|, squared
-        fit = dots(res, res) <= 1e-12 * dots(lo, lo)
-        a = (hi - lo * (1.0 / k)[..., None]) * 0.5
-    bad = np.flatnonzero(~((k > 0) & fit))
-    if bad.size:
-        raise NumericalBreakdown(
-            f"{bad.size} of {k.size} line-hour limit pairs are not "
-            f"antiparallel (first: row {bad[0]})")
-    return a, k.ravel()
 
 
 def _single_entry_bounds(r, c, v, b, lb, ub):
@@ -888,11 +866,10 @@ class AngleElimination:
     the bounds of ``z`` and ``f``; and the stacks over the hour blocks of
     the balance rows: each hour's entity columns `zcols` and balance block
     `Bz`, the full QR `Q`, `R` of its angle block, its balance equalities
-    ``eq = Q2ᵀ·Bz`` and its merged line block `a` over its angle columns.
-    `k` holds the lower-to-upper row ratios, `lower` the rows of the lower
-    limits and `moved` the ``(rows, cols, coef)`` of the rows stated as
-    bounds (`_single_entry_bounds`), both in the inequality rows of the
-    clear LP's layout.  ``P`` is never formed.
+    ``eq = Q2ᵀ·Bz`` and its line block `a` (the operator's published
+    ``line_flow``) over its angle columns.  `moved` holds the ``(rows, cols,
+    coef)`` of the rows stated as bounds (`_single_entry_bounds`), in the
+    inequality rows of the clear LP's layout.  ``P`` is never formed.
 
     `screened` builds the flow form with only some line-hours monitored,
     the LP the agent solves; `problem`, the whole flow form, is built on
@@ -911,9 +888,8 @@ class AngleElimination:
     clear LP's layout (``ed_layout(slacks=False)``, the structural columns
     and rows of ``tlp.problem``): the masked angles ``θ'`` after the
     entity columns (``f`` is dropped), every inequality row's dual in its
-    row (the moved rows' from their bounds' duals), the lower-limit duals
-    divided by `k` and the masked balance duals in place of the flow
-    form's equality duals.
+    row (the moved rows' from their bounds' duals) and the masked balance
+    duals in place of the flow form's equality duals.
     """
 
     c: np.ndarray
@@ -922,8 +898,6 @@ class AngleElimination:
     lb: np.ndarray
     ub: np.ndarray
     moved: tuple
-    k: np.ndarray
-    lower: slice
     a: np.ndarray
     Q: np.ndarray
     R: np.ndarray
@@ -935,7 +909,7 @@ class AngleElimination:
     def problem(self) -> LpProblem:
         """The whole flow form, every line-hour monitored, built on first
         access."""
-        return self.screened(np.arange(self.k.size))
+        return self.screened(np.arange(self.lb.size - self.c.size))
 
     def flows_in_rows(self):
         """The line-hours whose flow column an inequality row touches,
@@ -1009,7 +983,7 @@ class AngleElimination:
         unmonitored line-hours whose flow lies outside its bounds by more
         than ``_SCREEN_TOL`` relative to ``1 + |bound|``, sorted, and
         `theta` the masked angles ``θ'`` (`angles`), for `restore`."""
-        nz, TL = self.c.size, self.k.size
+        nz, TL = self.c.size, self.lb.size - self.c.size
         e = sol.duals_eq.size - monitored.size
         cols = np.concatenate([np.arange(nz), nz + monitored])
         theta = self.angles(sol.x[:nz])
@@ -1040,8 +1014,7 @@ class AngleElimination:
         H, L, _ = self.a.shape
         z = sol.x[:nz]
         duals_in = _row_duals(sol, self.moved)
-        duals_in[self.lower] /= self.k
-        e = sol.duals_eq.size - self.k.size
+        e = sol.duals_eq.size - H * L
         # dual feasibility of the eliminated columns, Bθᵀλ + Lθᵀμ = 0, with
         # Lθᵀμ = aᵀη from the flow equalities' duals η
         g = np.swapaxes(self.a, 1, 2) @ sol.duals_eq[e:].reshape(H, L, 1)
@@ -1057,13 +1030,13 @@ class AngleElimination:
 
 
 def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
-    """The masked LP with every slack block cancelled, the free angle
+    """The masked LP with every entity's slack block cancelled, the free angle
     columns substituted out and each line-hour stated once through a
     masked-flow column: the shift-factor (PTDF) form of the dispatch,
     computed on masked data, kept as the stacks its LPs are built from.
 
-    Each owner's row group reads ``C z + S s = b`` with ``s >= 0``, where
-    ``C = X·E·Y``, ``S = X·diag(R)`` and ``b = X·M`` are what the owner
+    Each entity's row group reads ``C z + S s = b`` with ``s >= 0``, where
+    ``C = X·E·Y``, ``S = X·diag(R)`` and ``b = X·M`` are what the entity
     published for its constraint matrix ``E`` and bounds ``M``.
     Multiplying it on the left by ``S⁻¹`` (`_cancel_slacks`) gives
     ``R⁻¹E·Y z + s = R⁻¹M``, that is ``R⁻¹E·Y z <= R⁻¹M``, and the slack
@@ -1084,16 +1057,14 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     ``Q2ᵀ·Bz·z = 0`` (one per hour for a connected network).  The entity
     rows are unchanged.
 
-    Each line-hour's cancelled rows are ``hi = R_l1⁻¹·F`` and
-    ``lo = -R_l2⁻¹·F`` (``F = G·KL·Y_θ``), one shift-factor row twice.
-    `_merge_line_rows` finds ``k = r1/r2`` from the two rows alone, checks
-    that they are antiparallel (NumericalBreakdown if not, rather than
-    solving another LP) and merges them into ``a``, a stack of hour blocks
-    whose hour h lies over hour h's angle columns.  The line-hour then
-    gets a column ``f``, the equality ``a·P·z - f = 0`` after the balance
-    equalities, and the limits ``f <= b_hi`` and ``-f <= b_lo/k`` in the
-    rows the two line limits held, so the inequality rows keep the clear
-    LP's order.
+    The operator publishes each line-hour's shift-factor row once,
+    ``a = R_l⁻¹·G·KL·Y_θ`` with the right-hand side ``b = R_l⁻¹·PL``
+    (``tlp.line_flow``, a stack of hour blocks whose hour h lies over hour
+    h's angle columns), and no slack block to cancel.  The line-hour gets
+    a column ``f``, the equality ``a·P·z - f = 0`` after the balance
+    equalities, and the limits ``f <= b`` and ``-f <= b`` in the rows the
+    two line limits hold, so the inequality rows keep the clear LP's
+    order.
 
     The inequality rows are placed as triplets, without the entries of
     magnitude at most 1e-9 (cancellation residue that HiGHS drops on
@@ -1116,35 +1087,33 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     formed unless the fallback asks for ``AngleElimination.problem``.
 
     Only published data is read, so the agent learns nothing it could not
-    already derive.  It relies on each owner's slack block being
+    already derive.  It relies on each entity's slack block being
     invertible (a condition-gated ``X`` times a positive diagonal; a
     mitigation of item 4(a) that changes that must revisit it) and on each
     hour block of ``Bθ`` having full column rank (a connected network, a
-    condition-gated ``X_b`` and ``Y_θ``).  ``k`` and the flows
-    ``f = hi·θ'`` were already computable from what the agent received;
-    nothing new is sent.  The entity part of the move exists only because
-    of a leak: a single-segment entity under hourly keys has a diagonal
-    ``Y``, so after the cancellation each of its bound rows has one entry
-    and tells the agent price times bound for its hour (ROADMAP item 4,
-    leak (c)).  The agent sees these rows either way; a mitigation that
-    mixes an entity's hours makes them dense again, and this part of the
-    saving goes with it.
+    condition-gated ``X_b`` and ``Y_θ``).  The flows ``f = a·θ'`` were
+    already computable from what the agent received; nothing new is
+    sent.  The entity part of the move exists only because of a leak: a
+    single-segment entity under hourly keys has a diagonal ``Y``, so after
+    the cancellation each of its bound rows has one entry and tells the
+    agent price times bound for its hour (ROADMAP item 4, leak (c)).  The
+    agent sees these rows either way; a mitigation that mixes an entity's
+    hours makes them dense again, and this part of the saving goes with
+    it.
     """
-    nz = tlp.var_spans["theta"][0]
+    nz, TL = tlp.var_spans["theta"][0], tlp.line_rhs.size
     cancelled = _cancel_slacks(tlp.stacks)
     b_in = np.zeros(tlp.row_spans["balance"][0])
     for st, (_, x) in zip(tlp.stacks, cancelled):
         b_in[st.rows] = x
-    # the entities' stacks, then the upper and lower line limits'
+    # the entities' stacks, then the upper and lower limits of each flow
     ineq = [_triplets(st.rows, st.cols, D)
-            for st, (D, _) in zip(tlp.stacks[:-2], cancelled)]
-    l0, lower = tlp.row_spans["line_hi"][0], slice(*tlp.row_spans["line_lo"])
-    a, k = _merge_line_rows(cancelled[-2][0], cancelled[-1][0])
-    TL = k.size
-    b_in[lower] /= k
+            for st, (D, _) in zip(tlp.stacks, cancelled)]
     flow = nz + np.arange(TL)
-    ineq += [(l0 + np.arange(TL), flow, np.ones(TL)),
-             (np.arange(lower.start, lower.stop), flow, -np.ones(TL))]
+    for name, sign in (("line_hi", 1.0), ("line_lo", -1.0)):
+        rows = np.arange(*tlp.row_spans[name])
+        b_in[rows] = tlp.line_rhs
+        ineq.append((rows, flow, np.full(TL, sign)))
     r, col, v = (np.concatenate(t) for t in zip(*ineq))
     keep = np.abs(v) > 1e-9
     r, col, v = r[keep], col[keep], v[keep]
@@ -1158,7 +1127,7 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     Q, R = np.linalg.qr(Bt, mode="complete")
     return AngleElimination(
         c=tlp.c[:nz], A_in=A_in, b_in=b_in[kept], lb=lb, ub=ub, moved=moved,
-        k=k, lower=lower, a=a, Q=Q, R=R[:, :n], Bz=Bz, zcols=zcols,
+        a=tlp.line_flow, Q=Q, R=R[:, :n], Bz=Bz, zcols=zcols,
         eq=np.swapaxes(Q[..., n:], 1, 2) @ Bz)
 
 
@@ -1214,16 +1183,16 @@ def leakage_audit(submission: EncryptedSubmission,
     system.
     """
     if submission.kind == "ISO":
-        TL, n_iso = submission.line_flow_hi.shape
+        # the line rows are row-scaled only: R_l's TL unknowns, not a mask
+        TL, n_iso = submission.line_flow.shape
         TB = submission.balance_theta.shape[0]
         published = 0 if published_recovery is None else n_iso + TB
         return AuditReport(
             owner=submission.owner, kind="ISO",
             linear_equations=published,
             linear_unknowns=n_iso * n_iso + TB * TB,
-            bilinear_equations=2 * TL * n_iso + 2 * TL * TL + 2 * TL
-                               + TB * n_iso + published,
-            bilinear_unknowns=n_iso * n_iso + 2 * TL * TL + 2 * TL + TB * TB,
+            bilinear_equations=TL * n_iso + TL + TB * n_iso + published,
+            bilinear_unknowns=n_iso * n_iso + TL + TB * TB,
         )
 
     n, m = submission.n, submission.m

@@ -16,7 +16,7 @@ hide locations: its zero rows are the bus-hours where the entity has no
 asset, so its nonzero rows name the buses of its assets (on the shipped
 three-bus case GENCO1, GENCO2 and LSE1 map to rows 0, 1 and 2 for every
 seed).  Routing the incidences to the grid operator only is ROADMAP
-item 4.
+item 11.
 
 Before solving, the agent scans every submitted row for an unmasked
 private row (`_scan_for_leaks`): rows are matched by a wrapping 64-bit
@@ -26,7 +26,7 @@ Private rows without a nonzero entry are not scanned for: every mask maps
 them to zero, so zero entries stay visible under masking.
 
 An LP the router sends to HiGHS is solved in its shift-factor flow form:
-the agent cancels every owner's slack block, substitutes the masked angles
+the agent cancels every entity's slack block, substitutes the masked angles
 out, states each line-hour once through a masked-flow column and its
 single-entry rows as column bounds (`masking.eliminate_angles`).  It
 solves that LP with the line limits added lazily (`_solve_screened`):
@@ -336,13 +336,15 @@ class _PrivateRows(_Rows):
 
 def _private_row_hashes(blocks: EdBlocks):
     """The private rows no submission may carry, for `_scan_for_leaks`:
-    every entity's constraint rows, bounds and costs, the line capacities
-    and the admittance rows.  The read-only constraint block `A` that the
+    every entity's constraint rows, bounds and costs, the line capacities,
+    the flow rows ``G·KL`` (line reactances and topology) and the
+    admittance rows.  The read-only constraint block `A` that the
     entities of one asset structure share is digested once."""
     entities = blocks.gencos + blocks.lses
     labelled = list({id(e.A): (e.owner, e.A) for e in entities}.values())
     labelled += [(e.owner, v) for e in entities for v in (e.rhs, e.cost)]
-    labelled += [(ISO, blocks.line_caps), (ISO, blocks.admittance)]
+    labelled += [(ISO, blocks.line_caps), (ISO, blocks.flow_rows),
+                 (ISO, blocks.admittance)]
     return _PrivateRows(labelled)
 
 
@@ -474,9 +476,9 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
         config = SolverConfig()
     # routed on its size before anything is assembled
     if choose_backend(tlp, config) == "highs":
-        # the agent cancels each owner's published slack block, substitutes
-        # the angles out, merges each line-hour's two limit rows into one
-        # flow column and states single-entry rows as column bounds,
+        # the agent cancels each entity's published slack block, substitutes
+        # the angles out, states each line-hour's limits on one flow column
+        # and single-entry rows as column bounds,
         # leaving an LP over the entity and flow columns with one balance
         # equality per hour and dense or two-entry rows; it stays on HiGHS
         # however small that LP is, is solved with its line limits screened
@@ -585,9 +587,11 @@ def masked_submission_counts(system: MarketSystem) -> dict:
 
     Pure dimension arithmetic, no solving: an entity sends its masked
     cost row (n), constraint block (m*n), slack block (m*m), bounds
-    (m), and incidence (T*B*n); the operator sends the two line-flow
-    blocks, two line-slack blocks, two line bounds, the masked admittance
-    block, and the further-masked incidences as one balance block.  The
+    (m), and incidence (T*B*n); the operator sends its row-scaled line
+    block (T*L*n_iso) and its one right-hand side (T*L) for both limits,
+    with no row mask or slack block, which the agent would cancel, then
+    the masked admittance block and the further-masked incidences as one
+    balance block.  The
     return path carries each owner's solution slice and the operator's
     angle and dual slices.
     """
@@ -599,7 +603,7 @@ def masked_submission_counts(system: MarketSystem) -> dict:
     for e in blocks.gencos + blocks.lses:
         up[e.owner] = e.n + e.m * e.n + e.m * e.m + e.m + TB * e.n
     sum_n = sum(e.n for e in blocks.gencos + blocks.lses)
-    up[ISO] = 2 * TL * n_iso + 2 * TL * TL + 2 * TL + TB * sum_n + TB * n_iso
+    up[ISO] = TL * n_iso + TL + TB * sum_n + TB * n_iso
     down = {e.owner: e.n for e in blocks.gencos + blocks.lses}
     down[ISO] = n_iso + TB
     return {"up": up, "down": down,

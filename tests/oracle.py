@@ -12,6 +12,11 @@ from the bid data, independently of the block assembler it cross-checks.
 products of its keys' full block diagonals, the reference for
 `masking.mask_iso`.
 
+`masked_line_limits` forms the operator's line-limit blocks in the
+message form it used to publish, two row-masked limit groups with their
+slack blocks, the reference that its row-scaled line rows are what that
+form gave away.
+
 `cancelled_slack_form` cancels each owner's slack block by a dense solve
 on the assembled slack form, the reference for the clearing agent's
 cancellation kernel and for `masking.eliminate_angles`.
@@ -215,16 +220,24 @@ def plain_iso_products(blocks, keys, entity_incidences):
     """Name -> the operator's masked block, each a whole dense product
     ``K @ M`` of a key's full block diagonal, expanded from its stack of
     hour blocks; ``"balance"`` over the incidences side by side."""
-    Y, X1, X2, Xb = (scipy.linalg.block_diag(*K) for K in
-                     (keys.Y_theta, keys.X_l1, keys.X_l2, keys.X_b))
-    flow = blocks.flow_rows @ Y
-    out = {"line_flow_hi": X1 @ flow,
-           "line_flow_lo": -(X2 @ flow),
-           "line_slack_hi": X1 * keys.R_l1[None, :],
-           "line_slack_lo": X2 * keys.R_l2[None, :],
-           "balance_theta": Xb @ (blocks.admittance @ Y),
-           "balance": Xb @ np.hstack(list(entity_incidences.values()))}
-    return out
+    Y, Xb = (scipy.linalg.block_diag(*K) for K in (keys.Y_theta, keys.X_b))
+    return {"line_flow": (blocks.flow_rows @ Y) / keys.R_l[:, None],
+            "balance_theta": Xb @ (blocks.admittance @ Y),
+            "balance": Xb @ np.hstack(list(entity_incidences.values()))}
+
+
+def masked_line_limits(blocks, keys, X_l1, X_l2, R_l2):
+    """Name -> the operator's line-limit blocks in its earlier message
+    form, dense, for its keys `keys` and the full row masks `X_l1`, `X_l2`
+    of its upper and lower limits, with ``keys.R_l`` and `R_l2` their
+    slack coefficients: ``±X·G·KL·Y_θ``, ``X·diag(R)`` and ``X·PL`` per
+    limit."""
+    flow = blocks.flow_rows @ scipy.linalg.block_diag(*keys.Y_theta)
+    return {"line_flow_hi": X_l1 @ flow, "line_flow_lo": -(X_l2 @ flow),
+            "line_slack_hi": X_l1 * keys.R_l[None, :],
+            "line_slack_lo": X_l2 * R_l2[None, :],
+            "line_rhs_hi": X_l1 @ blocks.line_caps,
+            "line_rhs_lo": X_l2 @ blocks.line_caps}
 
 
 def cancelled_slack_form(tlp):

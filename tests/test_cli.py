@@ -80,7 +80,7 @@ def test_compare_csv(tmp_path):
         assert abs(float(cells[1]) - float(cells[2])) <= 1e-6
         assert float(cells[3]) <= 1e-6
         assert float(cells[4]) <= 1e-6
-        assert int(cells[7]) == 285
+        assert int(cells[7]) == 258
         assert int(cells[8]) == 14
 
 

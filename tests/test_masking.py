@@ -14,7 +14,7 @@ from maskdispatch.lp import (
 from maskdispatch.market import build_ed_blocks, assemble_ed_lp, gen_synthetic
 from maskdispatch import masking, protocol
 from maskdispatch.protocol import run_market_round
-from oracle import cancelled_slack_form, plain_iso_products
+from oracle import cancelled_slack_form, masked_line_limits, plain_iso_products
 from maskdispatch.masking import (
     MaskConfig, EntityKeys, IsoKeys, EncryptedSubmission,
     vertical_mask_generic, horizontal_mask_generic,
@@ -61,8 +61,7 @@ def identity_keys(blocks):
     return PartyKeys(
         {e.owner: EntityKeys(e.owner, e.kind, np.eye(e.n), np.eye(e.m), np.ones(e.m))
          for e in blocks.gencos + blocks.lses},
-        IsoKeys(np.eye(blocks.n_iso)[None], np.eye(TL)[None], np.eye(TL)[None],
-                np.ones(TL), np.ones(TL), np.eye(TB)[None]))
+        IsoKeys(np.eye(blocks.n_iso)[None], np.ones(TL), np.eye(TB)[None]))
 
 
 def masked_submissions(blocks, keys):
@@ -95,7 +94,7 @@ def test_key_dimensions_match_entity_blocks(threebus):
     assert keys.entities["GENCO1"].X.shape == (6, 6)
     assert keys.entities["LSE1"].Y.shape == (3, 3)
     assert keys.iso.Y_theta.shape == (1, 2, 2)
-    assert keys.iso.X_l1.shape == (1, 3, 3)
+    assert keys.iso.R_l.shape == (3,)
     assert keys.iso.X_b.shape == (1, 3, 3)
 
 
@@ -114,7 +113,7 @@ def test_key_conditioning_and_positivity(threebus):
     cfg = MaskConfig()
     for seed in range(10):
         keys = party_keys(blocks, seed, cfg)
-        mats = [*keys.iso.Y_theta, *keys.iso.X_l1, *keys.iso.X_l2, *keys.iso.X_b]
+        mats = [*keys.iso.Y_theta, *keys.iso.X_b]
         positives = list(mats)
         for ek in keys.entities.values():
             mats.append(ek.X)
@@ -125,7 +124,7 @@ def test_key_conditioning_and_positivity(threebus):
             assert np.linalg.cond(M) <= 1e6
         for M in positives:
             assert np.all(M > 0)
-        assert np.all(keys.iso.R_l1 > 0) and np.all(keys.iso.R_l2 > 0)
+        assert np.all(keys.iso.R_l > 0)
 
 
 def test_impossible_conditioning_gate_fails(monkeypatch):
@@ -156,14 +155,14 @@ def test_key_draws_stay_in_documented_ranges(hourly):
     for seed in range(3):
         keys = party_keys(blocks, seed, MaskConfig(hourly_block_masks=hourly))
         iso = keys.iso
-        for K in (iso.Y_theta, iso.X_l1, iso.X_l2, iso.X_b):
+        for K in (iso.Y_theta, iso.X_b):
             assert K.shape[0] == hours and K.shape[1] == K.shape[2]
             assert np.all((K >= 0.01) & (K <= 1.0))
         for ek in keys.entities.values():
             _assert_hour_blocks_within(ek.Y, hours, 0.01, 1.0)
         for ek in keys.entities.values():
             _assert_hour_blocks_within(ek.X, 1, -1.0, 1.0)
-        for r in [iso.R_l1, iso.R_l2] + [ek.R for ek in keys.entities.values()]:
+        for r in [iso.R_l] + [ek.R for ek in keys.entities.values()]:
             assert np.all((r >= 0.5) & (r <= 2.0))
 
 
@@ -616,7 +615,7 @@ def test_drawn_keys_within_cond_max(name, threebus):
     for seed in seeds:
         keys = party_keys(blocks, seed, MaskConfig(hourly_block_masks=hourly))
         iso = keys.iso
-        mats = [*iso.Y_theta, *iso.X_l1, *iso.X_l2, *iso.X_b]
+        mats = [*iso.Y_theta, *iso.X_b]
         mats += [M for ek in keys.entities.values() for M in (ek.Y, ek.X)]
         for M in mats:
             assert np.linalg.cond(M) <= masking._COND_MAX
@@ -770,10 +769,11 @@ def test_hour_stack_refuses_other_layouts():
 @pytest.mark.parametrize("case", ["threebus", "hourly-14", "interleaved"])
 def test_eliminate_slacks_equals_dense_cancellation(case, threebus, interleaved):
     # stack by stack, the agent's cancellation kernel gives S⁻¹ times each
-    # block's rows of the slack form, as the oracle's owner-by-owner dense
-    # solves do.  The entities come in one stack per block shape, in the
-    # order of each shape's first entity, so the interleaved case's
-    # stacks are not in row order
+    # entity block's rows of the slack form, as the oracle's owner-by-owner
+    # dense solves do; the line rows, whose slack is the identity, are the
+    # operator's published line block as they are.  The entities come in
+    # one stack per block shape, in the order of each shape's first
+    # entity, so the interleaved case's stacks are not in row order
     config = MaskConfig(hourly_block_masks=True)
     if case == "threebus":
         blocks, config = build_ed_blocks(threebus), MaskConfig()
@@ -782,7 +782,7 @@ def test_eliminate_slacks_equals_dense_cancellation(case, threebus, interleaved)
     else:
         blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
     keys = party_keys(blocks, 2, config)
-    assert keys.iso.X_l1.shape[0] == (1 if case == "threebus" else blocks.T)
+    assert keys.iso.X_b.shape[0] == (1 if case == "threebus" else blocks.T)
     tlp = build_transformed_ed(masked_submissions(blocks, keys))
     want = cancelled_slack_form(tlp)
     got, b_in = np.zeros(want.A_in.shape), np.zeros(want.b_in.shape)
@@ -792,11 +792,18 @@ def test_eliminate_slacks_equals_dense_cancellation(case, threebus, interleaved)
         got[st.rows[:, :, None], st.cols[:, None, :]] = D
         b_in[st.rows] = x
         np.add.at(placed, st.rows, 1)
+    (H, L, c), th = tlp.line_flow.shape, tlp.var_spans["theta"][0]
+    for name, sign in (("line_hi", 1.0), ("line_lo", -1.0)):
+        rows = np.arange(*tlp.row_spans[name]).reshape(H, L)
+        cols = th + np.arange(H * c).reshape(H, c)
+        got[rows[:, :, None], cols[:, None, :]] = sign * tlp.line_flow
+        b_in[rows] = tlp.line_rhs.reshape(H, L)
+        np.add.at(placed, rows, 1)
     assert (placed == 1).all()
     np.testing.assert_allclose(got, want.A_in, rtol=0, atol=1e-10)
     np.testing.assert_allclose(b_in, want.b_in, rtol=0, atol=1e-10)
     if case == "interleaved":
-        assert [st.owners for st in tlp.stacks[:-2]] == [
+        assert [st.owners for st in tlp.stacks] == [
             ("GENCO1", "GENCO3", "GENCO5"), ("GENCO2", "GENCO4"),
             tuple(f"LSE{i}" for i in range(1, 6))]
 
@@ -863,20 +870,17 @@ def test_eliminated_angles_reproduce_cancelled_solve(case, seed, threebus):
 
 @pytest.mark.parametrize("backend", ["auto", "highs"])
 def test_coupled_hour_blocks_are_refused(backend, monkeypatch):
-    # one entry of X_l2 couples the first line-hour row to the last hour,
-    # so the operator publishes its lower-limit group from the full matrix
+    # one entry of Y_theta couples the first angle column to the last
+    # hour, so the operator publishes its line block from the full matrix
     # (a stack of hour blocks cannot hold that key): the agent refuses the
     # blocks that do not lie on their hour blocks before any LP is solved
     mask_iso, solved = masking.mask_iso, []
 
     def coupled(blocks, keys, incidences):
         iso = mask_iso(blocks, keys, incidences)
-        X = scipy.linalg.block_diag(*keys.X_l2)
-        X[0, -1] = 0.5
-        flow = blocks.flow_rows @ scipy.linalg.block_diag(*keys.Y_theta)
-        iso.line_flow_lo = sp.csr_matrix(-(X @ flow))
-        iso.line_slack_lo = sp.csr_matrix(X * keys.R_l2[None, :])
-        iso.line_rhs_lo = X @ blocks.line_caps
+        Y = scipy.linalg.block_diag(*keys.Y_theta)
+        Y[0, -1] = 0.5
+        iso.line_flow = sp.csr_matrix((blocks.flow_rows @ Y) / keys.R_l[:, None])
         return iso
 
     monkeypatch.setattr(masking, "mask_iso", coupled)
@@ -926,7 +930,8 @@ def test_screened_lp_is_a_slice_of_the_whole_flow_form(case, threebus):
     tlp, _ = _case_tlp(case, 1, threebus)
     reduced = masking.eliminate_angles(tlp)
     whole = reduced.problem
-    nz, TL = reduced.c.size, reduced.k.size
+    nz = reduced.c.size
+    TL = reduced.lb.size - nz
     e = whole.A_eq.shape[0] - TL
     for monitored in (reduced.flows_in_rows(), np.array([0, TL // 2, TL - 1]),
                       np.arange(TL)):
@@ -1003,8 +1008,9 @@ def test_crossing_lower_bound_stays_a_row():
 
 def test_eliminated_angles_restore_lower_limit_duals(threebus):
     # threebus with its congested line 1-3 entered as 3-1, so that it binds
-    # at its lower limit: the flow form states that limit divided by k, and
-    # restore must give back the cancelled LP's own line-limit duals
+    # at its lower limit: the flow form states that limit as a lower bound
+    # of the line-hour's flow, and restore must give back the cancelled
+    # LP's own line-limit duals
     lines = list(threebus.lines)
     lines[2] = dataclasses.replace(lines[2], from_bus="3", to_bus="1")
     blocks = build_ed_blocks(dataclasses.replace(threebus, lines=lines))
@@ -1013,30 +1019,53 @@ def test_eliminated_angles_restore_lower_limit_duals(threebus):
     want = solve_lp(cancelled_slack_form(tlp), config, presolve=False)
     reduced = masking.eliminate_angles(tlp)
     got = reduced.restore(solve_lp(reduced.problem, config, presolve=False))
-    assert np.max(np.abs(got.duals_in[reduced.lower])) > 1e-3
+    assert np.max(np.abs(got.duals_in[slice(*tlp.row_spans["line_lo"])])) > 1e-3
     np.testing.assert_allclose(got.duals_in, want.duals_in, rtol=1e-6, atol=1e-6)
     np.testing.assert_allclose(got.duals_eq, want.duals_eq, rtol=1e-6, atol=1e-6)
 
 
-@pytest.mark.parametrize("case, tamper", [("threebus", "row"), ("hourly-14", "row"),
-                                          ("threebus", "sign")])
-def test_eliminated_angles_refuse_unpaired_line_rows(case, tamper, threebus):
-    # one row of the published lower-limit block scaled without its slack
-    # block or right-hand side: the cancelled rows of that hour are no
-    # longer the upper-limit rows times -r1/r2, so merging them would solve
-    # another LP.  With the whole block negated they stay parallel, but
-    # with the same sign, and the lower limit would turn into an upper one
-    subs, _ = _case_submissions(case, 1, threebus)
-    iso = subs[-1]
-    scale = np.ones(iso.line_flow_lo.shape[0])
-    if tamper == "row":
-        scale[1] = 1.01
+@pytest.mark.parametrize("case", ["threebus", "hourly-14", "pooled30-4h"])
+def test_line_rows_are_what_the_masked_limits_gave_away(case, threebus):
+    # ROADMAP item 4(a) on the operator's line rows: in the message form it
+    # used to publish, with a round's keys and any gated row masks X_l1,
+    # X_l2 and slack coefficients R_l2 beside them, cancelling the upper
+    # limits' slack block gives the published line_flow and line_rhs, and
+    # cancelling the lower limits' gives them times a positive factor per
+    # line-hour, read off the two rows.  So an attacker holding that form
+    # learnt what is now sent, and nothing more is sent.  Each agrees to
+    # the rounding of the cancelling solve, eps times the slack block's
+    # condition number, relative: 1e-12 or less but on pooled30-4h, whose
+    # 140-row masks reach a condition number of 1.2e5 at seed 3
+    if case == "threebus":
+        blocks, config = build_ed_blocks(threebus), MaskConfig()
+    elif case == "hourly-14":
+        blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
+        config = MaskConfig(hourly_block_masks=True)
     else:
-        scale[:] = -1.0
-    iso.line_flow_lo = sp.diags(scale) @ iso.line_flow_lo
-    tlp = build_transformed_ed(subs)
-    with pytest.raises(NumericalBreakdown, match="not antiparallel"):
-        masking.eliminate_angles(tlp)
+        blocks = build_ed_blocks(gen_synthetic(30, 2, 2, 5, 4, seed=1, segments=3))
+        config = MaskConfig()
+    TL = blocks.line_caps.size
+    for seed in range(5):
+        keys = party_keys(blocks, seed, config)
+        rng = np.random.default_rng(seed)
+        X1, X2 = (scipy.linalg.block_diag(*masking._sample_hourly_mask(
+            rng, TL, len(keys.iso.X_b), 0.01, 1.0, "line row")) for _ in range(2))
+        old = masked_line_limits(blocks, keys.iso, X1, X2, rng.uniform(0.5, 2.0, TL))
+        hi, lo = (np.linalg.solve(old[f"line_slack_{s}"], np.column_stack(
+            [old[f"line_flow_{s}"], old[f"line_rhs_{s}"]])) for s in ("hi", "lo"))
+        iso = masked_submissions(blocks, keys)[-1]
+        flow = iso.line_flow
+        flow = flow.toarray() if sp.issparse(flow) else flow
+        new = np.column_stack([flow, iso.line_rhs])
+        k = -np.einsum("ij,ij->i", hi[:, :-1], lo[:, :-1]) / np.einsum(
+            "ij,ij->i", hi[:, :-1], hi[:, :-1])
+        assert np.all(k > 0)
+        # the lower limits' rows are -k·line_flow over k·line_rhs
+        lo[:, :-1] *= -1.0
+        lo /= k[:, None]
+        for got, S in ((hi, old["line_slack_hi"]), (lo, old["line_slack_lo"])):
+            tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(S))
+            assert np.max(np.abs(got - new)) <= tol * np.max(np.abs(new))
 
 
 # ---------------------------------------------------------------------------

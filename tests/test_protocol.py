@@ -107,8 +107,8 @@ def test_byte_accounting_and_aggregates(threebus):
     assert as_json["entities_to_agent"]["count"] == cost.total_up_count
 
 
-@pytest.mark.parametrize("name, up, down", [("threebus", 2_408, 240),
-                                            ("grid118-2h", 3_894_736, 10_752)])
+@pytest.mark.parametrize("name, up, down", [("threebus", 2_192, 240),
+                                            ("grid118-2h", 2_113_936, 10_752)])
 def test_masked_round_wire_bytes(threebus, name, up, down):
     # every block goes out at its full shape, and no submission's metadata
     # (its owner and kind, the operator's balance owners and hour count)
@@ -221,9 +221,9 @@ def test_stacked_work_does_not_grow_with_the_number_of_parties(monkeypatch):
     # with its balance-row key, and the agent cancels the entities' slack
     # blocks in one stacked solve per block shape: a masked hourly14-3h
     # round makes as many of each with its 10 single-unit entities as with
-    # its units pooled into 2 (one GENCO and one LSE shape either way,
-    # then the upper and lower line limits; the other matmul is the angle
-    # block's)
+    # its units pooled into 2 (one GENCO and one LSE shape either way; the
+    # line rows have no slack block to cancel, and the other matmul is the
+    # angle block's)
     solves, matmuls = [], []
     cancel, iso_keys, solve = masking._cancel_slacks, masking.iso_keys, np.linalg.solve
 
@@ -253,7 +253,7 @@ def test_stacked_work_does_not_grow_with_the_number_of_parties(monkeypatch):
         run_market_round(s, 0, mode="masked", config=SolverConfig(backend="highs"),
                          mask_config=MaskConfig(hourly_block_masks=True))
         counts.append((len(solves), len(matmuls)))
-    assert counts[0] == counts[1] == (4, 2), counts
+    assert counts[0] == counts[1] == (2, 2), counts
 
 
 @pytest.mark.parametrize("backend", ["auto", "highs"])
@@ -311,6 +311,18 @@ def test_leak_scanner_catches_raw_rows(threebus):
                         {"oops": blocks.gencos[0].rhs.copy()})
     with pytest.raises(ProtocolViolation):
         _scan_for_leaks([vec], private)
+
+
+def test_leak_scanner_catches_flow_rows(threebus):
+    # the operator's flow rows G·KL carry its line reactances and topology:
+    # a payload carrying them is caught, sparse or dense, as an admittance
+    # block is
+    blocks = build_ed_blocks(threebus)
+    private = _private_row_hashes(blocks)
+    for block in (blocks.flow_rows, blocks.flow_rows.toarray(), blocks.admittance):
+        msg = Message.build(ISO, AGENT, "Submission", {"line_flow": block})
+        with pytest.raises(ProtocolViolation, match="contains a private row"):
+            _scan_for_leaks([msg], private)
 
 
 def _submission(payload):
@@ -603,15 +615,21 @@ def test_flow_limit_left_a_row_is_monitored_from_the_first_solve(threebus,
     # `_single_entry_bounds` leaves a flow limit a row when its bounds
     # cross; a row over line 2's flow column keeps that column and its flow
     # row in every screened LP, and the screened solve still gives the
-    # whole LP's
-    reduced = []
-    eliminate = masking.eliminate_angles
+    # whole LP's dispatch, as each entity recovers it through its column
+    # key.  At mask seed 0 LSE1's key takes its masked coordinates to about
+    # 2.5e4, and two solves of different LPs part along the key's weakest
+    # direction by up to about 3e-12 of that (8.1e-8), which moves the
+    # recovered dispatch by 1.8e-10
+    reduced, keys = [], []
+    eliminate, draw = masking.eliminate_angles, masking.draw_entity_keys
 
     def eliminate_spy(tlp):
         reduced.append(eliminate(tlp))
         return reduced[-1]
 
     monkeypatch.setattr(masking, "eliminate_angles", eliminate_spy)
+    monkeypatch.setattr(masking, "draw_entity_keys",
+                        lambda *a, **k: keys.append(draw(*a, **k)) or keys[-1])
     config = SolverConfig(backend="highs")
     run_market_round(threebus, 0, mode="masked", config=config)
     (flow_form,) = reduced
@@ -627,7 +645,9 @@ def test_flow_limit_left_a_row_is_monitored_from_the_first_solve(threebus,
     screened, _ = protocol._solve_screened(flow_form, config)
     direct = solve_lp(flow_form.problem, config, presolve=False)
     assert screened.objective == pytest.approx(direct.objective, abs=1e-9)
-    np.testing.assert_allclose(screened.x[:nz], direct.x[:nz], rtol=0, atol=1e-9)
+    Y = sp.block_diag([k.Y for k in keys[0]], format="csr")
+    np.testing.assert_allclose(Y @ screened.x[:nz], Y @ direct.x[:nz],
+                               rtol=0, atol=1e-9)
 
 
 def test_last_certificate_of_a_round_is_on_the_flow_form(threebus, monkeypatch):
