@@ -68,9 +68,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from maskdispatch.lp import (
-    LpProblem, DimensionMismatch, NumericalBreakdown,
-)
+from maskdispatch.lp import LpProblem, DimensionMismatch
 from maskdispatch.market import (
     ISO, coo_csr, ed_layout, place_blocks,
 )

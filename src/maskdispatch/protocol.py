@@ -478,13 +478,12 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
     if choose_backend(tlp, config) == "highs":
         # the agent cancels each entity's published slack block, substitutes
         # the angles out, states each line-hour's limits on one flow column
-        # and single-entry rows as column bounds,
-        # leaving an LP over the entity and flow columns with one balance
-        # equality per hour and dense or two-entry rows; it stays on HiGHS
-        # however small that LP is, is solved with its line limits screened
-        # and, should a screened solve not be optimal, built whole and
-        # solved as it is, and its solution is mapped back to angles and
-        # row duals
+        # and single-entry rows as column bounds, leaving an LP over the
+        # entity and flow columns with one balance equality per hour and
+        # dense or two-entry rows; it stays on HiGHS however small that LP
+        # is, is solved with its line limits screened and, should a screened
+        # solve not be optimal, built whole and solved as it is, and its
+        # solution is mapped back to angles and row duals
         reduced = masking.eliminate_angles(tlp)
         highs = dataclasses.replace(config, backend="highs")
         sol, theta = (_solve_screened(reduced, highs)
@@ -591,9 +590,8 @@ def masked_submission_counts(system: MarketSystem) -> dict:
     block (T*L*n_iso) and its one right-hand side (T*L) for both limits,
     with no row mask or slack block, which the agent would cancel, then
     the masked admittance block and the further-masked incidences as one
-    balance block.  The
-    return path carries each owner's solution slice and the operator's
-    angle and dual slices.
+    balance block.  The return path carries each owner's solution slice
+    and the operator's angle and dual slices.
     """
     blocks = build_ed_blocks(system)
     TB = blocks.admittance.shape[0]

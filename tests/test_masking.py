@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from maskdispatch.lp import (
     LpProblem, SolverConfig, solve_lp, check_point, DimensionMismatch,
-    NumericalBreakdown,
 )
 from maskdispatch.market import build_ed_blocks, assemble_ed_lp, gen_synthetic
 from maskdispatch import masking, protocol
