@@ -1,17 +1,17 @@
 """Random-matrix masking of the dispatch LP and solution recovery.
 
-Each bidding entity hides its data behind secret random matrices: a
-column mask Y (applied on the right of its blocks), a row mask X
-(applied on the left of its constraint block), and positive slack
-coefficients R that turn its inequality rows into equalities.  The grid
-operator masks its angle columns with Y_θ and its nodal-balance rows
-with a square positive matrix X_b applied on the left.  Its line-limit
-rows go out row-scaled only: one block ``R_l⁻¹·G·KL·Y_θ`` and one
-right-hand side ``R_l⁻¹·PL`` serve both limits of every line-hour, with
-R_l a private positive diagonal.  A row mask sent with its slack block
-hides nothing, since anyone holding the message cancels it (ROADMAP item
-4(a)), so the operator sends neither: its line rows are what the
-clearing agent read from the masked line-limit groups it used to receive.
+Each bidding entity hides its data behind secret keys: a column mask Y
+(applied on the right of its blocks) and a private positive row scale R,
+and publishes its inequality rows row-scaled only, ``R⁻¹·E·Y`` over
+``R⁻¹·M``.  The grid operator masks its angle columns with Y_θ and its
+nodal-balance rows with a square positive matrix X_b applied on the
+left.  Its line-limit rows go out row-scaled only too: one block
+``R_l⁻¹·G·KL·Y_θ`` and one right-hand side ``R_l⁻¹·PL`` serve both limits
+of every line-hour, with R_l a private positive diagonal.  A row mask sent
+with its slack block hides nothing, since anyone holding the message
+cancels it (ROADMAP item 4(a)), so no party sends either: every
+inequality row is what the clearing agent read from the row-masked
+groups with slack blocks it used to receive.
 Solving the masked LP and mapping each solution slice back through the
 owner's keys reproduces the clear-market dispatch, angles, and prices.
 The operator keeps each of its masks as the stack of its diagonal hour
@@ -26,17 +26,15 @@ clearing agent stacks the entities' dense blocks per ``(m, n)`` shape
 c)`` stack of its hour blocks and their columns (`_hour_stack`: a CSR
 block's entries are the stack), and refuses any other layout.  It signs
 the two balance blocks as they enter the rows and builds only the LP its
-solver takes: the all-equality slack form for the bundled simplex, each
-line row with an identity slack column that nobody sends, or, for
-HiGHS, the LP with every entity's slack block cancelled, the free angle
-columns substituted out and each line-hour stated once
-(``eliminate_angles``, the shift-factor form in flow form: the entity
-columns plus one masked-flow column per line-hour, one balance equality
-per hour and one flow equality per line-hour).  Every step of that is a
-stacked call: one solve per entity stack cancels the slack blocks
-(``_cancel_slacks``), each stack's cancelled rows are placed in one
-broadcast, and the QR runs over the hours of the balance stack.  The flow
-form is kept as stacks, hour h's line block over hour h's angle columns:
+solver takes: the all-equality slack form for the bundled simplex, every
+inequality row with an identity slack column that nobody sends, or, for
+HiGHS, the LP with the free angle columns substituted out and each
+line-hour stated once (``eliminate_angles``, the shift-factor form in
+flow form: the entity columns plus one masked-flow column per line-hour,
+one balance equality per hour and one flow equality per line-hour).
+Each entity stack's rows are placed in one broadcast, and the QR runs
+over the hours of the balance stack.  The flow form is kept as stacks,
+hour h's line block over hour h's angle columns:
 the agent builds each LP it solves straight from them, with the flow
 rows of the line-hours it monitors only (``AngleElimination.screened``),
 and builds CSR only for the matrices it hands on.  Every inequality row
@@ -95,18 +93,17 @@ class SpanMismatch(ValueError):
 
 
 _POSITIVE_RANGE = (0.01, 1.0)   # entries of Y, Y_theta, X_b
-_SIGNED_RANGE = (-1.0, 1.0)     # entries of entity X masks
-# slack coefficient diagonals, and the operator's line row scales R_l: a
-# positive diagonal is all a line row mask amounts to once its published
-# slack block is cancelled, so R_l is the operator's whole line row key
+# the row scales of the entities (R) and of the operator's line rows (R_l):
+# a positive diagonal is all a row mask amounts to once its published slack
+# block is cancelled, so a row scale is a party's whole row key
 _DIAG_RANGE = (0.5, 2.0)
 # a matrix serves as a mask, drawn as a key or supplied to the generic
 # transforms, when its Frobenius bound ‖M‖_F·‖M⁻¹‖_F (_frobenius_bound) is
 # at most _COND_MAX.  The bound is at least the 2-norm condition number, so
-# it keeps the recovery's error amplification under _COND_MAX, and up to
-# 6.4x it on the signed entity row masks, so the rule is that much
-# stricter there.  A drawn key is redrawn until it passes, at most
-# _MAX_RETRIES draws per mask.
+# it keeps the recovery's error amplification under _COND_MAX, and it was
+# at most 2.4x it on the positive keys drawn here (see _frobenius_bound).
+# A drawn key is redrawn until it passes, at most _MAX_RETRIES draws per
+# mask.
 _COND_MAX = 1e6
 _MAX_RETRIES = 50
 
@@ -136,8 +133,7 @@ class EntityKeys:
     owner: str
     kind: str            # GENCO | LSE
     Y: np.ndarray        # (n, n) positive
-    X: np.ndarray        # (m, m) sign-unrestricted
-    R: np.ndarray        # (m,) positive slack coefficients
+    R: np.ndarray        # (m,) positive row scales
 
 
 @dataclass
@@ -160,8 +156,8 @@ def _frobenius_bound(M):
     n·κ₂ (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
     ed., ch. 6), so it is stricter than κ₂ by its ratio to κ₂: over 300
     positive draws each at n = 117 and 140 that ratio was 1.2 at the median
-    and 2.2 at worst, and on the signed entity row masks of the pooled
-    30-bus 4-hour case (n = 120 and 150) it reached 5.5-6.4.  Its cost,
+    and 2.2 at worst, and over every key accepted in 2,048 key sets of the
+    pooled 30-bus 4-hour case (n = 60 to 120) 1.2 and 2.35.  Its cost,
     against an SVD and a condition estimate, is in the README (Numerics)."""
     if M.shape[0] == 1:   # |m|·|1/m| without LAPACK: hourly 1-column keys
         return 1.0 if M[0, 0] != 0.0 and np.isfinite(M[0, 0]) else np.inf
@@ -216,9 +212,8 @@ def entity_keys(rng, owner, kind, n, m, config: MaskConfig = None,
         config = MaskConfig()
     Y = _block_diagonal(_sample_hourly_mask(
         rng, n, config.hours(horizon), *_POSITIVE_RANGE, f"{owner} column"))
-    X = _sample_mask(rng, m, *_SIGNED_RANGE, f"{owner} row")
-    R = rng.uniform(*_DIAG_RANGE, size=m)
-    return EntityKeys(owner=owner, kind=kind, Y=Y, X=X, R=R)
+    return EntityKeys(owner=owner, kind=kind, Y=Y,
+                      R=rng.uniform(*_DIAG_RANGE, size=m))
 
 
 def _passes_gate(stack):
@@ -243,10 +238,10 @@ def _passes_gate(stack):
 def draw_entity_keys(parties, config: MaskConfig = None) -> list:
     """Each party's keys, bit for bit ``entity_keys(np.random.default_rng(seed),
     owner, kind, n, m, config, horizon)`` for its ``(seed, owner, kind, n, m,
-    horizon)`` in `parties`.  Each stream draws its hour blocks of Y, then X,
-    then R, as if every draw passed; the blocks of one size are gated
-    together (`_passes_gate`), and a party with a rejected block is redrawn
-    by `entity_keys` from a fresh generator.  Keys own their arrays."""
+    horizon)`` in `parties`.  Each stream draws its hour blocks of Y, then
+    R, as if every draw passed; the blocks of one size are gated together
+    (`_passes_gate`), and a party with a rejected block is redrawn by
+    `entity_keys` from a fresh generator.  Keys own their arrays."""
     if config is None:
         config = MaskConfig()
     drawn, blocks, redraw = [], {}, set()
@@ -254,18 +249,16 @@ def draw_entity_keys(parties, config: MaskConfig = None) -> list:
         H = config.hours(horizon)
         rng = np.random.default_rng(seed)
         Y = rng.uniform(*_POSITIVE_RANGE, size=(H, n // H, n // H))
-        X = rng.uniform(*_SIGNED_RANGE, size=(m, m))
-        drawn.append((Y, X, rng.uniform(*_DIAG_RANGE, size=m)))
+        drawn.append((Y, rng.uniform(*_DIAG_RANGE, size=m)))
         blocks.setdefault(n // H, []).append((i, Y))
-        blocks.setdefault(m, []).append((i, X[None]))
     for items in blocks.values():
         passed = _passes_gate(np.concatenate([b for _, b in items]))
         party = np.repeat([i for i, _ in items], [len(b) for _, b in items])
         redraw.update(party[~passed].tolist())
     return [entity_keys(np.random.default_rng(seed), owner, kind, n, m, config,
                         horizon) if i in redraw
-            else EntityKeys(owner, kind, _block_diagonal(Y), X, R)
-            for i, ((seed, owner, kind, n, m, horizon), (Y, X, R))
+            else EntityKeys(owner, kind, _block_diagonal(Y), R)
+            for i, ((seed, owner, kind, n, m, horizon), (Y, R))
             in enumerate(zip(parties, drawn))]
 
 
@@ -431,12 +424,15 @@ def horizontal_mask_generic(problem: LpProblem, row_blocks, Xs, Rs):
 class EncryptedSubmission:
     """One party's published blocks.  Nothing here is raw bid or grid data.
 
-    Entity submissions carry the masked cost row, the masked constraint
-    block, the masked slack block, the masked bounds vector, and the
-    masked bus incidence.  The grid operator's submission carries its
-    line rows, row-scaled only, with their one right-hand side for both
-    limits; no line row mask or slack block, which the agent would cancel
-    (ROADMAP item 4(a)).  It also carries the masked admittance block and
+    Entity submissions carry the masked cost row, the constraint block
+    and bounds vector divided row by row by the entity's scales R (the
+    constraint block also column-masked by its Y), and the masked bus
+    incidence.  The grid
+    operator's submission carries its line rows, row-scaled only, with
+    their one right-hand side for both limits.  No party sends a row mask
+    or a slack block, which the agent would cancel (ROADMAP item 4(a)):
+    every inequality row's slack is the identity.  The operator's
+    submission also carries the masked admittance block and
     one balance block: every entity's masked incidence side by side in
     the layout's entity order (GENCOs, then LSEs), further masked with
     the balance-row key.  Below, a key stack
@@ -453,9 +449,8 @@ class EncryptedSubmission:
     balance_owners: tuple = None      # ISO: the owners of balance's columns
     hours: int = None                 # ISO: the hour blocks of each block
     masked_cost: np.ndarray = None        # c_i Y_i           (n,)
-    masked_constraints: np.ndarray = None  # X_i E_i Y_i      (m, n)
-    masked_slack: np.ndarray = None       # X_i R_i           (m, m)
-    masked_rhs: np.ndarray = None         # X_i M_i           (m,)
+    masked_constraints: np.ndarray = None  # R_i⁻¹ E_i Y_i    (m, n)
+    masked_rhs: np.ndarray = None         # R_i⁻¹ M_i         (m,)
     masked_incidence: np.ndarray = None   # KP_i Y_i          (T*B, n)
     # ISO fields
     line_flow: np.ndarray = None          # R_l⁻¹ G KL Y_theta (T*L, n_iso)
@@ -488,41 +483,37 @@ def mask_entities(entity_blocks, keys):
     """Every GENCO/LSE submission from its blocks and keys, and per entity
     whether none of its published blocks equals its unmasked source (a raw
     block with no nonzero entry says nothing about a mask and is skipped).
-    Entities of one ``(n, m)`` shape are masked together: ``c·Y``, ``X·E·Y``,
-    ``X·R`` and ``X·M`` as ``np.matmul`` of stacks, bit for bit each entity's
-    own product, and KP·Y as one ``np.add.at`` adding each row of Y to 0.0 in
-    its column's balance row (`bus_rows`) in column order, as a CSR product
-    with KP sums."""
+    Entities of one ``(n, m)`` shape are masked together: ``c·Y``,
+    ``R⁻¹·E·Y`` and ``R⁻¹·M`` as ``np.matmul`` of stacks and a division by
+    the row scales, bit for bit each entity's own product, and KP·Y as one
+    ``np.add.at`` adding each row of Y to 0.0 in its column's balance row
+    (`bus_rows`) in column order, as a CSR product with KP sums."""
     groups = {}
     for i, (e, k) in enumerate(zip(entity_blocks, keys)):
-        if k.Y.shape != (e.n, e.n) or k.X.shape != (e.m, e.m):
+        if k.Y.shape != (e.n, e.n) or k.R.shape != (e.m,):
             raise DimensionMismatch(f"keys for {e.owner} have wrong shape")
         groups.setdefault((e.n, e.m), []).append(i)
     subs, verified = [None] * len(keys), np.ones(len(keys), dtype=bool)
     for idx in groups.values():
         es = [entity_blocks[i] for i in idx]
-        Y, X, R = (np.array([getattr(keys[i], f) for i in idx]) for f in "YXR")
+        Y, R = (np.array([getattr(keys[i], f) for i in idx]) for f in "YR")
         bad = np.flatnonzero((R <= 0).any(axis=1))
         if bad.size:
-            raise NonPositiveDiagonal(f"{es[bad[0]].owner} slack coefficients")
+            raise NonPositiveDiagonal(f"{es[bad[0]].owner} row scales")
         cost, A, rhs = (np.array([getattr(e, f) for e in es])
                         for f in ("cost", "A", "rhs"))
         incidence = np.zeros((len(es), es[0].n_balance, Y.shape[1]))
         np.add.at(incidence, (np.arange(len(es))[:, None],
                               np.array([e.bus_rows for e in es])), Y)
         published = (np.matmul(cost[:, None], Y)[:, 0],
-                     np.matmul(np.matmul(X, A), Y),
-                     X * R[:, None, :],
-                     np.matmul(X, rhs[..., None])[..., 0])
-        sources = (cost, A, np.eye(X.shape[1])[None], rhs)
-        for p, s in zip(published, sources):
+                     np.matmul(A, Y) / R[..., None], rhs / R)
+        for p, s in zip(published, (cost, A, rhs)):
             axes = tuple(range(1, s.ndim))
             verified[idx] &= ~((p == s).all(axis=axes) & s.any(axis=axes))
-        for i, e, cY, XEY, XR, XM, KPY in zip(idx, es, *published, incidence):
+        for i, e, cY, EY, M, KPY in zip(idx, es, *published, incidence):
             subs[i] = EncryptedSubmission(
                 owner=e.owner, kind=e.kind, masked_cost=cY,
-                masked_constraints=XEY, masked_slack=XR, masked_rhs=XM,
-                masked_incidence=KPY)
+                masked_constraints=EY, masked_rhs=M, masked_incidence=KPY)
     return subs, verified
 
 
@@ -637,9 +628,9 @@ def mask_iso(blocks, keys: IsoKeys,
 
 
 # K entity row blocks of one shape of the masked LP, block k of owner
-# owners[k] reading ``C[k]·z + S[k]·s = b[k]`` (s >= 0, S[k] its rows' slack
-# block) in the (K, r) rows rows[k] over the (K, c) structural columns cols[k]
-RowStack = collections.namedtuple("RowStack", "owners rows cols C S b")
+# owners[k] reading ``C[k]·z <= b[k]`` in the (K, r) rows rows[k] over the
+# (K, c) structural columns cols[k]
+RowStack = collections.namedtuple("RowStack", "owners rows cols C b")
 
 
 def _triplets(rows, cols, D):
@@ -686,22 +677,21 @@ class TransformedLp:
         """The masked LP in all-equality slack form, placed from the stacks
         on first access.  A block lies on consecutive rows and columns
         (an empty one, of a market without lines, places nothing), and row
-        i's slack is column ``n_structural + i``: an entity's published
-        slack block, or for a line row a slack of coefficient one, which
+        i's slack is column ``n_structural + i`` with coefficient one: one
+        identity over the slack columns of every inequality row, which
         nobody sends."""
         bal, ns = self.row_spans["balance"][0], self.n_structural
         th, (H, L, _) = self.var_spans["theta"][0], self.line_flow.shape
         pieces = [(bal, col, _matrix(B, cols)) for col, B, cols in self.balance]
+        pieces.append((0, ns, sp.identity(bal, format="csr")))
         b_eq = np.zeros(self.n_rows)
         for st in self.stacks:
             pieces += [(r[0], c[0], C) for r, c, C in zip(st.rows, st.cols, st.C)
                        if r.size]
-            pieces += [(r[0], ns + r[0], S) for r, S in zip(st.rows, st.S) if r.size]
             b_eq[st.rows] = st.b
-        eye = _matrix(np.repeat(np.eye(L)[None], H, axis=0))
         for name, sign in (("line_hi", 1.0), ("line_lo", -1.0)):
             r0 = self.row_spans[name][0]
-            pieces += [(r0, th, _matrix(sign * self.line_flow)), (r0, ns + r0, eye)]
+            pieces.append((r0, th, _matrix(sign * self.line_flow)))
             b_eq[r0:r0 + H * L] = self.line_rhs
         return LpProblem(
             sense="max", c=np.concatenate([self.c, np.zeros(self.n_slack)]),
@@ -748,11 +738,11 @@ def build_transformed_ed(submissions) -> TransformedLp:
     # is checked once: a valid one groups the entities of one (m, n)
     shapes = {}
     for s in entities:
-        C, S = s.masked_constraints, s.masked_slack
-        shapes.setdefault((type(C), type(S), C.shape, S.shape, s.masked_rhs.size,
-                           s.masked_cost.size, s.masked_incidence.shape), []).append(s)
-    for (tC, tS, C, S, m, n, inc), group in shapes.items():
-        if (tC, tS, C, S, inc) != (np.ndarray, np.ndarray, (m, n), (m, m), (TB, n)):
+        C = s.masked_constraints
+        shapes.setdefault((type(C), C.shape, s.masked_rhs.size, s.masked_cost.size,
+                           s.masked_incidence.shape), []).append(s)
+    for (tC, C, m, n, inc), group in shapes.items():
+        if (tC, C, inc) != (np.ndarray, (m, n), (TB, n)):
             raise DimensionMismatch(f"submission of {group[0].owner} is inconsistent")
 
     layout = ed_layout(entities, n_iso, TL, TB, slacks=True)
@@ -770,8 +760,8 @@ def build_transformed_ed(submissions) -> TransformedLp:
                        np.add.outer([rs[s.owner][0] for s in group], np.arange(m)),
                        np.add.outer([vs[s.owner][0] for s in group], np.arange(n)),
                        *(np.array([getattr(s, f) for s in group]) for f in
-                         ("masked_constraints", "masked_slack", "masked_rhs")))
-              for (_, _, _, _, m, n, _), group in shapes.items()]
+                         ("masked_constraints", "masked_rhs")))
+              for (_, _, m, n, _), group in shapes.items()]
     # +1 for generation and -1 for load in each entity column, exact
     sign = np.repeat([1.0 if s.kind == "GENCO" else -1.0 for s in entities],
                      [s.n for s in entities])
@@ -788,20 +778,6 @@ def build_transformed_ed(submissions) -> TransformedLp:
                          n_rows=layout.n_rows, n_vars=layout.n_vars)
 
 
-def _cancel_slacks(stacks):
-    """Each entity `RowStack` of `stacks` with its slack blocks cancelled,
-    as a stack: the ``(K, r, c)`` stack of ``S⁻¹C`` and the ``(K, r)`` array
-    of ``S⁻¹b``, block by block, from one stacked ``np.linalg.solve`` per
-    stack, which gives each block's own solve bit for bit.  This is the
-    cancellation kernel of `eliminate_angles`.
-    """
-    out = []
-    for st in stacks:
-        x = np.linalg.solve(st.S, np.concatenate([st.C, st.b[..., None]], axis=2))
-        out.append((x[..., :-1], x[..., -1]))
-    return out
-
-
 def _single_entry_bounds(r, c, v, b, lb, ub):
     """``(kept, lb, ub, (rows, cols, coef))`` for the inequality rows
     ``A x <= b`` stored as the triplets ``(r, c, v)``, their columns free
@@ -810,9 +786,9 @@ def _single_entry_bounds(r, c, v, b, lb, ub):
     ``lb_j = b/a`` when ``a < 0``.  Only the first such row per column and
     direction moves; a later one stays a row, as do all rows with other
     counts.  A lower bound above its column's new upper bound stays a row
-    too: a fixed quantity (``lo == hi``) gives two rows from separate
-    cancellations, whose bounds can cross by rounding, and an infeasible
-    one is left for the solver to report.  `kept` marks the rows that
+    too: a fixed quantity (``lo == hi``) gives two rows with separate row
+    scales, whose bounds can cross by rounding, and an infeasible one is
+    left for the solver to report.  `kept` marks the rows that
     stay; ``(rows, cols, coef)`` are the rows moved."""
     single = np.flatnonzero(np.bincount(r, minlength=b.size)[r] == 1)
     single = single[np.argsort(r[single], kind="stable")]
@@ -1028,22 +1004,18 @@ class AngleElimination:
 
 
 def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
-    """The masked LP with every entity's slack block cancelled, the free angle
-    columns substituted out and each line-hour stated once through a
-    masked-flow column: the shift-factor (PTDF) form of the dispatch,
-    computed on masked data, kept as the stacks its LPs are built from.
+    """The masked LP with the free angle columns substituted out and each
+    line-hour stated once through a masked-flow column: the shift-factor
+    (PTDF) form of the dispatch, computed on masked data, kept as the
+    stacks its LPs are built from.
 
-    Each entity's row group reads ``C z + S s = b`` with ``s >= 0``, where
-    ``C = X·E·Y``, ``S = X·diag(R)`` and ``b = X·M`` are what the entity
-    published for its constraint matrix ``E`` and bounds ``M``.
-    Multiplying it on the left by ``S⁻¹`` (`_cancel_slacks`) gives
-    ``R⁻¹E·Y z + s = R⁻¹M``, that is ``R⁻¹E·Y z <= R⁻¹M``, and the slack
-    columns drop out: an LP in the clear LP's layout whose entity and
-    angle slices and balance duals equal, in exact arithmetic, those of
-    ``tlp.problem``, so recovery is unchanged.  This is the row-mask
-    cancellation of ROADMAP item 4(a), one stacked solve per stack of
-    ``tlp.stacks``; each stack's ``S⁻¹b`` and cancelled rows are placed in
-    one broadcast, with no walk over the owners.
+    Each entity's rows read ``C z <= b``, with ``C = R⁻¹·E·Y`` and ``b =
+    R⁻¹·M`` as the entity published them for its constraint matrix ``E``
+    and bounds ``M``: the slack form's rows ``C z + s = b`` without their
+    identity slack columns, an LP in the clear LP's layout whose entity
+    and angle slices and balance duals equal those of ``tlp.problem``, so
+    recovery is unchanged.  Each stack of ``tlp.stacks`` is placed in one
+    broadcast, with no walk over the owners.
 
     The masked balance rows read ``Bz·z + Bθ·θ' = 0``, with
     ``Bθ = -X_b·B·Y_θ`` and ``Bz`` the entities' published balance block,
@@ -1058,16 +1030,16 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     The operator publishes each line-hour's shift-factor row once,
     ``a = R_l⁻¹·G·KL·Y_θ`` with the right-hand side ``b = R_l⁻¹·PL``
     (``tlp.line_flow``, a stack of hour blocks whose hour h lies over hour
-    h's angle columns), and no slack block to cancel.  The line-hour gets
-    a column ``f``, the equality ``a·P·z - f = 0`` after the balance
-    equalities, and the limits ``f <= b`` and ``-f <= b`` in the rows the
-    two line limits hold, so the inequality rows keep the clear LP's
-    order.
+    h's angle columns).  The line-hour gets a column ``f``, the equality
+    ``a·P·z - f = 0`` after the balance equalities, and the limits ``f <=
+    b`` and ``-f <= b`` in the rows the two line limits hold, so the
+    inequality rows keep the clear LP's order.
 
     The inequality rows are placed as triplets, without the entries of
-    magnitude at most 1e-9 (cancellation residue that HiGHS drops on
-    input, its ``small_matrix_value``), and those left with one entry are
-    stated as bounds of their columns (`_single_entry_bounds`) before any
+    magnitude at most 1e-9 (the zeros of the dense entity blocks, and any
+    entry that HiGHS drops on input, its ``small_matrix_value``), and
+    those left with one entry are stated as bounds of their columns
+    (`_single_entry_bounds`) before any
     CSR is built: an interior-point solver treats a bound far more cheaply
     than a row.  They are the flow limits, and the bound rows of every
     entity whose column mask is diagonal.  The other rows become
@@ -1085,28 +1057,23 @@ def eliminate_angles(tlp: TransformedLp) -> AngleElimination:
     formed unless the fallback asks for ``AngleElimination.problem``.
 
     Only published data is read, so the agent learns nothing it could not
-    already derive.  It relies on each entity's slack block being
-    invertible (a condition-gated ``X`` times a positive diagonal; a
-    mitigation of item 4(a) that changes that must revisit it) and on each
-    hour block of ``Bθ`` having full column rank (a connected network, a
-    condition-gated ``X_b`` and ``Y_θ``).  The flows ``f = a·θ'`` were
-    already computable from what the agent received; nothing new is
-    sent.  The entity part of the move exists only because of a leak: a
-    single-segment entity under hourly keys has a diagonal ``Y``, so after
-    the cancellation each of its bound rows has one entry and tells the
-    agent price times bound for its hour (ROADMAP item 4, leak (c)).  The
-    agent sees these rows either way; a mitigation that mixes an entity's
-    hours makes them dense again, and this part of the saving goes with
-    it.
+    already derive.  It relies on each hour block of ``Bθ`` having full
+    column rank (a connected network, a condition-gated ``X_b`` and
+    ``Y_θ``).  The flows ``f = a·θ'`` were already computable from what
+    the agent received; nothing new is sent.  The entity part of the move
+    exists only because of a leak: a single-segment entity under hourly
+    keys has a diagonal ``Y``, so each of its published bound rows has one
+    entry and tells the agent price times bound for its hour (ROADMAP item
+    4, leak (c)).  The agent sees these rows either way; a mitigation that
+    mixes an entity's hours makes them dense again, and this part of the
+    saving goes with it.
     """
     nz, TL = tlp.var_spans["theta"][0], tlp.line_rhs.size
-    cancelled = _cancel_slacks(tlp.stacks)
     b_in = np.zeros(tlp.row_spans["balance"][0])
-    for st, (_, x) in zip(tlp.stacks, cancelled):
-        b_in[st.rows] = x
+    for st in tlp.stacks:
+        b_in[st.rows] = st.b
     # the entities' stacks, then the upper and lower limits of each flow
-    ineq = [_triplets(st.rows, st.cols, D)
-            for st, (D, _) in zip(tlp.stacks, cancelled)]
+    ineq = [_triplets(st.rows, st.cols, st.C) for st in tlp.stacks]
     flow = nz + np.arange(TL)
     for name, sign in (("line_hi", 1.0), ("line_lo", -1.0)):
         rows = np.arange(*tlp.row_spans[name])
@@ -1174,11 +1141,10 @@ def leakage_audit(submission: EncryptedSubmission,
     Linear equations in the column-mask entries come from the published
     masked incidence (only its structurally nonzero rows say anything)
     and, when the recovered dispatch is published, from the recovery
-    product itself.  Bilinear equations come from the masked constraint
-    and slack blocks (every entry couples row-mask, slack, and
-    column-mask unknowns) plus the full incidence and recovery blocks.
-    The audit only counts; it does not attempt to solve the bilinear
-    system.
+    product itself.  Bilinear equations come from the row-scaled
+    constraint block (every entry couples a row-scale and column-mask
+    unknowns) plus the full incidence and recovery blocks.  The audit
+    only counts; it does not attempt to solve the bilinear system.
     """
     if submission.kind == "ISO":
         # the line rows are row-scaled only: R_l's TL unknowns, not a mask
@@ -1202,6 +1168,6 @@ def leakage_audit(submission: EncryptedSubmission,
         owner=submission.owner, kind=submission.kind,
         linear_equations=nnz_rows * n + published,
         linear_unknowns=n * n,
-        bilinear_equations=m * n + m * m + full_rows * n + published,
-        bilinear_unknowns=m * m + m + n * n,
+        bilinear_equations=m * n + full_rows * n + published,
+        bilinear_unknowns=m + n * n,
     )

@@ -25,20 +25,22 @@ entries only, and a digest match raises only when the bytes agree too.
 Private rows without a nonzero entry are not scanned for: every mask maps
 them to zero, so zero entries stay visible under masking.
 
+Every party publishes its inequality rows row-scaled only, with no row
+mask or slack block, which the agent would cancel (ROADMAP item 4(a)).
 An LP the router sends to HiGHS is solved in its shift-factor flow form:
-the agent cancels every entity's slack block, substitutes the masked angles
-out, states each line-hour once through a masked-flow column and its
-single-entry rows as column bounds (`masking.eliminate_angles`).  It
-solves that LP with the line limits added lazily (`_solve_screened`):
-first without the flow rows, then with every line-hour whose flow the
-last solution overloads, until none is.  Each screened LP is built
+the agent substitutes the masked angles out, states each line-hour once
+through a masked-flow column and its single-entry rows as column bounds
+(`masking.eliminate_angles`).  It solves that LP with the line limits
+added lazily (`_solve_screened`): first without the flow rows, then with
+every line-hour whose flow the last solution overloads, until none is.  Each screened LP is built
 straight from the stacks, with flow rows for its monitored line-hours
 only, and the last one's certificate, with the bound check of every
 flow it left out, certifies the solution on the whole flow-form LP,
 which is never built.  Should a screened solve not be optimal, the
 whole LP is built and solved as it is.  The solution is mapped back to
 masked angles, row duals and balance duals before any slice is sent.
-The simplex takes the all-equality slack form.
+The simplex takes the all-equality slack form, every inequality row with
+an identity slack column.
 """
 
 from __future__ import annotations
@@ -336,16 +338,40 @@ class _PrivateRows(_Rows):
 
 def _private_row_hashes(blocks: EdBlocks):
     """The private rows no submission may carry, for `_scan_for_leaks`:
-    every entity's constraint rows, bounds and costs, the line capacities,
-    the flow rows ``G·KL`` (line reactances and topology) and the
-    admittance rows.  The read-only constraint block `A` that the
-    entities of one asset structure share is digested once."""
+    every entity's constraint rows, bounds, costs and the nonzero rows of
+    its bus incidence ``KP``, the line capacities, the flow rows ``G·KL``
+    (line reactances and topology) and the admittance rows.  The read-only
+    constraint block `A` that the entities of one asset structure share is
+    digested once, and so are the incidence rows of entities whose columns
+    group into bus-hours alike."""
     entities = blocks.gencos + blocks.lses
     labelled = list({id(e.A): (e.owner, e.A) for e in entities}.values())
     labelled += [(e.owner, v) for e in entities for v in (e.rhs, e.cost)]
+    widths = {}
+    for e in entities:
+        widths.setdefault(e.n, []).append(e.bus_rows)
+    labelled += [("KP", _incidence_rows(np.array(rows)))
+                 for n, rows in widths.items() if n]
     labelled += [(ISO, blocks.line_caps), (ISO, blocks.flow_rows),
                  (ISO, blocks.admittance)]
     return _PrivateRows(labelled)
+
+
+def _incidence_rows(bus_rows):
+    """The distinct nonzero rows of the incidences ``KP`` whose columns'
+    balance rows are the rows of the ``(K, n)`` array `bus_rows`, in
+    stacked calls: an entity's r-th nonzero row holds 1.0 in the columns
+    at its r-th bus-hour, so entities whose columns group into bus-hours
+    alike share their rows."""
+    order = np.argsort(bus_rows, axis=1, kind="stable")
+    ordered = np.take_along_axis(bus_rows, order, axis=1)
+    # each column's bus-hour, counted among its entity's bus-hours
+    rank = np.cumsum(np.diff(ordered, axis=1, prepend=ordered[:, :1]) != 0, axis=1)
+    patterns = np.empty_like(rank)
+    np.put_along_axis(patterns, order, rank, axis=1)
+    patterns = np.unique(patterns, axis=0)
+    rows = patterns[:, None, :] == np.arange(patterns.max() + 1)[:, None]
+    return rows[rows.any(axis=2)].astype(float)
 
 
 def _scan_for_leaks(messages, private_rows):
@@ -476,14 +502,14 @@ def _run_masked(system, blocks, parties, iso, log, config, mask_config):
         config = SolverConfig()
     # routed on its size before anything is assembled
     if choose_backend(tlp, config) == "highs":
-        # the agent cancels each entity's published slack block, substitutes
-        # the angles out, states each line-hour's limits on one flow column
-        # and single-entry rows as column bounds, leaving an LP over the
-        # entity and flow columns with one balance equality per hour and
-        # dense or two-entry rows; it stays on HiGHS however small that LP
-        # is, is solved with its line limits screened and, should a screened
-        # solve not be optimal, built whole and solved as it is, and its
-        # solution is mapped back to angles and row duals
+        # the agent substitutes the angles out, states each line-hour's
+        # limits on one flow column and single-entry rows as column bounds,
+        # leaving an LP over the entity and flow columns with one balance
+        # equality per hour and dense or two-entry rows; it stays on HiGHS
+        # however small that LP is, is solved with its line limits screened
+        # and, should a screened solve not be optimal, built whole and
+        # solved as it is, and its solution is mapped back to angles and row
+        # duals
         reduced = masking.eliminate_angles(tlp)
         highs = dataclasses.replace(config, backend="highs")
         sol, theta = (_solve_screened(reduced, highs)
@@ -585,13 +611,13 @@ def masked_submission_counts(system: MarketSystem) -> dict:
     """Scalar counts each party would transmit in a masked round.
 
     Pure dimension arithmetic, no solving: an entity sends its masked
-    cost row (n), constraint block (m*n), slack block (m*m), bounds
-    (m), and incidence (T*B*n); the operator sends its row-scaled line
-    block (T*L*n_iso) and its one right-hand side (T*L) for both limits,
-    with no row mask or slack block, which the agent would cancel, then
+    cost row (n), row-scaled constraint block (m*n) and bounds (m), and
+    incidence (T*B*n); the operator sends its row-scaled line block
+    (T*L*n_iso) and its one right-hand side (T*L) for both limits, then
     the masked admittance block and the further-masked incidences as one
-    balance block.  The return path carries each owner's solution slice
-    and the operator's angle and dual slices.
+    balance block.  No party sends a row mask or slack block, which the
+    agent would cancel.  The return path carries each owner's solution
+    slice and the operator's angle and dual slices.
     """
     blocks = build_ed_blocks(system)
     TB = blocks.admittance.shape[0]
@@ -599,7 +625,7 @@ def masked_submission_counts(system: MarketSystem) -> dict:
     n_iso = blocks.n_iso
     up = {}
     for e in blocks.gencos + blocks.lses:
-        up[e.owner] = e.n + e.m * e.n + e.m * e.m + e.m + TB * e.n
+        up[e.owner] = e.n + e.m * e.n + e.m + TB * e.n
     sum_n = sum(e.n for e in blocks.gencos + blocks.lses)
     up[ISO] = TL * n_iso + TL + TB * sum_n + TB * n_iso
     down = {e.owner: e.n for e in blocks.gencos + blocks.lses}

@@ -17,9 +17,13 @@ message form it used to publish, two row-masked limit groups with their
 slack blocks, the reference that its row-scaled line rows are what that
 form gave away.
 
+`masked_entity_rows` forms an entity's row blocks in the message form it
+used to publish, row-masked with a slack block, the reference that its
+row-scaled rows are what that form gave away.
+
 `cancelled_slack_form` cancels each owner's slack block by a dense solve
-on the assembled slack form, the reference for the clearing agent's
-cancellation kernel and for `masking.eliminate_angles`.
+on the assembled slack form, the reference for the rows the clearing
+agent places and for `masking.eliminate_angles`.
 
 `lil_incidences` builds the entity and line incidences entry by entry in
 a `lil_matrix`, the reference for `market.build_ed_blocks`.
@@ -240,12 +244,23 @@ def masked_line_limits(blocks, keys, X_l1, X_l2, R_l2):
             "line_rhs_lo": X_l2 @ blocks.line_caps}
 
 
+def masked_entity_rows(entity, keys, X):
+    """Name -> the entity's row blocks in its earlier message form, dense,
+    for its keys `keys` and the row mask `X`: ``X·E·Y``, the slack block
+    ``X·diag(R)`` with its row scales ``keys.R`` as slack coefficients, and
+    ``X·M``."""
+    return {"masked_constraints": X @ entity.A @ keys.Y,
+            "masked_slack": X * keys.R[None, :],
+            "masked_rhs": X @ entity.rhs}
+
+
 def cancelled_slack_form(tlp):
     """The masked LP `tlp` with every owner's slack block cancelled, in the
     clear LP's layout: owner by owner, ``np.linalg.solve(S, ·)`` of the
     owner's rows of the dense slack form ``tlp.problem``, with ``S`` its
-    slack columns.  The cancelled rows are the inequalities, the balance
-    rows, unchanged, the equalities, and every variable is free."""
+    slack columns (the identity, as no party sends a slack block).  The
+    cancelled rows are the inequalities, the balance rows, unchanged, the
+    equalities, and every variable is free."""
     A, b = _dense(tlp.problem.A_eq), tlp.problem.b_eq
     n, bal = tlp.n_structural, tlp.row_spans["balance"][0]
     A_in, b_in = A[:bal, :n].copy(), np.zeros(bal)

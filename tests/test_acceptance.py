@@ -229,7 +229,7 @@ def test_criterion_6_leakage_audit_and_privacy_scan(threebus):
     rec = recovered_point(keys, sol.x, tlp)[slice(*tlp.var_spans["GENCO1"])]
     rep = leakage_audit(subs[0], published_recovery=rec)
     audit_ok = (rep.linear_equations == 6 and rep.linear_unknowns == 9
-                and rep.bilinear_equations == 66 and rep.bilinear_unknowns == 51
+                and rep.bilinear_equations == 30 and rep.bilinear_unknowns == 15
                 and rep.verdict == "UNDERDETERMINED")
 
     scanned = 0
@@ -240,7 +240,7 @@ def test_criterion_6_leakage_audit_and_privacy_scan(threebus):
             private = _private_row_hashes(blocks)
             _scan_for_leaks(log.messages, private)
     _verdict(6, "leakage audit and structural privacy", audit_ok and scanned >= 100,
-             f"first entity: linear 6/9, bilinear 66/51, {rep.verdict}; "
+             f"first entity: linear 6/9, bilinear 30/15, {rep.verdict}; "
              f"no unmasked row in any payload over {scanned} seeded rounds")
 
 

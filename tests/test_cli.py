@@ -80,7 +80,7 @@ def test_compare_csv(tmp_path):
         assert abs(float(cells[1]) - float(cells[2])) <= 1e-6
         assert float(cells[3]) <= 1e-6
         assert float(cells[4]) <= 1e-6
-        assert int(cells[7]) == 258
+        assert int(cells[7]) == 150
         assert int(cells[8]) == 14
 
 
@@ -176,7 +176,7 @@ def test_audit_output(capsys):
     assert main(["audit", THREEBUS, "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "GENCO1 (GENCO) linear: 6 eq / 9 unk -> UNDERDETERMINED" in out
-    assert "bilinear: 66 eq / 51 unk" in out
+    assert "bilinear: 30 eq / 15 unk" in out
     assert "LSE1" in out
 
 

@@ -13,7 +13,9 @@ from maskdispatch.lp import (
 from maskdispatch.market import build_ed_blocks, assemble_ed_lp, gen_synthetic
 from maskdispatch import masking, protocol
 from maskdispatch.protocol import run_market_round
-from oracle import cancelled_slack_form, masked_line_limits, plain_iso_products
+from oracle import (
+    cancelled_slack_form, masked_entity_rows, masked_line_limits, plain_iso_products,
+)
 from maskdispatch.masking import (
     MaskConfig, EntityKeys, IsoKeys, EncryptedSubmission,
     vertical_mask_generic, horizontal_mask_generic,
@@ -55,10 +57,10 @@ def party_keys(blocks, seed, config=None):
 
 
 def identity_keys(blocks):
-    """All masks identity, slack coefficients one: the no-op key set."""
+    """All masks identity, row scales one: the no-op key set."""
     TL, TB = blocks.line_caps.size, blocks.admittance.shape[0]
     return PartyKeys(
-        {e.owner: EntityKeys(e.owner, e.kind, np.eye(e.n), np.eye(e.m), np.ones(e.m))
+        {e.owner: EntityKeys(e.owner, e.kind, np.eye(e.n), np.ones(e.m))
          for e in blocks.gencos + blocks.lses},
         IsoKeys(np.eye(blocks.n_iso)[None], np.ones(TL), np.eye(TB)[None]))
 
@@ -90,7 +92,7 @@ def test_key_dimensions_match_entity_blocks(threebus):
     blocks = build_ed_blocks(threebus)
     keys = party_keys(blocks, seed=1)
     assert keys.entities["GENCO1"].Y.shape == (3, 3)
-    assert keys.entities["GENCO1"].X.shape == (6, 6)
+    assert keys.entities["GENCO1"].R.shape == (6,)
     assert keys.entities["LSE1"].Y.shape == (3, 3)
     assert keys.iso.Y_theta.shape == (1, 2, 2)
     assert keys.iso.R_l.shape == (3,)
@@ -115,7 +117,6 @@ def test_key_conditioning_and_positivity(threebus):
         mats = [*keys.iso.Y_theta, *keys.iso.X_b]
         positives = list(mats)
         for ek in keys.entities.values():
-            mats.append(ek.X)
             positives.append(ek.Y)
             mats.append(ek.Y)
             assert np.all(ek.R > 0)
@@ -159,8 +160,6 @@ def test_key_draws_stay_in_documented_ranges(hourly):
             assert np.all((K >= 0.01) & (K <= 1.0))
         for ek in keys.entities.values():
             _assert_hour_blocks_within(ek.Y, hours, 0.01, 1.0)
-        for ek in keys.entities.values():
-            _assert_hour_blocks_within(ek.X, 1, -1.0, 1.0)
         for r in [iso.R_l] + [ek.R for ek in keys.entities.values()]:
             assert np.all((r >= 0.5) & (r <= 2.0))
 
@@ -449,7 +448,7 @@ def test_inconsistent_entity_blocks_are_refused(interleaved):
     at = [s.owner for s in subs].index("GENCO3")
     bad = subs[at]
     for tampered in (
-            dataclasses.replace(bad, masked_slack=bad.masked_slack[:-1]),
+            dataclasses.replace(bad, masked_rhs=bad.masked_rhs[:-1]),
             dataclasses.replace(bad, masked_incidence=bad.masked_incidence[:-1]),
             dataclasses.replace(bad, masked_constraints=sp.csr_matrix(
                 bad.masked_constraints))):
@@ -571,7 +570,8 @@ def _with_condition(rng, n, kappa):
 def test_frobenius_bound_bounds_condition():
     # the one mask rule is sound: ‖M‖_F·‖M⁻¹‖_F >= κ₂(M) on draws at the
     # workloads' key sizes, positive (column and operator masks) and signed
-    # (entity row masks); at n = 1 both are 1, up to rounding
+    # (as a row mask supplied to the generic transforms may be); at n = 1
+    # both are 1, up to rounding
     rng = np.random.default_rng(21)
     mats = [rng.uniform(0.01, 1.0, (n, n)) for n in range(1, 7) for _ in range(30)]
     mats += [rng.uniform(0.01, 1.0, (n, n)) for n in (117, 140) for _ in range(3)]
@@ -615,7 +615,7 @@ def test_drawn_keys_within_cond_max(name, threebus):
         keys = party_keys(blocks, seed, MaskConfig(hourly_block_masks=hourly))
         iso = keys.iso
         mats = [*iso.Y_theta, *iso.X_b]
-        mats += [M for ek in keys.entities.values() for M in (ek.Y, ek.X)]
+        mats += [ek.Y for ek in keys.entities.values()]
         for M in mats:
             assert np.linalg.cond(M) <= masking._COND_MAX
 
@@ -647,13 +647,24 @@ def test_party_keys_give_the_round_payloads(name, threebus):
 
 
 def test_redrawn_keys_give_the_round_payloads(monkeypatch):
-    # a gate of 100 rejects some, not all, first draws of hourly14-3h's
-    # parties: those parties are redrawn one draw at a time by entity_keys,
-    # and the round still sends what party_keys draws, bit for bit
+    # a gate of 40 on the entities' keys rejects some, not all, first draws
+    # of hourly14-3h's parties' 2 x 2 column-mask blocks (1 to 3 of 10 on
+    # seeds 0-2; the operator's keys keep the default gate, which no 13-row
+    # draw would pass at 40): those parties are redrawn one draw at a time
+    # by entity_keys, and the round still sends what party_keys draws, bit
+    # for bit
     system = gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2)
     blocks, config = build_ed_blocks(system), MaskConfig(hourly_block_masks=True)
-    monkeypatch.setattr(masking, "_COND_MAX", 100.0)
-    redrawn, entity_keys = [], masking.entity_keys
+
+    def gated(draw):
+        def run(*args, **kwargs):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(masking, "_COND_MAX", 40.0)
+                return draw(*args, **kwargs)
+        return run
+
+    redrawn, entity_keys = [], gated(masking.entity_keys)
+    monkeypatch.setattr(masking, "draw_entity_keys", gated(masking.draw_entity_keys))
     monkeypatch.setattr(masking, "entity_keys",
                         lambda rng, owner, *a, **k: redrawn.append(owner)
                         or entity_keys(rng, owner, *a, **k))
@@ -707,19 +718,6 @@ def test_masked_equals_clear_on_synthetic_markets(buses, seed, T, backend):
     assert check_point(clear_problem, x, 1e-6).feasible
 
 
-def test_presolve_does_not_change_masked_multi_hour_solve():
-    # masking leaves presolve nothing to remove, so skipping it (as the
-    # masked round does) must give the same solution bit for bit
-    blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
-    keys = party_keys(blocks, 0, MaskConfig(hourly_block_masks=True))
-    tlp = build_transformed_ed(masked_submissions(blocks, keys))
-    config = SolverConfig(backend="highs")
-    with_presolve = solve_lp(tlp.problem, config, presolve=True)
-    without = solve_lp(tlp.problem, config, presolve=False)
-    np.testing.assert_array_equal(without.x, with_presolve.x)
-    np.testing.assert_array_equal(without.duals_eq, with_presolve.duals_eq)
-
-
 def test_hour_stack_reads_dense_and_published_blocks():
     # a dense block is one hour block, as a view; the operator's CSR is its
     # stack of hour blocks, read from its entries without a copy, whether
@@ -767,11 +765,12 @@ def test_hour_stack_refuses_other_layouts():
 
 @pytest.mark.parametrize("case", ["threebus", "hourly-14", "interleaved"])
 def test_eliminate_slacks_equals_dense_cancellation(case, threebus, interleaved):
-    # stack by stack, the agent's cancellation kernel gives S⁻¹ times each
-    # entity block's rows of the slack form, as the oracle's owner-by-owner
-    # dense solves do; the line rows, whose slack is the identity, are the
-    # operator's published line block as they are.  The entities come in
-    # one stack per block shape, in the order of each shape's first
+    # stack by stack, the rows the agent places for the entities are the
+    # slack form's rows with their slack blocks cancelled, as the oracle's
+    # owner-by-owner dense solves give them; every slack block is the
+    # identity, so they are the published blocks as they are, and so are
+    # the line rows, the operator's published line block.  The entities
+    # come in one stack per block shape, in the order of each shape's first
     # entity, so the interleaved case's stacks are not in row order
     config = MaskConfig(hourly_block_masks=True)
     if case == "threebus":
@@ -786,10 +785,11 @@ def test_eliminate_slacks_equals_dense_cancellation(case, threebus, interleaved)
     want = cancelled_slack_form(tlp)
     got, b_in = np.zeros(want.A_in.shape), np.zeros(want.b_in.shape)
     placed = np.zeros(want.b_in.shape, dtype=int)
-    for st, (D, x) in zip(tlp.stacks, masking._cancel_slacks(tlp.stacks)):
-        assert D.shape == st.C.shape and x.shape == st.b.shape
-        got[st.rows[:, :, None], st.cols[:, None, :]] = D
-        b_in[st.rows] = x
+    for st in tlp.stacks:
+        assert st.C.shape == st.rows.shape + st.cols.shape[1:]
+        assert st.b.shape == st.rows.shape
+        got[st.rows[:, :, None], st.cols[:, None, :]] = st.C
+        b_in[st.rows] = st.b
         np.add.at(placed, st.rows, 1)
     (H, L, c), th = tlp.line_flow.shape, tlp.var_spans["theta"][0]
     for name, sign in (("line_hi", 1.0), ("line_lo", -1.0)):
@@ -1023,6 +1023,48 @@ def test_eliminated_angles_restore_lower_limit_duals(threebus):
     np.testing.assert_allclose(got.duals_eq, want.duals_eq, rtol=1e-6, atol=1e-6)
 
 
+def _attack_case(case, threebus):
+    """(blocks, mask settings) of a case the attack (a) tests run on."""
+    if case == "threebus":
+        return build_ed_blocks(threebus), MaskConfig()
+    if case == "hourly-14":
+        return (build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2)),
+                MaskConfig(hourly_block_masks=True))
+    return (build_ed_blocks(gen_synthetic(30, 2, 2, 5, 4, seed=1, segments=3)),
+            MaskConfig())
+
+
+def _within_cancelling_rounding(got, want, S):
+    """`got` agrees with `want` to the rounding of a solve with `S`: eps
+    times its condition number, at least 1e-12, relative to the largest
+    entry of `want`."""
+    tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(S))
+    return np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("case", ["threebus", "hourly-14", "pooled30-4h"])
+def test_entity_rows_are_what_the_masked_rows_gave_away(case, threebus):
+    # ROADMAP item 4(a) on the entities' rows: in the message form they used
+    # to publish, with a round's keys and any gated signed row mask X beside
+    # them, cancelling the slack block X·diag(R) gives the published
+    # R⁻¹·E·Y and R⁻¹·M.  So an attacker holding that form learnt what is
+    # now sent, and nothing more is sent
+    blocks, config = _attack_case(case, threebus)
+    for seed in range(5):
+        keys = party_keys(blocks, seed, config)
+        rng = np.random.default_rng(seed)
+        subs = masked_submissions(blocks, keys)
+        for e, sub in zip(blocks.gencos + blocks.lses, subs):
+            assert sub.owner == e.owner
+            old = masked_entity_rows(e, keys.entities[e.owner],
+                                     masking._sample_mask(rng, e.m, -1.0, 1.0, "row"))
+            S = old["masked_slack"]
+            got = np.linalg.solve(S, np.column_stack([old["masked_constraints"],
+                                                      old["masked_rhs"]]))
+            new = np.column_stack([sub.masked_constraints, sub.masked_rhs])
+            assert _within_cancelling_rounding(got, new, S), (seed, e.owner)
+
+
 @pytest.mark.parametrize("case", ["threebus", "hourly-14", "pooled30-4h"])
 def test_line_rows_are_what_the_masked_limits_gave_away(case, threebus):
     # ROADMAP item 4(a) on the operator's line rows: in the message form it
@@ -1035,14 +1077,7 @@ def test_line_rows_are_what_the_masked_limits_gave_away(case, threebus):
     # the rounding of the cancelling solve, eps times the slack block's
     # condition number, relative: 1e-12 or less but on pooled30-4h, whose
     # 140-row masks reach a condition number of 1.2e5 at seed 3
-    if case == "threebus":
-        blocks, config = build_ed_blocks(threebus), MaskConfig()
-    elif case == "hourly-14":
-        blocks = build_ed_blocks(gen_synthetic(14, 5, 5, 1, 2, seed=3, segments=2))
-        config = MaskConfig(hourly_block_masks=True)
-    else:
-        blocks = build_ed_blocks(gen_synthetic(30, 2, 2, 5, 4, seed=1, segments=3))
-        config = MaskConfig()
+    blocks, config = _attack_case(case, threebus)
     TL = blocks.line_caps.size
     for seed in range(5):
         keys = party_keys(blocks, seed, config)
@@ -1063,8 +1098,7 @@ def test_line_rows_are_what_the_masked_limits_gave_away(case, threebus):
         lo[:, :-1] *= -1.0
         lo /= k[:, None]
         for got, S in ((hi, old["line_slack_hi"]), (lo, old["line_slack_lo"])):
-            tol = max(1e-12, np.finfo(float).eps * np.linalg.cond(S))
-            assert np.max(np.abs(got - new)) <= tol * np.max(np.abs(new))
+            assert _within_cancelling_rounding(got, new, S)
 
 
 # ---------------------------------------------------------------------------
@@ -1078,8 +1112,10 @@ def test_audit_counts_for_first_entity(threebus):
     rep = leakage_audit(subs[0], published_recovery=rec)
     assert rep.linear_equations == 6
     assert rep.linear_unknowns == 9
-    assert rep.bilinear_equations == 66
-    assert rep.bilinear_unknowns == 51
+    # 6 x 3 row-scaled constraint entries, 3 x 3 incidence entries and 3
+    # recovered values, in 6 row scales and 3 x 3 column-mask entries
+    assert rep.bilinear_equations == 30
+    assert rep.bilinear_unknowns == 15
     assert rep.verdict == "UNDERDETERMINED"
 
 
@@ -1096,7 +1132,6 @@ def test_audit_flags_degenerate_entity():
         owner="tiny", kind="GENCO",
         masked_cost=np.array([2.0]),
         masked_constraints=np.array([[1.5]]),
-        masked_slack=np.array([[0.7]]),
         masked_rhs=np.array([3.0]),
         masked_incidence=np.array([[0.9]]))
     rep = leakage_audit(sub, published_recovery=np.array([1.0]))

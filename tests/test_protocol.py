@@ -53,10 +53,9 @@ def test_same_seed_reproduces_wire(threebus):
 
 def test_masked_message_counts_match_hand_arithmetic(threebus):
     _, log = run_market_round(threebus, 0, mode="masked")
-    # first entity's blocks: 3 cost + 18 constraints + 36 slack + 6 rhs
-    # + 9 incidence
+    # first entity's blocks: 3 cost + 18 constraints + 6 rhs + 9 incidence
     cost = comm_cost(log)
-    assert cost.per_party_up["GENCO1"][0] == 72
+    assert cost.per_party_up["GENCO1"][0] == 36
     assert cost.per_party_down["GENCO1"][0] == 3
     counts = masked_submission_counts(threebus)
     for owner, expect in counts["up"].items():
@@ -107,8 +106,8 @@ def test_byte_accounting_and_aggregates(threebus):
     assert as_json["entities_to_agent"]["count"] == cost.total_up_count
 
 
-@pytest.mark.parametrize("name, up, down", [("threebus", 2_192, 240),
-                                            ("grid118-2h", 2_113_936, 10_752)])
+@pytest.mark.parametrize("name, up, down", [("threebus", 1_328, 240),
+                                            ("grid118-2h", 2_086_736, 10_752)])
 def test_masked_round_wire_bytes(threebus, name, up, down):
     # every block goes out at its full shape, and no submission's metadata
     # (its owner and kind, the operator's balance owners and hour count)
@@ -212,20 +211,19 @@ def test_key_gating_does_not_grow_with_the_number_of_parties(monkeypatch):
     for keys in drawn:
         assert len(keys) in (10, 2)
         for a, b in itertools.combinations(keys, 2):
-            assert not any(np.shares_memory(x, y) for x in (a.Y, a.X, a.R)
-                           for y in (b.Y, b.X, b.R)), (a.owner, b.owner)
+            assert not any(np.shares_memory(x, y) for x in (a.Y, a.R)
+                           for y in (b.Y, b.R)), (a.owner, b.owner)
 
 
 def test_stacked_work_does_not_grow_with_the_number_of_parties(monkeypatch):
     # the operator masks every entity's incidence in one stacked matmul
-    # with its balance-row key, and the agent cancels the entities' slack
-    # blocks in one stacked solve per block shape: a masked hourly14-3h
-    # round makes as many of each with its 10 single-unit entities as with
-    # its units pooled into 2 (one GENCO and one LSE shape either way; the
-    # line rows have no slack block to cancel, and the other matmul is the
-    # angle block's)
-    solves, matmuls = [], []
-    cancel, iso_keys, solve = masking._cancel_slacks, masking.iso_keys, np.linalg.solve
+    # with its balance-row key, and the agent holds the entities' rows in
+    # one stack per block shape, each placed in one broadcast: a masked
+    # hourly14-3h round makes as many of each with its 10 single-unit
+    # entities as with its units pooled into 2 (one GENCO and one LSE
+    # shape either way; the other matmul is the angle block's)
+    stacks, matmuls = [], []
+    iso_keys, build = masking.iso_keys, masking.build_transformed_ed
 
     class Counted(np.ndarray):
         def __matmul__(self, other):
@@ -237,22 +235,21 @@ def test_stacked_work_does_not_grow_with_the_number_of_parties(monkeypatch):
         keys.X_b = keys.X_b.view(Counted)
         return keys
 
-    def counted_cancel(stacks):
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(np.linalg, "solve",
-                      lambda S, b: solves.append(S.shape) or solve(S, b))
-            return cancel(stacks)
+    def counted_build(submissions):
+        tlp = build(submissions)
+        stacks.extend(tlp.stacks)
+        return tlp
 
     monkeypatch.setattr(masking, "iso_keys", counted_keys)
-    monkeypatch.setattr(masking, "_cancel_slacks", counted_cancel)
+    monkeypatch.setattr(protocol, "build_transformed_ed", counted_build)
     system = gen_synthetic(14, 5, 5, 1, 3, seed=3, segments=2)
     counts = []
     for s in (system, regroup_entities(system, 5)):
-        solves.clear()
+        stacks.clear()
         matmuls.clear()
         run_market_round(s, 0, mode="masked", config=SolverConfig(backend="highs"),
                          mask_config=MaskConfig(hourly_block_masks=True))
-        counts.append((len(solves), len(matmuls)))
+        counts.append((len(stacks), len(matmuls)))
     assert counts[0] == counts[1] == (2, 2), counts
 
 
@@ -321,6 +318,26 @@ def test_leak_scanner_catches_flow_rows(threebus):
     private = _private_row_hashes(blocks)
     for block in (blocks.flow_rows, blocks.flow_rows.toarray(), blocks.admittance):
         msg = Message.build(ISO, AGENT, "Submission", {"line_flow": block})
+        with pytest.raises(ProtocolViolation, match="contains a private row"):
+            _scan_for_leaks([msg], private)
+
+
+@pytest.mark.parametrize("case", ["threebus", "pooled30-4h"])
+def test_leak_scanner_catches_raw_incidence(threebus, case):
+    # an entity's bus incidence KP names where its assets sit: a message
+    # whose masked incidence is the raw 0/1 block (as an identity column
+    # key would publish it) is caught, as its constraint rows are; on
+    # threebus that is GENCO1's (3, 3) block, and the pooled 30-bus
+    # entities hold units at several buses
+    system = threebus if case == "threebus" else gen_synthetic(
+        30, 2, 2, 5, 4, seed=1, segments=3)
+    blocks = build_ed_blocks(system)
+    private = _private_row_hashes(blocks)
+    for e in blocks.gencos + blocks.lses:
+        raw = np.zeros((e.n_balance, e.n))
+        raw[e.bus_rows, np.arange(e.n)] = 1.0
+        assert case != "threebus" or raw.shape == (3, 3)
+        msg = Message.build(e.owner, AGENT, "Submission", {"masked_incidence": raw})
         with pytest.raises(ProtocolViolation, match="contains a private row"):
             _scan_for_leaks([msg], private)
 
@@ -827,7 +844,7 @@ def _with_third_segment_price(system, price):
     return dataclasses.replace(system, generators=gens)
 
 
-@pytest.mark.parametrize("price", [1e6, 1e8])
+@pytest.mark.parametrize("price", [1e6, 1e8, 1e10])
 def test_badly_scaled_masked_round_matches_clear_or_breaks_down(threebus, price):
     # a masked dispatch LP is as bounded and feasible as the clear one, so
     # a round either reproduces the clear outcome or fails numerically;
